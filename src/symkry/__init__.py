@@ -6,7 +6,7 @@ exponential integrators whose matrix functions are evaluated in small
 energy error of the projected schemes bounded instead of drifting.
 
 Submodules: ``core`` (symplectic linear algebra, system interface),
-``krylov`` (basis processes), ``matfun`` (exp and phi kernels),
+``krylov`` (basis processes), ``matfun`` (exp, affine-flow and phi kernels),
 ``integrators`` (EE / EEMP / IEMP steppers), ``problems`` (wave, NLS,
 Klein-Gordon benchmarks), ``harness`` (experiment runner and CSV metrics).
 """
@@ -25,7 +25,6 @@ from .core import (
     join_state,
     omega,
     split_state,
-    symplectic_left_apply,
 )
 from .errors import (
     BasisKindError,
@@ -43,7 +42,6 @@ from .harness import (
     solution_error,
 )
 from .integrators import (
-    IempResult,
     StepperConfig,
     StepResult,
     TrajectorySummary,
@@ -62,15 +60,13 @@ from .krylov import (
     isotropic_arnoldi,
     symplectic_arnoldi,
 )
-from .matfun import expm, phi1, phi1_scaled_identities_check
+from .matfun import exp_affine, expm, phi1, phi1_scaled_identities_check
 from .problems import (
     DiscreteLaplacian,
-    GridSpec,
     build_klein_gordon,
     build_linear_wave,
     build_nls,
     build_problem,
-    laplacian_apply,
     list_problems,
 )
 
@@ -79,18 +75,17 @@ __all__ = [
     "BasisMatrix", "HamiltonianSystem", "QuadraticHamiltonianSystem",
     "apply_J", "apply_J_inverse", "canonical_J", "check_hamiltonian_matrix",
     "check_orthonormal_basis", "check_symplectic_basis", "join_state",
-    "omega", "split_state", "symplectic_left_apply",
+    "omega", "split_state",
     "BasisKindError", "ConfigError", "DegeneratePairError",
     "IntegrationAborted", "StepFailureError",
     "ExperimentConfig", "MetricsSeries", "reference_solution",
     "relative_energy_error", "run", "solution_error",
-    "IempResult", "StepperConfig", "StepResult", "TrajectorySummary",
+    "StepperConfig", "StepResult", "TrajectorySummary",
     "integrate", "step_ee", "step_eemp", "step_iemp",
     "KrylovOutcome", "MatrixAction", "arnoldi", "extend_basis_orthogonal",
     "extend_basis_symplectic", "hamiltonian_lanczos", "isotropic_arnoldi",
     "symplectic_arnoldi",
-    "expm", "phi1", "phi1_scaled_identities_check",
-    "DiscreteLaplacian", "GridSpec", "build_klein_gordon",
-    "build_linear_wave", "build_nls", "build_problem", "laplacian_apply",
-    "list_problems",
+    "exp_affine", "expm", "phi1", "phi1_scaled_identities_check",
+    "DiscreteLaplacian", "build_klein_gordon", "build_linear_wave",
+    "build_nls", "build_problem", "list_problems",
 ]

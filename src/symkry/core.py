@@ -14,8 +14,6 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import BasisKindError
-
 # Frobenius-defect tolerance for structural checks (double precision with
 # O(n) accumulation).
 STRUCTURE_TOL = 1e-10
@@ -90,18 +88,6 @@ def canonical_J(n):
     return J
 
 
-def symplectic_left_inverse_apply(U, v):
-    """Apply U^+ = J_k^(-1) U^T J_n, the symplectic left inverse of U.
-
-    ``v`` may be a vector or a matrix of columns.  U must be (numerically)
-    symplectic for the left-inverse property U^+ U = I to hold.
-    """
-    U = np.asarray(U)
-    _check_even(U.shape[1], "basis column")
-    w = U.T @ apply_J(v)
-    return apply_J_inverse(w)
-
-
 def check_symplectic_basis(U, tol=STRUCTURE_TOL):
     """True iff ||U^T J U - J_k||_F <= tol (absolute defect)."""
     U = np.asarray(U)
@@ -169,34 +155,22 @@ class BasisMatrix:
         return self.kind in (SYMPLECTIC, SYMPLECTIC_ORTHONORMAL)
 
     def left_apply(self, v):
-        """Apply the left inverse U^+ appropriate for the kind.
+        """Apply the left inverse U^+ appropriate for the kind to a vector
+        or a matrix of columns.
 
-        Orthonormal kinds use U^T.  For a basis of the paired form
-        [V, J^(-1) V] the transpose coincides with the symplectic left
-        inverse, so symplectic-orthonormal bases are served by U^T as well.
+        Symplectic kind uses U^+ = J_k^(-1) U^T J_n, a left inverse as far
+        as U is numerically symplectic.  Orthonormal kinds use U^T.  For a
+        basis of the paired form [V, J^(-1) V] the transpose coincides with
+        the symplectic left inverse, so symplectic-orthonormal bases are
+        served by U^T as well.
         """
         if self.kind == SYMPLECTIC:
-            return symplectic_left_inverse_apply(self.columns, v)
+            return apply_J_inverse(self.columns.T @ apply_J(v))
         return self.columns.T @ np.asarray(v)
 
     def project(self, v):
         """Oblique projection U U^+ v onto range(U)."""
         return self.columns @ self.left_apply(v)
-
-    def require_symplectic(self, tol=1e-6):
-        if not self.is_symplectic_kind():
-            raise BasisKindError(f"operation requires a symplectic basis, got kind {self.kind!r}")
-        if self.n_columns and not check_symplectic_basis(self.columns, tol):
-            raise BasisKindError("basis marked symplectic violates U^T J U = J_k beyond tolerance")
-
-
-def symplectic_left_apply(basis, v):
-    """U^+ v for a symplectic BasisMatrix (misuse error otherwise)."""
-    if not isinstance(basis, BasisMatrix):
-        basis = BasisMatrix(basis, SYMPLECTIC)
-    if not basis.is_symplectic_kind():
-        raise BasisKindError(f"symplectic_left_apply needs a symplectic basis, got {basis.kind!r}")
-    return symplectic_left_inverse_apply(basis.columns, v)
 
 
 class HamiltonianSystem(ABC):

@@ -4,9 +4,9 @@ A run is described declaratively (problem, method, basis process, basis
 dimension, horizon, step count), integrated with the configured stepper,
 and measured against a reference trajectory:
 
-  dense     exact propagation of the densified affine system with the
-            matrix exponential (linear systems only, refused above
-            dimension 2000);
+  dense     exact propagation of the densified affine system with one
+            affine exponential per grid interval (linear systems only,
+            refused above dimension 2000);
   fine      a classical fourth-order Runge-Kutta run at the main step
             divided by a refinement factor (default 100).
 
@@ -23,8 +23,8 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ConfigError, IntegrationAborted
-from .integrators import BASIS_PROCESSES, METHODS, StepperConfig, integrate
-from .matfun import expm
+from .integrators import StepperConfig, integrate
+from .matfun import exp_affine
 from .problems import PROBLEM_REGISTRY, build_problem
 
 CSV_COLUMNS = "step,t,rel_energy_error,sol_error,basis_dim,fp_iters"
@@ -64,10 +64,10 @@ def _rk4_step(f, x, h):
 def reference_solution(system, x0, t_grid, mode="fine", factor=100, main_step=None):
     """Reference states at the given times.
 
-    mode "dense": densify the affine system and propagate with the matrix
-    exponential per grid interval (exact for linear systems).  mode "fine":
-    classical RK4 with micro step main_step/factor (or interval/factor when
-    no main step is given).
+    mode "dense": densify the affine system x' = A x + c and propagate
+    with ``exp_affine(A, c, dt)`` per grid interval (exact for linear
+    systems).  mode "fine": classical RK4 with micro step main_step/factor
+    (or interval/factor when no main step is given).
     """
     x0 = np.asarray(x0, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -94,12 +94,7 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100, main_step=No
             dt = t_grid[i] - t_grid[i - 1]
             key = round(dt, 15)
             if key not in cache:
-                # exp of [[dt A, dt c], [0, 0]] propagates the affine flow
-                W = np.zeros((system.dim + 1, system.dim + 1))
-                W[:-1, :-1] = dt * A
-                W[:-1, -1] = dt * c
-                E = expm(W)
-                cache[key] = (E[:-1, :-1], E[:-1, -1])
+                cache[key] = exp_affine(A, c, dt)
             prop, shift = cache[key]
             x = prop @ x + shift
             states[i] = x
@@ -141,27 +136,34 @@ class ExperimentConfig:
     fp_max_iter: int = 50
     divergence_factor: float = 1e6
 
-    def validate(self):
+    def stepper(self):
+        """Check every field and return the run's StepperConfig; an invalid
+        field, the stepper's own checks included, is a ConfigError."""
         if self.problem not in PROBLEM_REGISTRY:
             raise ConfigError(f"unknown problem {self.problem!r}")
-        if self.method.upper() not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
-        if self.basis not in BASIS_PROCESSES:
-            raise ConfigError(f"unknown basis process {self.basis!r}")
+        unknown = sorted(set(self.problem_params) - set(PROBLEM_REGISTRY[self.problem][1]))
+        if unknown:
+            raise ConfigError(f"problem {self.problem!r} has no parameters {unknown}")
         if self.n_steps < 1:
             raise ConfigError("n_steps must be at least 1")
         if self.t_final <= 0:
             raise ConfigError("t_final must be positive")
         if self.record_every < 1:
             raise ConfigError("record_every must be at least 1")
-        if self.basis_dim < 1:
-            raise ConfigError("basis_dim must be positive")
-        if BASIS_PROCESSES[self.basis][1] == 2 and self.basis_dim % 2:
-            raise ConfigError("basis_dim must be even for symplectic basis processes")
         if self.reference not in ("dense", "fine"):
             raise ConfigError(f"reference must be 'dense' or 'fine', got {self.reference!r}")
         if self.ref_factor < 1:
             raise ConfigError("reference refinement factor must be at least 1")
+        try:
+            return StepperConfig(method=self.method, basis_process=self.basis,
+                                 basis_dim=self.basis_dim,
+                                 step_size=self.t_final / self.n_steps,
+                                 fp_tol=self.fp_tol, fp_max_iter=self.fp_max_iter)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def validate(self):
+        self.stepper()
         return self
 
     def echo(self):
@@ -220,22 +222,14 @@ def run(config, quiet=False):
     re-raised with the partial ``series`` attached.
     """
     wall_start = time.perf_counter()
-    config.validate()
+    stepper = config.stepper()
     system = build_problem(config.problem, **config.problem_params)
     x0 = system.initial_state
     if config.basis_dim > system.dim:
         raise ConfigError(
             f"basis_dim {config.basis_dim} exceeds system dimension {system.dim}")
 
-    h = config.t_final / config.n_steps
-    stepper = StepperConfig(
-        method=config.method,
-        basis_process=config.basis,
-        basis_dim=config.basis_dim,
-        step_size=h,
-        fp_tol=config.fp_tol,
-        fp_max_iter=config.fp_max_iter,
-    )
+    h = stepper.step_size
 
     record_steps = list(range(0, config.n_steps + 1, config.record_every))
     t_grid = np.array([s * h for s in record_steps])
@@ -247,7 +241,10 @@ def run(config, quiet=False):
 
     def observer(step, t, x):
         if step in ref_index:
-            ree = relative_energy_error(system, x, x0)
+            try:
+                ree = relative_energy_error(system, x, x0)
+            except ValueError as exc:
+                raise IntegrationAborted(f"step {step}: {exc}") from exc
             sol = solution_error(x, ref_states[ref_index[step]])
             recorded.append((step, t, ree, sol))
 
@@ -261,15 +258,10 @@ def run(config, quiet=False):
     except IntegrationAborted as exc:
         summary = exc.summary
         aborted_exc = exc
-    except ValueError as exc:
-        # non-finite energy inside the observer
-        summary = None
-        aborted_exc = IntegrationAborted(str(exc), None)
 
+    done = summary.steps_completed if summary is not None else 0
     for step, t, ree, sol in recorded:
-        if step == 0:
-            series.append(step, t, ree, sol, 0, 0)
-        elif summary is not None and step <= len(summary.step_basis_dims):
+        if 0 < step <= done:
             series.append(step, t, ree, sol, summary.step_basis_dims[step - 1],
                           summary.step_fp_iters[step - 1])
         else:
@@ -314,6 +306,15 @@ _CONFIG_KEYS = {
 }
 
 
+def _normalize_key(key):
+    """Keys are case-insensitive with '-' read as '_', except the parameter
+    name after ``problem.`` (or ``problem_``), which keeps its case."""
+    key = key.strip()
+    if key[:8].lower().replace("-", "_") in ("problem.", "problem_"):
+        return "problem." + key[8:]
+    return key.lower().replace("-", "_")
+
+
 def _coerce(text):
     for cast in (int, float):
         try:
@@ -344,7 +345,7 @@ def parse_config_text(text):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        current[key.strip().lower().replace("-", "_")] = value.strip()
+        current[_normalize_key(key)] = value.strip()
     if not sections:
         sections = [("run", defaults)]
         defaults = {}
@@ -356,11 +357,9 @@ def config_from_mapping(mapping):
     cfg_kwargs = {}
     params = {}
     for key, value in mapping.items():
-        key = key.lower().replace("-", "_")
+        key = _normalize_key(key)
         if key.startswith("problem."):
-            params[key.split(".", 1)[1]] = _coerce(str(value))
-        elif key.startswith("problem_"):
-            params[key[len("problem_"):]] = _coerce(str(value))
+            params[key[len("problem."):]] = _coerce(str(value))
         elif key in _CONFIG_KEYS:
             cast = _CONFIG_KEYS[key]
             try:

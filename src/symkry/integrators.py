@@ -1,7 +1,8 @@
 """Exponential integrators driven through a local Krylov basis.
 
 Each step linearizes the system at a point, builds a basis U with reduced
-matrix F = U^+ Df U, and advances with small dense matrix functions:
+matrix F = U^+ Df U, and advances with one small dense kernel,
+``matfun.exp_affine``, which gives e^(hF) and h phi(hF) b together:
 
     EE    x+ = x + h U phi(hF) U^+ f(x)
     EEMP  x+ = x + U e^(hF) U^+ (x_prev - x) + 2h U phi(hF) U^+ f(x)
@@ -11,7 +12,9 @@ matrix F = U^+ Df U, and advances with small dense matrix functions:
 For EEMP the difference x_prev - x is adjoined to the basis (keeping its
 structural kind's guarantees) so the scheme's symmetry and average-energy
 properties hold.  With a symplectic basis all three steps preserve the
-energy of linear systems exactly, up to rounding.
+energy of linear systems exactly, up to rounding.  Every step returns a
+StepResult; a step that cannot be completed, including a reduced matrix
+the kernel rejects as non-finite, raises StepFailureError.
 """
 
 from dataclasses import dataclass, field, replace
@@ -19,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BasisMatrix, ORTHONORMAL, SYMPLECTIC
+from .core import BasisMatrix, ORTHONORMAL
 from .errors import IntegrationAborted, StepFailureError
 from .krylov import (
     BREAKDOWN,
@@ -33,12 +36,15 @@ from .krylov import (
     isotropic_arnoldi,
     symplectic_arnoldi,
 )
-from .matfun import expm, phi1
+from .matfun import exp_affine, phi1
 
 EE = "EE"
 EEMP = "EEMP"
 IEMP = "IEMP"
 METHODS = (EE, EEMP, IEMP)
+
+# restarts of a broken-down basis process from a perturbed start vector
+BREAKDOWN_RETRIES = 3
 
 # process name -> (builder, columns produced per Krylov vector)
 BASIS_PROCESSES = {
@@ -57,6 +63,8 @@ class StepperConfig:
     at equal subspace dimension are fair; paired processes receive
     basis_dim/2 Krylov vectors.  ``step_size`` is the macro step: one IEMP
     application advances a full step_size (internally split in half).
+    ``fp_tol`` and ``fp_max_iter`` bound IEMP's fixed-point iteration.
+    Invalid values raise ValueError.
     """
 
     method: str = EE
@@ -65,8 +73,6 @@ class StepperConfig:
     step_size: float = 0.01
     fp_tol: float = 1e-12
     fp_max_iter: int = 50
-    iemp_refreeze: bool = False
-    breakdown_retries: int = 3
 
     def __post_init__(self):
         self.method = self.method.upper()
@@ -86,34 +92,25 @@ class StepperConfig:
 
 @dataclass
 class StepResult:
-    """One explicit step: the new state plus basis diagnostics."""
+    """One step: the new state, the basis it was taken in, and diagnostics.
+
+    ``basis`` and ``outcome`` are None when the field vanished and the
+    state was kept; ``x_mid`` is the converged midpoint of an IEMP step.
+    """
 
     x_plus: np.ndarray
     basis: Optional[BasisMatrix]
     outcome: Optional[KrylovOutcome]
     matvecs: int
     fp_iters: int = 0
-
-
-@dataclass
-class IempResult:
-    """Implicit step: new state, midpoint, and reduced-space diagnostics."""
-
-    x_plus: np.ndarray
-    x_mid: np.ndarray
-    basis: BasisMatrix
-    xi: np.ndarray
-    xi_plus: np.ndarray
-    matvecs: int
-    fp_iters: int
-    outcome: Optional[KrylovOutcome] = None
+    x_mid: Optional[np.ndarray] = None
 
 
 def build_basis(action, v, config, rng=None):
     """Run the configured basis process; perturb and restart on breakdown.
 
     The restart policy lives here (the processes only report): up to
-    ``breakdown_retries`` attempts with v perturbed by 1e-10 ||v|| noise
+    BREAKDOWN_RETRIES attempts with v perturbed by 1e-10 ||v|| noise
     from ``rng``.  A breakdown that leaves fewer than two columns with no
     retries left is a step failure.
     """
@@ -123,7 +120,7 @@ def build_basis(action, v, config, rng=None):
     outcome = builder(action, v, k)
     tries = 0
     while (outcome.terminated == BREAKDOWN and outcome.achieved_dim < mult * k
-           and rng is not None and tries < config.breakdown_retries):
+           and rng is not None and tries < BREAKDOWN_RETRIES):
         tries += 1
         pert = v + rng.standard_normal(v.shape[0]) * (1e-10 * np.linalg.norm(v))
         outcome = builder(action, pert, k)
@@ -140,6 +137,15 @@ def _check_finite(x):
     return x
 
 
+def _kernel(fn, *args):
+    """Call a matfun kernel on reduced data; its rejection of a non-finite
+    matrix fails the step, with the kernel's error as the cause."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise StepFailureError(f"reduced kernel failed: {exc}") from exc
+
+
 def step_ee(system, config, x, rng=None, h=None):
     """Exponential Euler step x+ = x + h U phi(hF) U^+ f(x)."""
     h = config.step_size if h is None else h
@@ -150,35 +156,30 @@ def step_ee(system, config, x, rng=None, h=None):
     action = CountingAction(MatrixAction.from_system(system, x))
     outcome = build_basis(action, fx, config, rng)
     basis = outcome.basis
-    F = basis.reduced
-    xi = h * (phi1(h * F) @ basis.left_apply(fx))
+    _, xi = _kernel(exp_affine, basis.reduced, basis.left_apply(fx), h)
     x_plus = _check_finite(x + basis.columns @ xi)
     return StepResult(x_plus, basis, outcome, action.count)
 
 
 def _extend_with(action, outcome, d):
-    """Adjoin d to the basis per its kind and refresh the reduced matrix."""
+    """Adjoin d to the basis per its kind and refresh the reduced matrix,
+    reusing the cached images A U of the columns already there."""
     basis = outcome.basis
     if basis.kind == ORTHONORMAL:
         new_basis, added = extend_basis_orthogonal(basis, d)
-        if not added:
-            return basis
-        AU = np.empty_like(new_basis.columns)
-        m = basis.n_columns
-        AU[:, :m] = outcome.action_images
-        AU[:, m] = action.apply(new_basis.columns[:, m])
-        new_basis.reduced = new_basis.left_apply(AU)
-        return new_basis
-
-    new_basis, added = extend_basis_symplectic(basis, d)
+        fresh = [basis.n_columns]
+    else:
+        new_basis, added = extend_basis_symplectic(basis, d)
+        kp = basis.n_columns // 2
+        fresh = [kp, 2 * kp + 1]
     if not added:
         return basis
-    kp = basis.n_columns // 2
     AU = np.empty_like(new_basis.columns)
-    AU[:, :kp] = outcome.action_images[:, :kp]
-    AU[:, kp] = action.apply(new_basis.columns[:, kp])
-    AU[:, kp + 1: 2 * kp + 1] = outcome.action_images[:, kp:]
-    AU[:, 2 * kp + 1] = action.apply(new_basis.columns[:, 2 * kp + 1])
+    cached = np.ones(new_basis.n_columns, dtype=bool)
+    cached[fresh] = False
+    AU[:, cached] = outcome.action_images
+    for j in fresh:
+        AU[:, j] = action.apply(new_basis.columns[:, j])
     new_basis.reduced = new_basis.left_apply(AU)
     return new_basis
 
@@ -203,9 +204,8 @@ def step_eemp(system, config, x, x_prev, rng=None, h=None):
     action = CountingAction(MatrixAction.from_system(system, x))
     outcome = build_basis(action, start, config, rng)
     basis = outcome.basis if nd == 0.0 else _extend_with(action, outcome, d)
-    F = basis.reduced
-    x_plus = x + basis.columns @ (expm(h * F) @ basis.left_apply(d))
-    x_plus = x_plus + (2.0 * h) * (basis.columns @ (phi1(h * F) @ basis.left_apply(fx)))
+    E, y = _kernel(exp_affine, basis.reduced, 2.0 * basis.left_apply(fx), h)
+    x_plus = x + basis.columns @ (E @ basis.left_apply(d) + y)
     return StepResult(_check_finite(x_plus), basis, outcome, action.count)
 
 
@@ -220,7 +220,7 @@ def _solve_reduced_fixed_point(system, config, x, basis, h, xi0):
     nonlinear remainder vanishes and one iteration lands on the solution.
     """
     F = basis.reduced
-    kernel = h * phi1(h * F)
+    kernel = h * _kernel(phi1, h * F)
     xi = xi0
     for it in range(1, config.fp_max_iter + 1):
         xi_next = kernel @ (basis.left_apply(system.f(x + basis.columns @ xi)) - F @ xi)
@@ -240,9 +240,7 @@ def step_iemp(system, config, x, rng=None, h=None):
     Strategy: predict the midpoint with an exponential Euler half step,
     linearize and build the basis there, solve the implicit half-step
     relation by fixed-point iteration, then form the full-step update from
-    the doubled-step relation.  With ``iemp_refreeze`` the linearization is
-    rebuilt once at the converged midpoint (restores exact symmetry of the
-    underlying map at double cost).
+    the doubled-step relation.  The result carries the midpoint as x_mid.
     """
     macro = config.step_size if h is None else h
     half = 0.5 * macro
@@ -250,38 +248,21 @@ def step_iemp(system, config, x, rng=None, h=None):
 
     predictor = step_ee(system, config, x, rng, h=half)
     x_tilde = predictor.x_plus
-    matvecs = predictor.matvecs
 
     v = system.f(x_tilde)
     if np.linalg.norm(v) == 0.0 and np.linalg.norm(system.f(x)) == 0.0:
-        empty = BasisMatrix(np.zeros((system.dim, 0)), SYMPLECTIC, np.zeros((0, 0)))
-        return IempResult(x.copy(), x.copy(), empty, np.zeros(0), np.zeros(0), matvecs, 0)
+        return StepResult(x.copy(), None, None, predictor.matvecs, x_mid=x.copy())
 
     action = CountingAction(MatrixAction.from_system(system, x_tilde))
     outcome = build_basis(action, v if np.linalg.norm(v) > 0 else system.f(x), config, rng)
     basis = outcome.basis
     xi0 = basis.left_apply(x_tilde - x)
     xi, iters = _solve_reduced_fixed_point(system, config, x, basis, half, xi0)
-    matvecs += action.count
-
-    if config.iemp_refreeze:
-        x_mid = x + basis.columns @ xi
-        v_mid = system.f(x_mid)
-        action = CountingAction(MatrixAction.from_system(system, x_mid))
-        outcome = build_basis(action, v_mid if np.linalg.norm(v_mid) > 0 else x_mid - x,
-                              config, rng)
-        basis = outcome.basis
-        xi, extra = _solve_reduced_fixed_point(system, config, x, basis,
-                                               half, basis.left_apply(x_mid - x))
-        iters += extra
-        matvecs += action.count
 
     x_mid = x + basis.columns @ xi
-    F = basis.reduced
-    xi_plus = (xi - expm(2.0 * half * F) @ xi
-               + (2.0 * half) * (phi1(2.0 * half * F) @ basis.left_apply(system.f(x_mid))))
-    x_plus = _check_finite(x + basis.columns @ xi_plus)
-    return IempResult(x_plus, x_mid, basis, xi, xi_plus, matvecs, iters, outcome)
+    E, y = _kernel(exp_affine, basis.reduced, basis.left_apply(system.f(x_mid)), macro)
+    x_plus = _check_finite(x + basis.columns @ (xi - E @ xi + y))
+    return StepResult(x_plus, basis, outcome, predictor.matvecs + action.count, iters, x_mid)
 
 
 @dataclass
@@ -304,6 +285,12 @@ class TrajectorySummary:
     @property
     def fp_iterations(self):
         return int(sum(self.step_fp_iters))
+
+
+def _abort(summary, reason, cause=None):
+    summary.aborted = True
+    summary.abort_reason = reason
+    raise IntegrationAborted(reason, summary) from cause
 
 
 def integrate(system, config, x0, t_final=None, n_steps=1, observer=None,
@@ -341,19 +328,14 @@ def integrate(system, config, x0, t_final=None, n_steps=1, observer=None,
     x_prev = None
     for step in range(1, n_steps + 1):
         try:
-            if config.method == EE:
-                res = step_ee(system, config, x, rng)
-            elif config.method == EEMP:
-                if x_prev is None:
-                    res = step_ee(system, config, x, rng)
-                else:
-                    res = step_eemp(system, config, x, x_prev, rng)
-            else:
+            if config.method == IEMP:
                 res = step_iemp(system, config, x, rng)
+            elif config.method == EEMP and x_prev is not None:
+                res = step_eemp(system, config, x, x_prev, rng)
+            else:
+                res = step_ee(system, config, x, rng)
         except StepFailureError as exc:
-            summary.aborted = True
-            summary.abort_reason = f"step {step}: {exc}"
-            raise IntegrationAborted(summary.abort_reason, summary) from exc
+            _abort(summary, f"step {step}: {exc}", exc)
 
         x_prev = x
         x = res.x_plus
@@ -366,13 +348,9 @@ def integrate(system, config, x0, t_final=None, n_steps=1, observer=None,
         summary.step_fp_iters.append(res.fp_iters)
 
         if not np.all(np.isfinite(x)):
-            summary.aborted = True
-            summary.abort_reason = f"non-finite state at step {step}"
-            raise IntegrationAborted(summary.abort_reason, summary)
+            _abort(summary, f"non-finite state at step {step}")
         if guard is not None and np.linalg.norm(x) > guard:
-            summary.aborted = True
-            summary.abort_reason = f"divergence guard tripped at step {step}"
-            raise IntegrationAborted(summary.abort_reason, summary)
+            _abort(summary, f"divergence guard tripped at step {step}")
 
         if observer is not None:
             observer(step, t, x)

@@ -51,9 +51,6 @@ class MatrixAction:
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, v):
-        return self.apply(v)
-
     @classmethod
     def from_dense(cls, A):
         A = np.asarray(A, dtype=float)
@@ -67,7 +64,8 @@ class MatrixAction:
 
 
 class CountingAction:
-    """Wrap a MatrixAction and count how often it is applied."""
+    """Wrap a MatrixAction and count how often it is applied; this count
+    is the only matvec counter, reported per step by the integrators."""
 
     def __init__(self, action):
         self.inner = action
@@ -77,9 +75,6 @@ class CountingAction:
     def apply(self, v):
         self.count += 1
         return self.inner.apply(v)
-
-    def __call__(self, v):
-        return self.apply(v)
 
 
 @dataclass
@@ -100,7 +95,6 @@ class KrylovOutcome:
     terminated: str
     residual_norm: float
     action_images: Optional[np.ndarray] = field(default=None, repr=False)
-    n_matvec: int = 0
 
 
 def _validate_start(action, v, k, k_max, what):
@@ -141,10 +135,8 @@ def arnoldi(action, v, k):
     terminated = REACHED_K
     resid = 0.0
     anorm = 0.0
-    matvecs = 0
     for j in range(k):
         w = action.apply(U[:, j])
-        matvecs += 1
         images[:, j] = w
         anorm = max(anorm, np.linalg.norm(w))
         w, h = _cgs2(w, U[:, : j + 1])
@@ -161,20 +153,18 @@ def arnoldi(action, v, k):
         U[:, j + 1] = w / r
 
     basis = BasisMatrix(U[:, :achieved], ORTHONORMAL, H[:achieved, :achieved])
-    return KrylovOutcome(basis, achieved, terminated, float(resid),
-                         images[:, :achieved], matvecs)
+    return KrylovOutcome(basis, achieved, terminated, float(resid), images[:, :achieved])
 
 
-def _assemble_paired(action, V, terminated, resid, matvecs):
+def _assemble_paired(action, V, terminated, resid):
     """Form U = [V, J^(-1) V], F = U^T (A U) for an isotropic block V."""
     U = np.concatenate([V, apply_J_inverse(V)], axis=1)
     images = np.empty_like(U)
     for j in range(U.shape[1]):
         images[:, j] = action.apply(U[:, j])
-    matvecs += U.shape[1]
     F = U.T @ images
     basis = BasisMatrix(U, SYMPLECTIC_ORTHONORMAL, F)
-    return KrylovOutcome(basis, U.shape[1], terminated, float(resid), images, matvecs)
+    return KrylovOutcome(basis, U.shape[1], terminated, float(resid), images)
 
 
 def symplectic_arnoldi(action, v, k):
@@ -200,10 +190,8 @@ def symplectic_arnoldi(action, v, k):
     terminated = REACHED_K
     resid = 0.0
     anorm = 0.0
-    matvecs = 0
     for j in range(1, k):
         w = action.apply(Q[:, j - 1])
-        matvecs += 1
         anorm = max(anorm, np.linalg.norm(w))
         w, _ = _cgs2(w, Q[:, :j])
         r = np.linalg.norm(w)
@@ -228,7 +216,7 @@ def symplectic_arnoldi(action, v, k):
         JV[:, nq] = apply_J(V[:, nq])
         nq += 1
 
-    return _assemble_paired(action, V[:, :nq], terminated, resid, matvecs)
+    return _assemble_paired(action, V[:, :nq], terminated, resid)
 
 
 def isotropic_arnoldi(action, v, k):
@@ -250,10 +238,8 @@ def isotropic_arnoldi(action, v, k):
     terminated = REACHED_K
     resid = 0.0
     anorm = 0.0
-    matvecs = 0
     for j in range(1, k):
         w = action.apply(Q[:, j - 1])
-        matvecs += 1
         anorm = max(anorm, np.linalg.norm(w))
         for _ in range(2):
             w = w - Q[:, :nq] @ (Q[:, :nq].T @ w)
@@ -267,7 +253,7 @@ def isotropic_arnoldi(action, v, k):
         JQ[:, nq] = apply_J(Q[:, nq])
         nq += 1
 
-    return _assemble_paired(action, Q[:, :nq], terminated, resid, matvecs)
+    return _assemble_paired(action, Q[:, :nq], terminated, resid)
 
 
 def hamiltonian_lanczos(action, v, k):
@@ -290,7 +276,6 @@ def hamiltonian_lanczos(action, v, k):
     scale_ref = nv
     terminated = REACHED_K
     resid = 0.0
-    matvecs = 0
     for j in range(1, k + 1):
         nu = np.linalg.norm(u_hat)
         resid = nu
@@ -298,7 +283,6 @@ def hamiltonian_lanczos(action, v, k):
             terminated = INVARIANT_SUBSPACE
             break
         w_hat = action.apply(u_hat)
-        matvecs += 1
         tau = omega(u_hat, w_hat)
         if abs(tau) <= BREAKDOWN_RTOL * nu * nu:
             terminated = BREAKDOWN
@@ -315,7 +299,6 @@ def hamiltonian_lanczos(action, v, k):
             betas.append(sigma)      # beta_{j-1} couples u_{j-1} and u_j in T
 
         x = action.apply(v_j)
-        matvecs += 1
         img_v.append(x)
         alpha = -omega(v_j, x)
         alphas.append(alpha)
@@ -336,8 +319,7 @@ def hamiltonian_lanczos(action, v, k):
     kp = len(us)
     if kp == 0:
         basis = BasisMatrix(np.zeros((action.dim, 0)), SYMPLECTIC, np.zeros((0, 0)))
-        return KrylovOutcome(basis, 0, terminated, float(resid),
-                             np.zeros((action.dim, 0)), matvecs)
+        return KrylovOutcome(basis, 0, terminated, float(resid), np.zeros((action.dim, 0)))
 
     U = np.column_stack(us + vs)
     T = np.diag(alphas)
@@ -349,7 +331,7 @@ def hamiltonian_lanczos(action, v, k):
     F[kp:, :kp] = np.diag(deltas)
     images = np.column_stack(img_u + img_v)
     basis = BasisMatrix(U, SYMPLECTIC, F)
-    return KrylovOutcome(basis, 2 * kp, terminated, float(resid), images, matvecs)
+    return KrylovOutcome(basis, 2 * kp, terminated, float(resid), images)
 
 
 def extend_basis_symplectic(basis, x):
@@ -418,50 +400,3 @@ def extend_basis_orthogonal(basis, x):
         return basis, False
     cols = np.concatenate([Q, (r / nr)[:, None]], axis=1)
     return BasisMatrix(cols, ORTHONORMAL, None), True
-
-
-def orthogonalization_work(process, k):
-    """Inner-product count (n-length dots) each process spends building a
-    basis, including reduced-matrix assembly, as implemented above.
-
-    ``k`` counts Krylov vectors (pairs for the paired processes); output
-    dimension is k for "arnoldi" and 2k otherwise.  At fixed output
-    dimension the ordering is
-    hamiltonian-lanczos < arnoldi < isotropic-arnoldi < symplectic-arnoldi,
-    the short recursion being the economic one even with its drift-control
-    reorthogonalization.
-    """
-    if process == "arnoldi":
-        # CGS2 against j columns costs 2j dots plus 2 norms per vector.
-        return sum(2 * (j + 1) + 2 for j in range(k))
-    if process == "hamiltonian-lanczos":
-        # tau and alpha pairings, two norms, and the two-pass
-        # omega-reorthogonalization of the remainder against 2(j-1)
-        # columns; F costs nothing.
-        return sum(4 + 4 * (j - 1) for j in range(1, k + 1))
-    if process == "isotropic-arnoldi":
-        # two passes against Q and JQ (2j dots each pass) per new vector,
-        # plus U^T (A U) assembly on 2k columns.
-        return sum(4 * j + 2 for j in range(1, k)) + (2 * k) ** 2
-    if process == "symplectic-arnoldi":
-        # Arnoldi sweep, the V/JV double orthogonalization, and F assembly.
-        arnoldi_part = sum(2 * j + 2 for j in range(1, k))
-        pairing_part = sum(4 * j + 2 for j in range(1, k))
-        return arnoldi_part + pairing_part + (2 * k) ** 2
-    raise ValueError(f"unknown process {process!r}")
-
-
-def reduced_matrix(action, basis, images=None, n_cached=0):
-    """Assemble F = U^+ (A U), reusing cached A-image columns when given.
-
-    ``images`` holds A @ U[:, :n_cached] in the *current* column order;
-    remaining columns are computed with fresh actions.  Returns (F, AU).
-    """
-    U = basis.columns
-    AU = np.empty_like(U)
-    if n_cached:
-        AU[:, :n_cached] = images[:, :n_cached]
-    for j in range(n_cached, U.shape[1]):
-        AU[:, j] = action.apply(U[:, j])
-    F = basis.left_apply(AU)
-    return F, AU

@@ -1,9 +1,10 @@
-"""Dense small-matrix kernels: the matrix exponential and the phi function.
+"""Dense kernels: the matrix exponential, the affine flow and phi.
 
 These run on the reduced m x m matrices produced by the basis processes
-(m <= ~64), the only place transcendental matrix functions are evaluated.
-phi(z) = (e^z - 1)/z is the first exponential-integrator kernel; phi(M) is
-computed without inverting M, so singular M is fine.
+(m <= ~64) and on the dense reference, the only places transcendental
+matrix functions are evaluated.  phi(z) = (e^z - 1)/z is the first
+exponential-integrator kernel; ``exp_affine`` is the one place it is
+formed, from a single augmented exponential, so singular M is fine.
 """
 
 from dataclasses import dataclass
@@ -86,21 +87,39 @@ def expm(M):
     return F
 
 
+def exp_affine(M, B, t):
+    """(e^(tM), t phi(tM) B) from one exponential of [[tM, tB], [0, 0]].
+
+    ``B`` is a vector or a block of columns; the second result has its
+    shape.  x(t) = e^(tM) a + t phi(tM) b is the flow of x' = M x + b from
+    x(0) = a.  The adjoined columns are scaled by a power of two 2^-e
+    (e >= 0) so their 1-norm is at most one, which keeps a large b from
+    driving the scaling-and-squaring; the scaling is exact and undone on
+    the result.
+    """
+    M = _validate_square(M)
+    B = np.asarray(B, dtype=float)
+    m = M.shape[0]
+    cols = B[:, None] if B.ndim == 1 else B
+    W = np.zeros((m + cols.shape[1],) * 2)
+    np.multiply(M, t, out=W[:m, :m])
+    np.multiply(cols, t, out=W[:m, m:])
+    # norm = mant 2^e with mant in [0.5, 1); an exact power of two keeps 1
+    mant, e = np.frexp(np.abs(W[:m, m:]).sum(axis=0).max(initial=0.0))
+    e = max(int(e) - (mant == 0.5), 0)
+    W[:m, m:] *= 2.0 ** -e
+    E = expm(W)
+    return E[:m, :m], (E[:m, m:] * 2.0 ** e).reshape(B.shape)
+
+
 def phi1(M):
     """phi(M) with phi(z) = (e^z - 1)/z, evaluated without inverting M.
 
-    Uses the augmented-matrix device: the exponential of [[M, I], [0, 0]]
-    carries phi(M) in its upper-right block, so singular M is handled and
-    M phi(M) = e^M - I holds to rounding.
+    The upper-right block of the exponential of [[M, I], [0, 0]], so
+    singular M is handled and M phi(M) = e^M - I holds to rounding.
     """
     M = _validate_square(M)
-    m = M.shape[0]
-    if m == 0:
-        return M.copy()
-    W = np.zeros((2 * m, 2 * m))
-    W[:m, :m] = M
-    W[:m, m:] = np.eye(m)
-    return expm(W)[:m, m:]
+    return exp_affine(M, np.eye(M.shape[0]), 1.0)[1]
 
 
 @dataclass

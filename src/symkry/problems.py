@@ -33,25 +33,6 @@ DIRICHLET = "dirichlet"
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Equidistant grid with n points on an interval of the given length."""
-
-    n: int
-    length: float
-    boundary: str = PERIODIC
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("grid needs at least 3 points")
-        if self.boundary not in (PERIODIC, DIRICHLET):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
-
-    @property
-    def dx(self):
-        return self.length / self.n
-
-
-@dataclass(frozen=True)
 class DiscreteLaplacian:
     """Central-difference Laplacian stencil, applied matrix-free.
 
@@ -86,11 +67,6 @@ class DiscreteLaplacian:
         """Closed-form spectrum -(2/dx^2)(1 - cos(2 pi j / n)), j = 0..n-1."""
         j = np.arange(self.n)
         return -2.0 * self.scale * (1.0 - np.cos(2.0 * np.pi * j / self.n))
-
-
-def laplacian_apply(lap, v):
-    """Apply the discrete Laplacian stencil to a grid vector."""
-    return lap.apply(v)
 
 
 class LinearWaveSystem(QuadraticHamiltonianSystem):

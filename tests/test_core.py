@@ -12,14 +12,8 @@ from symkry import (
     join_state,
     omega,
     split_state,
-    symplectic_left_apply,
 )
-from symkry.core import (
-    SYMPLECTIC,
-    jvp_matches_finite_difference,
-    symplectic_left_inverse_apply,
-)
-from symkry.errors import BasisKindError
+from symkry.core import SYMPLECTIC, jvp_matches_finite_difference
 
 from conftest import random_hamiltonian_matrix, random_quadratic_system
 
@@ -99,7 +93,7 @@ class TestSymplecticLeftInverse:
         U = np.column_stack([E[0], E[1], E[n], E[n + 1]])
         basis = BasisMatrix(U, SYMPLECTIC)
         v = np.arange(1.0, 2 * n + 1)
-        assert np.allclose(symplectic_left_apply(basis, v), [1.0, 2.0, 5.0, 6.0])
+        assert np.allclose(basis.left_apply(v), [1.0, 2.0, 5.0, 6.0])
 
     def test_left_inverse_roundtrip(self, rng):
         n, k = 5, 2
@@ -107,7 +101,7 @@ class TestSymplecticLeftInverse:
         U = np.column_stack([E[0], E[2], E[n], E[n + 2]])
         zeta = rng.standard_normal(2 * k)
         basis = BasisMatrix(U, SYMPLECTIC)
-        assert np.allclose(symplectic_left_apply(basis, U @ zeta), zeta, atol=1e-10)
+        assert np.allclose(basis.left_apply(U @ zeta), zeta, atol=1e-10)
 
     def test_lanczos_basis_left_inverse_identity(self, rng):
         from symkry import MatrixAction, hamiltonian_lanczos
@@ -115,14 +109,17 @@ class TestSymplecticLeftInverse:
         A = random_hamiltonian_matrix(rng, 6)
         out = hamiltonian_lanczos(MatrixAction.from_dense(A), rng.standard_normal(12), 3)
         U = out.basis.columns
-        UdU = symplectic_left_inverse_apply(U, U)
+        UdU = BasisMatrix(U, SYMPLECTIC).left_apply(U)
         assert np.linalg.norm(UdU - np.eye(U.shape[1])) < 1e-10
 
-    def test_misuse_on_orthonormal_basis(self, rng):
-        Q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
-        basis = BasisMatrix(Q, "orthonormal")
-        with pytest.raises(BasisKindError):
-            symplectic_left_apply(basis, rng.standard_normal(8))
+
+class TestExports:
+    def test_all_names_resolve_without_duplicates(self):
+        import symkry
+
+        assert len(symkry.__all__) == len(set(symkry.__all__))
+        missing = [name for name in symkry.__all__ if not hasattr(symkry, name)]
+        assert missing == []
 
 
 class TestStructuralChecks:

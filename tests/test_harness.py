@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys as _sys
 
@@ -177,6 +178,38 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(self._small_config(basis_dim=64), quiet=True)
 
+    def _patched_problem(self, monkeypatch, patch):
+        import symkry.harness as harness
+
+        build = harness.build_problem
+
+        def patched(name, **params):
+            system = build(name, **params)
+            patch(system)
+            return system
+
+        monkeypatch.setattr(harness, "build_problem", patched)
+
+    def test_nonfinite_energy_aborts_with_partial_csv(self, tmp_path, monkeypatch):
+        def patch(system):
+            energy, calls = system.energy, itertools.count()
+            # rows 0..2 evaluate H twice each and stay finite; row 3 does not
+            system.energy = lambda x: energy(x) if next(calls) < 6 else np.nan
+
+        self._patched_problem(monkeypatch, patch)
+        out = tmp_path / "nan.csv"
+        with pytest.raises(IntegrationAborted, match="non-finite energy"):
+            run(self._small_config(output=str(out)), quiet=True)
+        assert len(out.read_text().splitlines()) == 2 + 3
+
+    def test_unrelated_value_error_propagates(self, monkeypatch):
+        def patch(system):
+            system.f = lambda x: np.ones(3)  # wrong length: a bug, not exit 3
+
+        self._patched_problem(monkeypatch, patch)
+        with pytest.raises(ValueError, match="start vector"):
+            run(self._small_config(), quiet=True)
+
 
 class TestConfigParsing:
     def test_sections_inherit_file_defaults(self):
@@ -221,6 +254,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_mapping({"reynolds": "100"})
 
+    def test_problem_parameter_keeps_case(self):
+        sections = parse_config_text("Problem.L = 3\nproblem-A = 2\nBasis-Dim = 6\n")
+        mapping = sections[0][1]
+        assert mapping == {"problem.L": "3", "problem.A": "2", "basis_dim": "6"}
+        cfg = config_from_mapping({**mapping, "problem": "klein-gordon"})
+        assert cfg.problem_params == {"L": 3, "A": 2}
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("this is not a key value pair")
@@ -261,6 +301,19 @@ class TestCLI:
         assert code == 0
         assert out.exists()
         assert len(out.read_text().splitlines()) == 2 + 20 // 5 + 1
+
+    def test_capitalised_parameter_runs(self, tmp_path, capsys):
+        out = tmp_path / "wave-L3.csv"
+        code = main(["run", "--problem", "linear-wave", "--param", "n=24",
+                     "--param", "L=3", "--basis", "hamiltonian-lanczos",
+                     "--basis-dim", "8", "--t-final", "1", "--steps", "10",
+                     "--reference", "dense", "--output", str(out)])
+        assert code == 0
+        assert "problem.L=3" in out.read_text().splitlines()[0]
+
+    def test_unknown_parameter_exit_code(self, capsys):
+        assert main(["run", "--problem", "linear-wave", "--param", "bogus=1",
+                     "--t-final", "1", "--steps", "5"]) == 2
 
     def test_config_error_exit_code(self, capsys):
         assert main(["run", "--problem", "unknown-problem", "--t-final", "1",

@@ -16,7 +16,7 @@ from symkry import (
     step_eemp,
     step_iemp,
 )
-from symkry import QuadraticHamiltonianSystem
+from symkry import QuadraticHamiltonianSystem, StepFailureError
 
 from conftest import random_quadratic_system
 
@@ -189,14 +189,18 @@ class TestStepIEMP:
         assert res.fp_iters <= 10
 
     def test_reduced_step_identity(self):
-        # at the converged midpoint, xi_plus = xi + e^(hF) xi
+        # at the converged midpoint, xi_plus = xi + e^(hF) xi in the reduced
+        # coordinates xi = U^+ (x_mid - x), xi_plus = U^+ (x_plus - x)
         sys = build_klein_gordon(n=16)
         macro = 0.02
         cfg = StepperConfig(method="IEMP", basis_process="hamiltonian-lanczos",
                             basis_dim=12, step_size=macro, fp_tol=1e-14)
-        res = step_iemp(sys, cfg, sys.initial_state)
-        want = res.xi + expm(0.5 * macro * res.basis.reduced) @ res.xi
-        assert np.linalg.norm(res.xi_plus - want) <= 1e-10 * max(np.linalg.norm(want), 1.0)
+        x = sys.initial_state
+        res = step_iemp(sys, cfg, x)
+        xi = res.basis.left_apply(res.x_mid - x)
+        xi_plus = res.basis.left_apply(res.x_plus - x)
+        want = xi + expm(0.5 * macro * res.basis.reduced) @ xi
+        assert np.linalg.norm(xi_plus - want) <= 1e-10 * max(np.linalg.norm(want), 1.0)
 
     def test_symmetric_form_of_update(self):
         # equivalent symmetric relation: x_plus - x_mid = U e^(hF) U^+ (x_mid - x)
@@ -210,15 +214,6 @@ class TestStepIEMP:
         prop = U.columns @ (expm(0.5 * macro * U.reduced) @ U.left_apply(res.x_mid - x))
         assert (np.linalg.norm((res.x_plus - res.x_mid) - prop)
                 <= 1e-9 * max(np.linalg.norm(prop), 1.0))
-
-    def test_refreeze_variant_runs_and_collapses(self, rng):
-        sys = random_quadratic_system(rng, 4)
-        x = rng.standard_normal(sys.dim)
-        cfg = StepperConfig(method="IEMP", basis_process="arnoldi",
-                            basis_dim=sys.dim, step_size=0.1, iemp_refreeze=True)
-        res = step_iemp(sys, cfg, x)
-        ee = step_ee(sys, cfg, x)
-        assert np.linalg.norm(res.x_plus - ee.x_plus) <= 1e-10 * np.linalg.norm(ee.x_plus)
 
     def test_nonconvergence_raises_step_failure(self):
         from symkry.errors import StepFailureError
@@ -306,6 +301,24 @@ class TestIntegrate:
         assert summary.aborted
         assert 0 < summary.steps_completed < 2250
         assert "divergence" in summary.abort_reason
+
+    @pytest.mark.parametrize("method,process", [
+        ("EE", "arnoldi"), ("EEMP", "hamiltonian-lanczos"), ("IEMP", "symplectic-arnoldi")])
+    def test_nonfinite_jacobian_aborts_with_partial_summary(self, rng, method, process):
+        # a Jacobian that turns NaN at step k makes the reduced matrix
+        # non-finite; the kernel's rejection fails step k, cause attached
+        sys = random_quadratic_system(rng, 4)
+        k = 3
+        jvp, poisoned = sys.jvp, []
+        sys.jvp = lambda x, v: np.full_like(v, np.nan) if poisoned else jvp(x, v)
+        cfg = StepperConfig(method=method, basis_process=process, basis_dim=4,
+                            step_size=0.05)
+        with pytest.raises(IntegrationAborted) as err:
+            integrate(sys, cfg, rng.standard_normal(sys.dim), n_steps=6,
+                      observer=lambda s, t, x: poisoned.append(s) if s == k - 1 else None)
+        assert err.value.summary.steps_completed == k - 1
+        assert isinstance(err.value.__cause__, StepFailureError)
+        assert isinstance(err.value.__cause__.__cause__, ValueError)
 
     def test_zero_steps_rejected(self, rng):
         sys = random_quadratic_system(rng, 4)

@@ -23,8 +23,6 @@ from symkry.krylov import (
     INVARIANT_SUBSPACE,
     REACHED_K,
     CountingAction,
-    orthogonalization_work,
-    reduced_matrix,
 )
 
 from conftest import orthonormal_defect, random_hamiltonian_matrix, symplectic_defect
@@ -203,12 +201,9 @@ class TestHamiltonianLanczos:
         assert np.linalg.norm(D - np.diag(np.diag(D))) == 0.0
 
     def test_reduced_matches_projection(self, rng):
-        from symkry.core import symplectic_left_inverse_apply
-
         A = random_hamiltonian_matrix(rng, 8)
         out = hamiltonian_lanczos(MatrixAction.from_dense(A), rng.standard_normal(16), 4)
-        U = out.basis.columns
-        F_proj = symplectic_left_inverse_apply(U, A @ U)
+        F_proj = out.basis.left_apply(A @ out.basis.columns)
         assert np.linalg.norm(out.basis.reduced - F_proj) < 1e-8
 
     def test_breakdown_reported_not_raised(self):
@@ -340,27 +335,20 @@ class TestCosts:
         hamiltonian_lanczos(act, v, 4)
         assert act.count == 8  # two actions per pair
 
-    def test_orthogonalization_work_ordering(self):
-        # at fixed output dimension the documented inner-product bill obeys
-        # Hamiltonian Lanczos < Arnoldi < isotropic Arnoldi < symplectic Arnoldi
-        for m in (8, 16, 32):
-            costs = [
-                orthogonalization_work("hamiltonian-lanczos", m // 2),
-                orthogonalization_work("arnoldi", m),
-                orthogonalization_work("isotropic-arnoldi", m // 2),
-                orthogonalization_work("symplectic-arnoldi", m // 2),
-            ]
-            assert costs == sorted(costs)
-            assert len(set(costs)) == 4
-
 
 class TestReducedMatrixHelper:
     def test_cached_images_reused(self, rng):
+        # refreshing F after an extension reuses the cached images A U:
+        # only the adjoined columns (one, or one pair) cost an action
+        from symkry.integrators import _extend_with
+
         A = random_hamiltonian_matrix(rng, 6)
-        v = rng.standard_normal(12)
-        out = arnoldi(MatrixAction.from_dense(A), v, 5)
-        act = CountingAction(MatrixAction.from_dense(A))
-        F, AU = reduced_matrix(act, out.basis, out.action_images, out.basis.n_columns)
-        assert act.count == 0
-        assert np.allclose(F, out.basis.reduced, atol=1e-12)
-        assert np.allclose(AU, A @ out.basis.columns)
+        v, d = rng.standard_normal((2, 12))
+        for builder, added in ((arnoldi, 1), (symplectic_arnoldi, 2),
+                               (hamiltonian_lanczos, 2)):
+            out = builder(MatrixAction.from_dense(A), v, 4)
+            act = CountingAction(MatrixAction.from_dense(A))
+            ext = _extend_with(act, out, d)
+            assert act.count == added
+            assert ext.n_columns == out.basis.n_columns + added
+            assert np.allclose(ext.reduced, ext.left_apply(A @ ext.columns), atol=1e-10)

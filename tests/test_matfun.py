@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symkry import expm, phi1, phi1_scaled_identities_check
+from symkry import exp_affine, expm, phi1, phi1_scaled_identities_check
 from symkry.core import canonical_J
 
 from conftest import random_hamiltonian_matrix
@@ -121,6 +121,64 @@ class TestPhi1:
             v = rng.standard_normal(6)
             quad = sum(wi * (expm(ti * M) @ v) for ti, wi in zip(t, w))
             assert np.linalg.norm(phi1(M) @ v - quad) < 1e-9
+
+
+class TestExpAffine:
+    def test_vector_and_block_against_oracles(self, rng):
+        M = rng.standard_normal((6, 6)) * 0.8
+        t = 0.7
+        want_phi = t * phi1_series_oracle(t * M)
+        for B in (rng.standard_normal(6), rng.standard_normal((6, 3))):
+            E, Y = exp_affine(M, B, t)
+            assert Y.shape == B.shape
+            assert np.linalg.norm(E - expm(t * M)) <= 1e-13 * np.linalg.norm(E)
+            want = want_phi @ B
+            assert np.linalg.norm(Y - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_zero_columns(self, rng):
+        M = rng.standard_normal((5, 5))
+        E, y = exp_affine(M, np.zeros(5), 0.3)
+        assert np.array_equal(y, np.zeros(5))
+        assert np.allclose(E, expm(0.3 * M), rtol=1e-14, atol=0.0)
+
+    def test_empty_matrix(self):
+        E, y = exp_affine(np.zeros((0, 0)), np.zeros(0), 1.0)
+        assert E.shape == (0, 0) and y.shape == (0,)
+        assert exp_affine(np.zeros((0, 0)), np.zeros((0, 2)), 1.0)[1].shape == (0, 2)
+
+    def test_identity_block_is_phi_construction(self, rng):
+        # exp of [[M, I], [0, 0]] built by hand: the same bits as exp_affine
+        for m in (1, 5, 12, 22):
+            M = rng.standard_normal((m, m)) * 2.0
+            W = np.zeros((2 * m, 2 * m))
+            W[:m, :m] = M
+            W[:m, m:] = np.eye(m)
+            want = expm(W)[:m, m:]
+            assert np.array_equal(exp_affine(M, np.eye(m), 1.0)[1], want)
+            assert np.array_equal(phi1(M), want)
+
+    def test_power_of_two_scaling_is_exact(self, rng):
+        for scale in (0.1, 3.0):
+            M = rng.standard_normal((6, 6)) * scale
+            b = 4.0 * rng.standard_normal(6)
+            E, y = exp_affine(M, b, 0.5)
+            for k in range(1, 7):
+                E_k, y_k = exp_affine(M, 2.0 ** k * b, 0.5)
+                assert np.array_equal(y_k, 2.0 ** k * y)
+                assert np.array_equal(E_k, E)
+
+    def test_huge_column_keeps_relative_accuracy(self, rng):
+        M = rng.standard_normal((6, 6))
+        b = 1e8 * rng.standard_normal(6)
+        _, y = exp_affine(M, b, 0.4)
+        want = 0.4 * (phi1_series_oracle(0.4 * M) @ b)
+        assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(ValueError):
+            exp_affine(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2), 1.0)
+        with pytest.raises(ValueError):
+            exp_affine(np.eye(2), np.array([np.inf, 0.0]), 1.0)
 
 
 class TestPhiIdentities:

@@ -3,14 +3,12 @@ import pytest
 
 from symkry import (
     DiscreteLaplacian,
-    GridSpec,
     apply_J_inverse,
     build_klein_gordon,
     build_linear_wave,
     build_nls,
     build_problem,
     check_hamiltonian_matrix,
-    laplacian_apply,
     list_problems,
     split_state,
 )
@@ -27,28 +25,15 @@ def gradient_by_differences(system, x, eps=1e-6):
     return g
 
 
-class TestGridSpec:
-    def test_dx(self):
-        assert GridSpec(10, 2.0).dx == 0.2
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            GridSpec(2, 1.0)
-
-    def test_unknown_boundary(self):
-        with pytest.raises(ValueError):
-            GridSpec(8, 1.0, "absorbing")
-
-
 class TestDiscreteLaplacian:
     def test_constant_in_periodic_null_space(self):
         lap = DiscreteLaplacian(8, 1.0, "periodic")
-        assert np.allclose(laplacian_apply(lap, np.ones(8)), 0.0)
+        assert np.allclose(lap.apply(np.ones(8)), 0.0)
 
     def test_stencil_column(self):
         # n = 4, L = 1: 1/dx^2 = 16, one stencil application of a unit vector
         lap = DiscreteLaplacian(4, 1.0, "periodic")
-        col = laplacian_apply(lap, np.array([0.0, 1.0, 0.0, 0.0]))
+        col = lap.apply(np.array([0.0, 1.0, 0.0, 0.0]))
         assert np.allclose(col, 16.0 * np.array([1.0, -2.0, 1.0, 0.0]))
 
     def test_periodic_spectrum_closed_form(self):
