@@ -65,15 +65,18 @@ Reading the table:
     and 1 powers respectively, hence their visible A^7 residuals;
   * the Lanczos pairs are omega-normalized, not orthonormal (large "orth
     defect" is expected), which is its conditioning risk;
-  * the two paired Arnoldi processes spend 5 actions on their sweep and 12
-    more assembling F = U^T A U; the build times are measured, and at this
-    small size Python overhead is a large part of them.
+  * symplectic Arnoldi spends 5 actions on its sweep and 12 more
+    assembling F = U^T A U; isotropic Arnoldi reuses its sweep's images
+    for F and spends 2 actions per pair, 12 in all; the build times are
+    measured, and at this small size Python overhead is a large part of
+    them.
 """)
 
 # A structured start can break the J-orthogonalizing processes outright:
 # at the wave initial state (zero momentum) A f(x) = J f(x) exactly, so the
 # isotropic orthogonalization annihilates every new direction.  The
-# steppers restart such breakdowns with a tiny seeded perturbation.
+# steppers restart such breakdowns with a tiny seeded perturbation (from
+# np.random.default_rng(0) when the caller passes no generator).
 out = isotropic_arnoldi(action, wave.f(wave.initial_state), DIM // 2)
 print(f"isotropic process started at f(x0): terminated = {out.terminated!r} "
-      f"after {out.achieved_dim} columns")
+      f"after {out.basis.n_columns} columns")

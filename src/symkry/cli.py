@@ -16,7 +16,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .errors import ConfigError, IntegrationAborted, StepFailureError
-from .harness import config_from_mapping, parse_config_text, run
+from .harness import CONFIG_KEYS, config_from_mapping, parse_config_text, run
 from .problems import list_problems
 
 
@@ -71,8 +71,7 @@ def _build_parser():
 
 def _flag_overrides(args):
     overrides = {}
-    for key in ("problem", "method", "basis", "basis_dim", "t_final", "steps",
-                "record_every", "output", "seed", "reference"):
+    for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value

@@ -5,10 +5,6 @@ class BasisKindError(ValueError):
     """Raised when a basis of the wrong structural kind is passed to an operation."""
 
 
-class DegeneratePairError(RuntimeError):
-    """Raised when a symplectic extension cannot pair the new vector."""
-
-
 class StepFailureError(RuntimeError):
     """A single integrator step could not be completed.
 
@@ -19,6 +15,10 @@ class StepFailureError(RuntimeError):
     def __init__(self, msg, residual=None):
         super().__init__(msg)
         self.residual = residual
+
+
+class DegeneratePairError(StepFailureError):
+    """Raised when a symplectic extension cannot pair the new vector."""
 
 
 class IntegrationAborted(RuntimeError):

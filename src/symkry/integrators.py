@@ -45,6 +45,9 @@ METHODS = (EE, EEMP, IEMP)
 
 # restarts of a broken-down basis process from a perturbed start vector
 BREAKDOWN_RETRIES = 3
+# IEMP fixed point: relative update tolerance and iteration cap
+FP_TOL = 1e-12
+FP_MAX_ITER = 50
 
 # process name -> (builder, columns produced per Krylov vector)
 BASIS_PROCESSES = {
@@ -57,22 +60,20 @@ BASIS_PROCESSES = {
 
 @dataclass
 class StepperConfig:
-    """Method selection plus basis and fixed-point parameters.
+    """Method selection plus basis parameters and step size.
 
     ``basis_dim`` counts total columns of U, so cross-process comparisons
     at equal subspace dimension are fair; paired processes receive
     basis_dim/2 Krylov vectors.  ``step_size`` is the macro step: one IEMP
     application advances a full step_size (internally split in half).
-    ``fp_tol`` and ``fp_max_iter`` bound IEMP's fixed-point iteration.
-    Invalid values raise ValueError.
+    IEMP's fixed-point iteration is bounded by the module constants FP_TOL
+    and FP_MAX_ITER.  Invalid values raise ValueError.
     """
 
     method: str = EE
     basis_process: str = "arnoldi"
     basis_dim: int = 8
     step_size: float = 0.01
-    fp_tol: float = 1e-12
-    fp_max_iter: int = 50
 
     def __post_init__(self):
         self.method = self.method.upper()
@@ -86,8 +87,6 @@ class StepperConfig:
             raise ValueError("basis_dim must be even for symplectic processes")
         if self.step_size < 0:
             raise ValueError("step_size must be nonnegative")
-        if self.fp_tol <= 0 or self.fp_max_iter < 1:
-            raise ValueError("invalid fixed-point parameters")
 
 
 @dataclass
@@ -109,24 +108,26 @@ class StepResult:
 def build_basis(action, v, config, rng=None):
     """Run the configured basis process; perturb and restart on breakdown.
 
-    The restart policy lives here (the processes only report): up to
-    BREAKDOWN_RETRIES attempts with v perturbed by 1e-10 ||v|| noise
-    from ``rng``.  A breakdown that leaves fewer than two columns with no
-    retries left is a step failure.
+    The restart policy lives here (the processes only report): a breakdown
+    short of the requested size is retried up to BREAKDOWN_RETRIES times
+    with v perturbed by 1e-10 ||v|| noise from ``rng``, or from
+    ``np.random.default_rng(0)`` when no generator is given.  A breakdown
+    that leaves fewer than two columns with no retries left is a step
+    failure.
     """
     builder, mult = BASIS_PROCESSES[config.basis_process]
     limit = action.dim if mult == 1 else action.dim // 2
     k = min(max(config.basis_dim // mult, 1), limit)
     outcome = builder(action, v, k)
-    tries = 0
-    while (outcome.terminated == BREAKDOWN and outcome.achieved_dim < mult * k
-           and rng is not None and tries < BREAKDOWN_RETRIES):
-        tries += 1
+    for _ in range(BREAKDOWN_RETRIES):
+        if outcome.terminated != BREAKDOWN or outcome.basis.n_columns >= mult * k:
+            break
+        rng = np.random.default_rng(0) if rng is None else rng
         pert = v + rng.standard_normal(v.shape[0]) * (1e-10 * np.linalg.norm(v))
         outcome = builder(action, pert, k)
-    if outcome.terminated == BREAKDOWN and outcome.achieved_dim < 2:
+    if outcome.terminated == BREAKDOWN and outcome.basis.n_columns < 2:
         raise StepFailureError(
-            f"{config.basis_process} broke down with {outcome.achieved_dim} columns",
+            f"{config.basis_process} broke down with {outcome.basis.n_columns} columns",
             residual=outcome.residual_norm)
     return outcome
 
@@ -165,14 +166,9 @@ def _extend_with(action, outcome, d):
     """Adjoin d to the basis per its kind and refresh the reduced matrix,
     reusing the cached images A U of the columns already there."""
     basis = outcome.basis
-    if basis.kind == ORTHONORMAL:
-        new_basis, added = extend_basis_orthogonal(basis, d)
-        fresh = [basis.n_columns]
-    else:
-        new_basis, added = extend_basis_symplectic(basis, d)
-        kp = basis.n_columns // 2
-        fresh = [kp, 2 * kp + 1]
-    if not added:
+    extend = extend_basis_orthogonal if basis.kind == ORTHONORMAL else extend_basis_symplectic
+    new_basis, fresh = extend(basis, d)
+    if not fresh:
         return basis
     AU = np.empty_like(new_basis.columns)
     cached = np.ones(new_basis.n_columns, dtype=bool)
@@ -209,7 +205,7 @@ def step_eemp(system, config, x, x_prev, rng=None, h=None):
     return StepResult(_check_finite(x_plus), basis, outcome, action.count)
 
 
-def _solve_reduced_fixed_point(system, config, x, basis, h, xi0):
+def _solve_reduced_fixed_point(system, x, basis, h, xi0):
     """Solve e^(hF) xi = h phi(hF) U^+ f(x + U xi) by fixed-point iteration.
 
     Iterates xi <- h phi(hF) (U^+ f(x + U xi) - F xi), which treats the
@@ -222,15 +218,15 @@ def _solve_reduced_fixed_point(system, config, x, basis, h, xi0):
     F = basis.reduced
     kernel = h * _kernel(phi1, h * F)
     xi = xi0
-    for it in range(1, config.fp_max_iter + 1):
+    for it in range(1, FP_MAX_ITER + 1):
         xi_next = kernel @ (basis.left_apply(system.f(x + basis.columns @ xi)) - F @ xi)
         delta = np.linalg.norm(xi_next - xi)
-        bound = config.fp_tol * (1.0 + np.linalg.norm(xi))
+        bound = FP_TOL * (1.0 + np.linalg.norm(xi))
         xi = xi_next
         if delta <= bound:
             return xi, it
     raise StepFailureError(
-        f"fixed point did not converge in {config.fp_max_iter} iterations",
+        f"fixed point did not converge in {FP_MAX_ITER} iterations",
         residual=float(delta))
 
 
@@ -257,7 +253,7 @@ def step_iemp(system, config, x, rng=None, h=None):
     outcome = build_basis(action, v if np.linalg.norm(v) > 0 else system.f(x), config, rng)
     basis = outcome.basis
     xi0 = basis.left_apply(x_tilde - x)
-    xi, iters = _solve_reduced_fixed_point(system, config, x, basis, half, xi0)
+    xi, iters = _solve_reduced_fixed_point(system, x, basis, half, xi0)
 
     x_mid = x + basis.columns @ xi
     E, y = _kernel(exp_affine, basis.reduced, basis.left_apply(system.f(x_mid)), macro)
@@ -272,15 +268,11 @@ class TrajectorySummary:
     final_state: np.ndarray
     t_final: float
     steps_completed: int
-    step_matvecs: list = field(default_factory=list)
+    matvec_count: int = 0
     step_basis_dims: list = field(default_factory=list)
     step_fp_iters: list = field(default_factory=list)
     aborted: bool = False
     abort_reason: str = ""
-
-    @property
-    def matvec_count(self):
-        return int(sum(self.step_matvecs))
 
     @property
     def fp_iterations(self):
@@ -294,35 +286,35 @@ def _abort(summary, reason, cause=None):
 
 
 def integrate(system, config, x0, t_final=None, n_steps=1, observer=None,
-              rng=None, divergence_factor=None, t0=0.0):
+              rng=None, divergence_factor=None):
     """Advance n_steps uniform steps, reporting each state to ``observer``.
 
-    When ``t_final`` is given the step size is t_final / n_steps (the
-    config's step_size is ignored); otherwise config.step_size is used.
+    Time starts at 0.  When ``t_final`` is given the step size is
+    t_final / n_steps (the config's step_size is ignored); otherwise
+    config.step_size is used.
     EEMP is bootstrapped with one exponential Euler step.  The observer is
     called as observer(step_index, t, x), including once for the initial
-    state.  Any step error aborts with the partial summary attached to the
-    raised IntegrationAborted.
+    state.  ``rng`` seeds the breakdown restarts (see build_basis).  With
+    ``divergence_factor`` set, a state norm above that factor times
+    ||x0|| aborts.  Any step error aborts with the partial summary attached
+    to the raised IntegrationAborted.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     x0 = np.asarray(x0, dtype=float)
     if t_final is not None:
-        h = (t_final - t0) / n_steps
-        if h <= 0:
-            raise ValueError("t_final must lie beyond t0")
-        config = replace(config, step_size=h)
-    elif config.step_size <= 0:
-        raise ValueError("config.step_size must be positive for integration")
+        config = replace(config, step_size=t_final / n_steps)
+    if config.step_size <= 0:
+        raise ValueError("the step size must be positive for integration")
     h = config.step_size
 
-    summary = TrajectorySummary(x0.copy(), t0, 0)
+    summary = TrajectorySummary(x0.copy(), 0.0, 0)
     guard = None
     if divergence_factor is not None:
         guard = divergence_factor * max(np.linalg.norm(x0), 1e-300)
 
     if observer is not None:
-        observer(0, t0, x0)
+        observer(0, 0.0, x0)
 
     x = x0.copy()
     x_prev = None
@@ -339,11 +331,11 @@ def integrate(system, config, x0, t_final=None, n_steps=1, observer=None,
 
         x_prev = x
         x = res.x_plus
-        t = t0 + step * h
+        t = step * h
         summary.final_state = x
         summary.t_final = t
         summary.steps_completed = step
-        summary.step_matvecs.append(res.matvecs)
+        summary.matvec_count += res.matvecs
         summary.step_basis_dims.append(res.basis.n_columns if res.basis is not None else 0)
         summary.step_fp_iters.append(res.fp_iters)
 

@@ -6,8 +6,8 @@ isotropic Arnoldi processes (orthonormal *and* symplectic bases of the form
 [V, J^(-1) V]), and the Hamiltonian Lanczos recursion (symplectic basis
 with a short two-sided recursion and reduced matrix [[0, T], [D, 0]]).
 
-All Gram-Schmidt orthogonalizations run classically with one
-reorthogonalization pass; the Lanczos recursion is kept short on purpose,
+All Gram-Schmidt orthogonalizations run through ``_cgs2``: classical, with
+one reorthogonalization pass; the Lanczos recursion is kept short on purpose,
 which is where its cost advantage comes from, at the price of slow
 symplecticity drift for larger pair counts.
 """
@@ -81,7 +81,7 @@ class CountingAction:
 class KrylovOutcome:
     """Result of a basis-building process.
 
-    ``achieved_dim`` counts output columns of U (pairs count double);
+    ``basis.n_columns`` counts output columns of U (pairs count double);
     ``terminated`` is one of "reached_k", "invariant_subspace", "breakdown";
     ``residual_norm`` is the norm of the last unorthogonalized remainder
     (the quantity whose smallness triggered an early stop, or the final
@@ -91,7 +91,6 @@ class KrylovOutcome:
     """
 
     basis: BasisMatrix
-    achieved_dim: int
     terminated: str
     residual_norm: float
     action_images: Optional[np.ndarray] = field(default=None, repr=False)
@@ -109,13 +108,17 @@ def _validate_start(action, v, k, k_max, what):
     return v, nv
 
 
-def _cgs2(w, Q):
-    """Orthogonalize w against the columns of Q (classical GS, two passes)."""
-    h = Q.T @ w
-    w = w - Q @ h
-    h2 = Q.T @ w
-    w = w - Q @ h2
-    return w, h + h2
+def _cgs2(w, *blocks):
+    """Orthogonalize w against the columns of each block (classical GS, two
+    passes, blocks in the given order within a pass).  Returns w and the
+    first block's coefficients summed over both passes (Arnoldi's H column).
+    """
+    coeffs = []
+    for _ in range(2):
+        for Q in blocks:
+            coeffs.append(Q.T @ w)
+            w = w - Q @ coeffs[-1]
+    return w, coeffs[0] + coeffs[len(blocks)]
 
 
 def arnoldi(action, v, k):
@@ -153,18 +156,19 @@ def arnoldi(action, v, k):
         U[:, j + 1] = w / r
 
     basis = BasisMatrix(U[:, :achieved], ORTHONORMAL, H[:achieved, :achieved])
-    return KrylovOutcome(basis, achieved, terminated, float(resid), images[:, :achieved])
+    return KrylovOutcome(basis, terminated, float(resid), images[:, :achieved])
 
 
-def _assemble_paired(action, V, terminated, resid):
-    """Form U = [V, J^(-1) V], F = U^T (A U) for an isotropic block V."""
+def _assemble_paired(action, V, terminated, resid, known=()):
+    """Form U = [V, J^(-1) V], F = U^T (A U) for an isotropic block V;
+    ``known`` holds images A V[:, j] already computed for leading columns."""
     U = np.concatenate([V, apply_J_inverse(V)], axis=1)
     images = np.empty_like(U)
     for j in range(U.shape[1]):
-        images[:, j] = action.apply(U[:, j])
+        images[:, j] = known[j] if j < len(known) else action.apply(U[:, j])
     F = U.T @ images
     basis = BasisMatrix(U, SYMPLECTIC_ORTHONORMAL, F)
-    return KrylovOutcome(basis, U.shape[1], terminated, float(resid), images)
+    return KrylovOutcome(basis, terminated, float(resid), images)
 
 
 def symplectic_arnoldi(action, v, k):
@@ -201,10 +205,7 @@ def symplectic_arnoldi(action, v, k):
             break
         q = w / r
         Q[:, j] = q
-        s = q.copy()
-        for _ in range(2):
-            s = s - V[:, :nq] @ (V[:, :nq].T @ s)
-            s = s - JV[:, :nq] @ (JV[:, :nq].T @ s)
+        s, _ = _cgs2(q, V[:, :nq], JV[:, :nq])
         rs = np.linalg.norm(s)
         if rs <= DEPENDENCE_RTOL:
             # The companion vector vanished although the Arnoldi remainder
@@ -225,7 +226,8 @@ def isotropic_arnoldi(action, v, k):
     Q is orthonormal with Q^T J Q = 0, and U = [Q, J^(-1) Q] is symplectic
     and orthonormal.  Its range does not in general contain K_k(A, v), so a
     vanishing remainder is reported as a breakdown (no invariant-subspace
-    information can be inferred).
+    information can be inferred).  The images A q_j of the loop are reused
+    for F, so k pairs cost 2k actions.
     """
     v, nv = _validate_start(action, v, k, action.dim // 2, "isotropic_arnoldi")
     n2 = action.dim
@@ -238,12 +240,12 @@ def isotropic_arnoldi(action, v, k):
     terminated = REACHED_K
     resid = 0.0
     anorm = 0.0
+    images = []
     for j in range(1, k):
         w = action.apply(Q[:, j - 1])
+        images.append(w)
         anorm = max(anorm, np.linalg.norm(w))
-        for _ in range(2):
-            w = w - Q[:, :nq] @ (Q[:, :nq].T @ w)
-            w = w - JQ[:, :nq] @ (JQ[:, :nq].T @ w)
+        w, _ = _cgs2(w, Q[:, :nq], JQ[:, :nq])
         r = np.linalg.norm(w)
         resid = r
         if r <= DEFLATION_RTOL * anorm:
@@ -253,7 +255,7 @@ def isotropic_arnoldi(action, v, k):
         JQ[:, nq] = apply_J(Q[:, nq])
         nq += 1
 
-    return _assemble_paired(action, Q[:, :nq], terminated, resid)
+    return _assemble_paired(action, Q[:, :nq], terminated, resid, images)
 
 
 def hamiltonian_lanczos(action, v, k):
@@ -319,7 +321,7 @@ def hamiltonian_lanczos(action, v, k):
     kp = len(us)
     if kp == 0:
         basis = BasisMatrix(np.zeros((action.dim, 0)), SYMPLECTIC, np.zeros((0, 0)))
-        return KrylovOutcome(basis, 0, terminated, float(resid), np.zeros((action.dim, 0)))
+        return KrylovOutcome(basis, terminated, float(resid), np.zeros((action.dim, 0)))
 
     U = np.column_stack(us + vs)
     T = np.diag(alphas)
@@ -331,7 +333,7 @@ def hamiltonian_lanczos(action, v, k):
     F[kp:, :kp] = np.diag(deltas)
     images = np.column_stack(img_u + img_v)
     basis = BasisMatrix(U, SYMPLECTIC, F)
-    return KrylovOutcome(basis, 2 * kp, terminated, float(resid), images)
+    return KrylovOutcome(basis, terminated, float(resid), images)
 
 
 def extend_basis_symplectic(basis, x):
@@ -340,7 +342,9 @@ def extend_basis_symplectic(basis, x):
     Two-pass omega-orthogonalization: x is orthogonalized against range(U)
     and adjoined as v_new; J x_hat is orthogonalized the same way and scaled
     so that omega(v_new, w_new) = 1.  Returns ``(new_basis, added)`` where
-    ``added`` is False when x was already representable (basis unchanged).
+    ``added`` lists the new pair's column indices ``[kp, m + 1]`` for an
+    input of m = 2 kp columns, or is empty when x was already representable
+    (basis unchanged).
     The reduced matrix of an extended basis is stale and set to None.
     """
     if not isinstance(basis, BasisMatrix) or not basis.is_symplectic_kind():
@@ -357,7 +361,7 @@ def extend_basis_symplectic(basis, x):
     for _ in range(2 if m else 0):
         x_hat = x_hat - U @ basis.left_apply(x_hat)
     if np.linalg.norm(x_hat) <= DEPENDENCE_RTOL * nx:
-        return basis, False
+        return basis, []
 
     v_new = x_hat / np.linalg.norm(x_hat)
     y = apply_J(x_hat)
@@ -373,14 +377,15 @@ def extend_basis_symplectic(basis, x):
     cols[:, kp] = v_new
     cols[:, kp + 1: m + 1] = U[:, kp:]
     cols[:, m + 1] = w_new
-    return BasisMatrix(cols, SYMPLECTIC, None), True
+    return BasisMatrix(cols, SYMPLECTIC, None), [kp, m + 1]
 
 
 def extend_basis_orthogonal(basis, x):
     """Adjoin x to an orthonormal basis by Gram-Schmidt with reorthogonalization.
 
-    Returns ``(new_basis, added)``; a dependent x leaves the basis unchanged
-    with ``added`` False.  The reduced matrix is stale and set to None.
+    Returns ``(new_basis, added)`` with ``added = [m]``, the index of the new
+    column; a dependent x leaves the basis unchanged with ``added`` empty.
+    The reduced matrix is stale and set to None.
     """
     if not isinstance(basis, BasisMatrix) or basis.kind != ORTHONORMAL:
         raise BasisKindError("extend_basis_orthogonal needs an orthonormal basis")
@@ -397,6 +402,6 @@ def extend_basis_orthogonal(basis, x):
         r, _ = _cgs2(r, Q)
     nr = np.linalg.norm(r)
     if nr <= DEPENDENCE_RTOL * nx:
-        return basis, False
+        return basis, []
     cols = np.concatenate([Q, (r / nr)[:, None]], axis=1)
-    return BasisMatrix(cols, ORTHONORMAL, None), True
+    return BasisMatrix(cols, ORTHONORMAL, None), [Q.shape[1]]

@@ -14,8 +14,10 @@ energy and an analytic Jacobian-vector product:
 The Laplacian prefactor is 1/(dx)^2 = (n/L)^2 throughout.  Energies are
 written so that f = J^(-1) grad H holds exactly for the implemented
 dynamics; energy-error metrics do not depend on the overall sign choice.
+Each problem's default parameters are the defaults of its class signature.
 """
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +78,7 @@ class LinearWaveSystem(QuadraticHamiltonianSystem):
     q' = p, p' = Lap q + c.
     """
 
-    def __init__(self, n, L=2.0, boundary=DIRICHLET):
+    def __init__(self, n=400, L=2.0, boundary=DIRICHLET):
         lap = DiscreteLaplacian(n, float(L), boundary)
 
         def s_apply(x):
@@ -104,7 +106,7 @@ class NonlinearSchroedingerSystem(HamiltonianSystem):
     increasing phase across the tan singularities.
     """
 
-    def __init__(self, n, V0=1.0, B=1.0):
+    def __init__(self, n=500, V0=1.0, B=1.0):
         super().__init__(2 * n)
         self.n = n
         self.V0 = float(V0)
@@ -161,7 +163,7 @@ class KleinGordonSystem(HamiltonianSystem):
     and exposes its affine decomposition.
     """
 
-    def __init__(self, n, L=1.0, m=0.5, g=1.0, A=1.0):
+    def __init__(self, n=400, L=1.0, m=0.5, g=1.0, A=1.0):
         super().__init__(2 * n)
         self.n = n
         self.m = float(m)
@@ -195,43 +197,31 @@ class KleinGordonSystem(HamiltonianSystem):
         return (lambda v: self.jvp(self.initial_state, v)), np.zeros(self.dim)
 
 
-def build_linear_wave(n=400, L=2.0, boundary=DIRICHLET):
-    """Linear wave benchmark; defaults L=2, n=400, Dirichlet stencil."""
-    return LinearWaveSystem(n, L, boundary)
-
-
-def build_nls(n=500, V0=1.0, B=1.0):
-    """Nonlinear Schroedinger benchmark; defaults n=500, V0 = B = 1."""
-    return NonlinearSchroedingerSystem(n, V0, B)
-
-
-def build_klein_gordon(n=400, L=1.0, m=0.5, g=1.0, A=1.0):
-    """Klein-Gordon benchmark; defaults n=400, L=1, m=0.5, g=1, A=1."""
-    return KleinGordonSystem(n, L, m, g, A)
-
+build_linear_wave = LinearWaveSystem
+build_nls = NonlinearSchroedingerSystem
+build_klein_gordon = KleinGordonSystem
 
 PROBLEM_REGISTRY = {
-    "linear-wave": (build_linear_wave, {"n": 400, "L": 2.0, "boundary": DIRICHLET}),
-    "nls": (build_nls, {"n": 500, "V0": 1.0, "B": 1.0}),
-    "klein-gordon": (build_klein_gordon, {"n": 400, "L": 1.0, "m": 0.5, "g": 1.0, "A": 1.0}),
+    "linear-wave": LinearWaveSystem,
+    "nls": NonlinearSchroedingerSystem,
+    "klein-gordon": KleinGordonSystem,
 }
 
 
 def list_problems():
     """Names and default parameters of the registered benchmark systems."""
-    return {name: dict(defaults) for name, (_, defaults) in PROBLEM_REGISTRY.items()}
+    return {name: {p.name: p.default for p in inspect.signature(cls).parameters.values()}
+            for name, cls in PROBLEM_REGISTRY.items()}
 
 
 def build_problem(name, **overrides):
     """Instantiate a registered problem with parameter overrides."""
     if name not in PROBLEM_REGISTRY:
         raise KeyError(f"unknown problem {name!r}; known: {sorted(PROBLEM_REGISTRY)}")
-    builder, defaults = PROBLEM_REGISTRY[name]
-    params = dict(defaults)
-    for key, value in overrides.items():
+    defaults = list_problems()[name]
+    for key in overrides:
         if key not in defaults:
             raise KeyError(f"problem {name!r} has no parameter {key!r}")
-        params[key] = value
-    if "n" in params:
-        params["n"] = int(params["n"])
-    return builder(**params)
+    if "n" in overrides:
+        overrides["n"] = int(overrides["n"])
+    return PROBLEM_REGISTRY[name](**overrides)

@@ -17,8 +17,11 @@ from symkry import (
     run,
     solution_error,
 )
-from symkry.cli import available_presets, load_preset, main
+from symkry import integrators
+from symkry.cli import _build_parser, available_presets, load_preset, main
+from symkry.errors import DegeneratePairError
 from symkry.harness import (
+    CONFIG_KEYS,
     ExperimentConfig,
     MetricsSeries,
     config_from_mapping,
@@ -254,6 +257,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_mapping({"reynolds": "100"})
 
+    @pytest.mark.parametrize("key", ["fp_tol", "fp_max_iter", "divergence_factor"])
+    def test_fixed_run_settings_are_not_keys(self, key):
+        with pytest.raises(ConfigError):
+            config_from_mapping({key: "1"})
+
+    def test_config_keys_are_the_run_flags(self):
+        parser = _build_parser()
+        run_parser = parser._subparsers._group_actions[0].choices["run"]
+        flags = {a.dest for a in run_parser._actions} - {"help", "config", "param"}
+        assert flags == set(CONFIG_KEYS)
+
     def test_problem_parameter_keeps_case(self):
         sections = parse_config_text("Problem.L = 3\nproblem-A = 2\nBasis-Dim = 6\n")
         mapping = sections[0][1]
@@ -328,6 +342,27 @@ class TestCLI:
                      "--output", str(out)])
         assert code == 3
         assert out.exists()  # partial CSV flushed
+
+    def test_degenerate_pair_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a pairing failure inside an EEMP step is a numerical failure with
+        # the partial CSV flushed, not a traceback
+        real, calls = integrators.extend_basis_symplectic, []
+
+        def extend(basis, x):
+            calls.append(1)
+            if len(calls) == 5:
+                raise DegeneratePairError("paired companion degenerated")
+            return real(basis, x)
+
+        monkeypatch.setattr(integrators, "extend_basis_symplectic", extend)
+        out = tmp_path / "pair.csv"
+        code = main(["run", "--problem", "linear-wave", "--param", "n=24",
+                     "--method", "EEMP", "--basis", "hamiltonian-lanczos",
+                     "--basis-dim", "8", "--t-final", "1", "--steps", "10",
+                     "--reference", "dense", "--output", str(out)])
+        assert code == 3
+        assert len(out.read_text().splitlines()) == 2 + 6  # header lines, steps 0..5
+        assert "step 6" in capsys.readouterr().err
 
     def test_unknown_preset_is_config_error(self, capsys):
         assert main(["preset", "fig99"]) == 2

@@ -3,6 +3,7 @@ import pytest
 
 from symkry import (
     IntegrationAborted,
+    MatrixAction,
     StepperConfig,
     apply_J_inverse,
     build_klein_gordon,
@@ -16,7 +17,10 @@ from symkry import (
     step_eemp,
     step_iemp,
 )
-from symkry import QuadraticHamiltonianSystem, StepFailureError
+from symkry import DegeneratePairError, QuadraticHamiltonianSystem, StepFailureError
+from symkry import integrators
+from symkry.core import BasisMatrix, SYMPLECTIC
+from symkry.krylov import BREAKDOWN, KrylovOutcome
 
 from conftest import random_quadratic_system
 
@@ -188,13 +192,14 @@ class TestStepIEMP:
         assert np.linalg.norm(res.x_plus - ee.x_plus) <= 1e-10 * np.linalg.norm(ee.x_plus)
         assert res.fp_iters <= 10
 
-    def test_reduced_step_identity(self):
+    def test_reduced_step_identity(self, monkeypatch):
         # at the converged midpoint, xi_plus = xi + e^(hF) xi in the reduced
         # coordinates xi = U^+ (x_mid - x), xi_plus = U^+ (x_plus - x)
+        monkeypatch.setattr(integrators, "FP_TOL", 1e-14)
         sys = build_klein_gordon(n=16)
         macro = 0.02
         cfg = StepperConfig(method="IEMP", basis_process="hamiltonian-lanczos",
-                            basis_dim=12, step_size=macro, fp_tol=1e-14)
+                            basis_dim=12, step_size=macro)
         x = sys.initial_state
         res = step_iemp(sys, cfg, x)
         xi = res.basis.left_apply(res.x_mid - x)
@@ -202,12 +207,13 @@ class TestStepIEMP:
         want = xi + expm(0.5 * macro * res.basis.reduced) @ xi
         assert np.linalg.norm(xi_plus - want) <= 1e-10 * max(np.linalg.norm(want), 1.0)
 
-    def test_symmetric_form_of_update(self):
+    def test_symmetric_form_of_update(self, monkeypatch):
         # equivalent symmetric relation: x_plus - x_mid = U e^(hF) U^+ (x_mid - x)
+        monkeypatch.setattr(integrators, "FP_TOL", 1e-14)
         sys = build_klein_gordon(n=16)
         macro = 0.02
         cfg = StepperConfig(method="IEMP", basis_process="hamiltonian-lanczos",
-                            basis_dim=12, step_size=macro, fp_tol=1e-14)
+                            basis_dim=12, step_size=macro)
         x = sys.initial_state
         res = step_iemp(sys, cfg, x)
         U = res.basis
@@ -215,12 +221,12 @@ class TestStepIEMP:
         assert (np.linalg.norm((res.x_plus - res.x_mid) - prop)
                 <= 1e-9 * max(np.linalg.norm(prop), 1.0))
 
-    def test_nonconvergence_raises_step_failure(self):
-        from symkry.errors import StepFailureError
-
+    def test_nonconvergence_raises_step_failure(self, monkeypatch):
+        monkeypatch.setattr(integrators, "FP_TOL", 1e-16)
+        monkeypatch.setattr(integrators, "FP_MAX_ITER", 1)
         sys = build_klein_gordon(n=16)
         cfg = StepperConfig(method="IEMP", basis_process="arnoldi", basis_dim=8,
-                            step_size=0.05, fp_tol=1e-16, fp_max_iter=1)
+                            step_size=0.05)
         with pytest.raises(StepFailureError):
             step_iemp(sys, cfg, sys.initial_state)
 
@@ -320,11 +326,84 @@ class TestIntegrate:
         assert isinstance(err.value.__cause__, StepFailureError)
         assert isinstance(err.value.__cause__.__cause__, ValueError)
 
+    def test_degenerate_pair_aborts_with_partial_summary(self, rng, monkeypatch):
+        # a symplectic extension that cannot pair its vector fails the EEMP
+        # step it belongs to; EEMP extends from step 2 on, so the k-th step
+        # makes the (k-1)-th extension call
+        sys = random_quadratic_system(rng, 4)
+        k, calls = 4, []
+        real = integrators.extend_basis_symplectic
+
+        def extend(basis, x):
+            calls.append(1)
+            if len(calls) == k - 1:
+                raise DegeneratePairError("paired companion degenerated")
+            return real(basis, x)
+
+        monkeypatch.setattr(integrators, "extend_basis_symplectic", extend)
+        cfg = StepperConfig(method="EEMP", basis_process="hamiltonian-lanczos",
+                            basis_dim=4, step_size=0.05)
+        with pytest.raises(IntegrationAborted) as err:
+            integrate(sys, cfg, rng.standard_normal(sys.dim), n_steps=6)
+        assert err.value.summary.steps_completed == k - 1
+        assert isinstance(err.value.__cause__, DegeneratePairError)
+
     def test_zero_steps_rejected(self, rng):
         sys = random_quadratic_system(rng, 4)
         cfg = StepperConfig()
         with pytest.raises(ValueError):
             integrate(sys, cfg, rng.standard_normal(sys.dim), n_steps=0)
+
+
+class TestBuildBasis:
+    @pytest.mark.parametrize("process", ["isotropic-arnoldi", "symplectic-arnoldi"])
+    def test_breakdown_restarts_without_rng(self, process):
+        # both processes break down at the wave start (zero momentum); a
+        # call without a generator still restarts, from default_rng(0)
+        sys = build_linear_wave(n=60)
+        x = sys.initial_state
+        action = MatrixAction.from_system(sys, x)
+        cfg = StepperConfig(basis_process=process, basis_dim=16)
+        plain = integrators.BASIS_PROCESSES[process][0](action, sys.f(x), 8)
+        assert plain.terminated == BREAKDOWN and plain.basis.n_columns == 2
+        outcome = integrators.build_basis(action, sys.f(x), cfg)
+        assert outcome.basis.n_columns == 16
+        again = integrators.build_basis(action, sys.f(x), cfg,
+                                        rng=np.random.default_rng(0))
+        assert np.array_equal(outcome.basis.columns, again.basis.columns)
+
+    def _broken(self, monkeypatch, columns, residual=0.5):
+        """Install a process that always breaks down with ``columns`` columns."""
+        attempts = []
+
+        def process(action, v, k):
+            attempts.append(v.copy())
+            basis = BasisMatrix(np.eye(action.dim)[:, :columns], SYMPLECTIC,
+                                np.zeros((columns, columns)))
+            return KrylovOutcome(basis, BREAKDOWN, residual,
+                                 np.zeros((action.dim, columns)))
+
+        monkeypatch.setitem(integrators.BASIS_PROCESSES, "hamiltonian-lanczos", (process, 2))
+        return attempts
+
+    def test_breakdown_retried_up_to_limit(self, rng, monkeypatch):
+        attempts = self._broken(monkeypatch, 2)
+        cfg = StepperConfig(basis_process="hamiltonian-lanczos", basis_dim=6)
+        action = MatrixAction.from_dense(np.eye(8))
+        outcome = integrators.build_basis(action, np.ones(8), cfg, rng)
+        assert len(attempts) == 1 + integrators.BREAKDOWN_RETRIES
+        assert outcome.basis.n_columns == 2
+        # every restart perturbs the start vector afresh
+        assert len({a.tobytes() for a in attempts}) == len(attempts)
+
+    def test_too_few_columns_is_step_failure(self, rng, monkeypatch):
+        attempts = self._broken(monkeypatch, 0, residual=0.25)
+        cfg = StepperConfig(basis_process="hamiltonian-lanczos", basis_dim=6)
+        action = MatrixAction.from_dense(np.eye(8))
+        with pytest.raises(StepFailureError) as err:
+            integrators.build_basis(action, np.ones(8), cfg, rng)
+        assert err.value.residual == 0.25
+        assert len(attempts) == 1 + integrators.BREAKDOWN_RETRIES
 
 
 class TestConvergenceOrders:

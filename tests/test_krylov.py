@@ -50,7 +50,7 @@ class TestArnoldi:
     def test_eigenvector_stops_iteration(self, rng):
         act = MatrixAction.from_dense(np.eye(6))
         out = arnoldi(act, rng.standard_normal(6), 3)
-        assert out.achieved_dim == 1
+        assert out.basis.n_columns == 1
         assert out.terminated == INVARIANT_SUBSPACE
         assert np.allclose(out.basis.reduced, [[1.0]])
         assert out.residual_norm <= 1e-10
@@ -102,7 +102,7 @@ class TestSymplecticArnoldi:
         v = rng.standard_normal(12)
         out = symplectic_arnoldi(act, v, 4)
         A = np.column_stack([act.apply(e) for e in np.eye(12)])
-        kp = out.achieved_dim // 2
+        kp = out.basis.n_columns // 2
         w = v.copy()
         for j in range(kp):
             assert projection_residual(out.basis, w) <= 1e-8
@@ -151,6 +151,18 @@ class TestIsotropicArnoldi:
         assert np.allclose(iso.basis.columns, sym.basis.columns)
         assert np.allclose(iso.basis.reduced, sym.basis.reduced)
 
+    def test_early_stop_reuses_every_sweep_image(self):
+        # at the wave initial state the process breaks down after one pair;
+        # the sweep's image of q_1 is reused, so only J^(-1) q_1 costs an action
+        act, sys = wave_action(30)
+        counter = CountingAction(act)
+        out = isotropic_arnoldi(counter, sys.f(sys.initial_state), 8)
+        assert out.terminated == BREAKDOWN
+        assert out.basis.n_columns == 2
+        assert counter.count == 2
+        A = np.column_stack([act.apply(e) for e in np.eye(sys.dim)])
+        assert np.allclose(out.action_images, A @ out.basis.columns)
+
     def test_krylov_containment_fails_generically(self, rng):
         # the defining weakness: range(U) need not contain K_k(A, v)
         A = random_hamiltonian_matrix(rng, 10)
@@ -190,7 +202,7 @@ class TestHamiltonianLanczos:
         A = random_hamiltonian_matrix(rng, 8)
         out = hamiltonian_lanczos(MatrixAction.from_dense(A), rng.standard_normal(16), 4)
         F = out.basis.reduced
-        kp = out.achieved_dim // 2
+        kp = out.basis.n_columns // 2
         T = F[:kp, kp:]
         D = F[kp:, :kp]
         assert np.linalg.norm(F[:kp, :kp]) == 0.0
@@ -214,7 +226,6 @@ class TestHamiltonianLanczos:
         act = MatrixAction.from_system(sys, np.zeros(2))
         out = hamiltonian_lanczos(act, np.array([1.0, 1.0]), 1)
         assert out.terminated == BREAKDOWN
-        assert out.achieved_dim == 0
         assert out.basis.n_columns == 0
 
 
@@ -229,7 +240,7 @@ class TestExactnessAtInvariantSubspace:
         v = rng.standard_normal(2 * n)
         out = arnoldi(MatrixAction.from_dense(A), v, 6)
         assert out.terminated == INVARIANT_SUBSPACE
-        assert out.achieved_dim == 2
+        assert out.basis.n_columns == 2
         U, F = out.basis.columns, out.basis.reduced
         got = U @ (expm(F) @ out.basis.left_apply(v))
         want = np.cos(1.0) * v + np.sin(1.0) * apply_J(v)
@@ -253,13 +264,13 @@ class TestExtendSymplectic:
         E = np.eye(2 * n)
         basis = BasisMatrix(np.column_stack([E[0], E[n]]), SYMPLECTIC)
         out, added = extend_basis_symplectic(basis, E[0])
-        assert not added
+        assert added == []
         assert out is basis
 
     def test_smallest_case_from_empty(self):
         basis = BasisMatrix(np.zeros((2, 0)), SYMPLECTIC)
         out, added = extend_basis_symplectic(basis, np.array([1.0, 0.0]))
-        assert added
+        assert added == [0, 1]
         # pairing normalization fixes the companion up to the free scaling
         # of the first vector: omega(v, w) = +1
         assert np.allclose(out.columns, np.eye(2))
@@ -270,7 +281,8 @@ class TestExtendSymplectic:
         out = hamiltonian_lanczos(MatrixAction.from_dense(A), rng.standard_normal(16), 3)
         x = rng.standard_normal(16)
         ext, added = extend_basis_symplectic(out.basis, x)
-        assert added
+        assert added == [3, 7]  # the new pair sits at [kp, m + 1] for m = 6
+        assert np.array_equal(ext.columns[:, [0, 1, 2, 4, 5, 6]], out.basis.columns)
         assert ext.n_columns == out.basis.n_columns + 2
         assert check_symplectic_basis(ext.columns, 1e-9)
         assert np.linalg.norm(x - ext.project(x)) <= 1e-9 * np.linalg.norm(x)
@@ -292,20 +304,20 @@ class TestExtendOrthogonal:
         Q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
         basis = BasisMatrix(Q, ORTHONORMAL)
         out, added = extend_basis_orthogonal(basis, Q @ rng.standard_normal(3))
-        assert not added
+        assert added == []
         assert out is basis
 
     def test_explicit_small_case(self):
         basis = BasisMatrix(np.eye(4)[:, :1], ORTHONORMAL)
         out, added = extend_basis_orthogonal(basis, np.array([1.0, 1.0, 0.0, 0.0]))
-        assert added
+        assert added == [1]
         assert np.allclose(out.columns[:, 1], [0.0, 1.0, 0.0, 0.0])
 
     def test_random_extension_orthonormal(self, rng):
         Q, _ = np.linalg.qr(rng.standard_normal((12, 5)))
         out, added = extend_basis_orthogonal(BasisMatrix(Q, ORTHONORMAL),
                                              rng.standard_normal(12))
-        assert added
+        assert added == [5]
         assert orthonormal_defect(out.columns) <= 1e-10
 
     def test_kind_requirement(self):
@@ -325,11 +337,12 @@ class TestCosts:
 
         act = CountingAction(MatrixAction.from_dense(A))
         out = symplectic_arnoldi(act, v, 4)
-        assert act.count == 3 + out.achieved_dim  # k-1 sweeps + F assembly
+        assert act.count == 3 + out.basis.n_columns  # k-1 sweeps + F assembly
 
         act = CountingAction(MatrixAction.from_dense(A))
         out = isotropic_arnoldi(act, v, 4)
-        assert act.count == 3 + out.achieved_dim
+        assert out.basis.n_columns == 8
+        assert act.count == 8  # two actions per pair: the sweep's images are reused
 
         act = CountingAction(MatrixAction.from_dense(A))
         hamiltonian_lanczos(act, v, 4)

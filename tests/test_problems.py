@@ -172,11 +172,15 @@ class TestKleinGordon:
 
 class TestRegistry:
     def test_names_and_defaults(self):
-        probs = list_problems()
-        assert set(probs) == {"linear-wave", "nls", "klein-gordon"}
-        assert probs["linear-wave"]["n"] == 400
-        assert probs["nls"]["V0"] == 1.0
-        assert probs["klein-gordon"]["m"] == 0.5
+        # the defaults are read from the class signatures, which the
+        # builders and build_problem use directly
+        assert list_problems() == {
+            "linear-wave": {"n": 400, "L": 2.0, "boundary": "dirichlet"},
+            "nls": {"n": 500, "V0": 1.0, "B": 1.0},
+            "klein-gordon": {"n": 400, "L": 1.0, "m": 0.5, "g": 1.0, "A": 1.0},
+        }
+        assert build_nls().dim == 1000
+        assert build_problem("linear-wave").laplacian.length == 2.0
 
     def test_build_with_overrides(self):
         sys = build_problem("klein-gordon", n=16, g=0.5)

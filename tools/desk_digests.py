@@ -1,0 +1,49 @@
+"""Print a digest of every desk-preset CSV, to check that a refactor keeps
+the numbers byte-identical.
+
+Runs each section of every ``*-desk`` preset the way ``symkry preset``
+does (``config_from_mapping`` then ``run(quiet=True)``), writes the CSVs
+into a temporary directory and prints one line per section:
+
+    <preset>-<section> <sha256 of the CSV> matvecs=<total matvecs>
+
+Usage: python3 tools/desk_digests.py [SRC_DIR]
+
+SRC_DIR is the directory symkry is imported from (default: this
+checkout's ``src/``), so two checkouts can be compared with ``diff``.
+Uses only the standard library and symkry.
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+
+def main(argv):
+    src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
+    sys.path.insert(0, str(src.resolve()))
+    from symkry.cli import available_presets, load_preset
+    from symkry.errors import IntegrationAborted
+    from symkry.harness import config_from_mapping, run
+
+    print(f"symkry from {Path(sys.modules['symkry'].__file__).parent}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in available_presets():
+            if not name.endswith("-desk"):
+                continue
+            for section, mapping in load_preset(name):
+                path = Path(tmp) / f"{name}-{section}.csv"
+                config = config_from_mapping({**mapping, "output": str(path)})
+                try:
+                    summary, status = run(config, quiet=True).summary, ""
+                except IntegrationAborted as exc:  # the partial CSV is still written
+                    summary, status = exc.summary, " aborted"
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                print(f"{name}-{section} {digest} matvecs={summary.matvec_count}{status}",
+                      flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
