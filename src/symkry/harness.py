@@ -25,12 +25,16 @@ from ._version import __version__
 from .errors import ConfigError, IntegrationAborted
 from .integrators import StepperConfig, integrate
 from .matfun import exp_affine
-from .problems import build_problem, list_problems
+from .problems import build_problem, checked_params, list_problems
 
 CSV_COLUMNS = "step,t,rel_energy_error,sol_error,basis_dim,fp_iters"
 DENSE_REFERENCE_LIMIT = 2000
 # a run aborts once the state norm exceeds this multiple of ||x0||
 DIVERGENCE_FACTOR = 1e6
+
+# run()'s one-entry memo {key: read-only reference states}: consecutive runs
+# that share a problem and a grid (preset sections) compute them once
+_reference_memo = {}
 
 
 def _fmt(value):
@@ -144,6 +148,7 @@ class ExperimentConfig:
         unknown = sorted(set(self.problem_params) - set(problems[self.problem]))
         if unknown:
             raise ConfigError(f"problem {self.problem!r} has no parameters {unknown}")
+        checked_params(self.problem_params)
         if self.n_steps < 1:
             raise ConfigError("n_steps must be at least 1")
         if self.t_final <= 0:
@@ -213,6 +218,24 @@ class RunResult:
     output_path: str = ""
 
 
+def _reference_states(config, system, record_steps, h):
+    """Reference states at the recorded steps, taken from the memo when the
+    previous run had the same problem, grid and reference; a miss replaces
+    the entry, so the memo holds one states array."""
+    key = (config.problem, tuple(sorted(config.problem_params.items())), config.reference,
+           config.ref_factor, config.t_final, config.n_steps, config.record_every)
+    states = _reference_memo.get(key)
+    if states is None:
+        _reference_memo.clear()
+        t_grid = np.array([s * h for s in record_steps])
+        states = reference_solution(system, system.initial_state, t_grid,
+                                    mode=config.reference, factor=config.ref_factor,
+                                    main_step=h)
+        states.flags.writeable = False
+        _reference_memo[key] = states
+    return states
+
+
 def run(config, quiet=False):
     """Execute one configured experiment; returns the metrics series.
 
@@ -231,9 +254,7 @@ def run(config, quiet=False):
     h = stepper.step_size
 
     record_steps = list(range(0, config.n_steps + 1, config.record_every))
-    t_grid = np.array([s * h for s in record_steps])
-    ref_states = reference_solution(system, x0, t_grid, mode=config.reference,
-                                    factor=config.ref_factor, main_step=h)
+    ref_states = _reference_states(config, system, record_steps, h)
     ref_index = {s: i for i, s in enumerate(record_steps)}
 
     recorded = []
@@ -368,7 +389,11 @@ def config_from_mapping(mapping):
 
     reference = cfg_kwargs.pop("reference", "fine")
     if isinstance(reference, str) and reference.startswith("fine:"):
-        cfg_kwargs["ref_factor"] = int(reference.split(":", 1)[1])
+        factor = reference.split(":", 1)[1]
+        try:
+            cfg_kwargs["ref_factor"] = int(factor)
+        except ValueError as exc:
+            raise ConfigError(f"bad reference refinement factor {factor!r}") from exc
         reference = "fine"
     cfg_kwargs["reference"] = reference
     cfg_kwargs["problem_params"] = params

@@ -29,6 +29,7 @@ from .core import (
     join_state,
     split_state,
 )
+from .errors import ConfigError
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
@@ -55,7 +56,13 @@ class DiscreteLaplacian:
         if v.shape[0] != self.n:
             raise ValueError(f"vector has length {v.shape[0]}, expected {self.n}")
         if self.boundary == PERIODIC:
-            out = np.roll(v, 1) - 2.0 * v + np.roll(v, -1)
+            # (left - 2 v) + right everywhere; v[n - 2] and v[1 % n] wrap
+            # around for n = 1 and n = 2
+            n = self.n
+            out = np.empty_like(v)
+            out[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
+            out[0] = v[-1] - 2.0 * v[0] + v[1 % n]
+            out[-1] = v[n - 2] - 2.0 * v[-1] + v[0]
         else:
             out = -2.0 * v.copy()
             out[:-1] += v[1:]
@@ -214,14 +221,41 @@ def list_problems():
             for name, cls in PROBLEM_REGISTRY.items()}
 
 
+def checked_params(params):
+    """Problem parameters as the constructors take them: ``n`` a positive
+    integer, ``L`` and ``B`` positive, ``boundary`` periodic or dirichlet and
+    every other value a finite number.  A bad value is a ConfigError."""
+    checked = {}
+    for key, value in params.items():
+        if key == "boundary":
+            if value not in (PERIODIC, DIRICHLET):
+                raise ConfigError(f"problem parameter boundary must be {PERIODIC!r} "
+                                  f"or {DIRICHLET!r}, got {value!r}")
+            checked[key] = value
+            continue
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = np.nan
+        if key == "n":
+            ok, need = number > 0 and number.is_integer(), "a positive integer"
+        elif key in ("L", "B"):
+            ok, need = 0 < number < np.inf, "a finite positive number"
+        else:
+            ok, need = np.isfinite(number), "a finite number"
+        if not ok:
+            raise ConfigError(f"problem parameter {key} must be {need}, got {value!r}")
+        checked[key] = int(number) if key == "n" else number
+    return checked
+
+
 def build_problem(name, **overrides):
-    """Instantiate a registered problem with parameter overrides."""
+    """Instantiate a registered problem with parameter overrides (checked by
+    ``checked_params``)."""
     if name not in PROBLEM_REGISTRY:
         raise KeyError(f"unknown problem {name!r}; known: {sorted(PROBLEM_REGISTRY)}")
     defaults = list_problems()[name]
     for key in overrides:
         if key not in defaults:
             raise KeyError(f"problem {name!r} has no parameter {key!r}")
-    if "n" in overrides:
-        overrides["n"] = int(overrides["n"])
-    return PROBLEM_REGISTRY[name](**overrides)
+    return PROBLEM_REGISTRY[name](**checked_params(overrides))

@@ -17,7 +17,7 @@ from symkry import (
     run,
     solution_error,
 )
-from symkry import integrators
+from symkry import harness, integrators
 from symkry.cli import _build_parser, available_presets, load_preset, main
 from symkry.errors import DegeneratePairError
 from symkry.harness import (
@@ -182,8 +182,6 @@ class TestRun:
             run(self._small_config(basis_dim=64), quiet=True)
 
     def _patched_problem(self, monkeypatch, patch):
-        import symkry.harness as harness
-
         build = harness.build_problem
 
         def patched(name, **params):
@@ -192,6 +190,8 @@ class TestRun:
             return system
 
         monkeypatch.setattr(harness, "build_problem", patched)
+        # the patched run neither reads nor leaves reference states
+        monkeypatch.setattr(harness, "_reference_memo", {})
 
     def test_nonfinite_energy_aborts_with_partial_csv(self, tmp_path, monkeypatch):
         def patch(system):
@@ -212,6 +212,71 @@ class TestRun:
         self._patched_problem(monkeypatch, patch)
         with pytest.raises(ValueError, match="start vector"):
             run(self._small_config(), quiet=True)
+
+
+class TestReferenceMemo:
+    """run() keeps the last reference states and reuses them while the
+    problem, the grid and the reference stay the same."""
+
+    def _config(self, **kw):
+        base = dict(problem="linear-wave", problem_params={"n": 24},
+                    method="EE", basis="hamiltonian-lanczos", basis_dim=8,
+                    t_final=1.0, n_steps=20, record_every=4, reference="fine",
+                    ref_factor=2)
+        base.update(kw)
+        return ExperimentConfig(**base)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count reference computations, starting from an empty memo."""
+        monkeypatch.setattr(harness, "_reference_memo", {})
+        real, calls = harness.reference_solution, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "reference_solution", counted)
+        return calls
+
+    def test_shared_key_computes_once(self, calls):
+        run(self._config(), quiet=True)
+        run(self._config(method="EEMP", basis="arnoldi", seed=3), quiet=True)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("change", [
+        {"ref_factor": 3},
+        {"problem_params": {"n": 24, "L": 3}},
+        {"n_steps": 40},
+        {"record_every": 2},
+        {"reference": "dense"},
+        {"t_final": 2.0},
+        {"problem": "klein-gordon"},
+    ], ids=lambda change: next(iter(change)))
+    def test_changed_key_field_recomputes(self, calls, change):
+        run(self._config(), quiet=True)
+        run(self._config(**change), quiet=True)
+        assert len(calls) == 2
+        assert len(harness._reference_memo) == 1
+        run(self._config(**change), quiet=True)
+        assert len(calls) == 2
+
+    def test_cached_states_are_read_only(self, calls):
+        run(self._config(), quiet=True)
+        (states,) = harness._reference_memo.values()
+        assert not states.flags.writeable
+        with pytest.raises(ValueError):
+            states[0, 0] = 1.0
+
+    def test_csvs_equal_runs_without_memo(self, calls):
+        sections = [self._config(), self._config(method="EEMP", basis="arnoldi")]
+        shared = [run(cfg, quiet=True).series.to_csv_text() for cfg in sections]
+        alone = []
+        for cfg in sections:
+            harness._reference_memo.clear()
+            alone.append(run(cfg, quiet=True).series.to_csv_text())
+        assert shared == alone
+        assert len(calls) == 3
 
 
 class TestConfigParsing:
@@ -328,6 +393,18 @@ class TestCLI:
     def test_unknown_parameter_exit_code(self, capsys):
         assert main(["run", "--problem", "linear-wave", "--param", "bogus=1",
                      "--t-final", "1", "--steps", "5"]) == 2
+
+    def test_bad_reference_factor_exit_code(self, capsys):
+        assert main(["run", "--problem", "linear-wave", "--param", "n=24",
+                     "--t-final", "1", "--steps", "5", "--reference", "fine:x"]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param", ["n=abc", "n=2.5", "L=0"])
+    def test_bad_parameter_value_exit_code(self, param, capsys):
+        assert main(["run", "--problem", "linear-wave", "--param", param,
+                     "--basis-dim", "2", "--t-final", "1", "--steps", "5",
+                     "--reference", "dense"]) == 2
+        assert f"problem parameter {param.split('=')[0]}" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, capsys):
         assert main(["run", "--problem", "unknown-problem", "--t-final", "1",

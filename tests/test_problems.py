@@ -13,7 +13,9 @@ from symkry import (
     split_state,
 )
 from symkry.core import jvp_matches_finite_difference
+from symkry.errors import ConfigError
 from symkry.harness import reference_solution, relative_energy_error
+from symkry.problems import checked_params
 
 
 def gradient_by_differences(system, x, eps=1e-6):
@@ -58,6 +60,23 @@ class TestDiscreteLaplacian:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             DiscreteLaplacian(8, 1.0).apply(np.ones(7))
+
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 400])
+    def test_bit_equal_to_explicit_formula(self, rng, boundary, n):
+        # the periodic stencil as np.roll writes it, and the Dirichlet one
+        # as ((-2 v) + right) + left with zero outside the grid
+        lap = DiscreteLaplacian(n, 1.7, boundary)
+        for _ in range(20):
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8)
+            if boundary == "periodic":
+                want = lap.scale * (np.roll(v, 1) - 2.0 * v + np.roll(v, -1))
+            else:
+                out = -2.0 * v
+                out[:-1] += v[1:]
+                out[1:] += v[:-1]
+                want = lap.scale * out
+            assert np.array_equal(lap.apply(v), want)
 
 
 class TestLinearWave:
@@ -194,6 +213,25 @@ class TestRegistry:
     def test_unknown_parameter(self):
         with pytest.raises(KeyError):
             build_problem("nls", mass=2.0)
+
+    @pytest.mark.parametrize("name,params", [
+        ("klein-gordon", {"n": "abc"}),
+        ("klein-gordon", {"n": 2.5}),
+        ("klein-gordon", {"n": 0}),
+        ("klein-gordon", {"L": 0}),
+        ("klein-gordon", {"m": float("nan")}),
+        ("linear-wave", {"L": -1.0}),
+        ("linear-wave", {"boundary": "neumann"}),
+        ("nls", {"B": 0}),
+    ])
+    def test_bad_parameter_value_is_config_error(self, name, params):
+        with pytest.raises(ConfigError):
+            build_problem(name, **params)
+
+    def test_parameters_take_the_constructor_types(self):
+        assert checked_params({"n": 16.0, "L": 3, "boundary": "periodic"}) == {
+            "n": 16, "L": 3.0, "boundary": "periodic"}
+        assert type(checked_params({"n": 16.0})["n"]) is int
 
 
 class TestDiscreteEnergyConvergence:
