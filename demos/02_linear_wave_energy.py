@@ -19,14 +19,15 @@ T, STEPS = 50.0, 2000
 series = {}
 for label, process, dim in [("arnoldi-16", "arnoldi", 16),
                             ("lanczos-12", "hamiltonian-lanczos", 12)]:
-    cfg = StepperConfig(method="EE", basis_process=process, basis_dim=dim)
+    cfg = StepperConfig(method="EE", basis_process=process, basis_dim=dim,
+                        step_size=T / STEPS)
     rows = []
 
-    def watch(step, t, x):
+    def watch(step, t, res):
         if step % 200 == 0:
-            rows.append((t, abs(wave.energy(x) - H0) / abs(H0)))
+            rows.append((t, abs(wave.energy(res.x_plus) - H0) / abs(H0)))
 
-    integrate(wave, cfg, x0, t_final=T, n_steps=STEPS, observer=watch)
+    integrate(wave, cfg, x0, n_steps=STEPS, observer=watch)
     series[label] = rows
 
 print(f"linear wave, n=400, T={T}, {STEPS} steps; relative energy error\n")

@@ -27,15 +27,16 @@ index = {s: i for i, s in enumerate(record)}
 
 table = {}
 for method in ("EE", "EEMP"):
-    cfg = StepperConfig(method=method, basis_process="arnoldi", basis_dim=20)
+    cfg = StepperConfig(method=method, basis_process="arnoldi", basis_dim=20,
+                        step_size=h)
     rows = []
 
-    def watch(step, t, x):
+    def watch(step, t, res):
         if step in index:
-            rows.append((t, relative_energy_error(nls, x, x0),
-                         solution_error(x, ref[index[step]])))
+            rows.append((t, relative_energy_error(nls, res.x_plus, x0),
+                         solution_error(res.x_plus, ref[index[step]])))
 
-    integrate(nls, cfg, x0, t_final=T, n_steps=STEPS, observer=watch)
+    integrate(nls, cfg, x0, n_steps=STEPS, observer=watch)
     table[method] = rows
 
 print(f"\nNLS, n=125, T=10pi, {STEPS} steps, Arnoldi basis of dimension 20\n")

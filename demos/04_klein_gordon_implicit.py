@@ -22,27 +22,29 @@ x0 = kg.initial_state
 T, STEPS = 45.0, 2250
 
 print("1) IEMP with a 22-column Hamiltonian Lanczos basis")
-cfg = StepperConfig(method="IEMP", basis_process="hamiltonian-lanczos", basis_dim=22)
+cfg = StepperConfig(method="IEMP", basis_process="hamiltonian-lanczos", basis_dim=22,
+                    step_size=T / STEPS)
 worst = 0.0
 
 
-def watch(step, t, x):
+def watch(step, t, res):
     global worst
     if step % 25 == 0:
-        worst = max(worst, relative_energy_error(kg, x, x0))
+        worst = max(worst, relative_energy_error(kg, res.x_plus, x0))
 
 
-summary = integrate(kg, cfg, x0, t_final=T, n_steps=STEPS, observer=watch)
+summary = integrate(kg, cfg, x0, n_steps=STEPS, observer=watch)
 print(f"   completed {summary.steps_completed} steps, "
       f"max energy error {worst:.2e}, "
       f"{summary.fp_iterations / STEPS:.1f} fixed-point iterations per step\n")
 
 print("2) EEMP stability depends on the basis structure")
 for process in ("hamiltonian-lanczos", "arnoldi"):
-    cfg = StepperConfig(method="EEMP", basis_process=process, basis_dim=20)
+    cfg = StepperConfig(method="EEMP", basis_process=process, basis_dim=20,
+                        step_size=T / STEPS)
     try:
-        s = integrate(kg, cfg, x0, t_final=T, n_steps=STEPS, divergence_factor=1e6)
+        s = integrate(kg, cfg, x0, n_steps=STEPS, divergence_factor=1e6)
         err = relative_energy_error(kg, s.final_state, x0)
         print(f"   {process:20s}: stable, final energy error {err:.2e}")
     except IntegrationAborted as exc:
-        print(f"   {process:20s}: {exc.summary.abort_reason}")
+        print(f"   {process:20s}: {exc}")

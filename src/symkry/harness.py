@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .errors import ConfigError, IntegrationAborted
+from .errors import ConfigError, IntegrationAborted, StepFailureError
 from .integrators import StepperConfig, integrate
 from .matfun import exp_affine
 from .problems import build_problem, checked_params, list_problems
@@ -215,10 +215,9 @@ class MetricsSeries:
 class RunResult:
     series: MetricsSeries
     summary: object
-    output_path: str = ""
 
 
-def _reference_states(config, system, record_steps, h):
+def _reference_states(config, system, h):
     """Reference states at the recorded steps, taken from the memo when the
     previous run had the same problem, grid and reference; a miss replaces
     the entry, so the memo holds one states array."""
@@ -227,7 +226,7 @@ def _reference_states(config, system, record_steps, h):
     states = _reference_memo.get(key)
     if states is None:
         _reference_memo.clear()
-        t_grid = np.array([s * h for s in record_steps])
+        t_grid = np.array([s * h for s in range(0, config.n_steps + 1, config.record_every)])
         states = reference_solution(system, system.initial_state, t_grid,
                                     mode=config.reference, factor=config.ref_factor,
                                     main_step=h)
@@ -237,11 +236,13 @@ def _reference_states(config, system, record_steps, h):
 
 
 def run(config, quiet=False):
-    """Execute one configured experiment; returns the metrics series.
+    """Execute one configured experiment; returns its RunResult.
 
-    On a numerical failure (divergence guard, non-finite state, step
-    failure) the partial CSV is still flushed and the IntegrationAborted is
-    re-raised with the partial ``series`` attached.
+    The observer of ``integrate`` appends each recorded step's CSV row as
+    the step completes; a non-finite energy fails that step.  On a
+    numerical failure the partial CSV is still flushed and the
+    IntegrationAborted (with its partial summary) is re-raised with the
+    partial ``series`` attached.
     """
     wall_start = time.perf_counter()
     stepper = config.stepper()
@@ -251,41 +252,29 @@ def run(config, quiet=False):
         raise ConfigError(
             f"basis_dim {config.basis_dim} exceeds system dimension {system.dim}")
 
-    h = stepper.step_size
+    every = config.record_every
+    ref_states = _reference_states(config, system, stepper.step_size)
+    series = MetricsSeries(config.echo())
 
-    record_steps = list(range(0, config.n_steps + 1, config.record_every))
-    ref_states = _reference_states(config, system, record_steps, h)
-    ref_index = {s: i for i, s in enumerate(record_steps)}
-
-    recorded = []
-
-    def observer(step, t, x):
-        if step in ref_index:
-            try:
-                ree = relative_energy_error(system, x, x0)
-            except ValueError as exc:
-                raise IntegrationAborted(f"step {step}: {exc}") from exc
-            sol = solution_error(x, ref_states[ref_index[step]])
-            recorded.append((step, t, ree, sol))
+    def observer(step, t, res):
+        if step % every:
+            return
+        try:
+            ree = relative_energy_error(system, res.x_plus, x0)
+        except ValueError as exc:
+            raise StepFailureError(str(exc)) from exc
+        sol = solution_error(res.x_plus, ref_states[step // every])
+        series.append(step, t, ree, sol, res.basis.n_columns if res.basis is not None else 0,
+                      res.fp_iters)
 
     rng = np.random.default_rng(config.seed)
-    series = MetricsSeries(config.echo())
     aborted_exc = None
     try:
         summary = integrate(system, stepper, x0, n_steps=config.n_steps,
                             observer=observer, rng=rng,
                             divergence_factor=DIVERGENCE_FACTOR)
     except IntegrationAborted as exc:
-        summary = exc.summary
-        aborted_exc = exc
-
-    done = summary.steps_completed if summary is not None else 0
-    for step, t, ree, sol in recorded:
-        if 0 < step <= done:
-            series.append(step, t, ree, sol, summary.step_basis_dims[step - 1],
-                          summary.step_fp_iters[step - 1])
-        else:
-            series.append(step, t, ree, sol, 0, 0)
+        summary, aborted_exc = exc.summary, exc
 
     if config.output:
         series.write(config.output)
@@ -294,17 +283,16 @@ def run(config, quiet=False):
     if not quiet:
         status = "FAILED" if aborted_exc is not None else "ok"
         last = series.rows[-1] if series.rows else (0, 0.0, 0.0, 0.0, 0, 0)
-        matvecs = summary.matvec_count if summary is not None else 0
         print(f"[{status}] {config.echo()}")
         print(f"  final rel_energy_error={last[2]:.3e} sol_error={last[3]:.3e} "
-              f"matvecs={matvecs} wall={wall:.2f}s")
+              f"matvecs={summary.matvec_count} wall={wall:.2f}s")
         if aborted_exc is not None:
             print(f"  abort: {aborted_exc}")
 
     if aborted_exc is not None:
         aborted_exc.series = series
         raise aborted_exc
-    return RunResult(series, summary, config.output)
+    return RunResult(series, summary)
 
 
 # --- configuration files ---------------------------------------------------

@@ -17,7 +17,7 @@ StepResult; a step that cannot be completed, including a reduced matrix
 the kernel rejects as non-finite, raises StepFailureError.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -94,7 +94,8 @@ class StepResult:
     """One step: the new state, the basis it was taken in, and diagnostics.
 
     ``basis`` and ``outcome`` are None when the field vanished and the
-    state was kept; ``x_mid`` is the converged midpoint of an IEMP step.
+    state was kept, and in the record of the initial state that
+    ``integrate`` hands its observer; ``x_mid`` is an IEMP step's midpoint.
     """
 
     x_plus: np.ndarray
@@ -147,9 +148,8 @@ def _kernel(fn, *args):
         raise StepFailureError(f"reduced kernel failed: {exc}") from exc
 
 
-def step_ee(system, config, x, rng=None, h=None):
+def step_ee(system, config, x, rng=None):
     """Exponential Euler step x+ = x + h U phi(hF) U^+ f(x)."""
-    h = config.step_size if h is None else h
     x = np.asarray(x, dtype=float)
     fx = system.f(x)
     if np.linalg.norm(fx) == 0.0:
@@ -157,7 +157,7 @@ def step_ee(system, config, x, rng=None, h=None):
     action = CountingAction(MatrixAction.from_system(system, x))
     outcome = build_basis(action, fx, config, rng)
     basis = outcome.basis
-    _, xi = _kernel(exp_affine, basis.reduced, basis.left_apply(fx), h)
+    _, xi = _kernel(exp_affine, basis.reduced, basis.left_apply(fx), config.step_size)
     x_plus = _check_finite(x + basis.columns @ xi)
     return StepResult(x_plus, basis, outcome, action.count)
 
@@ -180,14 +180,13 @@ def _extend_with(action, outcome, d):
     return new_basis
 
 
-def step_eemp(system, config, x, x_prev, rng=None, h=None):
+def step_eemp(system, config, x, x_prev, rng=None):
     """Explicit exponential midpoint step using the two-step memory x_prev.
 
     The basis is built from f(x) and then extended so x_prev - x lies in
     range(U); with that hypothesis the scheme is symmetric and, for linear
     systems with symplectic U, preserves the energy of the averages.
     """
-    h = config.step_size if h is None else h
     x = np.asarray(x, dtype=float)
     x_prev = np.asarray(x_prev, dtype=float)
     fx = system.f(x)
@@ -200,7 +199,7 @@ def step_eemp(system, config, x, x_prev, rng=None, h=None):
     action = CountingAction(MatrixAction.from_system(system, x))
     outcome = build_basis(action, start, config, rng)
     basis = outcome.basis if nd == 0.0 else _extend_with(action, outcome, d)
-    E, y = _kernel(exp_affine, basis.reduced, 2.0 * basis.left_apply(fx), h)
+    E, y = _kernel(exp_affine, basis.reduced, 2.0 * basis.left_apply(fx), config.step_size)
     x_plus = x + basis.columns @ (E @ basis.left_apply(d) + y)
     return StepResult(_check_finite(x_plus), basis, outcome, action.count)
 
@@ -230,7 +229,7 @@ def _solve_reduced_fixed_point(system, x, basis, h, xi0):
         residual=float(delta))
 
 
-def step_iemp(system, config, x, rng=None, h=None):
+def step_iemp(system, config, x, rng=None):
     """Implicit exponential midpoint step advancing one macro step.
 
     Strategy: predict the midpoint with an exponential Euler half step,
@@ -238,11 +237,11 @@ def step_iemp(system, config, x, rng=None, h=None):
     relation by fixed-point iteration, then form the full-step update from
     the doubled-step relation.  The result carries the midpoint as x_mid.
     """
-    macro = config.step_size if h is None else h
+    macro = config.step_size
     half = 0.5 * macro
     x = np.asarray(x, dtype=float)
 
-    predictor = step_ee(system, config, x, rng, h=half)
+    predictor = step_ee(system, replace(config, step_size=half), x, rng)
     x_tilde = predictor.x_plus
 
     v = system.f(x_tilde)
@@ -263,88 +262,68 @@ def step_iemp(system, config, x, rng=None, h=None):
 
 @dataclass
 class TrajectorySummary:
-    """Counters and final state of a (possibly aborted) trajectory."""
+    """Counters and final state of a trajectory, complete or aborted."""
 
     final_state: np.ndarray
     t_final: float
     steps_completed: int
     matvec_count: int = 0
-    step_basis_dims: list = field(default_factory=list)
-    step_fp_iters: list = field(default_factory=list)
-    aborted: bool = False
-    abort_reason: str = ""
-
-    @property
-    def fp_iterations(self):
-        return int(sum(self.step_fp_iters))
+    fp_iterations: int = 0
 
 
-def _abort(summary, reason, cause=None):
-    summary.aborted = True
-    summary.abort_reason = reason
-    raise IntegrationAborted(reason, summary) from cause
+def integrate(system, config, x0, n_steps=1, observer=None, rng=None,
+              divergence_factor=None):
+    """Advance n_steps uniform steps of config.step_size from time 0.
 
-
-def integrate(system, config, x0, t_final=None, n_steps=1, observer=None,
-              rng=None, divergence_factor=None):
-    """Advance n_steps uniform steps, reporting each state to ``observer``.
-
-    Time starts at 0.  When ``t_final`` is given the step size is
-    t_final / n_steps (the config's step_size is ignored); otherwise
-    config.step_size is used.
     EEMP is bootstrapped with one exponential Euler step.  The observer is
-    called as observer(step_index, t, x), including once for the initial
+    called as observer(step_index, t, result) with each step's StepResult,
+    and once first with StepResult(x0, None, None, 0) for the initial
     state.  ``rng`` seeds the breakdown restarts (see build_basis).  With
     ``divergence_factor`` set, a state norm above that factor times
-    ||x0|| aborts.  Any step error aborts with the partial summary attached
-    to the raised IntegrationAborted.
+    ||x0|| aborts.  A failed step, a non-finite state, or a StepFailureError
+    raised by the observer aborts with IntegrationAborted, which carries
+    the summary of the steps completed so far.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    x0 = np.asarray(x0, dtype=float)
-    if t_final is not None:
-        config = replace(config, step_size=t_final / n_steps)
-    if config.step_size <= 0:
-        raise ValueError("the step size must be positive for integration")
     h = config.step_size
+    if h <= 0:
+        raise ValueError("the step size must be positive for integration")
+    x0 = np.array(x0, dtype=float)
 
-    summary = TrajectorySummary(x0.copy(), 0.0, 0)
+    summary = TrajectorySummary(x0, 0.0, 0)
     guard = None
     if divergence_factor is not None:
         guard = divergence_factor * max(np.linalg.norm(x0), 1e-300)
 
-    if observer is not None:
-        observer(0, 0.0, x0)
-
-    x = x0.copy()
+    res = StepResult(x0, None, None, 0)
     x_prev = None
-    for step in range(1, n_steps + 1):
+    for step in range(n_steps + 1):
         try:
-            if config.method == IEMP:
-                res = step_iemp(system, config, x, rng)
-            elif config.method == EEMP and x_prev is not None:
-                res = step_eemp(system, config, x, x_prev, rng)
-            else:
-                res = step_ee(system, config, x, rng)
+            if step > 0:
+                x = res.x_plus
+                if config.method == IEMP:
+                    res = step_iemp(system, config, x, rng)
+                elif config.method == EEMP and x_prev is not None:
+                    res = step_eemp(system, config, x, x_prev, rng)
+                else:
+                    res = step_ee(system, config, x, rng)
+                x_prev = x
+                summary.final_state = res.x_plus
+                summary.t_final = step * h
+                summary.steps_completed = step
+                summary.matvec_count += res.matvecs
+                summary.fp_iterations += res.fp_iters
+
+                if not np.all(np.isfinite(res.x_plus)):
+                    raise IntegrationAborted(f"non-finite state at step {step}", summary)
+                if guard is not None and np.linalg.norm(res.x_plus) > guard:
+                    raise IntegrationAborted(f"divergence guard tripped at step {step}",
+                                             summary)
+
+            if observer is not None:
+                observer(step, step * h, res)
         except StepFailureError as exc:
-            _abort(summary, f"step {step}: {exc}", exc)
-
-        x_prev = x
-        x = res.x_plus
-        t = step * h
-        summary.final_state = x
-        summary.t_final = t
-        summary.steps_completed = step
-        summary.matvec_count += res.matvecs
-        summary.step_basis_dims.append(res.basis.n_columns if res.basis is not None else 0)
-        summary.step_fp_iters.append(res.fp_iters)
-
-        if not np.all(np.isfinite(x)):
-            _abort(summary, f"non-finite state at step {step}")
-        if guard is not None and np.linalg.norm(x) > guard:
-            _abort(summary, f"divergence guard tripped at step {step}")
-
-        if observer is not None:
-            observer(step, t, x)
+            raise IntegrationAborted(f"step {step}: {exc}", summary) from exc
 
     return summary

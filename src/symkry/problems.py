@@ -64,7 +64,7 @@ class DiscreteLaplacian:
             out[0] = v[-1] - 2.0 * v[0] + v[1 % n]
             out[-1] = v[n - 2] - 2.0 * v[-1] + v[0]
         else:
-            out = -2.0 * v.copy()
+            out = -2.0 * v
             out[:-1] += v[1:]
             out[1:] += v[:-1]
         return self.scale * out
@@ -110,7 +110,7 @@ class NonlinearSchroedingerSystem(HamiltonianSystem):
     on [-4 pi, 4 pi] with periodic boundary.  The initial profile is the
     stationary-well state sqrt(V0 sin^2 x + B) e^(i theta(x)) with
     tan(theta) = sqrt(1 + V0/B) tan(x), theta unwrapped to a continuous,
-    increasing phase across the tan singularities.
+    increasing phase across the tan singularities.  V0 < -B is a ConfigError.
     """
 
     def __init__(self, n=500, V0=1.0, B=1.0):
@@ -118,6 +118,8 @@ class NonlinearSchroedingerSystem(HamiltonianSystem):
         self.n = n
         self.V0 = float(V0)
         self.B = float(B)
+        if self.V0 < -self.B:
+            raise ConfigError(f"problem parameter V0 must be at least -B, got {V0!r}")
         self.laplacian = DiscreteLaplacian(n, 8.0 * np.pi, PERIODIC)
         self.grid = -4.0 * np.pi + np.arange(n) * self.laplacian.length / n
         self.potential = np.sin(self.grid) ** 2

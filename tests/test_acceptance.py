@@ -9,6 +9,7 @@ demonstrates the underlying phenomenon where it does occur.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,11 +58,12 @@ def energy_series(system, config, x0, t_final, n_steps, every=10):
     h0 = system.energy(x0)
     rows = []
 
-    def watch(step, t, x):
+    def watch(step, t, res):
         if step % every == 0:
-            rows.append((t, abs(system.energy(x) - h0) / abs(h0)))
+            rows.append((t, abs(system.energy(res.x_plus) - h0) / abs(h0)))
 
-    integrate(system, config, x0, t_final=t_final, n_steps=n_steps, observer=watch)
+    integrate(system, replace(config, step_size=t_final / n_steps), x0, n_steps=n_steps,
+              observer=watch)
     return np.array(rows)
 
 
@@ -299,14 +301,15 @@ def test_criterion_09_nls_solution_error_slopes():
 
     slopes = {}
     for method in ("EE", "EEMP"):
-        cfg = StepperConfig(method=method, basis_process="arnoldi", basis_dim=20)
+        cfg = StepperConfig(method=method, basis_process="arnoldi", basis_dim=20,
+                            step_size=h)
         rows = []
 
-        def watch(step, t, x):
+        def watch(step, t, res):
             if step in index and step > 0:
-                rows.append((t, solution_error(x, ref[index[step]])))
+                rows.append((t, solution_error(res.x_plus, ref[index[step]])))
 
-        integrate(system, cfg, x0, t_final=T, n_steps=steps, observer=watch)
+        integrate(system, cfg, x0, n_steps=steps, observer=watch)
         ts = np.array([r[0] for r in rows])
         es = np.array([r[1] for r in rows])
         window = ts >= 0.6 * T
@@ -361,7 +364,7 @@ def _kg_order_ratio(method, process="arnoldi"):
     for steps in (20, 40):
         cfg = StepperConfig(method=method, basis_process=process, basis_dim=24,
                             step_size=T / steps)
-        s = integrate(system, cfg, x0, t_final=T, n_steps=steps)
+        s = integrate(system, cfg, x0, n_steps=steps)
         errs.append(solution_error(s.final_state, ref))
     return errs[0] / errs[1]
 

@@ -11,6 +11,7 @@ from symkry import (
     build_klein_gordon,
     build_linear_wave,
     expm,
+    integrate,
     phi1,
     reference_solution,
     relative_energy_error,
@@ -201,9 +202,39 @@ class TestRun:
 
         self._patched_problem(monkeypatch, patch)
         out = tmp_path / "nan.csv"
-        with pytest.raises(IntegrationAborted, match="non-finite energy"):
+        with pytest.raises(IntegrationAborted, match="non-finite energy") as err:
             run(self._small_config(output=str(out)), quiet=True)
-        assert len(out.read_text().splitlines()) == 2 + 3
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 + 3
+        # the failing step 12 completed; its energy failed the row
+        assert err.value.summary.steps_completed == 12
+        rows = {int(r.split(",")[0]): r.split(",") for r in lines[2:]}
+        assert rows[0][4:] == ["0", "0"]
+        assert rows[4][4] == "8" and rows[8][4] == "8"
+
+    def test_rows_carry_the_step_results_integrate_hands_out(self):
+        # the CSV's basis_dim and fp_iters are those of the StepResults an
+        # observer of integrate sees under the same stepper; the summary
+        # counts the fixed-point iterations of every step, recorded or not
+        cfg = ExperimentConfig(problem="klein-gordon", problem_params={"n": 16},
+                               method="IEMP", basis="hamiltonian-lanczos", basis_dim=8,
+                               t_final=0.5, n_steps=10, record_every=3, reference="fine",
+                               ref_factor=2, seed=5)
+        result = run(cfg, quiet=True)
+        seen = {}
+        system = build_klein_gordon(n=16)
+        integrate(system, cfg.stepper(), system.initial_state, n_steps=10,
+                  rng=np.random.default_rng(5),
+                  observer=lambda step, t, res: seen.__setitem__(step, res))
+        assert [r[0] for r in result.series.rows] == [0, 3, 6, 9]
+        for step, _, _, _, dim, fp in result.series.rows:
+            res = seen[step]
+            assert dim == (res.basis.n_columns if res.basis is not None else 0)
+            assert fp == res.fp_iters
+        assert [r[4] for r in result.series.rows] == [0, 8, 8, 8]
+        assert all(r[5] > 0 for r in result.series.rows[1:])
+        assert result.summary.fp_iterations == sum(res.fp_iters for res in seen.values())
+        assert result.summary.matvec_count == sum(res.matvecs for res in seen.values())
 
     def test_unrelated_value_error_propagates(self, monkeypatch):
         def patch(system):
@@ -405,6 +436,16 @@ class TestCLI:
                      "--basis-dim", "2", "--t-final", "1", "--steps", "5",
                      "--reference", "dense"]) == 2
         assert f"problem parameter {param.split('=')[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("V0,code", [("-3", 2), ("-1", 0)])
+    def test_nls_well_depth_exit_code(self, V0, code, tmp_path, capsys):
+        # V0 < -B (default B = 1) leaves no real initial profile
+        assert main(["run", "--problem", "nls", "--param", "n=16", "--param", f"V0={V0}",
+                     "--basis", "hamiltonian-lanczos", "--basis-dim", "4",
+                     "--t-final", "0.1", "--steps", "2", "--reference", "fine:2",
+                     "--output", str(tmp_path / "nls.csv")]) == code
+        if code == 2:
+            assert "problem parameter V0" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, capsys):
         assert main(["run", "--problem", "unknown-problem", "--t-final", "1",

@@ -223,6 +223,8 @@ class TestRegistry:
         ("linear-wave", {"L": -1.0}),
         ("linear-wave", {"boundary": "neumann"}),
         ("nls", {"B": 0}),
+        ("nls", {"V0": -3}),
+        ("nls", {"V0": -0.75, "B": 0.5}),
     ])
     def test_bad_parameter_value_is_config_error(self, name, params):
         with pytest.raises(ConfigError):

@@ -5,7 +5,9 @@ Runs each section of every ``*-desk`` preset the way ``symkry preset``
 does (``config_from_mapping`` then ``run(quiet=True)``), writes the CSVs
 into a temporary directory and prints one line per section:
 
-    <preset>-<section> <sha256 of the CSV> matvecs=<total matvecs>
+    <preset>-<section> <sha256 of the CSV> matvecs=<total matvecs> fp_iters=<total>
+
+The two totals count every step, the ones the CSV does not record too.
 
 Usage: python3 tools/desk_digests.py [SRC_DIR]
 
@@ -40,8 +42,8 @@ def main(argv):
                 except IntegrationAborted as exc:  # the partial CSV is still written
                     summary, status = exc.summary, " aborted"
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{name}-{section} {digest} matvecs={summary.matvec_count}{status}",
-                      flush=True)
+                print(f"{name}-{section} {digest} matvecs={summary.matvec_count} "
+                      f"fp_iters={summary.fp_iterations}{status}", flush=True)
     return 0
 
 
