@@ -9,7 +9,7 @@ U phi(hF) U^+ v converges to the true phi(hA) v as the basis grows.
 import numpy as np
 
 from symkry import (
-    MatrixAction,
+    CountingAction,
     arnoldi,
     build_linear_wave,
     expm,
@@ -35,9 +35,9 @@ print(f"M phi(M) - (e^M - I) defect: "
 
 print("\nKrylov convergence of U phi(hF) U^+ v -> phi(hA) v on the wave system:")
 wave = build_linear_wave(n=100)
-action = MatrixAction.from_system(wave, wave.initial_state)
+action = CountingAction.from_system(wave, wave.initial_state)
 v = wave.f(wave.initial_state)
-A = np.column_stack([action.apply(e) for e in np.eye(wave.dim)])
+A = wave.jacobian_dense(wave.initial_state)
 h = 0.025
 exact = phi1(h * A) @ v
 

@@ -51,8 +51,8 @@ from .integrators import (
     step_iemp,
 )
 from .krylov import (
+    CountingAction,
     KrylovOutcome,
-    MatrixAction,
     arnoldi,
     extend_basis_orthogonal,
     extend_basis_symplectic,
@@ -82,7 +82,7 @@ __all__ = [
     "relative_energy_error", "run", "solution_error",
     "StepperConfig", "StepResult", "TrajectorySummary",
     "integrate", "step_ee", "step_eemp", "step_iemp",
-    "KrylovOutcome", "MatrixAction", "arnoldi", "extend_basis_orthogonal",
+    "CountingAction", "KrylovOutcome", "arnoldi", "extend_basis_orthogonal",
     "extend_basis_symplectic", "hamiltonian_lanczos", "isotropic_arnoldi",
     "symplectic_arnoldi",
     "exp_affine", "expm", "phi1", "phi1_scaled_identities_check",

@@ -46,17 +46,8 @@ def _build_parser():
 
     run_p = sub.add_parser("run", help="execute one experiment run")
     run_p.add_argument("--config", help="key = value config file (sections = runs)")
-    run_p.add_argument("--problem", help="problem name (see list-problems)")
-    run_p.add_argument("--method", help="EE, EEMP or IEMP")
-    run_p.add_argument("--basis", help="arnoldi, symplectic-arnoldi, "
-                                       "isotropic-arnoldi or hamiltonian-lanczos")
-    run_p.add_argument("--basis-dim", type=int, help="total columns of the basis")
-    run_p.add_argument("--t-final", type=float, help="integration horizon")
-    run_p.add_argument("--steps", type=int, help="number of uniform steps")
-    run_p.add_argument("--record-every", type=int, help="record metrics every k steps")
-    run_p.add_argument("--output", help="CSV output path")
-    run_p.add_argument("--seed", type=int, help="seed for breakdown-restart noise")
-    run_p.add_argument("--reference", help="reference oracle: dense or fine[:factor]")
+    for key, (cast, text) in CONFIG_KEYS.items():
+        run_p.add_argument("--" + key.replace("_", "-"), type=cast, help=text)
     run_p.add_argument("--param", action="append", default=[], metavar="NAME=VALUE",
                        help="problem parameter override (repeatable)")
 
@@ -85,10 +76,12 @@ def _flag_overrides(args):
 
 def _cmd_run(args):
     overrides = _flag_overrides(args)
+    sections = [("run", {})]
     if args.config:
-        sections = parse_config_text(Path(args.config).read_text(encoding="ascii"))
-    else:
-        sections = [("run", {})]
+        try:
+            sections = parse_config_text(Path(args.config).read_text(encoding="ascii"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
     for _, mapping in sections:
         config = config_from_mapping({**mapping, **overrides})
         run(config)
@@ -97,7 +90,10 @@ def _cmd_run(args):
 
 def _cmd_preset(args):
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {args.output_dir!r}: {exc}") from exc
     for section, mapping in load_preset(args.name):
         mapping = dict(mapping)
         mapping.setdefault("output", str(out_dir / f"{args.name}-{section}.csv"))

@@ -179,7 +179,9 @@ class HamiltonianSystem(ABC):
     Implementations provide the phase-space dimension 2n, the vector field
     f, the energy H, and the Jacobian-vector product Df(x) v.  All methods
     must be pure (read-only after construction) so systems can be shared
-    between concurrent runs.
+    between concurrent runs.  A linear system (``is_linear``) gives its
+    affine parts f(x) = A x + c through ``jacobian_dense`` (A, at any point)
+    and ``f`` (c = f(0)).
     """
 
     is_linear = False
@@ -199,11 +201,6 @@ class HamiltonianSystem(ABC):
     @abstractmethod
     def jvp(self, x, v):
         """Jacobian-vector product Df(x) v."""
-
-    def affine_parts(self):
-        """For linear systems, (matvec of the constant Jacobian, constant c)
-        with f(x) = A x + c.  Raises for nonlinear systems."""
-        raise NotImplementedError("system does not expose an affine decomposition")
 
     def jacobian_dense(self, x):
         """Densify Df(x) column by column; diagnostic, small sizes only."""
@@ -241,9 +238,6 @@ class QuadraticHamiltonianSystem(HamiltonianSystem):
 
     def jvp(self, x, v):
         return apply_J_inverse(self._s_apply(v))
-
-    def affine_parts(self):
-        return (lambda v: apply_J_inverse(self._s_apply(v))), apply_J_inverse(self.d)
 
 
 def jvp_matches_finite_difference(system, x, v, rel_tol=1e-5):

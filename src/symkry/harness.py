@@ -4,9 +4,10 @@ A run is described declaratively (problem, method, basis process, basis
 dimension, horizon, step count), integrated with the configured stepper,
 and measured against a reference trajectory:
 
-  dense     exact propagation of the densified affine system with one
-            affine exponential per grid interval (linear systems only,
-            refused above dimension 2000);
+  dense     exact propagation of the affine system x' = A x + c, with
+            A = ``jacobian_dense`` and c = f(0), by one affine exponential
+            per grid interval (linear systems only, refused above
+            dimension 2000);
   fine      a classical fourth-order Runge-Kutta run at the main step
             divided by a refinement factor (default 100).
 
@@ -16,6 +17,7 @@ with one comment header line echoing the full configuration; identical
 configuration and seed give byte-identical files.
 """
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -70,10 +72,11 @@ def _rk4_step(f, x, h):
 def reference_solution(system, x0, t_grid, mode="fine", factor=100, main_step=None):
     """Reference states at the given times.
 
-    mode "dense": densify the affine system x' = A x + c and propagate
-    with ``exp_affine(A, c, dt)`` per grid interval (exact for linear
-    systems).  mode "fine": classical RK4 with micro step main_step/factor
-    (or interval/factor when no main step is given).
+    mode "dense": densify the affine system x' = A x + c (A the dense
+    Jacobian at x0, c = f(0)) and propagate with ``exp_affine(A, c, dt)``
+    per grid interval (exact for linear systems).  mode "fine": classical
+    RK4 with micro step main_step/factor (or interval/factor when no main
+    step is given).
     """
     x0 = np.asarray(x0, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -92,8 +95,8 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100, main_step=No
         if system.dim > DENSE_REFERENCE_LIMIT:
             raise ConfigError(
                 f"dense reference refused for dimension {system.dim} > {DENSE_REFERENCE_LIMIT}")
-        matvec, c = system.affine_parts()
-        A = np.column_stack([matvec(e) for e in np.eye(system.dim)])
+        A = system.jacobian_dense(x0)
+        c = system.f(np.zeros(system.dim))
         x = x0.copy()
         cache = {}
         for i in range(1, t_grid.size):
@@ -242,10 +245,13 @@ def run(config, quiet=False):
     the step completes; a non-finite energy fails that step.  On a
     numerical failure the partial CSV is still flushed and the
     IntegrationAborted (with its partial summary) is re-raised with the
-    partial ``series`` attached.
+    partial ``series`` attached.  An output path in a directory that does
+    not exist is a ConfigError, raised before anything is computed.
     """
     wall_start = time.perf_counter()
     stepper = config.stepper()
+    if config.output and not os.path.isdir(os.path.dirname(config.output) or "."):
+        raise ConfigError(f"the output directory of {config.output!r} does not exist")
     system = build_problem(config.problem, **config.problem_params)
     x0 = system.initial_state
     if config.basis_dim > system.dim:
@@ -297,18 +303,18 @@ def run(config, quiet=False):
 
 # --- configuration files ---------------------------------------------------
 
-# the config keys, exactly the flags of ``symkry run`` (which reads this table)
+# key -> (type, help): the config keys, and the flags ``symkry run`` makes of them
 CONFIG_KEYS = {
-    "problem": str,
-    "method": str,
-    "basis": str,
-    "basis_dim": int,
-    "t_final": float,
-    "steps": int,
-    "record_every": int,
-    "output": str,
-    "seed": int,
-    "reference": str,
+    "problem": (str, "problem name (see list-problems)"),
+    "method": (str, "EE, EEMP or IEMP"),
+    "basis": (str, "arnoldi, symplectic-arnoldi, isotropic-arnoldi or hamiltonian-lanczos"),
+    "basis_dim": (int, "total columns of the basis"),
+    "t_final": (float, "integration horizon"),
+    "steps": (int, "number of uniform steps"),
+    "record_every": (int, "record metrics every k steps"),
+    "output": (str, "CSV output path"),
+    "seed": (int, "seed for breakdown-restart noise"),
+    "reference": (str, "reference oracle: dense or fine[:factor]"),
 }
 
 
@@ -367,7 +373,7 @@ def config_from_mapping(mapping):
         if key.startswith("problem."):
             params[key[len("problem."):]] = _coerce(str(value))
         elif key in CONFIG_KEYS:
-            cast = CONFIG_KEYS[key]
+            cast, _ = CONFIG_KEYS[key]
             try:
                 cfg_kwargs["n_steps" if key == "steps" else key] = cast(value)
             except (TypeError, ValueError) as exc:

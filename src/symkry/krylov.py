@@ -6,14 +6,18 @@ isotropic Arnoldi processes (orthonormal *and* symplectic bases of the form
 [V, J^(-1) V]), and the Hamiltonian Lanczos recursion (symplectic basis
 with a short two-sided recursion and reduced matrix [[0, T], [D, 0]]).
 
-All Gram-Schmidt orthogonalizations run through ``_cgs2``: classical, with
-one reorthogonalization pass; the Lanczos recursion is kept short on purpose,
-which is where its cost advantage comes from, at the price of slow
-symplecticity drift for larger pair counts.
+Gram-Schmidt is classical with one reorthogonalization pass, written
+twice: ``_cgs2`` builds the Arnoldi-type blocks and returns Arnoldi's
+coefficients, and ``_project_out`` removes a basis's range along its left
+inverse (the Lanczos reorthogonalization and the basis extensions).  The
+Lanczos recursion is kept short on purpose, which is where its cost
+advantage comes from, at the price of slow symplecticity drift for larger
+pair counts.  ``CountingAction`` is the one matrix action and the one matvec
+counter.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,15 +45,18 @@ BREAKDOWN_RTOL = 1e-12
 DEPENDENCE_RTOL = 1e-12
 
 
-@dataclass
-class MatrixAction:
+class CountingAction:
     """Matrix-free access to a (typically Hamiltonian) matrix A = Df(x).
 
-    ``apply`` maps v -> A v; the matrix is assumed large with cheap action.
+    ``apply`` maps v -> A v (the matrix is assumed large with cheap action)
+    and counts its calls in ``count``; this count is the only matvec
+    counter, reported per step by the integrators.
     """
 
-    dim: int
-    apply: Callable[[np.ndarray], np.ndarray]
+    def __init__(self, dim, apply):
+        self.dim = dim
+        self._matvec = apply
+        self.count = 0
 
     @classmethod
     def from_dense(cls, A):
@@ -62,19 +69,9 @@ class MatrixAction:
         x = np.asarray(x, dtype=float)
         return cls(system.dim, lambda v: system.jvp(x, v))
 
-
-class CountingAction:
-    """Wrap a MatrixAction and count how often it is applied; this count
-    is the only matvec counter, reported per step by the integrators."""
-
-    def __init__(self, action):
-        self.inner = action
-        self.dim = action.dim
-        self.count = 0
-
     def apply(self, v):
         self.count += 1
-        return self.inner.apply(v)
+        return self._matvec(v)
 
 
 @dataclass
@@ -119,6 +116,14 @@ def _cgs2(w, *blocks):
             coeffs.append(Q.T @ w)
             w = w - Q @ coeffs[-1]
     return w, coeffs[0] + coeffs[len(blocks)]
+
+
+def _project_out(basis, w):
+    """Remove range(U) from w along the basis's left inverse, in two passes
+    of w <- w - U U^+ w.  An empty basis leaves w unchanged."""
+    for _ in range(2):
+        w = w - basis.project(w)
+    return w
 
 
 def arnoldi(action, v, k):
@@ -313,9 +318,7 @@ def hamiltonian_lanczos(action, v, k):
             # components sit at drift level) but without this the basis
             # loses symplecticity rapidly.  Costs 4j inner products per
             # pair, still well below one Arnoldi orthogonalization sweep.
-            U_cur = np.column_stack(us + vs)
-            for _ in range(2):
-                u_hat = u_hat - U_cur @ apply_J_inverse(U_cur.T @ apply_J(u_hat))
+            u_hat = _project_out(BasisMatrix(np.column_stack(us + vs), SYMPLECTIC), u_hat)
             scale_ref = np.linalg.norm(x)
 
     kp = len(us)
@@ -357,16 +360,12 @@ def extend_basis_symplectic(basis, x):
     U = basis.columns
     m = U.shape[1]
     kp = m // 2
-    x_hat = x.copy()
-    for _ in range(2 if m else 0):
-        x_hat = x_hat - U @ basis.left_apply(x_hat)
+    x_hat = _project_out(basis, x)
     if np.linalg.norm(x_hat) <= DEPENDENCE_RTOL * nx:
         return basis, []
 
     v_new = x_hat / np.linalg.norm(x_hat)
-    y = apply_J(x_hat)
-    for _ in range(2 if m else 0):
-        y = y - U @ basis.left_apply(y)
+    y = _project_out(basis, apply_J(x_hat))
     pairing = omega(v_new, y)
     if abs(pairing) <= DEPENDENCE_RTOL * max(np.linalg.norm(y), 1e-300):
         raise DegeneratePairError("paired companion of the new vector degenerated")
@@ -397,9 +396,7 @@ def extend_basis_orthogonal(basis, x):
         raise ValueError("cannot extend with a zero vector")
 
     Q = basis.columns
-    r = x.copy()
-    if Q.shape[1]:
-        r, _ = _cgs2(r, Q)
+    r = _project_out(basis, x)
     nr = np.linalg.norm(r)
     if nr <= DEPENDENCE_RTOL * nx:
         return basis, []

@@ -168,8 +168,7 @@ class KleinGordonSystem(HamiltonianSystem):
     Dynamics q' = p, p' = Lap q - m^2 q - g q^3 with conserved energy
     H = q^T Lap q / 2 - ||p||^2 / 2 - sum(m^2 q_i^2 / 2 + g q_i^4 / 4)
     (sign fixed so f = J^(-1) grad H).  Initial profile
-    u = A (1 + cos(2 pi x / L)), u_t = 0.  With g = 0 the system is linear
-    and exposes its affine decomposition.
+    u = A (1 + cos(2 pi x / L)), u_t = 0.  With g = 0 the system is linear.
     """
 
     def __init__(self, n=400, L=1.0, m=0.5, g=1.0, A=1.0):
@@ -199,11 +198,6 @@ class KleinGordonSystem(HamiltonianSystem):
         q, _ = split_state(x)
         a, b = split_state(np.asarray(v, dtype=float))
         return join_state(b, self.laplacian.apply(a) - (self.m ** 2 + 3.0 * self.g * q * q) * a)
-
-    def affine_parts(self):
-        if not self.is_linear:
-            raise NotImplementedError("Klein-Gordon system is nonlinear for g != 0")
-        return (lambda v: self.jvp(self.initial_state, v)), np.zeros(self.dim)
 
 
 build_linear_wave = LinearWaveSystem

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from symkry import (
-    MatrixAction,
+    CountingAction,
     QuadraticHamiltonianSystem,
     StepperConfig,
     arnoldi,
@@ -115,8 +115,7 @@ def test_criterion_02_average_energy_preservation(rng):
 def test_criterion_03_iemp_linear_collapse(rng):
     system = random_quadratic_system(rng, 10)
     x = rng.standard_normal(system.dim)
-    matvec, _ = system.affine_parts()
-    A = np.column_stack([matvec(e) for e in np.eye(system.dim)])
+    A = system.jacobian_dense(x)
     norm_a = np.linalg.norm(A, 2)
     macro = min(0.2, 1.0 / norm_a)  # half step satisfies h ||F|| <= 0.5
     cfg = StepperConfig(method="IEMP", basis_process="arnoldi",
@@ -134,8 +133,7 @@ def test_criterion_03_iemp_linear_collapse(rng):
 def test_criterion_04_full_dimension_exactness():
     system = build_linear_wave(n=20)
     x0 = system.initial_state
-    matvec, c = system.affine_parts()
-    A = np.column_stack([matvec(e) for e in np.eye(system.dim)])
+    A, c = system.jacobian_dense(x0), system.f(np.zeros(system.dim))
     h = 50.0 / 2000.0
     cfg = StepperConfig(method="EE", basis_process="arnoldi",
                         basis_dim=system.dim, step_size=h)
@@ -152,7 +150,7 @@ def test_criterion_05_basis_structure_suite(rng):
     worst = {"sympl": 0.0, "iso": 0.0, "lanczos": 0.0, "arnoldi": 0.0, "hess": 0.0}
     for _ in range(50):
         A = random_hamiltonian_matrix(rng, 12)
-        act = MatrixAction.from_dense(A)
+        act = CountingAction.from_dense(A)
         v = rng.standard_normal(24)
 
         out = symplectic_arnoldi(act, v, 6)
@@ -180,7 +178,7 @@ def test_criterion_05_basis_structure_suite(rng):
 
 def test_criterion_06_krylov_containment(rng):
     A = random_hamiltonian_matrix(rng, 12)
-    act = MatrixAction.from_dense(A)
+    act = CountingAction.from_dense(A)
     v = rng.standard_normal(24)
 
     def residual(basis, w):

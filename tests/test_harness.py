@@ -8,9 +8,11 @@ import pytest
 from symkry import (
     ConfigError,
     IntegrationAborted,
+    apply_J_inverse,
     build_klein_gordon,
     build_linear_wave,
     expm,
+    exp_affine,
     integrate,
     phi1,
     reference_solution,
@@ -73,6 +75,26 @@ class TestReferenceSolution:
                             basis_dim=sys.dim, step_size=h)
         res = step_ee(sys, cfg, x0)
         assert np.linalg.norm(states[1] - res.x_plus) <= 1e-10 * np.linalg.norm(res.x_plus)
+
+    @pytest.mark.parametrize("make,constant", [
+        (lambda: build_linear_wave(n=20), lambda sys: apply_J_inverse(sys.d)),
+        (lambda: build_linear_wave(n=20, boundary="periodic"),
+         lambda sys: apply_J_inverse(sys.d)),
+        (lambda: build_klein_gordon(n=16, g=0.0), lambda sys: np.zeros(sys.dim)),
+    ], ids=["wave-dirichlet", "wave-periodic", "klein-gordon-linear"])
+    def test_dense_is_the_affine_propagation(self, make, constant):
+        # the propagation written out from jvp columns and the affine
+        # constant, bit for bit; every interval is exact in binary
+        sys = make()
+        x0 = sys.initial_state
+        t_grid = np.array([0.0, 0.125, 0.25, 0.5])
+        A = np.column_stack([sys.jvp(x0, e) for e in np.eye(sys.dim)])
+        want = [x0]
+        for dt in np.diff(t_grid):
+            prop, shift = exp_affine(A, constant(sys), dt)
+            want.append(prop @ want[-1] + shift)
+        states = reference_solution(sys, x0, t_grid, mode="dense")
+        assert np.array_equal(states, np.array(want))
 
     def test_dense_refused_for_nonlinear(self):
         sys = build_klein_gordon(n=8)
@@ -241,7 +263,8 @@ class TestRun:
             system.f = lambda x: np.ones(3)  # wrong length: a bug, not exit 3
 
         self._patched_problem(monkeypatch, patch)
-        with pytest.raises(ValueError, match="start vector"):
+        # the dense reference's f(0) is the first call to meet the bug
+        with pytest.raises(ValueError, match="broadcast"):
             run(self._small_config(), quiet=True)
 
 
@@ -481,6 +504,33 @@ class TestCLI:
         assert code == 3
         assert len(out.read_text().splitlines()) == 2 + 6  # header lines, steps 0..5
         assert "step 6" in capsys.readouterr().err
+
+    def test_missing_output_directory_exit_code(self, tmp_path, capsys, monkeypatch):
+        # refused before anything is integrated
+        def integrate_(*args, **kwargs):
+            raise AssertionError("integrate was called")
+
+        monkeypatch.setattr(harness, "integrate", integrate_)
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["run", "--problem", "linear-wave", "--param", "n=24",
+                     "--t-final", "1", "--steps", "5", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "output directory" in err and err.count("\n") == 1
+
+    def test_unreadable_config_file_exit_code(self, tmp_path, capsys):
+        non_ascii = tmp_path / "non-ascii.conf"
+        non_ascii.write_bytes(b"problem = linear-wave\n# caf\xc3\xa9\n")
+        for path in (tmp_path / "missing.conf", non_ascii):
+            assert main(["run", "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "cannot read config file" in err and err.count("\n") == 1
+
+    def test_uncreatable_output_dir_exit_code(self, tmp_path, capsys):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        assert main(["preset", "fig2-desk", "--output-dir", str(blocker / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert "cannot create output directory" in err and err.count("\n") == 1
 
     def test_unknown_preset_is_config_error(self, capsys):
         assert main(["preset", "fig99"]) == 2

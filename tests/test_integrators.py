@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from symkry import (
+    CountingAction,
     IntegrationAborted,
-    MatrixAction,
     StepperConfig,
     apply_J_inverse,
     build_klein_gordon,
@@ -26,9 +26,8 @@ from conftest import random_quadratic_system
 
 
 def dense_affine(system):
-    matvec, c = system.affine_parts()
-    A = np.column_stack([matvec(e) for e in np.eye(system.dim)])
-    return A, c
+    zero = np.zeros(system.dim)
+    return system.jacobian_dense(zero), system.f(zero)
 
 
 class TestStepperConfig:
@@ -348,6 +347,32 @@ class TestIntegrate:
             integrate(sys, cfg, rng.standard_normal(sys.dim), n_steps=0)
 
 
+class TestLinearEnergyExactness:
+    """With a symplectic basis every method keeps the energy of a linear
+    system to rounding, step by step; for EEMP it is the energy of
+    consecutive averages (x_n + x_(n+1)) / 2."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("process", ["symplectic-arnoldi", "isotropic-arnoldi",
+                                         "hamiltonian-lanczos"])
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_per_step_defect_at_rounding(self, seed, process, dim):
+        rng = np.random.default_rng(seed)
+        sys = random_quadratic_system(rng, 10)
+        x0 = rng.standard_normal(sys.dim)
+        for method in ("EE", "EEMP", "IEMP"):
+            cfg = StepperConfig(method=method, basis_process=process, basis_dim=dim,
+                                step_size=0.05)
+            states = []
+            integrate(sys, cfg, x0, n_steps=10,
+                      observer=lambda step, t, res: states.append(res.x_plus))
+            if method == "EEMP":
+                states = [0.5 * (a + b) for a, b in zip(states, states[1:])]
+            energies = np.array([sys.energy(x) for x in states])
+            defects = np.abs(np.diff(energies)) / np.abs(energies[:-1])
+            assert defects.max() <= 1e-11, method
+
+
 class TestBuildBasis:
     @pytest.mark.parametrize("process", ["isotropic-arnoldi", "symplectic-arnoldi"])
     def test_breakdown_restarts_without_rng(self, process):
@@ -355,7 +380,7 @@ class TestBuildBasis:
         # call without a generator still restarts, from default_rng(0)
         sys = build_linear_wave(n=60)
         x = sys.initial_state
-        action = MatrixAction.from_system(sys, x)
+        action = CountingAction.from_system(sys, x)
         cfg = StepperConfig(basis_process=process, basis_dim=16)
         plain = integrators.BASIS_PROCESSES[process][0](action, sys.f(x), 8)
         assert plain.terminated == BREAKDOWN and plain.basis.n_columns == 2
@@ -382,7 +407,7 @@ class TestBuildBasis:
     def test_breakdown_retried_up_to_limit(self, rng, monkeypatch):
         attempts = self._broken(monkeypatch, 2)
         cfg = StepperConfig(basis_process="hamiltonian-lanczos", basis_dim=6)
-        action = MatrixAction.from_dense(np.eye(8))
+        action = CountingAction.from_dense(np.eye(8))
         outcome = integrators.build_basis(action, np.ones(8), cfg, rng)
         assert len(attempts) == 1 + integrators.BREAKDOWN_RETRIES
         assert outcome.basis.n_columns == 2
@@ -392,7 +417,7 @@ class TestBuildBasis:
     def test_too_few_columns_is_step_failure(self, rng, monkeypatch):
         attempts = self._broken(monkeypatch, 0, residual=0.25)
         cfg = StepperConfig(basis_process="hamiltonian-lanczos", basis_dim=6)
-        action = MatrixAction.from_dense(np.eye(8))
+        action = CountingAction.from_dense(np.eye(8))
         with pytest.raises(StepFailureError) as err:
             integrators.build_basis(action, np.ones(8), cfg, rng)
         assert err.value.residual == 0.25

@@ -3,7 +3,7 @@ import pytest
 
 from symkry import (
     BasisMatrix,
-    MatrixAction,
+    CountingAction,
     arnoldi,
     build_linear_wave,
     build_klein_gordon,
@@ -18,20 +18,14 @@ from symkry import (
 )
 from symkry.core import ORTHONORMAL, SYMPLECTIC
 from symkry.errors import BasisKindError
-from symkry.krylov import (
-    BREAKDOWN,
-    INVARIANT_SUBSPACE,
-    REACHED_K,
-    CountingAction,
-)
+from symkry.krylov import BREAKDOWN, INVARIANT_SUBSPACE, REACHED_K
 
 from conftest import orthonormal_defect, random_hamiltonian_matrix, symplectic_defect
 
 
 def wave_action(n):
     sys = build_linear_wave(n=n)
-    matvec, _ = sys.affine_parts()
-    return MatrixAction(sys.dim, matvec), sys
+    return CountingAction.from_system(sys, sys.initial_state), sys
 
 
 def projection_residual(basis, w):
@@ -41,14 +35,14 @@ def projection_residual(basis, w):
 class TestArnoldi:
     def test_two_step_hand_computation(self):
         # A = J in dimension 2, started at e1
-        act = MatrixAction.from_dense(canonical_J(1))
+        act = CountingAction.from_dense(canonical_J(1))
         out = arnoldi(act, np.array([1.0, 0.0]), 2)
         assert np.allclose(out.basis.columns, np.array([[1.0, 0.0], [0.0, -1.0]]))
         assert np.allclose(out.basis.reduced, np.array([[0.0, -1.0], [1.0, 0.0]]))
         assert out.terminated == REACHED_K
 
     def test_eigenvector_stops_iteration(self, rng):
-        act = MatrixAction.from_dense(np.eye(6))
+        act = CountingAction.from_dense(np.eye(6))
         out = arnoldi(act, rng.standard_normal(6), 3)
         assert out.basis.n_columns == 1
         assert out.terminated == INVARIANT_SUBSPACE
@@ -59,7 +53,7 @@ class TestArnoldi:
         # densified 12-dimensional wave Jacobian: full-dimension Arnoldi
         # reproduces the spectrum as a multiset
         act, sys = wave_action(6)
-        A = np.column_stack([act.apply(e) for e in np.eye(12)])
+        A = sys.jacobian_dense(sys.initial_state)
         out = arnoldi(act, rng.standard_normal(12), 12)
         got = np.linalg.eigvals(out.basis.reduced)
         want = np.linalg.eigvals(A)
@@ -71,7 +65,7 @@ class TestArnoldi:
     def test_arnoldi_relation(self, rng):
         A = random_hamiltonian_matrix(rng, 8)
         v = rng.standard_normal(16)
-        out = arnoldi(MatrixAction.from_dense(A), v, 7)
+        out = arnoldi(CountingAction.from_dense(A), v, 7)
         U, F = out.basis.columns, out.basis.reduced
         R = A @ U - U @ F
         # residual concentrated in the last column
@@ -80,16 +74,16 @@ class TestArnoldi:
 
     def test_hessenberg_structure(self, rng):
         A = random_hamiltonian_matrix(rng, 8)
-        out = arnoldi(MatrixAction.from_dense(A), rng.standard_normal(16), 9)
+        out = arnoldi(CountingAction.from_dense(A), rng.standard_normal(16), 9)
         assert np.linalg.norm(np.tril(out.basis.reduced, -2)) == 0.0
 
     def test_zero_start_vector_rejected(self):
-        act = MatrixAction.from_dense(np.eye(4))
+        act = CountingAction.from_dense(np.eye(4))
         with pytest.raises(ValueError):
             arnoldi(act, np.zeros(4), 2)
 
     def test_k_out_of_range(self, rng):
-        act = MatrixAction.from_dense(np.eye(4))
+        act = CountingAction.from_dense(np.eye(4))
         with pytest.raises(ValueError):
             arnoldi(act, rng.standard_normal(4), 0)
         with pytest.raises(ValueError):
@@ -101,7 +95,7 @@ class TestSymplecticArnoldi:
         act, sys = wave_action(6)
         v = rng.standard_normal(12)
         out = symplectic_arnoldi(act, v, 4)
-        A = np.column_stack([act.apply(e) for e in np.eye(12)])
+        A = sys.jacobian_dense(sys.initial_state)
         kp = out.basis.n_columns // 2
         w = v.copy()
         for j in range(kp):
@@ -110,7 +104,7 @@ class TestSymplecticArnoldi:
 
     def test_structure_both_ways(self, rng):
         A = random_hamiltonian_matrix(rng, 10)
-        out = symplectic_arnoldi(MatrixAction.from_dense(A), rng.standard_normal(20), 5)
+        out = symplectic_arnoldi(CountingAction.from_dense(A), rng.standard_normal(20), 5)
         U = out.basis.columns
         assert check_symplectic_basis(U, 1e-10)
         assert orthonormal_defect(U) <= 1e-10
@@ -118,7 +112,7 @@ class TestSymplecticArnoldi:
     def test_single_vector_case(self):
         # started at e1 in dimension 2 the only symplectic completion with
         # omega(v, w) = +1 is [e1, e2]
-        act = MatrixAction.from_dense(canonical_J(1))
+        act = CountingAction.from_dense(canonical_J(1))
         out = symplectic_arnoldi(act, np.array([1.0, 0.0]), 1)
         assert np.allclose(out.basis.columns, np.eye(2))
         A = canonical_J(1)
@@ -126,7 +120,7 @@ class TestSymplecticArnoldi:
 
     def test_reduced_matches_projection(self, rng):
         A = random_hamiltonian_matrix(rng, 8)
-        out = symplectic_arnoldi(MatrixAction.from_dense(A), rng.standard_normal(16), 4)
+        out = symplectic_arnoldi(CountingAction.from_dense(A), rng.standard_normal(16), 4)
         U = out.basis.columns
         assert np.linalg.norm(out.basis.reduced - U.T @ A @ U) < 1e-8
 
@@ -134,7 +128,7 @@ class TestSymplecticArnoldi:
 class TestIsotropicArnoldi:
     def test_isotropy_and_orthonormality(self, rng):
         A = random_hamiltonian_matrix(rng, 10)
-        out = isotropic_arnoldi(MatrixAction.from_dense(A), rng.standard_normal(20), 4)
+        out = isotropic_arnoldi(CountingAction.from_dense(A), rng.standard_normal(20), 4)
         U = out.basis.columns
         k = U.shape[1] // 2
         Q = U[:, :k]
@@ -146,8 +140,8 @@ class TestIsotropicArnoldi:
     def test_first_vector_matches_symplectic_arnoldi(self, rng):
         A = random_hamiltonian_matrix(rng, 5)
         v = rng.standard_normal(10)
-        iso = isotropic_arnoldi(MatrixAction.from_dense(A), v, 1)
-        sym = symplectic_arnoldi(MatrixAction.from_dense(A), v, 1)
+        iso = isotropic_arnoldi(CountingAction.from_dense(A), v, 1)
+        sym = symplectic_arnoldi(CountingAction.from_dense(A), v, 1)
         assert np.allclose(iso.basis.columns, sym.basis.columns)
         assert np.allclose(iso.basis.reduced, sym.basis.reduced)
 
@@ -155,19 +149,18 @@ class TestIsotropicArnoldi:
         # at the wave initial state the process breaks down after one pair;
         # the sweep's image of q_1 is reused, so only J^(-1) q_1 costs an action
         act, sys = wave_action(30)
-        counter = CountingAction(act)
-        out = isotropic_arnoldi(counter, sys.f(sys.initial_state), 8)
+        out = isotropic_arnoldi(act, sys.f(sys.initial_state), 8)
         assert out.terminated == BREAKDOWN
         assert out.basis.n_columns == 2
-        assert counter.count == 2
-        A = np.column_stack([act.apply(e) for e in np.eye(sys.dim)])
+        assert act.count == 2
+        A = sys.jacobian_dense(sys.initial_state)
         assert np.allclose(out.action_images, A @ out.basis.columns)
 
     def test_krylov_containment_fails_generically(self, rng):
         # the defining weakness: range(U) need not contain K_k(A, v)
         A = random_hamiltonian_matrix(rng, 10)
         v = rng.standard_normal(20)
-        out = isotropic_arnoldi(MatrixAction.from_dense(A), v, 4)
+        out = isotropic_arnoldi(CountingAction.from_dense(A), v, 4)
         w = np.linalg.matrix_power(A, 3) @ v
         assert projection_residual(out.basis, w) > 1e-3
 
@@ -176,7 +169,7 @@ class TestHamiltonianLanczos:
     def test_klein_gordon_jacobian_symplecticity(self, rng):
         sys = build_klein_gordon(n=12)
         x = rng.standard_normal(24)
-        out = hamiltonian_lanczos(MatrixAction.from_system(sys, x),
+        out = hamiltonian_lanczos(CountingAction.from_system(sys, x),
                                   rng.standard_normal(24), 6)
         assert check_symplectic_basis(out.basis.columns, 1e-8)
 
@@ -184,14 +177,14 @@ class TestHamiltonianLanczos:
         act, sys = wave_action(6)
         v = rng.standard_normal(12)
         out = hamiltonian_lanczos(act, v, 3)
-        A = np.column_stack([act.apply(e) for e in np.eye(12)])
+        A = sys.jacobian_dense(sys.initial_state)
         w = v.copy()
         for j in range(6):  # j = 0 .. 2k-1
             assert projection_residual(out.basis, w) <= 1e-6
             w = A @ w
 
     def test_one_pair_case(self):
-        act = MatrixAction.from_dense(canonical_J(1))
+        act = CountingAction.from_dense(canonical_J(1))
         out = hamiltonian_lanczos(act, np.array([1.0, 0.0]), 1)
         U = out.basis.columns
         assert np.linalg.norm(U.T @ canonical_J(1) @ U - canonical_J(1)) < 1e-15
@@ -200,7 +193,7 @@ class TestHamiltonianLanczos:
 
     def test_reduced_block_structure(self, rng):
         A = random_hamiltonian_matrix(rng, 8)
-        out = hamiltonian_lanczos(MatrixAction.from_dense(A), rng.standard_normal(16), 4)
+        out = hamiltonian_lanczos(CountingAction.from_dense(A), rng.standard_normal(16), 4)
         F = out.basis.reduced
         kp = out.basis.n_columns // 2
         T = F[:kp, kp:]
@@ -214,7 +207,7 @@ class TestHamiltonianLanczos:
 
     def test_reduced_matches_projection(self, rng):
         A = random_hamiltonian_matrix(rng, 8)
-        out = hamiltonian_lanczos(MatrixAction.from_dense(A), rng.standard_normal(16), 4)
+        out = hamiltonian_lanczos(CountingAction.from_dense(A), rng.standard_normal(16), 4)
         F_proj = out.basis.left_apply(A @ out.basis.columns)
         assert np.linalg.norm(out.basis.reduced - F_proj) < 1e-8
 
@@ -223,7 +216,7 @@ class TestHamiltonianLanczos:
         from symkry import QuadraticHamiltonianSystem
 
         sys = QuadraticHamiltonianSystem(np.diag([1.0, -1.0]))
-        act = MatrixAction.from_system(sys, np.zeros(2))
+        act = CountingAction.from_system(sys, np.zeros(2))
         out = hamiltonian_lanczos(act, np.array([1.0, 1.0]), 1)
         assert out.terminated == BREAKDOWN
         assert out.basis.n_columns == 0
@@ -238,7 +231,7 @@ class TestExactnessAtInvariantSubspace:
         n = 5
         A = canonical_J(n)
         v = rng.standard_normal(2 * n)
-        out = arnoldi(MatrixAction.from_dense(A), v, 6)
+        out = arnoldi(CountingAction.from_dense(A), v, 6)
         assert out.terminated == INVARIANT_SUBSPACE
         assert out.basis.n_columns == 2
         U, F = out.basis.columns, out.basis.reduced
@@ -252,7 +245,7 @@ class TestExactnessAtInvariantSubspace:
         A = random_hamiltonian_matrix(rng, 4)
         v = rng.standard_normal(8)
         for build, k in ((arnoldi, 8), (symplectic_arnoldi, 4), (hamiltonian_lanczos, 4)):
-            out = build(MatrixAction.from_dense(A), v, k)
+            out = build(CountingAction.from_dense(A), v, k)
             got = out.basis.columns @ (expm(out.basis.reduced) @ out.basis.left_apply(v))
             want = expm(A) @ v
             assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
@@ -278,7 +271,7 @@ class TestExtendSymplectic:
 
     def test_extension_of_lanczos_basis(self, rng):
         A = random_hamiltonian_matrix(rng, 8)
-        out = hamiltonian_lanczos(MatrixAction.from_dense(A), rng.standard_normal(16), 3)
+        out = hamiltonian_lanczos(CountingAction.from_dense(A), rng.standard_normal(16), 3)
         x = rng.standard_normal(16)
         ext, added = extend_basis_symplectic(out.basis, x)
         assert added == [3, 7]  # the new pair sits at [kp, m + 1] for m = 6
@@ -320,6 +313,12 @@ class TestExtendOrthogonal:
         assert added == [5]
         assert orthonormal_defect(out.columns) <= 1e-10
 
+    def test_empty_basis_takes_the_normalized_vector(self, rng):
+        x = rng.standard_normal(6)
+        out, added = extend_basis_orthogonal(BasisMatrix(np.zeros((6, 0)), ORTHONORMAL), x)
+        assert added == [0]
+        assert np.array_equal(out.columns, (x / np.linalg.norm(x))[:, None])
+
     def test_kind_requirement(self):
         basis = BasisMatrix(np.zeros((4, 0)), SYMPLECTIC)
         with pytest.raises(BasisKindError):
@@ -331,20 +330,20 @@ class TestCosts:
         A = random_hamiltonian_matrix(rng, 10)
         v = rng.standard_normal(20)
 
-        act = CountingAction(MatrixAction.from_dense(A))
+        act = CountingAction.from_dense(A)
         arnoldi(act, v, 8)
         assert act.count == 8  # one action per Krylov vector
 
-        act = CountingAction(MatrixAction.from_dense(A))
+        act = CountingAction.from_dense(A)
         out = symplectic_arnoldi(act, v, 4)
         assert act.count == 3 + out.basis.n_columns  # k-1 sweeps + F assembly
 
-        act = CountingAction(MatrixAction.from_dense(A))
+        act = CountingAction.from_dense(A)
         out = isotropic_arnoldi(act, v, 4)
         assert out.basis.n_columns == 8
         assert act.count == 8  # two actions per pair: the sweep's images are reused
 
-        act = CountingAction(MatrixAction.from_dense(A))
+        act = CountingAction.from_dense(A)
         hamiltonian_lanczos(act, v, 4)
         assert act.count == 8  # two actions per pair
 
@@ -359,8 +358,8 @@ class TestReducedMatrixHelper:
         v, d = rng.standard_normal((2, 12))
         for builder, added in ((arnoldi, 1), (symplectic_arnoldi, 2),
                                (hamiltonian_lanczos, 2)):
-            out = builder(MatrixAction.from_dense(A), v, 4)
-            act = CountingAction(MatrixAction.from_dense(A))
+            out = builder(CountingAction.from_dense(A), v, 4)
+            act = CountingAction.from_dense(A)
             ext = _extend_with(act, out, d)
             assert act.count == added
             assert ext.n_columns == out.basis.n_columns + added

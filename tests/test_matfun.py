@@ -197,10 +197,10 @@ class TestPhiIdentities:
     def test_reduced_wave_matrix(self, rng):
         # hF for a symplectic-basis reduction of the wave benchmark: the
         # reduced matrix is Hamiltonian, so its exponential is symplectic
-        from symkry import MatrixAction, build_linear_wave, symplectic_arnoldi
+        from symkry import CountingAction, build_linear_wave, symplectic_arnoldi
 
         sys = build_linear_wave(n=40)
-        action = MatrixAction.from_system(sys, sys.initial_state)
+        action = CountingAction.from_system(sys, sys.initial_state)
         v = rng.standard_normal(sys.dim)
         out = symplectic_arnoldi(action, v, 6)
         h = 50.0 / 2000.0
@@ -214,11 +214,11 @@ class TestPhiIdentities:
     def test_reduced_nls_matrix_identities(self, rng):
         # hF for the Schroedinger benchmark's reduced matrix at the
         # benchmark step size
-        from symkry import MatrixAction, build_nls, hamiltonian_lanczos
+        from symkry import CountingAction, build_nls, hamiltonian_lanczos
 
         sys = build_nls(n=64)
         x = sys.initial_state
-        action = MatrixAction.from_system(sys, x)
+        action = CountingAction.from_system(sys, x)
         out = hamiltonian_lanczos(action, sys.f(x), 8)
         h = 40.0 * np.pi / 8000.0
         rep = phi1_scaled_identities_check(h * out.basis.reduced)

@@ -8,6 +8,11 @@ into a temporary directory and prints one line per section:
     <preset>-<section> <sha256 of the CSV> matvecs=<total matvecs> fp_iters=<total>
 
 The two totals count every step, the ones the CSV does not record too.
+Two lines before them digest what ``cli.main`` prints at 80 columns, so
+the check also covers the generated ``run`` flags and the problem list:
+
+    cli-run-help <sha256 of ``symkry run --help``>
+    cli-list-problems <sha256 of ``symkry list-problems``>
 
 Usage: python3 tools/desk_digests.py [SRC_DIR]
 
@@ -16,20 +21,38 @@ checkout's ``src/``), so two checkouts can be compared with ``diff``.
 Uses only the standard library and symkry.
 """
 
+import contextlib
 import hashlib
+import io
+import os
 import sys
 import tempfile
 from pathlib import Path
 
 
+def printed_digest(main, argv):
+    """sha256 of what ``main(argv)`` prints; ``--help`` exits are caught."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def main(argv):
     src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
     sys.path.insert(0, str(src.resolve()))
-    from symkry.cli import available_presets, load_preset
+    from symkry.cli import available_presets, load_preset, main as cli_main
     from symkry.errors import IntegrationAborted
     from symkry.harness import config_from_mapping, run
 
     print(f"symkry from {Path(sys.modules['symkry'].__file__).parent}", file=sys.stderr)
+    os.environ["COLUMNS"] = "80"  # argparse wraps the help text to this width
+    for command in ("run --help", "list-problems"):
+        digest = printed_digest(cli_main, command.split())
+        print(f"cli-{command.replace(' --', '-')} {digest}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in available_presets():
             if not name.endswith("-desk"):
