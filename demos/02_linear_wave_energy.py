@@ -7,8 +7,6 @@ conserves the discrete energy exactly (up to rounding), while the
 orthonormal basis lets the energy error grow roughly linearly in time.
 """
 
-import numpy as np
-
 from symkry import StepperConfig, build_linear_wave, integrate
 
 wave = build_linear_wave()  # n = 400 grid points on [0, 2]

@@ -22,7 +22,7 @@ h = T / STEPS
 record = list(range(0, STEPS + 1, EVERY))
 t_grid = np.array([s * h for s in record])
 print("computing the fine-step reference trajectory ...")
-ref = reference_solution(nls, x0, t_grid, mode="fine", factor=20, main_step=h)
+ref = reference_solution(nls, x0, t_grid, mode="fine", factor=20 * EVERY)  # micro step h/20
 index = {s: i for i, s in enumerate(record)}
 
 table = {}

@@ -82,22 +82,21 @@ def _cmd_run(args):
             sections = parse_config_text(Path(args.config).read_text(encoding="ascii"))
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
-    for _, mapping in sections:
-        config = config_from_mapping({**mapping, **overrides})
+    # every section is checked before the first one runs
+    for config in [config_from_mapping({**mapping, **overrides}) for _, mapping in sections]:
         run(config)
     return 0
 
 
 def _cmd_preset(args):
+    sections = load_preset(args.name)
     out_dir = Path(args.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {args.output_dir!r}: {exc}") from exc
-    for section, mapping in load_preset(args.name):
-        mapping = dict(mapping)
-        mapping.setdefault("output", str(out_dir / f"{args.name}-{section}.csv"))
-        config = config_from_mapping(mapping)
+    for config in [config_from_mapping({"output": str(out_dir / f"{args.name}-{s}.csv"), **m})
+                   for s, m in sections]:
         run(config)
     return 0
 

@@ -69,14 +69,14 @@ def _rk4_step(f, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def reference_solution(system, x0, t_grid, mode="fine", factor=100, main_step=None):
+def reference_solution(system, x0, t_grid, mode="fine", factor=100):
     """Reference states at the given times.
 
     mode "dense": densify the affine system x' = A x + c (A the dense
     Jacobian at x0, c = f(0)) and propagate with ``exp_affine(A, c, dt)``
     per grid interval (exact for linear systems).  mode "fine": classical
-    RK4 with micro step main_step/factor (or interval/factor when no main
-    step is given).
+    RK4 with ``factor`` micro steps per grid interval, each of length
+    interval/factor.
     """
     x0 = np.asarray(x0, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -113,13 +113,8 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100, main_step=No
         raise ConfigError(f"unknown reference mode {mode!r}")
     x = x0.copy()
     for i in range(1, t_grid.size):
-        span = t_grid[i] - t_grid[i - 1]
-        if main_step is not None:
-            substeps = max(1, round(span / (main_step / factor)))
-        else:
-            substeps = factor
-        micro = span / substeps
-        for _ in range(substeps):
+        micro = (t_grid[i] - t_grid[i - 1]) / factor
+        for _ in range(factor):
             x = _rk4_step(system.f, x, micro)
         states[i] = x
     return states
@@ -144,7 +139,8 @@ class ExperimentConfig:
 
     def stepper(self):
         """Check every field and return the run's StepperConfig; an invalid
-        field, the stepper's own checks included, is a ConfigError."""
+        field, the stepper's checks and the output path's included, is a
+        ConfigError."""
         problems = list_problems()
         if self.problem not in problems:
             raise ConfigError(f"unknown problem {self.problem!r}")
@@ -162,16 +158,16 @@ class ExperimentConfig:
             raise ConfigError(f"reference must be 'dense' or 'fine', got {self.reference!r}")
         if self.ref_factor < 1:
             raise ConfigError("reference refinement factor must be at least 1")
+        if self.output and not os.path.isdir(os.path.dirname(self.output) or "."):
+            raise ConfigError(f"the output directory of {self.output!r} does not exist")
+        if os.path.isdir(self.output):
+            raise ConfigError(f"the output path {self.output!r} is a directory")
         try:
             return StepperConfig(method=self.method, basis_process=self.basis,
                                  basis_dim=self.basis_dim,
                                  step_size=self.t_final / self.n_steps)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def validate(self):
-        self.stepper()
-        return self
 
     def echo(self):
         """Deterministic one-line summary for the CSV header."""
@@ -230,9 +226,8 @@ def _reference_states(config, system, h):
     if states is None:
         _reference_memo.clear()
         t_grid = np.array([s * h for s in range(0, config.n_steps + 1, config.record_every)])
-        states = reference_solution(system, system.initial_state, t_grid,
-                                    mode=config.reference, factor=config.ref_factor,
-                                    main_step=h)
+        states = reference_solution(system, system.initial_state, t_grid, mode=config.reference,
+                                    factor=config.ref_factor * config.record_every)
         states.flags.writeable = False
         _reference_memo[key] = states
     return states
@@ -241,17 +236,16 @@ def _reference_states(config, system, h):
 def run(config, quiet=False):
     """Execute one configured experiment; returns its RunResult.
 
+    ``config.stepper()`` checks the config before anything is computed.
     The observer of ``integrate`` appends each recorded step's CSV row as
-    the step completes; a non-finite energy fails that step.  On a
+    the step completes; a state norm above DIVERGENCE_FACTOR * ||x0|| (any
+    step) or a non-finite energy (recorded steps) fails that step.  On a
     numerical failure the partial CSV is still flushed and the
     IntegrationAborted (with its partial summary) is re-raised with the
-    partial ``series`` attached.  An output path in a directory that does
-    not exist is a ConfigError, raised before anything is computed.
+    partial ``series`` attached.
     """
     wall_start = time.perf_counter()
     stepper = config.stepper()
-    if config.output and not os.path.isdir(os.path.dirname(config.output) or "."):
-        raise ConfigError(f"the output directory of {config.output!r} does not exist")
     system = build_problem(config.problem, **config.problem_params)
     x0 = system.initial_state
     if config.basis_dim > system.dim:
@@ -261,8 +255,11 @@ def run(config, quiet=False):
     every = config.record_every
     ref_states = _reference_states(config, system, stepper.step_size)
     series = MetricsSeries(config.echo())
+    guard = DIVERGENCE_FACTOR * max(np.linalg.norm(x0), 1e-300)
 
     def observer(step, t, res):
+        if np.linalg.norm(res.x_plus) > guard:
+            raise StepFailureError("divergence guard tripped")
         if step % every:
             return
         try:
@@ -277,8 +274,7 @@ def run(config, quiet=False):
     aborted_exc = None
     try:
         summary = integrate(system, stepper, x0, n_steps=config.n_steps,
-                            observer=observer, rng=rng,
-                            divergence_factor=DIVERGENCE_FACTOR)
+                            observer=observer, rng=rng)
     except IntegrationAborted as exc:
         summary, aborted_exc = exc.summary, exc
 
@@ -391,4 +387,6 @@ def config_from_mapping(mapping):
         reference = "fine"
     cfg_kwargs["reference"] = reference
     cfg_kwargs["problem_params"] = params
-    return ExperimentConfig(**cfg_kwargs).validate()
+    config = ExperimentConfig(**cfg_kwargs)
+    config.stepper()
+    return config

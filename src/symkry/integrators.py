@@ -116,8 +116,7 @@ def build_basis(action, v, config, rng=None):
     failure.
     """
     builder, mult = BASIS_PROCESSES[config.basis_process]
-    limit = action.dim if mult == 1 else action.dim // 2
-    k = min(max(config.basis_dim // mult, 1), limit)
+    k = min(config.basis_dim, action.dim) // mult
     outcome = builder(action, v, k)
     for _ in range(BREAKDOWN_RETRIES):
         if outcome.terminated != BREAKDOWN or outcome.basis.n_columns >= mult * k:
@@ -270,18 +269,18 @@ class TrajectorySummary:
     fp_iterations: int = 0
 
 
-def integrate(system, config, x0, n_steps=1, observer=None, rng=None,
-              divergence_factor=None):
+def integrate(system, config, x0, n_steps=1, observer=None, rng=None):
     """Advance n_steps uniform steps of config.step_size from time 0.
 
     EEMP is bootstrapped with one exponential Euler step.  The observer is
     called as observer(step_index, t, result) with each step's StepResult,
     and once first with StepResult(x0, None, None, 0) for the initial
-    state.  ``rng`` seeds the breakdown restarts (see build_basis).  With
-    ``divergence_factor`` set, a state norm above that factor times
-    ||x0|| aborts.  A failed step, a non-finite state, or a StepFailureError
-    raised by the observer aborts with IntegrationAborted, which carries
-    the summary of the steps completed so far.
+    state.  ``rng`` seeds the breakdown restarts (see build_basis).  There
+    is no divergence guard: a caller that wants one raises
+    StepFailureError from its observer.  A failed step, a non-finite state,
+    or a StepFailureError raised by the observer aborts with
+    IntegrationAborted("step N: ..."), which carries the summary of the
+    steps completed so far, the failed step included when it completed.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -291,10 +290,6 @@ def integrate(system, config, x0, n_steps=1, observer=None, rng=None,
     x0 = np.array(x0, dtype=float)
 
     summary = TrajectorySummary(x0, 0.0, 0)
-    guard = None
-    if divergence_factor is not None:
-        guard = divergence_factor * max(np.linalg.norm(x0), 1e-300)
-
     res = StepResult(x0, None, None, 0)
     x_prev = None
     for step in range(n_steps + 1):
@@ -313,9 +308,6 @@ def integrate(system, config, x0, n_steps=1, observer=None, rng=None,
                 summary.steps_completed = step
                 summary.matvec_count += res.matvecs
                 summary.fp_iterations += res.fp_iters
-                if guard is not None and np.linalg.norm(res.x_plus) > guard:
-                    raise IntegrationAborted(f"divergence guard tripped at step {step}",
-                                             summary)
 
             if observer is not None:
                 observer(step, step * h, res)

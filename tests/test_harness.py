@@ -11,22 +11,19 @@ from symkry import (
     apply_J_inverse,
     build_klein_gordon,
     build_linear_wave,
-    expm,
     exp_affine,
     integrate,
-    phi1,
     reference_solution,
     relative_energy_error,
     run,
     solution_error,
 )
-from symkry import harness, integrators
+from symkry import cli, harness, integrators
 from symkry.cli import _build_parser, available_presets, load_preset, main
 from symkry.errors import DegeneratePairError
 from symkry.harness import (
     CONFIG_KEYS,
     ExperimentConfig,
-    MetricsSeries,
     config_from_mapping,
     parse_config_text,
 )
@@ -108,14 +105,12 @@ class TestReferenceSolution:
 
     def test_fine_refinement_self_consistency(self):
         # Richardson-style check of the fine-step oracle on a Klein-Gordon
-        # downscale: factor 100 vs factor 200
+        # downscale: 500 vs 1000 micro steps per interval
         sys = build_klein_gordon(n=32)
         x0 = sys.initial_state
         t_grid = np.array([0.0, 0.5, 1.0])
-        a = reference_solution(sys, x0, t_grid, mode="fine", factor=100,
-                               main_step=0.1)
-        b = reference_solution(sys, x0, t_grid, mode="fine", factor=200,
-                               main_step=0.1)
+        a = reference_solution(sys, x0, t_grid, mode="fine", factor=500)
+        b = reference_solution(sys, x0, t_grid, mode="fine", factor=1000)
         assert np.linalg.norm(a[-1] - b[-1]) / np.linalg.norm(b[-1]) <= 1e-9
 
     def test_unknown_mode(self, rng):
@@ -127,17 +122,17 @@ class TestReferenceSolution:
 class TestExperimentConfig:
     def test_validation_catches_bad_fields(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(problem="heat").validate()
+            ExperimentConfig(problem="heat").stepper()
         with pytest.raises(ConfigError):
-            ExperimentConfig(n_steps=0).validate()
+            ExperimentConfig(n_steps=0).stepper()
         with pytest.raises(ConfigError):
-            ExperimentConfig(method="leapfrog").validate()
+            ExperimentConfig(method="leapfrog").stepper()
         with pytest.raises(ConfigError):
-            ExperimentConfig(basis="arnoldi", basis_dim=0).validate()
+            ExperimentConfig(basis="arnoldi", basis_dim=0).stepper()
         with pytest.raises(ConfigError):
-            ExperimentConfig(basis="hamiltonian-lanczos", basis_dim=9).validate()
+            ExperimentConfig(basis="hamiltonian-lanczos", basis_dim=9).stepper()
         with pytest.raises(ConfigError):
-            ExperimentConfig(reference="exact").validate()
+            ExperimentConfig(reference="exact").stepper()
 
     def test_echo_is_deterministic(self):
         cfg = ExperimentConfig(problem="nls", problem_params={"n": 125},
@@ -199,6 +194,8 @@ class TestRun:
         body = out.read_text().splitlines()
         assert len(body) > 3
         assert err.value.series is not None
+        assert 0 < err.value.summary.steps_completed < 2250
+        assert "divergence" in str(err.value)
 
     def test_basis_dim_exceeding_dimension_rejected(self):
         with pytest.raises(ConfigError):
@@ -517,6 +514,33 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "output directory" in err and err.count("\n") == 1
 
+    def test_output_path_that_is_a_directory_exit_code(self, tmp_path, capsys, monkeypatch):
+        # refused before anything is integrated
+        def integrate_(*args, **kwargs):
+            raise AssertionError("integrate was called")
+
+        monkeypatch.setattr(harness, "integrate", integrate_)
+        assert main(["run", "--problem", "linear-wave", "--param", "n=8",
+                     "--t-final", "0.1", "--steps", "2", "--reference", "dense",
+                     "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "is a directory" in err and err.count("\n") == 1
+
+    def test_bad_later_section_runs_no_section(self, tmp_path, capsys, monkeypatch):
+        def run_(config, quiet=False):
+            raise AssertionError("run was called")
+
+        monkeypatch.setattr(cli, "run", run_)
+        conf = tmp_path / "two.conf"
+        conf.write_text(
+            "problem = linear-wave\nproblem.n = 8\nt-final = 0.1\nsteps = 2\n"
+            "reference = dense\nbasis = hamiltonian-lanczos\n"
+            f"[good]\nbasis-dim = 4\noutput = {tmp_path / 'good.csv'}\n"
+            f"[bad]\nbasis-dim = 3\noutput = {tmp_path / 'bad.csv'}\n")
+        assert main(["run", "--config", str(conf)]) == 2
+        assert "even" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["two.conf"]
+
     def test_unreadable_config_file_exit_code(self, tmp_path, capsys):
         non_ascii = tmp_path / "non-ascii.conf"
         non_ascii.write_bytes(b"problem = linear-wave\n# caf\xc3\xa9\n")
@@ -534,6 +558,11 @@ class TestCLI:
 
     def test_unknown_preset_is_config_error(self, capsys):
         assert main(["preset", "fig99"]) == 2
+
+    def test_unknown_preset_creates_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["preset", "fig99", "--output-dir", str(out)]) == 2
+        assert not out.exists()
 
     def test_preset_runs_sections(self, tmp_path, capsys):
         code = main(["preset", "fig2-desk", "--output-dir", str(tmp_path)])

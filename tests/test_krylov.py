@@ -8,6 +8,7 @@ from symkry import (
     build_linear_wave,
     build_klein_gordon,
     canonical_J,
+    check_orthonormal_basis,
     check_symplectic_basis,
     extend_basis_orthogonal,
     extend_basis_symplectic,
@@ -20,7 +21,7 @@ from symkry.core import ORTHONORMAL, SYMPLECTIC
 from symkry.errors import BasisKindError
 from symkry.krylov import BREAKDOWN, INVARIANT_SUBSPACE, REACHED_K
 
-from conftest import orthonormal_defect, random_hamiltonian_matrix, symplectic_defect
+from conftest import orthonormal_defect, random_hamiltonian_matrix
 
 
 def wave_action(n):
@@ -323,6 +324,23 @@ class TestExtendOrthogonal:
         basis = BasisMatrix(np.zeros((4, 0)), SYMPLECTIC)
         with pytest.raises(BasisKindError):
             extend_basis_orthogonal(basis, np.ones(4))
+
+
+class TestStructureAsKGrows:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("builder,paired", [
+        (symplectic_arnoldi, True), (isotropic_arnoldi, True), (hamiltonian_lanczos, False)],
+        ids=["symplectic-arnoldi", "isotropic-arnoldi", "hamiltonian-lanczos"])
+    def test_symplectic_up_to_full_dimension(self, builder, paired, seed):
+        rng = np.random.default_rng(seed)
+        A = random_hamiltonian_matrix(rng, 20)
+        v = rng.standard_normal(40)
+        for k in (1, 2, 4, 8, 12, 16, 20):
+            U = builder(CountingAction.from_dense(A), v, k).basis.columns
+            assert U.shape == (40, 2 * k)
+            assert check_symplectic_basis(U)
+            if paired:
+                assert check_orthonormal_basis(U)
 
 
 class TestCosts:

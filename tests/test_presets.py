@@ -8,7 +8,6 @@ run under the ``slow`` marker (``pytest -m slow``).
 import pytest
 
 from symkry.cli import available_presets, load_preset, main
-from symkry.errors import IntegrationAborted
 from symkry.harness import config_from_mapping, run
 
 DESK_CHEAP = ["fig1-left-desk", "fig1-right-desk", "fig2-desk", "fig3-desk",

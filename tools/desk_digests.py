@@ -1,5 +1,5 @@
-"""Print a digest of every desk-preset CSV, to check that a refactor keeps
-the numbers byte-identical.
+"""Print a digest of every desk-preset and perfbench-workload CSV, to check
+that a refactor keeps the numbers byte-identical.
 
 Runs each section of every ``*-desk`` preset the way ``symkry preset``
 does (``config_from_mapping`` then ``run(quiet=True)``), writes the CSVs
@@ -8,8 +8,16 @@ into a temporary directory and prints one line per section:
     <preset>-<section> <sha256 of the CSV> matvecs=<total matvecs> fp_iters=<total>
 
 The two totals count every step, the ones the CSV does not record too.
-Two lines before them digest what ``cli.main`` prints at 80 columns, so
-the check also covers the generated ``run`` flags and the problem list:
+Then it runs the three perfbench workloads at seeds 0 and 7 the way the
+perfbench worker does (the preset text from ``perfbench/workloads.py`` of
+this checkout through ``parse_config_text``, ``config_from_mapping`` and
+``run(quiet=True)``) and prints one line per section (about 25 s):
+
+    perfbench-<workload>-seed<s>-<section> <sha256> matvecs=<n> fp_iters=<n>
+
+Two lines before all of them digest what ``cli.main`` prints at 80
+columns, so the check also covers the generated ``run`` flags and the
+problem list:
 
     cli-run-help <sha256 of ``symkry run --help``>
     cli-list-problems <sha256 of ``symkry list-problems``>
@@ -17,8 +25,9 @@ the check also covers the generated ``run`` flags and the problem list:
 Usage: python3 tools/desk_digests.py [SRC_DIR]
 
 SRC_DIR is the directory symkry is imported from (default: this
-checkout's ``src/``), so two checkouts can be compared with ``diff``.
-Uses only the standard library and symkry.
+checkout's ``src/``), so two checkouts can be compared with ``diff``;
+the workloads always come from this checkout.  Uses only the standard
+library, symkry and ``perfbench/workloads.py``.
 """
 
 import contextlib
@@ -42,11 +51,24 @@ def printed_digest(main, argv):
 
 
 def main(argv):
-    src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
+    root = Path(__file__).resolve().parents[1]
+    src = Path(argv[1]) if len(argv) > 1 else root / "src"
     sys.path.insert(0, str(src.resolve()))
+    sys.path.append(str(root / "perfbench"))
     from symkry.cli import available_presets, load_preset, main as cli_main
     from symkry.errors import IntegrationAborted
-    from symkry.harness import config_from_mapping, run
+    from symkry.harness import config_from_mapping, parse_config_text, run
+    from workloads import WORKLOADS, preset_text
+
+    def print_digest(label, mapping, path):
+        config = config_from_mapping({**mapping, "output": str(path)})
+        try:
+            summary, status = run(config, quiet=True).summary, ""
+        except IntegrationAborted as exc:  # the partial CSV is still written
+            summary, status = exc.summary, " aborted"
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{label} {digest} matvecs={summary.matvec_count} "
+              f"fp_iters={summary.fp_iterations}{status}", flush=True)
 
     print(f"symkry from {Path(sys.modules['symkry'].__file__).parent}", file=sys.stderr)
     os.environ["COLUMNS"] = "80"  # argparse wraps the help text to this width
@@ -58,15 +80,13 @@ def main(argv):
             if not name.endswith("-desk"):
                 continue
             for section, mapping in load_preset(name):
-                path = Path(tmp) / f"{name}-{section}.csv"
-                config = config_from_mapping({**mapping, "output": str(path)})
-                try:
-                    summary, status = run(config, quiet=True).summary, ""
-                except IntegrationAborted as exc:  # the partial CSV is still written
-                    summary, status = exc.summary, " aborted"
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{name}-{section} {digest} matvecs={summary.matvec_count} "
-                      f"fp_iters={summary.fp_iterations}{status}", flush=True)
+                label = f"{name}-{section}"
+                print_digest(label, mapping, Path(tmp) / f"{label}.csv")
+        for name in WORKLOADS:
+            for seed in (0, 7):
+                for section, mapping in parse_config_text(preset_text(name, seed)):
+                    label = f"perfbench-{name}-seed{seed}-{section}"
+                    print_digest(label, mapping, Path(tmp) / f"{label}.csv")
     return 0
 
 
