@@ -13,16 +13,16 @@ import numpy as np
 
 from symkry import (
     CountingAction,
+    LinearWaveSystem,
     arnoldi,
-    build_linear_wave,
-    canonical_J,
     hamiltonian_lanczos,
     isotropic_arnoldi,
+    orthonormal_defect,
     symplectic_arnoldi,
+    symplectic_defect,
 )
-from symkry.core import apply_J
 
-wave = build_linear_wave(n=60)
+wave = LinearWaveSystem(n=60)
 v = np.random.default_rng(7).standard_normal(wave.dim)
 A = wave.jacobian_dense(wave.initial_state)
 
@@ -43,8 +43,8 @@ for name, build, k in processes:
     out = build(action, v, k)
     matvecs = action.count
     U = out.basis.columns
-    orth = np.linalg.norm(U.T @ U - np.eye(U.shape[1]))
-    symp = np.linalg.norm(U.T @ apply_J(U) - canonical_J(U.shape[1] // 2))
+    orth = orthonormal_defect(U)
+    symp = symplectic_defect(U)
     w = np.linalg.matrix_power(A, 7) @ v
     resid = np.linalg.norm(w - out.basis.project(w)) / np.linalg.norm(w)
     start = time.perf_counter()

@@ -7,9 +7,9 @@ conserves the discrete energy exactly (up to rounding), while the
 orthonormal basis lets the energy error grow roughly linearly in time.
 """
 
-from symkry import StepperConfig, build_linear_wave, integrate
+from symkry import LinearWaveSystem, StepperConfig, integrate
 
-wave = build_linear_wave()  # n = 400 grid points on [0, 2]
+wave = LinearWaveSystem()  # n = 400 grid points on [0, 2]
 x0 = wave.initial_state
 H0 = wave.energy(x0)
 T, STEPS = 50.0, 2000

@@ -10,10 +10,10 @@ linearly in time.
 
 import numpy as np
 
-from symkry import StepperConfig, build_nls, integrate, solution_error
+from symkry import NonlinearSchroedingerSystem, StepperConfig, integrate, solution_error
 from symkry.harness import reference_solution, relative_energy_error
 
-nls = build_nls(n=125)
+nls = NonlinearSchroedingerSystem(n=125)
 x0 = nls.initial_state
 T, STEPS = 10 * np.pi, 2000
 EVERY = 200

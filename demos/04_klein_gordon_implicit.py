@@ -16,11 +16,11 @@ Two short studies on the nonlinear Klein-Gordon system:
 
 import numpy as np
 
-from symkry import (IntegrationAborted, StepFailureError, StepperConfig, build_klein_gordon,
+from symkry import (IntegrationAborted, KleinGordonSystem, StepFailureError, StepperConfig,
                     integrate)
 from symkry.harness import relative_energy_error
 
-kg = build_klein_gordon(n=100)
+kg = KleinGordonSystem(n=100)
 x0 = kg.initial_state
 T, STEPS = 45.0, 2250
 

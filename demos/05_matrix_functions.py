@@ -10,8 +10,8 @@ import numpy as np
 
 from symkry import (
     CountingAction,
+    LinearWaveSystem,
     arnoldi,
-    build_linear_wave,
     expm,
     hamiltonian_lanczos,
     phi1,
@@ -34,7 +34,7 @@ print(f"M phi(M) - (e^M - I) defect: "
       f"{np.linalg.norm(M @ phi1(M) - (expm(M) - np.eye(8))):.2e}")
 
 print("\nKrylov convergence of U phi(hF) U^+ v -> phi(hA) v on the wave system:")
-wave = build_linear_wave(n=100)
+wave = LinearWaveSystem(n=100)
 action = CountingAction.from_system(wave, wave.initial_state)
 v = wave.f(wave.initial_state)
 A = wave.jacobian_dense(wave.initial_state)

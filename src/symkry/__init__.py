@@ -20,11 +20,11 @@ from .core import (
     apply_J_inverse,
     canonical_J,
     check_hamiltonian_matrix,
-    check_orthonormal_basis,
-    check_symplectic_basis,
     join_state,
     omega,
+    orthonormal_defect,
     split_state,
+    symplectic_defect,
 )
 from .errors import (
     BasisKindError,
@@ -63,9 +63,9 @@ from .krylov import (
 from .matfun import exp_affine, expm, phi1, phi1_scaled_identities_check
 from .problems import (
     DiscreteLaplacian,
-    build_klein_gordon,
-    build_linear_wave,
-    build_nls,
+    KleinGordonSystem,
+    LinearWaveSystem,
+    NonlinearSchroedingerSystem,
     build_problem,
     list_problems,
 )
@@ -74,8 +74,8 @@ __all__ = [
     "__version__",
     "BasisMatrix", "HamiltonianSystem", "QuadraticHamiltonianSystem",
     "apply_J", "apply_J_inverse", "canonical_J", "check_hamiltonian_matrix",
-    "check_orthonormal_basis", "check_symplectic_basis", "join_state",
-    "omega", "split_state",
+    "join_state", "omega", "orthonormal_defect", "split_state",
+    "symplectic_defect",
     "BasisKindError", "ConfigError", "DegeneratePairError",
     "IntegrationAborted", "StepFailureError",
     "ExperimentConfig", "MetricsSeries", "reference_solution",
@@ -86,6 +86,6 @@ __all__ = [
     "extend_basis_symplectic", "hamiltonian_lanczos", "isotropic_arnoldi",
     "symplectic_arnoldi",
     "exp_affine", "expm", "phi1", "phi1_scaled_identities_check",
-    "DiscreteLaplacian", "build_klein_gordon", "build_linear_wave",
-    "build_nls", "build_problem", "list_problems",
+    "DiscreteLaplacian", "KleinGordonSystem", "LinearWaveSystem",
+    "NonlinearSchroedingerSystem", "build_problem", "list_problems",
 ]

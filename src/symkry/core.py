@@ -8,14 +8,17 @@ stacked above the momentum half p.  The canonical structure matrix is
 fixed here once; every other module imports these operations instead of
 re-deriving block signs.  The bilinear form is omega(x, y) = x^T J y, so the
 canonical pairs (e_i, e_{n+i}) satisfy omega(e_i, e_{n+i}) = +1.
+
+Basis structure is measured once, by the absolute Frobenius defects
+``symplectic_defect`` and ``orthonormal_defect``.
 """
 
 from abc import ABC, abstractmethod
 
 import numpy as np
 
-# Frobenius-defect tolerance for structural checks (double precision with
-# O(n) accumulation).
+# default bound on a Frobenius structural defect (double precision with
+# O(n) accumulation)
 STRUCTURE_TOL = 1e-10
 
 ORTHONORMAL = "orthonormal"
@@ -88,21 +91,18 @@ def canonical_J(n):
     return J
 
 
-def check_symplectic_basis(U, tol=STRUCTURE_TOL):
-    """True iff ||U^T J U - J_k||_F <= tol (absolute defect)."""
+def symplectic_defect(U):
+    """Frobenius defect ||U^T J U - J_k||_F of a 2n x 2k basis."""
     U = np.asarray(U)
     m = U.shape[1]
     _check_even(m, "basis column")
-    G = U.T @ apply_J(U)
-    G -= canonical_J(m // 2)
-    return bool(np.linalg.norm(G) <= tol)
+    return float(np.linalg.norm(U.T @ apply_J(U) - canonical_J(m // 2)))
 
 
-def check_orthonormal_basis(U, tol=STRUCTURE_TOL):
-    """True iff ||U^T U - I||_F <= tol."""
+def orthonormal_defect(U):
+    """Frobenius defect ||U^T U - I||_F."""
     U = np.asarray(U)
-    G = U.T @ U - np.eye(U.shape[1])
-    return bool(np.linalg.norm(G) <= tol)
+    return float(np.linalg.norm(U.T @ U - np.eye(U.shape[1])))
 
 
 def check_hamiltonian_matrix(A, tol=1e-8):

@@ -7,7 +7,7 @@ and measured against a reference trajectory:
   dense     exact propagation of the affine system x' = A x + c, with
             A = ``jacobian_dense`` and c = f(0), by one affine exponential
             per grid interval (linear systems only, refused above
-            dimension 2000);
+            dimension DENSE_REFERENCE_LIMIT = 2000);
   fine      a classical fourth-order Runge-Kutta run at the main step
             divided by a refinement factor (default 100).
 
@@ -27,7 +27,7 @@ from ._version import __version__
 from .errors import ConfigError, IntegrationAborted, StepFailureError
 from .integrators import StepperConfig, integrate
 from .matfun import exp_affine
-from .problems import build_problem, checked_params, list_problems
+from .problems import build_problem
 
 CSV_COLUMNS = "step,t,rel_energy_error,sol_error,basis_dim,fp_iters"
 DENSE_REFERENCE_LIMIT = 2000
@@ -69,14 +69,25 @@ def _rk4_step(f, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _check_dense(system):
+    """Refuse the dense oracle for a nonlinear system or one above
+    DENSE_REFERENCE_LIMIT, as a ConfigError."""
+    if not system.is_linear:
+        raise ConfigError("dense reference requires a linear system")
+    if system.dim > DENSE_REFERENCE_LIMIT:
+        raise ConfigError(
+            f"dense reference refused for dimension {system.dim} > {DENSE_REFERENCE_LIMIT}")
+
+
 def reference_solution(system, x0, t_grid, mode="fine", factor=100):
     """Reference states at the given times.
 
     mode "dense": densify the affine system x' = A x + c (A the dense
     Jacobian at x0, c = f(0)) and propagate with ``exp_affine(A, c, dt)``
-    per grid interval (exact for linear systems).  mode "fine": classical
-    RK4 with ``factor`` micro steps per grid interval, each of length
-    interval/factor.
+    per grid interval (exact for linear systems); a nonlinear system or
+    one above DENSE_REFERENCE_LIMIT is a ConfigError (``_check_dense``).
+    mode "fine": classical RK4 with ``factor`` micro steps per grid
+    interval, each of length interval/factor.
     """
     x0 = np.asarray(x0, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -90,11 +101,7 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
         return states
 
     if mode == "dense":
-        if not system.is_linear:
-            raise ConfigError("dense reference requires a linear system")
-        if system.dim > DENSE_REFERENCE_LIMIT:
-            raise ConfigError(
-                f"dense reference refused for dimension {system.dim} > {DENSE_REFERENCE_LIMIT}")
+        _check_dense(system)
         A = system.jacobian_dense(x0)
         c = system.f(np.zeros(system.dim))
         x = x0.copy()
@@ -137,21 +144,19 @@ class ExperimentConfig:
     output: str = ""
     seed: int = 0
 
-    def stepper(self):
-        """Check every field and return the run's StepperConfig; an invalid
-        field, the stepper's checks and the output path's included, is a
-        ConfigError."""
-        problems = list_problems()
-        if self.problem not in problems:
-            raise ConfigError(f"unknown problem {self.problem!r}")
-        unknown = sorted(set(self.problem_params) - set(problems[self.problem]))
-        if unknown:
-            raise ConfigError(f"problem {self.problem!r} has no parameters {unknown}")
-        checked_params(self.problem_params)
+    def build(self):
+        """Check the whole run and return its ``(system, stepper)``.  Every
+        refusal is a ConfigError: a bad problem or parameter (``build_problem``),
+        field, output path or stepper setting, a horizon that is not positive
+        and finite, a negative seed, ``basis_dim`` above the system dimension,
+        and a dense reference the system does not allow (``_check_dense``)."""
+        system = build_problem(self.problem, **self.problem_params)
         if self.n_steps < 1:
             raise ConfigError("n_steps must be at least 1")
-        if self.t_final <= 0:
-            raise ConfigError("t_final must be positive")
+        if not 0 < self.t_final < np.inf:
+            raise ConfigError(f"t_final must be positive and finite, got {self.t_final!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed!r}")
         if self.record_every < 1:
             raise ConfigError("record_every must be at least 1")
         if self.reference not in ("dense", "fine"):
@@ -163,11 +168,17 @@ class ExperimentConfig:
         if os.path.isdir(self.output):
             raise ConfigError(f"the output path {self.output!r} is a directory")
         try:
-            return StepperConfig(method=self.method, basis_process=self.basis,
-                                 basis_dim=self.basis_dim,
-                                 step_size=self.t_final / self.n_steps)
+            stepper = StepperConfig(method=self.method, basis_process=self.basis,
+                                    basis_dim=self.basis_dim,
+                                    step_size=self.t_final / self.n_steps)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.basis_dim > system.dim:
+            raise ConfigError(
+                f"basis_dim {self.basis_dim} exceeds system dimension {system.dim}")
+        if self.reference == "dense":
+            _check_dense(system)
+        return system, stepper
 
     def echo(self):
         """Deterministic one-line summary for the CSV header."""
@@ -236,7 +247,7 @@ def _reference_states(config, system, h):
 def run(config, quiet=False):
     """Execute one configured experiment; returns its RunResult.
 
-    ``config.stepper()`` checks the config before anything is computed.
+    ``config.build()`` checks the whole run before anything is computed.
     The observer of ``integrate`` appends each recorded step's CSV row as
     the step completes; a state norm above DIVERGENCE_FACTOR * ||x0|| (any
     step) or a non-finite energy (recorded steps) fails that step.  On a
@@ -245,12 +256,8 @@ def run(config, quiet=False):
     partial ``series`` attached.
     """
     wall_start = time.perf_counter()
-    stepper = config.stepper()
-    system = build_problem(config.problem, **config.problem_params)
+    system, stepper = config.build()
     x0 = system.initial_state
-    if config.basis_dim > system.dim:
-        raise ConfigError(
-            f"basis_dim {config.basis_dim} exceeds system dimension {system.dim}")
 
     every = config.record_every
     ref_states = _reference_states(config, system, stepper.step_size)
@@ -361,7 +368,7 @@ def parse_config_text(text):
 
 
 def config_from_mapping(mapping):
-    """Build an ExperimentConfig from flag-named keys (hyphen or underscore)."""
+    """An ExperimentConfig from flag-named keys, checked by its ``build()``."""
     cfg_kwargs = {}
     params = {}
     for key, value in mapping.items():
@@ -388,5 +395,5 @@ def config_from_mapping(mapping):
     cfg_kwargs["reference"] = reference
     cfg_kwargs["problem_params"] = params
     config = ExperimentConfig(**cfg_kwargs)
-    config.stepper()
+    config.build()
     return config

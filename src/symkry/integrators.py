@@ -263,7 +263,6 @@ class TrajectorySummary:
     """Counters and final state of a trajectory, complete or aborted."""
 
     final_state: np.ndarray
-    t_final: float
     steps_completed: int
     matvec_count: int = 0
     fp_iterations: int = 0
@@ -289,7 +288,7 @@ def integrate(system, config, x0, n_steps=1, observer=None, rng=None):
         raise ValueError("the step size must be positive for integration")
     x0 = np.array(x0, dtype=float)
 
-    summary = TrajectorySummary(x0, 0.0, 0)
+    summary = TrajectorySummary(x0, 0)
     res = StepResult(x0, None, None, 0)
     x_prev = None
     for step in range(n_steps + 1):
@@ -304,7 +303,6 @@ def integrate(system, config, x0, n_steps=1, observer=None, rng=None):
                     res = step_ee(system, config, x, rng)
                 x_prev = x
                 summary.final_state = res.x_plus
-                summary.t_final = step * h
                 summary.steps_completed = step
                 summary.matvec_count += res.matvecs
                 summary.fp_iterations += res.fp_iters

@@ -69,9 +69,6 @@ class DiscreteLaplacian:
             out[1:] += v[:-1]
         return self.scale * out
 
-    def dense(self):
-        return np.column_stack([self.apply(e) for e in np.eye(self.n)])
-
     def eigenvalues_periodic(self):
         """Closed-form spectrum -(2/dx^2)(1 - cos(2 pi j / n)), j = 0..n-1."""
         j = np.arange(self.n)
@@ -200,10 +197,6 @@ class KleinGordonSystem(HamiltonianSystem):
         return join_state(b, self.laplacian.apply(a) - (self.m ** 2 + 3.0 * self.g * q * q) * a)
 
 
-build_linear_wave = LinearWaveSystem
-build_nls = NonlinearSchroedingerSystem
-build_klein_gordon = KleinGordonSystem
-
 PROBLEM_REGISTRY = {
     "linear-wave": LinearWaveSystem,
     "nls": NonlinearSchroedingerSystem,
@@ -247,11 +240,10 @@ def checked_params(params):
 
 def build_problem(name, **overrides):
     """Instantiate a registered problem with parameter overrides (checked by
-    ``checked_params``)."""
+    ``checked_params``); an unknown problem or parameter is a ConfigError."""
     if name not in PROBLEM_REGISTRY:
-        raise KeyError(f"unknown problem {name!r}; known: {sorted(PROBLEM_REGISTRY)}")
-    defaults = list_problems()[name]
-    for key in overrides:
-        if key not in defaults:
-            raise KeyError(f"problem {name!r} has no parameter {key!r}")
+        raise ConfigError(f"unknown problem {name!r}; known: {sorted(PROBLEM_REGISTRY)}")
+    unknown = sorted(set(overrides) - set(list_problems()[name]))
+    if unknown:
+        raise ConfigError(f"problem {name!r} has no parameters {unknown}")
     return PROBLEM_REGISTRY[name](**checked_params(overrides))

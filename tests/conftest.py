@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from symkry import QuadraticHamiltonianSystem, apply_J, apply_J_inverse
-from symkry.core import canonical_J
+from symkry import QuadraticHamiltonianSystem, apply_J_inverse
 
 # one line per acceptance check, emitted as a terminal section at the end
 ACCEPTANCE_LINES = []
@@ -34,11 +33,3 @@ def random_hamiltonian_matrix(rng, n, scale=1.0):
     S = 0.5 * (S + S.T)
     return apply_J_inverse(S)
 
-
-def symplectic_defect(U):
-    k = U.shape[1] // 2
-    return np.linalg.norm(U.T @ apply_J(U) - canonical_J(k))
-
-
-def orthonormal_defect(U):
-    return np.linalg.norm(U.T @ U - np.eye(U.shape[1]))

@@ -15,15 +15,16 @@ import numpy as np
 
 from symkry import (
     CountingAction,
+    KleinGordonSystem,
+    LinearWaveSystem,
+    NonlinearSchroedingerSystem,
     StepperConfig,
     arnoldi,
-    build_klein_gordon,
-    build_linear_wave,
-    build_nls,
     expm,
     hamiltonian_lanczos,
     integrate,
     isotropic_arnoldi,
+    orthonormal_defect,
     phi1,
     phi1_scaled_identities_check,
     solution_error,
@@ -31,17 +32,13 @@ from symkry import (
     step_eemp,
     step_iemp,
     symplectic_arnoldi,
+    symplectic_defect,
 )
 from symkry.harness import reference_solution
 from symkry.cli import main as cli_main
 
 import conftest
-from conftest import (
-    orthonormal_defect,
-    random_hamiltonian_matrix,
-    random_quadratic_system,
-    symplectic_defect,
-)
+from conftest import random_hamiltonian_matrix, random_quadratic_system
 
 SYMPLECTIC_PROCESSES = ("symplectic-arnoldi", "isotropic-arnoldi", "hamiltonian-lanczos")
 
@@ -128,7 +125,7 @@ def test_criterion_03_iemp_linear_collapse(rng):
 
 
 def test_criterion_04_full_dimension_exactness():
-    system = build_linear_wave(n=20)
+    system = LinearWaveSystem(n=20)
     x0 = system.initial_state
     A, c = system.jacobian_dense(x0), system.f(np.zeros(system.dim))
     h = 50.0 / 2000.0
@@ -221,7 +218,7 @@ def test_criterion_08a_wave_energy_growth_at_desk_scale():
     # errors are noise with no systematic growth to measure.  The companion
     # check below exhibits the growth signature at the full grid size.
     start = time.perf_counter()
-    system = build_linear_wave(n=100)
+    system = LinearWaveSystem(n=100)
     cfg = StepperConfig(method="EE", basis_process="arnoldi", basis_dim=16)
     rows = energy_series(system, cfg, system.initial_state, 50.0, 2000)
     ree = dict(zip(np.round(rows[:, 0], 9), rows[:, 1]))
@@ -237,7 +234,7 @@ def test_criterion_08a_companion_growth_at_reference_scale():
     # the linear-growth signature of the orthonormal basis, at the grid
     # size where the dimension-16 approximation genuinely truncates
     start = time.perf_counter()
-    system = build_linear_wave(n=400)
+    system = LinearWaveSystem(n=400)
     cfg = StepperConfig(method="EE", basis_process="arnoldi", basis_dim=16)
     rows = energy_series(system, cfg, system.initial_state, 50.0, 2000)
     ree = dict(zip(np.round(rows[:, 0], 9), rows[:, 1]))
@@ -251,7 +248,7 @@ def test_criterion_08a_companion_growth_at_reference_scale():
 
 def test_criterion_08b_wave_energy_bounded_with_lanczos():
     start = time.perf_counter()
-    system = build_linear_wave(n=100)
+    system = LinearWaveSystem(n=100)
     cfg = StepperConfig(method="EE", basis_process="hamiltonian-lanczos",
                         basis_dim=12)
     rows = energy_series(system, cfg, system.initial_state, 50.0, 2000)
@@ -265,7 +262,7 @@ def test_criterion_08b_wave_energy_bounded_with_lanczos():
 
 def test_criterion_09_nls_symmetry_benefit():
     # energy clause at the stated desk parameters
-    system = build_nls(n=125)
+    system = NonlinearSchroedingerSystem(n=125)
     x0 = system.initial_state
     T, steps = 10 * np.pi, 2000
     cfg_ee = StepperConfig(method="EE", basis_process="arnoldi", basis_dim=20)
@@ -284,7 +281,7 @@ def test_criterion_09_nls_solution_error_slopes():
     # growth-exponent clause; the horizon is extended to the full benchmark
     # length so the quadratic regime of the non-symmetric method is
     # observable above its linear component (see repository notes)
-    system = build_nls(n=125)
+    system = NonlinearSchroedingerSystem(n=125)
     x0 = system.initial_state
     T, steps = 40 * np.pi, 8000
     h = T / steps
@@ -319,7 +316,7 @@ def test_criterion_09_nls_solution_error_slopes():
 
 
 def _kg_iemp_series(process):
-    system = build_klein_gordon(n=100)
+    system = KleinGordonSystem(n=100)
     cfg = StepperConfig(method="IEMP", basis_process=process, basis_dim=22)
     return energy_series(system, cfg, system.initial_state, 45.0, 2250)
 
@@ -350,7 +347,7 @@ def test_criterion_10b_kg_iemp_arnoldi_larger():
 
 
 def _kg_order_ratio(method, process="arnoldi"):
-    system = build_klein_gordon(n=32)
+    system = KleinGordonSystem(n=32)
     x0 = system.initial_state
     T = 1.0
     ref = reference_solution(system, x0, np.array([0.0, T]), mode="fine",

@@ -7,11 +7,11 @@ from symkry import (
     apply_J_inverse,
     canonical_J,
     check_hamiltonian_matrix,
-    check_orthonormal_basis,
-    check_symplectic_basis,
     join_state,
     omega,
+    orthonormal_defect,
     split_state,
+    symplectic_defect,
 )
 from symkry.core import SYMPLECTIC, jvp_matches_finite_difference
 
@@ -138,25 +138,25 @@ class TestStructuralChecks:
         n = 3
         E = np.eye(2 * n)
         U = np.column_stack([E[0], E[n]])
-        assert check_symplectic_basis(U, 1e-12)
+        assert symplectic_defect(U) <= 1e-12
 
     def test_plain_arnoldi_basis_not_symplectic(self, rng):
         from symkry import CountingAction, arnoldi
 
         A = random_hamiltonian_matrix(rng, 3)
         out = arnoldi(CountingAction.from_dense(A), rng.standard_normal(6), 4)
-        assert check_orthonormal_basis(out.basis.columns, 1e-10)
-        assert not check_symplectic_basis(out.basis.columns, 1e-10)
+        assert orthonormal_defect(out.basis.columns) <= 1e-10
+        assert symplectic_defect(out.basis.columns) > 1e-10
 
     def test_scaling_breaks_symplecticity(self):
         n = 3
         E = np.eye(2 * n)
         U = 2.0 * np.column_stack([E[0], E[n]])
-        assert not check_symplectic_basis(U, 1e-10)
+        assert symplectic_defect(U) > 1e-10
 
     def test_odd_column_count_rejected(self):
         with pytest.raises(ValueError):
-            check_symplectic_basis(np.ones((6, 3)))
+            symplectic_defect(np.ones((6, 3)))
 
 
 class TestDarbouxRelations:

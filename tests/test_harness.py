@@ -8,9 +8,9 @@ import pytest
 from symkry import (
     ConfigError,
     IntegrationAborted,
+    KleinGordonSystem,
+    LinearWaveSystem,
     apply_J_inverse,
-    build_klein_gordon,
-    build_linear_wave,
     exp_affine,
     integrate,
     reference_solution,
@@ -38,7 +38,7 @@ class TestMetrics:
         assert relative_energy_error(sys, x0, x0) == 0.0
 
     def test_energy_error_nonfinite_rejected(self, rng):
-        sys = build_klein_gordon(n=8)
+        sys = KleinGordonSystem(n=8)
         bad = np.full(sys.dim, 1e200)
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError):
@@ -74,10 +74,10 @@ class TestReferenceSolution:
         assert np.linalg.norm(states[1] - res.x_plus) <= 1e-10 * np.linalg.norm(res.x_plus)
 
     @pytest.mark.parametrize("make,constant", [
-        (lambda: build_linear_wave(n=20), lambda sys: apply_J_inverse(sys.d)),
-        (lambda: build_linear_wave(n=20, boundary="periodic"),
+        (lambda: LinearWaveSystem(n=20), lambda sys: apply_J_inverse(sys.d)),
+        (lambda: LinearWaveSystem(n=20, boundary="periodic"),
          lambda sys: apply_J_inverse(sys.d)),
-        (lambda: build_klein_gordon(n=16, g=0.0), lambda sys: np.zeros(sys.dim)),
+        (lambda: KleinGordonSystem(n=16, g=0.0), lambda sys: np.zeros(sys.dim)),
     ], ids=["wave-dirichlet", "wave-periodic", "klein-gordon-linear"])
     def test_dense_is_the_affine_propagation(self, make, constant):
         # the propagation written out from jvp columns and the affine
@@ -94,19 +94,19 @@ class TestReferenceSolution:
         assert np.array_equal(states, np.array(want))
 
     def test_dense_refused_for_nonlinear(self):
-        sys = build_klein_gordon(n=8)
+        sys = KleinGordonSystem(n=8)
         with pytest.raises(ConfigError):
             reference_solution(sys, sys.initial_state, np.array([0.0, 0.1]), mode="dense")
 
     def test_dense_refused_beyond_dimension_guard(self):
-        sys = build_linear_wave(n=1001)
+        sys = LinearWaveSystem(n=1001)
         with pytest.raises(ConfigError):
             reference_solution(sys, sys.initial_state, np.array([0.0, 0.1]), mode="dense")
 
     def test_fine_refinement_self_consistency(self):
         # Richardson-style check of the fine-step oracle on a Klein-Gordon
         # downscale: 500 vs 1000 micro steps per interval
-        sys = build_klein_gordon(n=32)
+        sys = KleinGordonSystem(n=32)
         x0 = sys.initial_state
         t_grid = np.array([0.0, 0.5, 1.0])
         a = reference_solution(sys, x0, t_grid, mode="fine", factor=500)
@@ -122,17 +122,26 @@ class TestReferenceSolution:
 class TestExperimentConfig:
     def test_validation_catches_bad_fields(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(problem="heat").stepper()
+            ExperimentConfig(problem="heat").build()
         with pytest.raises(ConfigError):
-            ExperimentConfig(n_steps=0).stepper()
+            ExperimentConfig(n_steps=0).build()
         with pytest.raises(ConfigError):
-            ExperimentConfig(method="leapfrog").stepper()
+            ExperimentConfig(method="leapfrog").build()
         with pytest.raises(ConfigError):
-            ExperimentConfig(basis="arnoldi", basis_dim=0).stepper()
+            ExperimentConfig(basis="arnoldi", basis_dim=0).build()
         with pytest.raises(ConfigError):
-            ExperimentConfig(basis="hamiltonian-lanczos", basis_dim=9).stepper()
+            ExperimentConfig(basis="hamiltonian-lanczos", basis_dim=9).build()
         with pytest.raises(ConfigError):
-            ExperimentConfig(reference="exact").stepper()
+            ExperimentConfig(reference="exact").build()
+        with pytest.raises(ConfigError):
+            ExperimentConfig(t_final=float("nan")).build()
+        with pytest.raises(ConfigError):
+            ExperimentConfig(seed=-1).build()
+        with pytest.raises(ConfigError):
+            ExperimentConfig(problem_params={"n": 2}, basis_dim=8).build()
+        with pytest.raises(ConfigError):
+            ExperimentConfig(problem="klein-gordon", problem_params={"n": 8},
+                             reference="dense").build()
 
     def test_echo_is_deterministic(self):
         cfg = ExperimentConfig(problem="nls", problem_params={"n": 125},
@@ -241,8 +250,8 @@ class TestRun:
                                ref_factor=2, seed=5)
         result = run(cfg, quiet=True)
         seen = {}
-        system = build_klein_gordon(n=16)
-        integrate(system, cfg.stepper(), system.initial_state, n_steps=10,
+        system = KleinGordonSystem(n=16)
+        integrate(system, cfg.build()[1], system.initial_state, n_steps=10,
                   rng=np.random.default_rng(5),
                   observer=lambda step, t, res: seen.__setitem__(step, res))
         assert [r[0] for r in result.series.rows] == [0, 3, 6, 9]
@@ -540,6 +549,46 @@ class TestCLI:
         assert main(["run", "--config", str(conf)]) == 2
         assert "even" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["two.conf"]
+
+    @pytest.mark.parametrize("bad,message", [
+        ("problem.n = 2\nbasis-dim = 8\n", "exceeds system dimension 4"),
+        ("problem = klein-gordon\nproblem.n = 8\nbasis-dim = 4\nreference = dense\n",
+         "dense reference requires a linear system"),
+    ], ids=["basis-dim-above-dimension", "dense-on-nonlinear"])
+    def test_later_section_refused_by_its_system_runs_no_section(self, bad, message, tmp_path,
+                                                                 capsys, monkeypatch):
+        # checks that need the built problem also come before the first section runs
+        calls = []
+
+        def run_(config, quiet=False):
+            calls.append(config)
+            return harness.run(config, quiet=quiet)
+
+        monkeypatch.setattr(cli, "run", run_)
+        conf = tmp_path / "two.conf"
+        conf.write_text(
+            "problem = linear-wave\nproblem.n = 8\nt-final = 0.1\nsteps = 2\n"
+            f"reference = dense\n[a]\nbasis-dim = 4\noutput = {tmp_path / 'a.csv'}\n"
+            f"[b]\n{bad}output = {tmp_path / 'b.csv'}\n")
+        assert main(["run", "--config", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["two.conf"]
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--t-final", "nan", "t_final"),
+        ("--t-final", "inf", "t_final"),
+        ("--seed", "-1", "seed"),
+    ])
+    def test_out_of_range_value_exit_code(self, flag, value, field, tmp_path, capsys):
+        args = {"--problem": "linear-wave", "--param": "n=8", "--t-final": "0.1",
+                "--steps": "2", "--reference": "dense", "--output": str(tmp_path / "x.csv"),
+                flag: value}
+        assert main(["run", *[part for item in args.items() for part in item]]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {field}" in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_unreadable_config_file_exit_code(self, tmp_path, capsys):
         non_ascii = tmp_path / "non-ascii.conf"

@@ -4,10 +4,10 @@ import pytest
 from symkry import (
     CountingAction,
     IntegrationAborted,
+    KleinGordonSystem,
+    LinearWaveSystem,
+    NonlinearSchroedingerSystem,
     StepperConfig,
-    build_klein_gordon,
-    build_linear_wave,
-    build_nls,
     expm,
     integrate,
     omega,
@@ -72,7 +72,7 @@ class TestStepEE:
 
     def test_wave_energy_preserved_per_step(self):
         # symplectic basis on the linear wave benchmark: exact conservation
-        sys = build_linear_wave(n=50)
+        sys = LinearWaveSystem(n=50)
         x = sys.initial_state
         h = 50.0 / 2000.0
         cfg = StepperConfig(method="EE", basis_process="hamiltonian-lanczos",
@@ -142,7 +142,7 @@ class TestStepEEMP:
 
     def test_symmetry_round_trip_nls(self, rng):
         # applying the reversed formula with the same basis recovers x_prev
-        sys = build_nls(n=64)
+        sys = NonlinearSchroedingerSystem(n=64)
         h = 0.02
         cfg = StepperConfig(method="EEMP", basis_process="hamiltonian-lanczos",
                             basis_dim=12, step_size=h)
@@ -194,7 +194,7 @@ class TestStepIEMP:
         # at the converged midpoint, xi_plus = xi + e^(hF) xi in the reduced
         # coordinates xi = U^+ (x_mid - x), xi_plus = U^+ (x_plus - x)
         monkeypatch.setattr(integrators, "FP_TOL", 1e-14)
-        sys = build_klein_gordon(n=16)
+        sys = KleinGordonSystem(n=16)
         macro = 0.02
         cfg = StepperConfig(method="IEMP", basis_process="hamiltonian-lanczos",
                             basis_dim=12, step_size=macro)
@@ -208,7 +208,7 @@ class TestStepIEMP:
     def test_symmetric_form_of_update(self, monkeypatch):
         # equivalent symmetric relation: x_plus - x_mid = U e^(hF) U^+ (x_mid - x)
         monkeypatch.setattr(integrators, "FP_TOL", 1e-14)
-        sys = build_klein_gordon(n=16)
+        sys = KleinGordonSystem(n=16)
         macro = 0.02
         cfg = StepperConfig(method="IEMP", basis_process="hamiltonian-lanczos",
                             basis_dim=12, step_size=macro)
@@ -222,7 +222,7 @@ class TestStepIEMP:
     def test_nonconvergence_raises_step_failure(self, monkeypatch):
         monkeypatch.setattr(integrators, "FP_TOL", 1e-16)
         monkeypatch.setattr(integrators, "FP_MAX_ITER", 1)
-        sys = build_klein_gordon(n=16)
+        sys = KleinGordonSystem(n=16)
         cfg = StepperConfig(method="IEMP", basis_process="arnoldi", basis_dim=8,
                             step_size=0.05)
         with pytest.raises(StepFailureError):
@@ -264,7 +264,7 @@ class TestIntegrate:
         assert np.allclose(states[1], ee.x_plus, atol=1e-14)
 
     def test_wave_long_run_energy_drift(self):
-        sys = build_linear_wave(n=50)
+        sys = LinearWaveSystem(n=50)
         x0 = sys.initial_state
         H0 = sys.energy(x0)
         cfg = StepperConfig(method="EE", basis_process="symplectic-arnoldi",
@@ -360,12 +360,39 @@ class TestLinearEnergyExactness:
             assert defects.max() <= 1e-11, method
 
 
+class TestEEMPTimeSymmetry:
+    """EEMP is symmetric: stepping back from (x+, x) with -h in the step's
+    basis U and reduced matrix F gives x_prev again, because x_prev - x lies
+    in range(U) and e^(-hF) phi(hF) = phi(-hF); nonlinear systems too."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("process", list(integrators.BASIS_PROCESSES))
+    @pytest.mark.parametrize("dim", [4, 8])
+    @pytest.mark.parametrize("problem", ["quadratic", "klein-gordon"])
+    def test_backward_step_returns_x_prev(self, seed, process, dim, problem):
+        rng = np.random.default_rng(seed)
+        if problem == "quadratic":
+            sys = random_quadratic_system(rng, 10)
+            x = rng.standard_normal(sys.dim)
+        else:
+            sys = KleinGordonSystem(n=16)
+            x = sys.initial_state + 0.1 * rng.standard_normal(sys.dim)
+        h = 0.05
+        x_prev = x - h * sys.f(x) + h * h * rng.standard_normal(sys.dim)
+        cfg = StepperConfig(method="EEMP", basis_process=process, basis_dim=dim, step_size=h)
+        res = step_eemp(sys, cfg, x, x_prev)
+        U, F = res.basis, res.basis.reduced
+        back = x + U.columns @ (expm(-h * F) @ U.left_apply(res.x_plus - x)
+                                - 2.0 * h * phi1(-h * F) @ U.left_apply(sys.f(x)))
+        assert np.linalg.norm(back - x_prev) <= 1e-11 * np.linalg.norm(x_prev)
+
+
 class TestBuildBasis:
     @pytest.mark.parametrize("process", ["isotropic-arnoldi", "symplectic-arnoldi"])
     def test_breakdown_restarts_without_rng(self, process):
         # both processes break down at the wave start (zero momentum); a
         # call without a generator still restarts, from default_rng(0)
-        sys = build_linear_wave(n=60)
+        sys = LinearWaveSystem(n=60)
         x = sys.initial_state
         action = CountingAction.from_system(sys, x)
         cfg = StepperConfig(basis_process=process, basis_dim=16)
@@ -415,7 +442,7 @@ class TestConvergenceOrders:
     def test_orders_on_klein_gordon(self):
         from symkry.harness import reference_solution, solution_error
 
-        sys = build_klein_gordon(n=32)
+        sys = KleinGordonSystem(n=32)
         x0 = sys.initial_state
         T = 1.0
         ref = reference_solution(sys, x0, np.array([0.0, T]), mode="fine",

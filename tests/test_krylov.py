@@ -4,28 +4,28 @@ import pytest
 from symkry import (
     BasisMatrix,
     CountingAction,
+    KleinGordonSystem,
+    LinearWaveSystem,
     arnoldi,
-    build_linear_wave,
-    build_klein_gordon,
     canonical_J,
-    check_orthonormal_basis,
-    check_symplectic_basis,
     extend_basis_orthogonal,
     extend_basis_symplectic,
     hamiltonian_lanczos,
     isotropic_arnoldi,
     omega,
+    orthonormal_defect,
     symplectic_arnoldi,
+    symplectic_defect,
 )
-from symkry.core import ORTHONORMAL, SYMPLECTIC
+from symkry.core import ORTHONORMAL, STRUCTURE_TOL, SYMPLECTIC
 from symkry.errors import BasisKindError
 from symkry.krylov import BREAKDOWN, INVARIANT_SUBSPACE, REACHED_K
 
-from conftest import orthonormal_defect, random_hamiltonian_matrix
+from conftest import random_hamiltonian_matrix
 
 
 def wave_action(n):
-    sys = build_linear_wave(n=n)
+    sys = LinearWaveSystem(n=n)
     return CountingAction.from_system(sys, sys.initial_state), sys
 
 
@@ -107,7 +107,7 @@ class TestSymplecticArnoldi:
         A = random_hamiltonian_matrix(rng, 10)
         out = symplectic_arnoldi(CountingAction.from_dense(A), rng.standard_normal(20), 5)
         U = out.basis.columns
-        assert check_symplectic_basis(U, 1e-10)
+        assert symplectic_defect(U) <= 1e-10
         assert orthonormal_defect(U) <= 1e-10
 
     def test_single_vector_case(self):
@@ -135,7 +135,7 @@ class TestIsotropicArnoldi:
         Q = U[:, :k]
         assert orthonormal_defect(Q) <= 1e-10
         assert np.linalg.norm(Q.T @ canonical_J(10) @ Q) <= 1e-10
-        assert check_symplectic_basis(U, 1e-10)
+        assert symplectic_defect(U) <= 1e-10
         assert orthonormal_defect(U) <= 1e-10
 
     def test_first_vector_matches_symplectic_arnoldi(self, rng):
@@ -168,11 +168,11 @@ class TestIsotropicArnoldi:
 
 class TestHamiltonianLanczos:
     def test_klein_gordon_jacobian_symplecticity(self, rng):
-        sys = build_klein_gordon(n=12)
+        sys = KleinGordonSystem(n=12)
         x = rng.standard_normal(24)
         out = hamiltonian_lanczos(CountingAction.from_system(sys, x),
                                   rng.standard_normal(24), 6)
-        assert check_symplectic_basis(out.basis.columns, 1e-8)
+        assert symplectic_defect(out.basis.columns) <= 1e-8
 
     def test_power_containment_to_double_depth(self, rng):
         act, sys = wave_action(6)
@@ -278,7 +278,7 @@ class TestExtendSymplectic:
         assert added == [3, 7]  # the new pair sits at [kp, m + 1] for m = 6
         assert np.array_equal(ext.columns[:, [0, 1, 2, 4, 5, 6]], out.basis.columns)
         assert ext.n_columns == out.basis.n_columns + 2
-        assert check_symplectic_basis(ext.columns, 1e-9)
+        assert symplectic_defect(ext.columns) <= 1e-9
         assert np.linalg.norm(x - ext.project(x)) <= 1e-9 * np.linalg.norm(x)
         assert ext.reduced is None
 
@@ -338,9 +338,9 @@ class TestStructureAsKGrows:
         for k in (1, 2, 4, 8, 12, 16, 20):
             U = builder(CountingAction.from_dense(A), v, k).basis.columns
             assert U.shape == (40, 2 * k)
-            assert check_symplectic_basis(U)
+            assert symplectic_defect(U) <= STRUCTURE_TOL
             if paired:
-                assert check_orthonormal_basis(U)
+                assert orthonormal_defect(U) <= STRUCTURE_TOL
 
 
 class TestCosts:

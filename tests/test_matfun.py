@@ -197,9 +197,9 @@ class TestPhiIdentities:
     def test_reduced_wave_matrix(self, rng):
         # hF for a symplectic-basis reduction of the wave benchmark: the
         # reduced matrix is Hamiltonian, so its exponential is symplectic
-        from symkry import CountingAction, build_linear_wave, symplectic_arnoldi
+        from symkry import CountingAction, LinearWaveSystem, symplectic_arnoldi
 
-        sys = build_linear_wave(n=40)
+        sys = LinearWaveSystem(n=40)
         action = CountingAction.from_system(sys, sys.initial_state)
         v = rng.standard_normal(sys.dim)
         out = symplectic_arnoldi(action, v, 6)
@@ -214,9 +214,9 @@ class TestPhiIdentities:
     def test_reduced_nls_matrix_identities(self, rng):
         # hF for the Schroedinger benchmark's reduced matrix at the
         # benchmark step size
-        from symkry import CountingAction, build_nls, hamiltonian_lanczos
+        from symkry import CountingAction, NonlinearSchroedingerSystem, hamiltonian_lanczos
 
-        sys = build_nls(n=64)
+        sys = NonlinearSchroedingerSystem(n=64)
         x = sys.initial_state
         action = CountingAction.from_system(sys, x)
         out = hamiltonian_lanczos(action, sys.f(x), 8)
