@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 import argparse
+import os
 import sys
 from importlib.resources import files
 from pathlib import Path
@@ -74,6 +75,20 @@ def _flag_overrides(args):
     return overrides
 
 
+def _checked_configs(sections):
+    """Configs of the (name, mapping) sections, all checked before the first
+    runs; two sections that would write the same CSV are a ConfigError."""
+    configs = [config_from_mapping(mapping) for _, mapping in sections]
+    writers = {}
+    for (name, _), config in zip(sections, configs):
+        path = config.output and os.path.realpath(config.output)
+        if path in writers:
+            raise ConfigError(f"sections {writers[path]!r} and {name!r} both write {path!r}")
+        if path:
+            writers[path] = name
+    return configs
+
+
 def _cmd_run(args):
     overrides = _flag_overrides(args)
     sections = [("run", {})]
@@ -82,8 +97,7 @@ def _cmd_run(args):
             sections = parse_config_text(Path(args.config).read_text(encoding="ascii"))
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
-    # every section is checked before the first one runs
-    for config in [config_from_mapping({**mapping, **overrides}) for _, mapping in sections]:
+    for config in _checked_configs([(s, {**m, **overrides}) for s, m in sections]):
         run(config)
     return 0
 
@@ -95,8 +109,8 @@ def _cmd_preset(args):
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {args.output_dir!r}: {exc}") from exc
-    for config in [config_from_mapping({"output": str(out_dir / f"{args.name}-{s}.csv"), **m})
-                   for s, m in sections]:
+    for config in _checked_configs([(s, {"output": str(out_dir / f"{args.name}-{s}.csv"), **m})
+                                    for s, m in sections]):
         run(config)
     return 0
 

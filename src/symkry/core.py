@@ -9,8 +9,9 @@ fixed here once; every other module imports these operations instead of
 re-deriving block signs.  The bilinear form is omega(x, y) = x^T J y, so the
 canonical pairs (e_i, e_{n+i}) satisfy omega(e_i, e_{n+i}) = +1.
 
-Basis structure is measured once, by the absolute Frobenius defects
-``symplectic_defect`` and ``orthonormal_defect``.
+A basis is orthonormal or symplectic, each kind with one left inverse
+(``BasisMatrix.left_apply``); basis structure is measured once, by the
+absolute Frobenius defects ``symplectic_defect`` and ``orthonormal_defect``.
 """
 
 from abc import ABC, abstractmethod
@@ -23,9 +24,8 @@ STRUCTURE_TOL = 1e-10
 
 ORTHONORMAL = "orthonormal"
 SYMPLECTIC = "symplectic"
-SYMPLECTIC_ORTHONORMAL = "symplectic-orthonormal"
 
-_KINDS = (ORTHONORMAL, SYMPLECTIC, SYMPLECTIC_ORTHONORMAL)
+_KINDS = (ORTHONORMAL, SYMPLECTIC)
 
 
 def _check_even(m, what="vector"):
@@ -123,7 +123,8 @@ def check_hamiltonian_matrix(A, tol=1e-8):
 class BasisMatrix:
     """Tall basis U in R^(2n x m) with structural kind and reduced matrix.
 
-    kind is one of "orthonormal", "symplectic", "symplectic-orthonormal".
+    kind is "orthonormal" (U^T U = I) or "symplectic" (U^T J U = J_k); a
+    basis that is both, like the paired [V, J^(-1) V], is symplectic.
     ``reduced`` is the m x m projection F = U^+ A U of the current matrix
     action (None when stale, e.g. right after an extension).
     """
@@ -137,7 +138,7 @@ class BasisMatrix:
         _check_even(columns.shape[0])
         if kind not in _KINDS:
             raise ValueError(f"unknown basis kind {kind!r}")
-        if kind in (SYMPLECTIC, SYMPLECTIC_ORTHONORMAL):
+        if kind == SYMPLECTIC:
             _check_even(columns.shape[1], "symplectic basis column")
         self.columns = columns
         self.kind = kind
@@ -151,18 +152,11 @@ class BasisMatrix:
     def n_columns(self):
         return self.columns.shape[1]
 
-    def is_symplectic_kind(self):
-        return self.kind in (SYMPLECTIC, SYMPLECTIC_ORTHONORMAL)
-
     def left_apply(self, v):
-        """Apply the left inverse U^+ appropriate for the kind to a vector
-        or a matrix of columns.
-
-        Symplectic kind uses U^+ = J_k^(-1) U^T J_n, a left inverse as far
-        as U is numerically symplectic.  Orthonormal kinds use U^T.  For a
-        basis of the paired form [V, J^(-1) V] the transpose coincides with
-        the symplectic left inverse, so symplectic-orthonormal bases are
-        served by U^T as well.
+        """Apply the kind's left inverse U^+ to a vector or a matrix of
+        columns: U^T for an orthonormal basis, and U^+ = J_k^(-1) U^T J_n
+        for a symplectic one, a left inverse as far as U is numerically
+        symplectic.
         """
         if self.kind == SYMPLECTIC:
             return apply_J_inverse(self.columns.T @ apply_J(v))

@@ -69,12 +69,17 @@ def _rk4_step(f, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_dense(system):
-    """Refuse the dense oracle for a nonlinear system or one above
-    DENSE_REFERENCE_LIMIT, as a ConfigError."""
-    if not system.is_linear:
+def _check_reference(system, mode, factor):
+    """Refuse, as a ConfigError, a reference the oracle cannot give: an
+    unknown mode, a refinement factor below 1, and the dense oracle for a
+    nonlinear system or one above DENSE_REFERENCE_LIMIT."""
+    if mode not in ("dense", "fine"):
+        raise ConfigError(f"reference must be 'dense' or 'fine', got {mode!r}")
+    if factor < 1:
+        raise ConfigError(f"reference refinement factor must be at least 1, got {factor!r}")
+    if mode == "dense" and not system.is_linear:
         raise ConfigError("dense reference requires a linear system")
-    if system.dim > DENSE_REFERENCE_LIMIT:
+    if mode == "dense" and system.dim > DENSE_REFERENCE_LIMIT:
         raise ConfigError(
             f"dense reference refused for dimension {system.dim} > {DENSE_REFERENCE_LIMIT}")
 
@@ -84,10 +89,10 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
 
     mode "dense": densify the affine system x' = A x + c (A the dense
     Jacobian at x0, c = f(0)) and propagate with ``exp_affine(A, c, dt)``
-    per grid interval (exact for linear systems); a nonlinear system or
-    one above DENSE_REFERENCE_LIMIT is a ConfigError (``_check_dense``).
-    mode "fine": classical RK4 with ``factor`` micro steps per grid
-    interval, each of length interval/factor.
+    per grid interval (exact for linear systems).  mode "fine": classical
+    RK4 with ``factor`` micro steps per grid interval, each of length
+    interval/factor.  ``_check_reference`` refuses bad arguments before
+    any work, on a one-point grid too.
     """
     x0 = np.asarray(x0, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -95,13 +100,13 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
         raise ValueError("t_grid must be a nonempty 1-d array")
     if np.any(np.diff(t_grid) <= 0) and t_grid.size > 1:
         raise ValueError("t_grid must be strictly increasing")
+    _check_reference(system, mode, factor)
     states = np.empty((t_grid.size, x0.size))
     states[0] = x0
     if t_grid.size == 1:
         return states
 
     if mode == "dense":
-        _check_dense(system)
         A = system.jacobian_dense(x0)
         c = system.f(np.zeros(system.dim))
         x = x0.copy()
@@ -116,8 +121,6 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
             states[i] = x
         return states
 
-    if mode != "fine":
-        raise ConfigError(f"unknown reference mode {mode!r}")
     x = x0.copy()
     for i in range(1, t_grid.size):
         micro = (t_grid[i] - t_grid[i - 1]) / factor
@@ -149,7 +152,7 @@ class ExperimentConfig:
         refusal is a ConfigError: a bad problem or parameter (``build_problem``),
         field, output path or stepper setting, a horizon that is not positive
         and finite, a negative seed, ``basis_dim`` above the system dimension,
-        and a dense reference the system does not allow (``_check_dense``)."""
+        and a reference the oracle cannot give (``_check_reference``)."""
         system = build_problem(self.problem, **self.problem_params)
         if self.n_steps < 1:
             raise ConfigError("n_steps must be at least 1")
@@ -159,10 +162,7 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed!r}")
         if self.record_every < 1:
             raise ConfigError("record_every must be at least 1")
-        if self.reference not in ("dense", "fine"):
-            raise ConfigError(f"reference must be 'dense' or 'fine', got {self.reference!r}")
-        if self.ref_factor < 1:
-            raise ConfigError("reference refinement factor must be at least 1")
+        _check_reference(system, self.reference, self.ref_factor)
         if self.output and not os.path.isdir(os.path.dirname(self.output) or "."):
             raise ConfigError(f"the output directory of {self.output!r} does not exist")
         if os.path.isdir(self.output):
@@ -176,8 +176,6 @@ class ExperimentConfig:
         if self.basis_dim > system.dim:
             raise ConfigError(
                 f"basis_dim {self.basis_dim} exceeds system dimension {system.dim}")
-        if self.reference == "dense":
-            _check_dense(system)
         return system, stepper
 
     def echo(self):

@@ -2,18 +2,18 @@
 
 Four builders share one outcome type: the standard Arnoldi iteration
 (orthonormal basis of the Krylov subspace), the symplectic Arnoldi and
-isotropic Arnoldi processes (orthonormal *and* symplectic bases of the form
+isotropic Arnoldi processes (symplectic, orthonormal bases of the form
 [V, J^(-1) V]), and the Hamiltonian Lanczos recursion (symplectic basis
 with a short two-sided recursion and reduced matrix [[0, T], [D, 0]]).
 
-Gram-Schmidt is classical with one reorthogonalization pass, written
-twice: ``_cgs2`` builds the Arnoldi-type blocks and returns Arnoldi's
-coefficients, and ``_project_out`` removes a basis's range along its left
-inverse (the Lanczos reorthogonalization and the basis extensions).  The
-Lanczos recursion is kept short on purpose, which is where its cost
-advantage comes from, at the price of slow symplecticity drift for larger
-pair counts.  ``CountingAction`` is the one matrix action and the one matvec
-counter.
+Gram-Schmidt is classical with one reorthogonalization pass.  ``_cgs2``
+runs the Arnoldi recurrences and returns Arnoldi's coefficients;
+``_project_out`` is every removal of a basis's range, along its left
+inverse (the paired processes' omega-orthogonalization, the Lanczos
+reorthogonalization, the basis extensions).  The Lanczos recursion is kept
+short on purpose, which is where its cost advantage comes from, at the
+price of slow symplecticity drift for larger pair counts.
+``CountingAction`` is the one matrix action and the one matvec counter.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +25,6 @@ from .core import (
     BasisMatrix,
     ORTHONORMAL,
     SYMPLECTIC,
-    SYMPLECTIC_ORTHONORMAL,
     apply_J,
     apply_J_inverse,
     omega,
@@ -105,17 +104,13 @@ def _validate_start(action, v, k, k_max, what):
     return v, nv
 
 
-def _cgs2(w, *blocks):
-    """Orthogonalize w against the columns of each block (classical GS, two
-    passes, blocks in the given order within a pass).  Returns w and the
-    first block's coefficients summed over both passes (Arnoldi's H column).
-    """
-    coeffs = []
-    for _ in range(2):
-        for Q in blocks:
-            coeffs.append(Q.T @ w)
-            w = w - Q @ coeffs[-1]
-    return w, coeffs[0] + coeffs[len(blocks)]
+def _cgs2(w, Q):
+    """Classical Gram-Schmidt of w against the orthonormal columns of Q, two
+    passes; returns w and Arnoldi's H column (both passes' coefficients)."""
+    h = Q.T @ w
+    w = w - Q @ h
+    h2 = Q.T @ w
+    return w - Q @ h2, h + h2
 
 
 def _project_out(basis, w):
@@ -165,35 +160,32 @@ def arnoldi(action, v, k):
 
 
 def _assemble_paired(action, V, terminated, resid, known=()):
-    """Form U = [V, J^(-1) V], F = U^T (A U) for an isotropic block V;
-    ``known`` holds images A V[:, j] already computed for leading columns."""
+    """Form the symplectic U = [V, J^(-1) V], F = U^+ (A U) for an isotropic
+    block V; ``known`` holds images A V[:, j] already computed for leading columns."""
     U = np.concatenate([V, apply_J_inverse(V)], axis=1)
     images = np.empty_like(U)
     for j in range(U.shape[1]):
         images[:, j] = known[j] if j < len(known) else action.apply(U[:, j])
-    F = U.T @ images
-    basis = BasisMatrix(U, SYMPLECTIC_ORTHONORMAL, F)
+    basis = BasisMatrix(U, SYMPLECTIC)
+    basis.reduced = basis.left_apply(images)
     return KrylovOutcome(basis, terminated, float(resid), images)
 
 
 def symplectic_arnoldi(action, v, k):
     """Symplectic Arnoldi: Arnoldi vectors reorthogonalized in <.,.> and omega.
 
-    Runs the standard Arnoldi recurrence for q_1..q_k and re-orthogonalizes
-    each new q against span(V) and span(J V) to grow an isotropic V; the
-    output U = [V, J^(-1) V] is symplectic and orthonormal and its range
-    contains K_k'(A, v) for the achieved pair count k'.  F is assembled as
-    U^T A U with 2k' extra actions at completion.
+    Runs the standard Arnoldi recurrence for q_1..q_k and removes from each
+    new q the range of P = [v_1, J^(-1) v_1, v_2, ...] to grow an isotropic
+    V; U = [V, J^(-1) V] is symplectic and orthonormal and its range
+    contains K_k'(A, v) for the achieved pair count k'.  F = U^+ A U costs
+    2k' extra actions at completion.
     """
     v, nv = _validate_start(action, v, k, action.dim // 2, "symplectic_arnoldi")
     n2 = action.dim
-    q = v / nv
     Q = np.zeros((n2, k))
-    V = np.zeros((n2, k))
-    JV = np.zeros((n2, k))
-    Q[:, 0] = q
-    V[:, 0] = q
-    JV[:, 0] = apply_J(q)
+    P = np.zeros((n2, 2 * k))
+    Q[:, 0] = P[:, 0] = v / nv
+    P[:, 1] = apply_J_inverse(P[:, 0])
     nq = 1
 
     terminated = REACHED_K
@@ -210,7 +202,7 @@ def symplectic_arnoldi(action, v, k):
             break
         q = w / r
         Q[:, j] = q
-        s, _ = _cgs2(q, V[:, :nq], JV[:, :nq])
+        s = _project_out(BasisMatrix(P[:, : 2 * nq], ORTHONORMAL), q)
         rs = np.linalg.norm(s)
         if rs <= DEPENDENCE_RTOL:
             # The companion vector vanished although the Arnoldi remainder
@@ -218,28 +210,27 @@ def symplectic_arnoldi(action, v, k):
             terminated = BREAKDOWN
             resid = rs
             break
-        V[:, nq] = s / rs
-        JV[:, nq] = apply_J(V[:, nq])
+        P[:, 2 * nq] = s / rs
+        P[:, 2 * nq + 1] = apply_J_inverse(P[:, 2 * nq])
         nq += 1
 
-    return _assemble_paired(action, V[:, :nq], terminated, resid)
+    return _assemble_paired(action, P[:, : 2 * nq: 2], terminated, resid)
 
 
 def isotropic_arnoldi(action, v, k):
     """Isotropic Arnoldi: direct <.,.>- and omega-orthogonalization.
 
-    Q is orthonormal with Q^T J Q = 0, and U = [Q, J^(-1) Q] is symplectic
+    Each new vector loses the range of P = [q_1, J^(-1) q_1, q_2, ...], so
+    Q is orthonormal with Q^T J Q = 0 and U = [Q, J^(-1) Q] is symplectic
     and orthonormal.  Its range does not in general contain K_k(A, v), so a
     vanishing remainder is reported as a breakdown (no invariant-subspace
     information can be inferred).  The images A q_j of the loop are reused
     for F, so k pairs cost 2k actions.
     """
     v, nv = _validate_start(action, v, k, action.dim // 2, "isotropic_arnoldi")
-    n2 = action.dim
-    Q = np.zeros((n2, k))
-    JQ = np.zeros((n2, k))
-    Q[:, 0] = v / nv
-    JQ[:, 0] = apply_J(Q[:, 0])
+    P = np.zeros((action.dim, 2 * k))
+    P[:, 0] = v / nv
+    P[:, 1] = apply_J_inverse(P[:, 0])
     nq = 1
 
     terminated = REACHED_K
@@ -247,20 +238,20 @@ def isotropic_arnoldi(action, v, k):
     anorm = 0.0
     images = []
     for j in range(1, k):
-        w = action.apply(Q[:, j - 1])
+        w = action.apply(P[:, 2 * (j - 1)])
         images.append(w)
         anorm = max(anorm, np.linalg.norm(w))
-        w, _ = _cgs2(w, Q[:, :nq], JQ[:, :nq])
+        w = _project_out(BasisMatrix(P[:, : 2 * nq], ORTHONORMAL), w)
         r = np.linalg.norm(w)
         resid = r
         if r <= DEFLATION_RTOL * anorm:
             terminated = BREAKDOWN
             break
-        Q[:, nq] = w / r
-        JQ[:, nq] = apply_J(Q[:, nq])
+        P[:, 2 * nq] = w / r
+        P[:, 2 * nq + 1] = apply_J_inverse(P[:, 2 * nq])
         nq += 1
 
-    return _assemble_paired(action, Q[:, :nq], terminated, resid, images)
+    return _assemble_paired(action, P[:, : 2 * nq: 2], terminated, resid, images)
 
 
 def hamiltonian_lanczos(action, v, k):
@@ -350,7 +341,7 @@ def extend_basis_symplectic(basis, x):
     (basis unchanged).
     The reduced matrix of an extended basis is stale and set to None.
     """
-    if not isinstance(basis, BasisMatrix) or not basis.is_symplectic_kind():
+    if not isinstance(basis, BasisMatrix) or basis.kind != SYMPLECTIC:
         raise BasisKindError("extend_basis_symplectic needs a symplectic basis")
     x = np.asarray(x, dtype=float)
     nx = np.linalg.norm(x)

@@ -1,4 +1,5 @@
 import itertools
+import os
 import subprocess
 import sys as _sys
 
@@ -117,6 +118,22 @@ class TestReferenceSolution:
         sys = random_quadratic_system(rng, 3)
         with pytest.raises(ConfigError):
             reference_solution(sys, np.zeros(6), np.array([0.0, 1.0]), mode="exact")
+
+    @pytest.mark.parametrize("make,mode", [
+        (lambda rng: random_quadratic_system(rng, 3), "bogus"),
+        (lambda rng: KleinGordonSystem(n=8), "dense"),
+    ], ids=["unknown-mode", "dense-on-nonlinear"])
+    def test_one_point_grid_checks_mode(self, make, mode, rng):
+        # the arguments are checked before the one-point grid returns x0
+        sys = make(rng)
+        with pytest.raises(ConfigError):
+            reference_solution(sys, np.zeros(sys.dim), np.array([0.0]), mode=mode)
+
+    @pytest.mark.parametrize("factor", [0, -1])
+    def test_fine_factor_below_one_refused(self, factor):
+        sys = KleinGordonSystem(n=8)
+        with pytest.raises(ConfigError, match="at least 1"):
+            reference_solution(sys, sys.initial_state, np.array([0.0, 0.1]), factor=factor)
 
 
 class TestExperimentConfig:
@@ -548,6 +565,34 @@ class TestCLI:
             f"[bad]\nbasis-dim = 3\noutput = {tmp_path / 'bad.csv'}\n")
         assert main(["run", "--config", str(conf)]) == 2
         assert "even" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["two.conf"]
+
+    @pytest.mark.parametrize("layout", ["top-level-output", "output-flag", "preset"])
+    def test_two_sections_writing_one_csv_run_no_section(self, layout, tmp_path, capsys,
+                                                         monkeypatch):
+        def run_(config, quiet=False):
+            raise AssertionError("run was called")
+
+        monkeypatch.setattr(cli, "run", run_)
+        out = tmp_path / "same.csv"
+        sections = ("problem = linear-wave\nproblem.n = 8\nt-final = 0.1\nsteps = 2\n"
+                    "reference = dense\n[a]\nbasis-dim = 4\n[b]\nbasis-dim = 6\n")
+        conf = tmp_path / "two.conf"
+        if layout == "top-level-output":
+            conf.write_text(f"output = {out}\n{sections}")
+            argv = ["run", "--config", str(conf)]
+        elif layout == "output-flag":
+            conf.write_text(sections)
+            argv = ["run", "--config", str(conf), "--output", str(out)]
+        else:  # a preset with two sections of the same name
+            conf.write_text(sections.replace("[b]", "[a]"))
+            monkeypatch.setattr(cli, "load_preset",
+                                lambda name: parse_config_text(conf.read_text()))
+            argv = ["preset", "twin", "--output-dir", str(tmp_path)]
+            out = tmp_path / "twin-a.csv"
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert os.path.realpath(out) in err and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["two.conf"]
 
     @pytest.mark.parametrize("bad,message", [

@@ -336,11 +336,18 @@ class TestStructureAsKGrows:
         A = random_hamiltonian_matrix(rng, 20)
         v = rng.standard_normal(40)
         for k in (1, 2, 4, 8, 12, 16, 20):
-            U = builder(CountingAction.from_dense(A), v, k).basis.columns
+            basis = builder(CountingAction.from_dense(A), v, k).basis
+            U = basis.columns
             assert U.shape == (40, 2 * k)
+            assert basis.kind == SYMPLECTIC
             assert symplectic_defect(U) <= STRUCTURE_TOL
             if paired:
                 assert orthonormal_defect(U) <= STRUCTURE_TOL
+                # J U = U J_k for U = [V, J^(-1) V], so the symplectic left
+                # inverse is U^T, also on w off range(U) (a random w, k < 20)
+                w = rng.standard_normal(40)
+                gap = np.linalg.norm(basis.left_apply(w) - U.T @ w)
+                assert gap <= 1e-13 * np.linalg.norm(w)
 
 
 class TestCosts:

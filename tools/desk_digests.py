@@ -5,15 +5,20 @@ Runs each section of every ``*-desk`` preset the way ``symkry preset``
 does (``config_from_mapping`` then ``run(quiet=True)``), writes the CSVs
 into a temporary directory and prints one line per section:
 
-    <preset>-<section> <sha256 of the CSV> matvecs=<total matvecs> fp_iters=<total>
+    <preset>-<section> <sha256 of the CSV> matvecs=<n> fp_iters=<n> max_ree=<e> final_sol=<e>
 
-The two totals count every step, the ones the CSV does not record too.
+The matvec and fixed-point totals count every step, the ones the CSV
+does not record too.
+``max_ree`` is the largest recorded relative energy error and ``final_sol``
+the last recorded solution error (``%.3e``), so when a change moves
+rounding on purpose the diff shows by how much; a byte-identical refactor
+still diffs empty.
 Then it runs the three perfbench workloads at seeds 0 and 7 the way the
 perfbench worker does (the preset text from ``perfbench/workloads.py`` of
 this checkout through ``parse_config_text``, ``config_from_mapping`` and
 ``run(quiet=True)``) and prints one line per section (about 25 s):
 
-    perfbench-<workload>-seed<s>-<section> <sha256> matvecs=<n> fp_iters=<n>
+    perfbench-<workload>-seed<s>-<section> <sha256> matvecs=<n> fp_iters=<n> max_ree=<e> final_sol=<e>
 
 Two lines before all of them digest what ``cli.main`` prints at 80
 columns, so the check also covers the generated ``run`` flags and the
@@ -63,12 +68,14 @@ def main(argv):
     def print_digest(label, mapping, path):
         config = config_from_mapping({**mapping, "output": str(path)})
         try:
-            summary, status = run(config, quiet=True).summary, ""
+            result = run(config, quiet=True)
+            summary, rows, status = result.summary, result.series.rows, ""
         except IntegrationAborted as exc:  # the partial CSV is still written
-            summary, status = exc.summary, " aborted"
+            summary, rows, status = exc.summary, exc.series.rows, " aborted"
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{label} {digest} matvecs={summary.matvec_count} "
-              f"fp_iters={summary.fp_iterations}{status}", flush=True)
+              f"fp_iters={summary.fp_iterations} max_ree={max(r[2] for r in rows):.3e} "
+              f"final_sol={rows[-1][3]:.3e}{status}", flush=True)
 
     print(f"symkry from {Path(sys.modules['symkry'].__file__).parent}", file=sys.stderr)
     os.environ["COLUMNS"] = "80"  # argparse wraps the help text to this width
