@@ -223,9 +223,10 @@ class QuadraticHamiltonianSystem(HamiltonianSystem):
         self.d = np.zeros(self.dim) if d is None else np.asarray(d, dtype=float)
         if self.d.shape != (self.dim,):
             raise ValueError("constant term has wrong length")
+        self._shift = apply_J_inverse(self.d)  # f(x) = A x + J^(-1) d
 
     def f(self, x):
-        return apply_J_inverse(self._s_apply(x) + self.d)
+        return self.jvp(x, x) + self._shift
 
     def energy(self, x):
         return float(0.5 * x @ self._s_apply(x) + self.d @ x)

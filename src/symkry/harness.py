@@ -71,12 +71,12 @@ def _rk4_step(f, x, h):
 
 def _check_reference(system, mode, factor):
     """Refuse, as a ConfigError, a reference the oracle cannot give: an
-    unknown mode, a refinement factor below 1, and the dense oracle for a
-    nonlinear system or one above DENSE_REFERENCE_LIMIT."""
+    unknown mode, a refinement factor that is not an integer >= 1, and the
+    dense oracle for a nonlinear system or one above DENSE_REFERENCE_LIMIT."""
     if mode not in ("dense", "fine"):
         raise ConfigError(f"reference must be 'dense' or 'fine', got {mode!r}")
-    if factor < 1:
-        raise ConfigError(f"reference refinement factor must be at least 1, got {factor!r}")
+    if not isinstance(factor, (int, np.integer)) or factor < 1:
+        raise ConfigError(f"reference factor must be an integer of at least 1, got {factor!r}")
     if mode == "dense" and not system.is_linear:
         raise ConfigError("dense reference requires a linear system")
     if mode == "dense" and system.dim > DENSE_REFERENCE_LIMIT:

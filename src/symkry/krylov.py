@@ -10,7 +10,9 @@ Gram-Schmidt is classical with one reorthogonalization pass.  ``_cgs2``
 runs the Arnoldi recurrences and returns Arnoldi's coefficients;
 ``_project_out`` is every removal of a basis's range, along its left
 inverse (the paired processes' omega-orthogonalization, the Lanczos
-reorthogonalization, the basis extensions).  The Lanczos recursion is kept
+reorthogonalization, the basis extensions).  Hamiltonian Lanczos keeps its
+pairs as rows of one preallocated block (the other builders, as columns),
+so each removal is two row products.  The Lanczos recursion is kept
 short on purpose, which is where its cost advantage comes from, at the
 price of slow symplecticity drift for larger pair counts.
 ``CountingAction`` is the one matrix action and the one matvec counter.
@@ -113,11 +115,12 @@ def _cgs2(w, Q):
     return w - Q @ h2, h + h2
 
 
-def _project_out(basis, w):
-    """Remove range(U) from w along the basis's left inverse, in two passes
-    of w <- w - U U^+ w.  An empty basis leaves w unchanged."""
+def _project_out(project, w):
+    """Remove range(U) from w along U's left inverse, in two passes of
+    w <- w - project(w) with project(w) = U U^+ w (``BasisMatrix.project``,
+    or Lanczos's row-block product).  An empty basis leaves w unchanged."""
     for _ in range(2):
-        w = w - basis.project(w)
+        w = w - project(w)
     return w
 
 
@@ -202,7 +205,7 @@ def symplectic_arnoldi(action, v, k):
             break
         q = w / r
         Q[:, j] = q
-        s = _project_out(BasisMatrix(P[:, : 2 * nq], ORTHONORMAL), q)
+        s = _project_out(BasisMatrix(P[:, : 2 * nq], ORTHONORMAL).project, q)
         rs = np.linalg.norm(s)
         if rs <= DEPENDENCE_RTOL:
             # The companion vector vanished although the Arnoldi remainder
@@ -241,7 +244,7 @@ def isotropic_arnoldi(action, v, k):
         w = action.apply(P[:, 2 * (j - 1)])
         images.append(w)
         anorm = max(anorm, np.linalg.norm(w))
-        w = _project_out(BasisMatrix(P[:, : 2 * nq], ORTHONORMAL), w)
+        w = _project_out(BasisMatrix(P[:, : 2 * nq], ORTHONORMAL).project, w)
         r = np.linalg.norm(w)
         resid = r
         if r <= DEFLATION_RTOL * anorm:
@@ -265,69 +268,68 @@ def hamiltonian_lanczos(action, v, k):
     fallback.  Each new remainder is omega-reorthogonalized against the
     basis built so far, which arrests the symplecticity drift of the bare
     recursion while keeping the orthogonalization bill below Arnoldi's.
+
+    The pairs are rows of one preallocated block R = [u_1, v_1, u_2, ...],
+    with the rows of U^+ (J v_i, J^(-1) u_i) in a block L and the images in
+    a third, so the basis so far is a prefix and ``_project_out`` removes it
+    with (L[:2j] w) R[:2j].  U and its images take [u..., v...] order at the end.
     """
     v, nv = _validate_start(action, v, k, action.dim // 2, "hamiltonian_lanczos")
-    us, vs, img_u, img_v = [], [], [], []
+    R, L, images = (np.empty((2 * k, action.dim)) for _ in range(3))
     alphas, betas, deltas = [], [], []
 
     u_hat = v.copy()
     scale_ref = nv
     terminated = REACHED_K
     resid = 0.0
-    for j in range(1, k + 1):
+    for j in range(k):
         nu = np.linalg.norm(u_hat)
         resid = nu
         if nu <= DEFLATION_RTOL * scale_ref:
             terminated = INVARIANT_SUBSPACE
             break
         w_hat = action.apply(u_hat)
-        tau = omega(u_hat, w_hat)
+        left_u = apply_J_inverse(u_hat)
+        tau = float(left_u @ w_hat)  # omega(u_hat, w_hat)
         if abs(tau) <= BREAKDOWN_RTOL * nu * nu:
             terminated = BREAKDOWN
             break
         sigma = np.sqrt(abs(tau))
         delta = 1.0 if tau > 0 else -1.0
-        u_j = u_hat / sigma
-        v_j = (delta / sigma) * w_hat
-        us.append(u_j)
-        vs.append(v_j)
+        u_j, v_j = R[2 * j], R[2 * j + 1]
+        np.divide(u_hat, sigma, out=u_j)
+        np.multiply(delta / sigma, w_hat, out=v_j)
+        L[2 * j] = apply_J(v_j)
+        np.divide(left_u, sigma, out=L[2 * j + 1])  # J^(-1) u_j
         deltas.append(delta)
-        img_u.append(w_hat / sigma)  # A u_j = delta_j v_j, stored as computed
-        if j >= 2:
-            betas.append(sigma)      # beta_{j-1} couples u_{j-1} and u_j in T
+        np.divide(w_hat, sigma, out=images[2 * j])  # A u_j, as computed
+        if j:
+            betas.append(sigma)  # beta_{j-1} couples u_{j-1} and u_j in T
 
         x = action.apply(v_j)
-        img_v.append(x)
-        alpha = -omega(v_j, x)
-        alphas.append(alpha)
-        if j < k:
-            u_hat = x - alpha * u_j
-            if j >= 2:
-                u_hat = u_hat - betas[-1] * us[-2]
+        images[2 * j + 1] = x
+        alphas.append(float(L[2 * j] @ x))  # alpha_j = -omega(v_j, x)
+        if j + 1 < k:
+            u_hat = x - alphas[-1] * u_j
+            if j:
+                u_hat = u_hat - sigma * R[2 * j - 2]
             # omega-reorthogonalize the remainder against all current pairs;
             # the recursion coefficients are left untouched (the removed
             # components sit at drift level) but without this the basis
             # loses symplecticity rapidly.  Costs 4j inner products per
             # pair, still well below one Arnoldi orthogonalization sweep.
-            u_hat = _project_out(BasisMatrix(np.column_stack(us + vs), SYMPLECTIC), u_hat)
+            u_hat = _project_out(lambda w: (L[:2 * j + 2] @ w) @ R[:2 * j + 2], u_hat)
             scale_ref = np.linalg.norm(x)
 
-    kp = len(us)
-    if kp == 0:
-        basis = BasisMatrix(np.zeros((action.dim, 0)), SYMPLECTIC, np.zeros((0, 0)))
-        return KrylovOutcome(basis, terminated, float(resid), np.zeros((action.dim, 0)))
-
-    U = np.column_stack(us + vs)
-    T = np.diag(alphas)
-    for i, b in enumerate(betas):
-        T[i, i + 1] = b
-        T[i + 1, i] = b
+    kp = len(deltas)
+    i = np.arange(kp)
     F = np.zeros((2 * kp, 2 * kp))
-    F[:kp, kp:] = T
-    F[kp:, :kp] = np.diag(deltas)
-    images = np.column_stack(img_u + img_v)
-    basis = BasisMatrix(U, SYMPLECTIC, F)
-    return KrylovOutcome(basis, terminated, float(resid), images)
+    F[i, kp + i] = alphas  # T in the upper right block, D in the lower left
+    F[i[:-1], kp + i[1:]] = F[i[1:], kp + i[:-1]] = betas
+    F[kp + i, i] = deltas
+    order = np.concatenate([2 * i, 2 * i + 1])
+    basis = BasisMatrix(R[order].T, SYMPLECTIC, F)
+    return KrylovOutcome(basis, terminated, float(resid), images[order].T)
 
 
 def extend_basis_symplectic(basis, x):
@@ -351,12 +353,12 @@ def extend_basis_symplectic(basis, x):
     U = basis.columns
     m = U.shape[1]
     kp = m // 2
-    x_hat = _project_out(basis, x)
+    x_hat = _project_out(basis.project, x)
     if np.linalg.norm(x_hat) <= DEPENDENCE_RTOL * nx:
         return basis, []
 
     v_new = x_hat / np.linalg.norm(x_hat)
-    y = _project_out(basis, apply_J(x_hat))
+    y = _project_out(basis.project, apply_J(x_hat))
     pairing = omega(v_new, y)
     if abs(pairing) <= DEPENDENCE_RTOL * max(np.linalg.norm(y), 1e-300):
         raise DegeneratePairError("paired companion of the new vector degenerated")
@@ -387,7 +389,7 @@ def extend_basis_orthogonal(basis, x):
         raise ValueError("cannot extend with a zero vector")
 
     Q = basis.columns
-    r = _project_out(basis, x)
+    r = _project_out(basis.project, x)
     nr = np.linalg.norm(r)
     if nr <= DEPENDENCE_RTOL * nx:
         return basis, []

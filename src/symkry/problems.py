@@ -25,7 +25,6 @@ import numpy as np
 from .core import (
     HamiltonianSystem,
     QuadraticHamiltonianSystem,
-    apply_J_inverse,
     join_state,
     split_state,
 )
@@ -97,6 +96,14 @@ class LinearWaveSystem(QuadraticHamiltonianSystem):
         u0 = 1.0 / (1.0 + np.sin(np.pi * x_grid) ** 2) - 1.0
         self.initial_state = join_state(u0, np.zeros(n))
 
+    def jvp(self, x, v):
+        v = np.asarray(v, dtype=float)
+        n = self.laplacian.n
+        out = np.empty(self.dim)
+        out[:n] = v[n:]
+        out[n:] = self.laplacian.apply(v[:n])
+        return out
+
 
 class NonlinearSchroedingerSystem(HamiltonianSystem):
     """Cubic Schroedinger equation with a sin^2 potential, in (Re, Im) parts.
@@ -131,15 +138,15 @@ class NonlinearSchroedingerSystem(HamiltonianSystem):
         k = np.round(x / np.pi)
         return k * np.pi + np.arctan(slope * np.tan(x - k * np.pi))
 
-    def _grad_h(self, x):
-        q, p = split_state(x)
-        density = q * q + p * p
-        gq = -0.5 * self.laplacian.apply(q) + density * q - self.V0 * self.potential * q
-        gp = -0.5 * self.laplacian.apply(p) + density * p - self.V0 * self.potential * p
-        return join_state(gq, gp)
-
     def f(self, x):
-        return apply_J_inverse(self._grad_h(x))
+        x = np.asarray(x, dtype=float)
+        q, p = x[:self.n], x[self.n:]
+        density = q * q + p * p
+        out = np.empty(self.dim)
+        out[:self.n] = -(-0.5 * self.laplacian.apply(p) + density * p
+                         - self.V0 * self.potential * p)
+        out[self.n:] = -0.5 * self.laplacian.apply(q) + density * q - self.V0 * self.potential * q
+        return out
 
     def energy(self, x):
         q, p = split_state(x)
@@ -149,14 +156,16 @@ class NonlinearSchroedingerSystem(HamiltonianSystem):
                      - 0.5 * self.V0 * np.sum(self.potential * density))
 
     def jvp(self, x, v):
-        q, p = split_state(x)
-        a, b = split_state(np.asarray(v, dtype=float))
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        q, p, a, b = x[:self.n], x[self.n:], v[:self.n], v[self.n:]
         cross = 2.0 * q * p
-        ga = (-0.5 * self.laplacian.apply(a)
-              + (3.0 * q * q + p * p - self.V0 * self.potential) * a + cross * b)
-        gb = (-0.5 * self.laplacian.apply(b)
-              + (q * q + 3.0 * p * p - self.V0 * self.potential) * b + cross * a)
-        return apply_J_inverse(join_state(ga, gb))
+        out = np.empty(self.dim)
+        out[:self.n] = -(-0.5 * self.laplacian.apply(b)
+                         + (q * q + 3.0 * p * p - self.V0 * self.potential) * b + cross * a)
+        out[self.n:] = (-0.5 * self.laplacian.apply(a)
+                        + (3.0 * q * q + p * p - self.V0 * self.potential) * a + cross * b)
+        return out
 
 
 class KleinGordonSystem(HamiltonianSystem):
@@ -183,8 +192,12 @@ class KleinGordonSystem(HamiltonianSystem):
         return self.g == 0.0
 
     def f(self, x):
-        q, p = split_state(x)
-        return join_state(p, self.laplacian.apply(q) - self.m ** 2 * q - self.g * q ** 3)
+        x = np.asarray(x, dtype=float)
+        q = x[:self.n]
+        out = np.empty(self.dim)
+        out[:self.n] = x[self.n:]
+        out[self.n:] = self.laplacian.apply(q) - self.m ** 2 * q - self.g * q ** 3
+        return out
 
     def energy(self, x):
         q, p = split_state(x)
@@ -192,9 +205,13 @@ class KleinGordonSystem(HamiltonianSystem):
                      - np.sum(0.5 * self.m ** 2 * q ** 2 + 0.25 * self.g * q ** 4))
 
     def jvp(self, x, v):
-        q, _ = split_state(x)
-        a, b = split_state(np.asarray(v, dtype=float))
-        return join_state(b, self.laplacian.apply(a) - (self.m ** 2 + 3.0 * self.g * q * q) * a)
+        q = np.asarray(x, dtype=float)[:self.n]
+        v = np.asarray(v, dtype=float)
+        a = v[:self.n]
+        out = np.empty(self.dim)
+        out[:self.n] = v[self.n:]
+        out[self.n:] = self.laplacian.apply(a) - (self.m ** 2 + 3.0 * self.g * q * q) * a
+        return out
 
 
 PROBLEM_REGISTRY = {

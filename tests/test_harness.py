@@ -135,6 +135,11 @@ class TestReferenceSolution:
         with pytest.raises(ConfigError, match="at least 1"):
             reference_solution(sys, sys.initial_state, np.array([0.0, 0.1]), factor=factor)
 
+    def test_fine_factor_not_an_integer_refused(self):
+        sys = KleinGordonSystem(n=8)
+        with pytest.raises(ConfigError, match="an integer of at least 1, got 2.5"):
+            reference_solution(sys, sys.initial_state, np.array([0.0, 0.1]), factor=2.5)
+
 
 class TestExperimentConfig:
     def test_validation_catches_bad_fields(self):
@@ -159,6 +164,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(problem="klein-gordon", problem_params={"n": 8},
                              reference="dense").build()
+
+    def test_non_integer_ref_factor_refused(self):
+        cfg = ExperimentConfig(problem="klein-gordon", problem_params={"n": 8}, ref_factor=2.5)
+        with pytest.raises(ConfigError, match="an integer of at least 1, got 2.5"):
+            cfg.build()
 
     def test_echo_is_deterministic(self):
         cfg = ExperimentConfig(problem="nls", problem_params={"n": 125},

@@ -6,6 +6,7 @@ from symkry import (
     CountingAction,
     KleinGordonSystem,
     LinearWaveSystem,
+    apply_J_inverse,
     arnoldi,
     canonical_J,
     extend_basis_orthogonal,
@@ -17,6 +18,7 @@ from symkry import (
     symplectic_arnoldi,
     symplectic_defect,
 )
+from symkry import krylov
 from symkry.core import ORTHONORMAL, STRUCTURE_TOL, SYMPLECTIC
 from symkry.errors import BasisKindError
 from symkry.krylov import BREAKDOWN, INVARIANT_SUBSPACE, REACHED_K
@@ -221,6 +223,71 @@ class TestHamiltonianLanczos:
         out = hamiltonian_lanczos(act, np.array([1.0, 1.0]), 1)
         assert out.terminated == BREAKDOWN
         assert out.basis.n_columns == 0
+
+
+def two_pair_lanczos_matrix(coupling):
+    """A = J^(-1) S on R^8 whose Lanczos basis from e_1 is u = (e_1, e_2),
+    v = (e_5, e_6), with D = diag(1, -1) and T = [[2, 3], [3, 5]].  The third
+    remainder is coupling * (e_3 + e_7), and S is isotropic on it: a
+    coupling of 0 ends the recursion as an invariant subspace after two
+    pairs, a coupling of 1 as a breakdown."""
+    S = np.zeros((8, 8))
+    S[0, 0], S[1, 1] = 1.0, -1.0
+    S[4:6, 4:6] = -np.array([[2.0, 3.0], [3.0, 5.0]])
+    S[2, 5] = S[5, 2] = coupling
+    S[6, 5] = S[5, 6] = -coupling
+    S[2, 2], S[6, 6] = 1.0, -1.0
+    S[3, 3] = S[7, 7] = 1.0
+    return apply_J_inverse(S)
+
+
+class TestLanczosRowBlock:
+    @pytest.mark.parametrize("coupling, stop", [(0.0, INVARIANT_SUBSPACE), (1.0, BREAKDOWN)])
+    def test_early_stop_keeps_u_then_v_order(self, coupling, stop):
+        A = two_pair_lanczos_matrix(coupling)
+        out = hamiltonian_lanczos(CountingAction.from_dense(A), np.eye(8)[0], 4)
+        assert out.terminated == stop
+        U = out.basis.columns
+        assert np.array_equal(U, np.eye(8)[:, [0, 1, 4, 5]])
+        F = np.zeros((4, 4))
+        F[:2, 2:] = [[2.0, 3.0], [3.0, 5.0]]
+        F[2:, :2] = np.diag([1.0, -1.0])
+        assert np.array_equal(out.basis.reduced, F)
+        assert np.array_equal(out.action_images, A @ U)
+
+    @pytest.mark.parametrize("n, k", [(50, 20), (400, 11)])
+    def test_images_reduced_matrix_and_structure(self, rng, n, k):
+        sys = KleinGordonSystem(n=n)
+        x = sys.initial_state + 0.1 * rng.standard_normal(sys.dim)
+        out = hamiltonian_lanczos(CountingAction.from_system(sys, x), sys.f(x), k)
+        assert out.terminated == REACHED_K
+        U = out.basis.columns
+        AU = sys.jacobian_dense(x) @ U
+        assert np.linalg.norm(out.action_images - AU) <= 1e-13 * np.linalg.norm(AU)
+        F = out.basis.reduced
+        assert np.linalg.norm(F - out.basis.left_apply(AU)) <= 1e-12 * np.linalg.norm(F)
+        assert symplectic_defect(U) <= STRUCTURE_TOL
+
+    def test_in_loop_removal_is_project_out_over_the_partial_basis(self, rng, monkeypatch):
+        # every reorthogonalization in the loop removes the range of the
+        # pairs built so far, as _project_out over that BasisMatrix does
+        project_out = krylov._project_out
+        calls = []
+
+        def spy(project, w):
+            calls.append((w, project_out(project, w)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(krylov, "_project_out", spy)
+        sys = KleinGordonSystem(n=400)
+        x = sys.initial_state + 0.1 * rng.standard_normal(sys.dim)
+        out = hamiltonian_lanczos(CountingAction.from_system(sys, x), sys.f(x), 11)
+        U, kp = out.basis.columns, out.basis.n_columns // 2
+        assert kp == 11 and len(calls) == kp - 1
+        for j, (w, got) in enumerate(calls, start=1):
+            partial = BasisMatrix(np.column_stack([U[:, :j], U[:, kp: kp + j]]), SYMPLECTIC)
+            want = project_out(partial.project, w)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestExactnessAtInvariantSubspace:

@@ -9,6 +9,7 @@ from symkry import (
     apply_J_inverse,
     build_problem,
     check_hamiltonian_matrix,
+    join_state,
     list_problems,
     split_state,
 )
@@ -186,6 +187,53 @@ class TestKleinGordon:
         sys = KleinGordonSystem()
         assert np.isclose(sys.energy(sys.initial_state), -4460.260586860914,
                           rtol=1e-12, atol=0)
+
+
+def wave_formulas(sys, x, v):
+    # f = J^(-1)(S x + d) and Df v = J^(-1) S v with S (q, p) = (Lap q, -p)
+    def s_apply(y):
+        q, p = split_state(y)
+        return join_state(sys.laplacian.apply(q), -p)
+    return apply_J_inverse(s_apply(x) + sys.d), apply_J_inverse(s_apply(v))
+
+
+def nls_formulas(sys, x, v):
+    q, p = split_state(x)
+    density = q * q + p * p
+    gq = -0.5 * sys.laplacian.apply(q) + density * q - sys.V0 * sys.potential * q
+    gp = -0.5 * sys.laplacian.apply(p) + density * p - sys.V0 * sys.potential * p
+    a, b = split_state(np.asarray(v, dtype=float))
+    cross = 2.0 * q * p
+    ga = (-0.5 * sys.laplacian.apply(a)
+          + (3.0 * q * q + p * p - sys.V0 * sys.potential) * a + cross * b)
+    gb = (-0.5 * sys.laplacian.apply(b)
+          + (q * q + 3.0 * p * p - sys.V0 * sys.potential) * b + cross * a)
+    return apply_J_inverse(join_state(gq, gp)), apply_J_inverse(join_state(ga, gb))
+
+
+def klein_gordon_formulas(sys, x, v):
+    q, p = split_state(x)
+    a, b = split_state(np.asarray(v, dtype=float))
+    return (join_state(p, sys.laplacian.apply(q) - sys.m ** 2 * q - sys.g * q ** 3),
+            join_state(b, sys.laplacian.apply(a) - (sys.m ** 2 + 3.0 * sys.g * q * q) * a))
+
+
+class TestFieldAndJacobianAction:
+    @pytest.mark.parametrize("n", [1, 2, 5, 400])
+    @pytest.mark.parametrize("cls, formulas", [
+        (LinearWaveSystem, wave_formulas),
+        (NonlinearSchroedingerSystem, nls_formulas),
+        (KleinGordonSystem, klein_gordon_formulas)], ids=["wave", "nls", "klein-gordon"])
+    def test_bit_equal_to_split_and_join_formulas(self, rng, cls, formulas, n):
+        # f and jvp write both halves into one output; the numbers are the
+        # ones the split_state / join_state / apply_J_inverse forms give
+        sys = cls(n=n)
+        for _ in range(20):
+            x, v = rng.standard_normal((2, 2 * n)) * 10.0 ** rng.integers(-4, 4, size=(2, 1))
+            want_f, want_jvp = formulas(sys, x, v)
+            assert np.array_equal(sys.f(x), want_f)
+            assert np.array_equal(sys.jvp(x, v), want_jvp)
+            assert np.array_equal(sys.jvp(x, list(v)), want_jvp)
 
 
 class TestRegistry:
