@@ -7,11 +7,13 @@ Two short studies on the nonlinear Klein-Gordon system:
    iterations per step even though h times the Jacobian norm is large.
 
 2. The explicit midpoint variant (EEMP) with a plain orthonormal basis is
-   unstable on this problem: the run trips the divergence guard within a
-   few hundred steps, while the Hamiltonian Lanczos basis integrates the
-   full horizon with a bounded energy error.  The guard is an observer
-   that fails the step once the state norm passes 1e6 ||x0||; without it
-   the Arnoldi run overflows to non-finite states.
+   unstable on this problem: the run fails within a few hundred steps,
+   while the Hamiltonian Lanczos basis integrates the full horizon with a
+   bounded energy error.  The Arnoldi state leaves every bound within one
+   or two steps, so the run ends either at the divergence guard, an
+   observer that fails the step once the state norm passes 1e6 ||x0||, or
+   at the step whose state overflows to non-finite values; which of the
+   two comes first is decided at rounding level.
 """
 
 import numpy as np
@@ -52,7 +54,8 @@ for process in ("hamiltonian-lanczos", "arnoldi"):
     cfg = StepperConfig(method="EEMP", basis_process=process, basis_dim=20,
                         step_size=T / STEPS)
     try:
-        s = integrate(kg, cfg, x0, n_steps=STEPS, observer=guard)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = integrate(kg, cfg, x0, n_steps=STEPS, observer=guard)
         err = relative_energy_error(kg, s.final_state, x0)
         print(f"   {process:20s}: stable, final energy error {err:.2e}")
     except IntegrationAborted as exc:

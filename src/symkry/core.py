@@ -171,11 +171,12 @@ class HamiltonianSystem(ABC):
     """Black-box Hamiltonian system x' = f(x) with conserved energy.
 
     Implementations provide the phase-space dimension 2n, the vector field
-    f, the energy H, and the Jacobian-vector product Df(x) v.  All methods
-    must be pure (read-only after construction) so systems can be shared
-    between concurrent runs.  A linear system (``is_linear``) gives its
-    affine parts f(x) = A x + c through ``jacobian_dense`` (A, at any point)
-    and ``f`` (c = f(0)).
+    f, the energy H, and ``linearize``, the Jacobian action at a point;
+    ``jvp`` and ``jacobian_dense`` are derived from it.  All methods must be
+    pure (read-only after construction) so systems can be shared between
+    concurrent runs.  A linear system (``is_linear``) gives its affine parts
+    f(x) = A x + c through ``jacobian_dense`` (A, at any point) and ``f``
+    (c = f(0)).
     """
 
     is_linear = False
@@ -193,13 +194,18 @@ class HamiltonianSystem(ABC):
         """Conserved energy H(x)."""
 
     @abstractmethod
+    def linearize(self, x):
+        """The action v -> Df(x) v, with the coefficients that depend on x
+        computed once; later changes to x do not reach it."""
+
     def jvp(self, x, v):
         """Jacobian-vector product Df(x) v."""
+        return self.linearize(x)(v)
 
     def jacobian_dense(self, x):
         """Densify Df(x) column by column; diagnostic, small sizes only."""
-        cols = [self.jvp(x, e) for e in np.eye(self.dim)]
-        return np.column_stack(cols)
+        action = self.linearize(x)
+        return np.column_stack([action(e) for e in np.eye(self.dim)])
 
 
 class QuadraticHamiltonianSystem(HamiltonianSystem):
@@ -231,8 +237,8 @@ class QuadraticHamiltonianSystem(HamiltonianSystem):
     def energy(self, x):
         return float(0.5 * x @ self._s_apply(x) + self.d @ x)
 
-    def jvp(self, x, v):
-        return apply_J_inverse(self._s_apply(v))
+    def linearize(self, x):
+        return lambda v: apply_J_inverse(self._s_apply(v))
 
 
 def jvp_matches_finite_difference(system, x, v, rel_tol=1e-5):

@@ -67,8 +67,7 @@ class CountingAction:
     @classmethod
     def from_system(cls, system, x):
         """Jacobian action of a HamiltonianSystem at the linearization point x."""
-        x = np.asarray(x, dtype=float)
-        return cls(system.dim, lambda v: system.jvp(x, v))
+        return cls(system.dim, system.linearize(x))
 
     def apply(self, v):
         self.count += 1

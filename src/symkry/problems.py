@@ -2,7 +2,8 @@
 
 Three one-dimensional benchmarks, each discretized with second-order
 central differences on an equidistant grid and carrying an exact discrete
-energy and an analytic Jacobian-vector product:
+energy and an analytic Jacobian action whose point coefficients
+``linearize`` computes once per point:
 
   linear-wave    q' = p, p' = Lap q + c  with a Dirichlet Laplacian and a
                  fixed source sampled from (x (x - L))^2 / 8.
@@ -19,6 +20,7 @@ Each problem's default parameters are the defaults of its class signature.
 
 import inspect
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,7 +48,7 @@ class DiscreteLaplacian:
     length: float
     boundary: str = PERIODIC
 
-    @property
+    @cached_property
     def scale(self):
         return (self.n / self.length) ** 2
 
@@ -54,19 +56,19 @@ class DiscreteLaplacian:
         v = np.asarray(v, dtype=float)
         if v.shape[0] != self.n:
             raise ValueError(f"vector has length {v.shape[0]}, expected {self.n}")
+        out = -2.0 * v
         if self.boundary == PERIODIC:
-            # (left - 2 v) + right everywhere; v[n - 2] and v[1 % n] wrap
-            # around for n = 1 and n = 2
-            n = self.n
-            out = np.empty_like(v)
-            out[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
-            out[0] = v[-1] - 2.0 * v[0] + v[1 % n]
-            out[-1] = v[n - 2] - 2.0 * v[-1] + v[0]
+            # (-2 v + left) + right on v padded with its wrapped neighbours
+            w = np.empty(self.n + 2)
+            w[1:-1] = v
+            w[0], w[-1] = v[-1], v[0]
+            out += w[:-2]
+            out += w[2:]
         else:
-            out = -2.0 * v
             out[:-1] += v[1:]
             out[1:] += v[:-1]
-        return self.scale * out
+        out *= self.scale
+        return out
 
     def eigenvalues_periodic(self):
         """Closed-form spectrum -(2/dx^2)(1 - cos(2 pi j / n)), j = 0..n-1."""
@@ -96,7 +98,10 @@ class LinearWaveSystem(QuadraticHamiltonianSystem):
         u0 = 1.0 / (1.0 + np.sin(np.pi * x_grid) ** 2) - 1.0
         self.initial_state = join_state(u0, np.zeros(n))
 
-    def jvp(self, x, v):
+    def linearize(self, x):
+        return self._action
+
+    def _action(self, v):
         v = np.asarray(v, dtype=float)
         n = self.laplacian.n
         out = np.empty(self.dim)
@@ -127,6 +132,7 @@ class NonlinearSchroedingerSystem(HamiltonianSystem):
         self.laplacian = DiscreteLaplacian(n, 8.0 * np.pi, PERIODIC)
         self.grid = -4.0 * np.pi + np.arange(n) * self.laplacian.length / n
         self.potential = np.sin(self.grid) ** 2
+        self._v0_potential = self.V0 * self.potential
 
         amplitude = np.sqrt(self.V0 * self.potential + self.B)
         theta = self._phase(self.grid)
@@ -143,9 +149,8 @@ class NonlinearSchroedingerSystem(HamiltonianSystem):
         q, p = x[:self.n], x[self.n:]
         density = q * q + p * p
         out = np.empty(self.dim)
-        out[:self.n] = -(-0.5 * self.laplacian.apply(p) + density * p
-                         - self.V0 * self.potential * p)
-        out[self.n:] = -0.5 * self.laplacian.apply(q) + density * q - self.V0 * self.potential * q
+        out[:self.n] = -(-0.5 * self.laplacian.apply(p) + density * p - self._v0_potential * p)
+        out[self.n:] = -0.5 * self.laplacian.apply(q) + density * q - self._v0_potential * q
         return out
 
     def energy(self, x):
@@ -155,17 +160,21 @@ class NonlinearSchroedingerSystem(HamiltonianSystem):
         return float(quad + 0.25 * np.sum(density ** 2)
                      - 0.5 * self.V0 * np.sum(self.potential * density))
 
-    def jvp(self, x, v):
+    def linearize(self, x):
         x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        q, p, a, b = x[:self.n], x[self.n:], v[:self.n], v[self.n:]
+        n, q, p = self.n, x[:self.n], x[self.n:]
         cross = 2.0 * q * p
-        out = np.empty(self.dim)
-        out[:self.n] = -(-0.5 * self.laplacian.apply(b)
-                         + (q * q + 3.0 * p * p - self.V0 * self.potential) * b + cross * a)
-        out[self.n:] = (-0.5 * self.laplacian.apply(a)
-                        + (3.0 * q * q + p * p - self.V0 * self.potential) * a + cross * b)
-        return out
+        coeff_a = 3.0 * q * q + p * p - self._v0_potential
+        coeff_b = q * q + 3.0 * p * p - self._v0_potential
+
+        def action(v):
+            v = np.asarray(v, dtype=float)
+            a, b = v[:n], v[n:]
+            out = np.empty(self.dim)
+            out[:n] = -(-0.5 * self.laplacian.apply(b) + coeff_b * b + cross * a)
+            out[n:] = -0.5 * self.laplacian.apply(a) + coeff_a * a + cross * b
+            return out
+        return action
 
 
 class KleinGordonSystem(HamiltonianSystem):
@@ -196,22 +205,27 @@ class KleinGordonSystem(HamiltonianSystem):
         q = x[:self.n]
         out = np.empty(self.dim)
         out[:self.n] = x[self.n:]
-        out[self.n:] = self.laplacian.apply(q) - self.m ** 2 * q - self.g * q ** 3
+        out[self.n:] = self.laplacian.apply(q) - self.m ** 2 * q - self.g * (q * q * q)
         return out
 
     def energy(self, x):
         q, p = split_state(x)
+        qq = q * q
         return float(0.5 * q @ self.laplacian.apply(q) - 0.5 * p @ p
-                     - np.sum(0.5 * self.m ** 2 * q ** 2 + 0.25 * self.g * q ** 4))
+                     - np.sum(0.5 * self.m ** 2 * qq + 0.25 * self.g * (qq * qq)))
 
-    def jvp(self, x, v):
-        q = np.asarray(x, dtype=float)[:self.n]
-        v = np.asarray(v, dtype=float)
-        a = v[:self.n]
-        out = np.empty(self.dim)
-        out[:self.n] = v[self.n:]
-        out[self.n:] = self.laplacian.apply(a) - (self.m ** 2 + 3.0 * self.g * q * q) * a
-        return out
+    def linearize(self, x):
+        n, q = self.n, np.asarray(x, dtype=float)[:self.n]
+        coeff = self.m ** 2 + 3.0 * self.g * q * q
+
+        def action(v):
+            v = np.asarray(v, dtype=float)
+            a = v[:n]
+            out = np.empty(self.dim)
+            out[:n] = v[n:]
+            out[n:] = self.laplacian.apply(a) - coeff * a
+            return out
+        return action
 
 
 PROBLEM_REGISTRY = {

@@ -294,8 +294,9 @@ class TestIntegrate:
         # non-finite; the kernel's rejection fails step k, cause attached
         sys = random_quadratic_system(rng, 4)
         k = 3
-        jvp, poisoned = sys.jvp, []
-        sys.jvp = lambda x, v: np.full_like(v, np.nan) if poisoned else jvp(x, v)
+        linearize, poisoned = sys.linearize, []
+        sys.linearize = lambda x: ((lambda v: np.full_like(v, np.nan)) if poisoned
+                                   else linearize(x))
         cfg = StepperConfig(method=method, basis_process=process, basis_dim=4,
                             step_size=0.05)
         with pytest.raises(IntegrationAborted) as err:

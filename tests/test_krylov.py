@@ -439,6 +439,22 @@ class TestCosts:
         hamiltonian_lanczos(act, v, 4)
         assert act.count == 8  # two actions per pair
 
+    def test_system_action_linearizes_once_and_counts_each_apply(self, rng, monkeypatch):
+        # the point-dependent coefficients are built once per action; each
+        # apply is one counted Jacobian action, equal to jvp at that point
+        sys = KleinGordonSystem(n=16)
+        x = rng.standard_normal(sys.dim)
+        points = []
+        linearize = sys.linearize
+        monkeypatch.setattr(sys, "linearize", lambda y: points.append(y) or linearize(y))
+        act = CountingAction.from_system(sys, x)
+        assert len(points) == 1 and act.count == 0
+        for i in range(1, 4):
+            v = rng.standard_normal(sys.dim)
+            assert np.array_equal(act.apply(v), KleinGordonSystem(n=16).jvp(x, v))
+            assert act.count == i
+        assert len(points) == 1
+
 
 class TestReducedMatrixHelper:
     def test_cached_images_reused(self, rng):

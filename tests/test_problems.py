@@ -6,6 +6,7 @@ from symkry import (
     KleinGordonSystem,
     LinearWaveSystem,
     NonlinearSchroedingerSystem,
+    QuadraticHamiltonianSystem,
     apply_J_inverse,
     build_problem,
     check_hamiltonian_matrix,
@@ -189,12 +190,16 @@ class TestKleinGordon:
                           rtol=1e-12, atol=0)
 
 
+# Each formula gives f(x), Df(x) v and H(x) written out from the halves.
+
 def wave_formulas(sys, x, v):
-    # f = J^(-1)(S x + d) and Df v = J^(-1) S v with S (q, p) = (Lap q, -p)
+    # f = J^(-1)(S x + d), Df v = J^(-1) S v and H = x^T S x / 2 + d^T x with
+    # S (q, p) = (Lap q, -p)
     def s_apply(y):
         q, p = split_state(y)
         return join_state(sys.laplacian.apply(q), -p)
-    return apply_J_inverse(s_apply(x) + sys.d), apply_J_inverse(s_apply(v))
+    return (apply_J_inverse(s_apply(x) + sys.d), apply_J_inverse(s_apply(v)),
+            float(0.5 * x @ s_apply(x) + sys.d @ x))
 
 
 def nls_formulas(sys, x, v):
@@ -208,32 +213,83 @@ def nls_formulas(sys, x, v):
           + (3.0 * q * q + p * p - sys.V0 * sys.potential) * a + cross * b)
     gb = (-0.5 * sys.laplacian.apply(b)
           + (q * q + 3.0 * p * p - sys.V0 * sys.potential) * b + cross * a)
-    return apply_J_inverse(join_state(gq, gp)), apply_J_inverse(join_state(ga, gb))
+    energy = (-0.25 * (q @ sys.laplacian.apply(q) + p @ sys.laplacian.apply(p))
+              + 0.25 * np.sum(density ** 2) - 0.5 * sys.V0 * np.sum(sys.potential * density))
+    return (apply_J_inverse(join_state(gq, gp)), apply_J_inverse(join_state(ga, gb)),
+            float(energy))
 
 
 def klein_gordon_formulas(sys, x, v):
+    # the cube and the fourth power are products, not np.power
     q, p = split_state(x)
     a, b = split_state(np.asarray(v, dtype=float))
-    return (join_state(p, sys.laplacian.apply(q) - sys.m ** 2 * q - sys.g * q ** 3),
-            join_state(b, sys.laplacian.apply(a) - (sys.m ** 2 + 3.0 * sys.g * q * q) * a))
+    qq = q * q
+    return (join_state(p, sys.laplacian.apply(q) - sys.m ** 2 * q - sys.g * (q * q * q)),
+            join_state(b, sys.laplacian.apply(a) - (sys.m ** 2 + 3.0 * sys.g * q * q) * a),
+            float(0.5 * q @ sys.laplacian.apply(q) - 0.5 * p @ p
+                  - np.sum(0.5 * sys.m ** 2 * qq + 0.25 * sys.g * (qq * qq))))
+
+
+PROBLEM_FORMULAS = pytest.mark.parametrize("cls, formulas", [
+    (LinearWaveSystem, wave_formulas),
+    (NonlinearSchroedingerSystem, nls_formulas),
+    (KleinGordonSystem, klein_gordon_formulas)], ids=["wave", "nls", "klein-gordon"])
+
+
+def scaled_pair(rng, dim):
+    return rng.standard_normal((2, dim)) * 10.0 ** rng.integers(-4, 4, size=(2, 1))
 
 
 class TestFieldAndJacobianAction:
     @pytest.mark.parametrize("n", [1, 2, 5, 400])
-    @pytest.mark.parametrize("cls, formulas", [
-        (LinearWaveSystem, wave_formulas),
-        (NonlinearSchroedingerSystem, nls_formulas),
-        (KleinGordonSystem, klein_gordon_formulas)], ids=["wave", "nls", "klein-gordon"])
+    @PROBLEM_FORMULAS
     def test_bit_equal_to_split_and_join_formulas(self, rng, cls, formulas, n):
         # f and jvp write both halves into one output; the numbers are the
         # ones the split_state / join_state / apply_J_inverse forms give
         sys = cls(n=n)
         for _ in range(20):
-            x, v = rng.standard_normal((2, 2 * n)) * 10.0 ** rng.integers(-4, 4, size=(2, 1))
-            want_f, want_jvp = formulas(sys, x, v)
+            x, v = scaled_pair(rng, 2 * n)
+            want_f, want_jvp, want_energy = formulas(sys, x, v)
             assert np.array_equal(sys.f(x), want_f)
             assert np.array_equal(sys.jvp(x, v), want_jvp)
             assert np.array_equal(sys.jvp(x, list(v)), want_jvp)
+            assert sys.energy(x) == want_energy
+
+
+class TestLinearize:
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    @PROBLEM_FORMULAS
+    def test_one_linearization_serves_every_action(self, rng, cls, formulas, n):
+        # linearize(x) is the action jvp(x, .), bit for bit, for any number
+        # of vectors; x may be a list
+        sys = cls(n=n)
+        x, _ = scaled_pair(rng, 2 * n)
+        action = sys.linearize(list(x))
+        for _ in range(5):
+            v = scaled_pair(rng, 2 * n)[1]
+            want = formulas(sys, x, v)[1]
+            assert np.array_equal(action(v), want)
+            assert np.array_equal(sys.jvp(x, v), want)
+
+    def test_quadratic_system(self, rng):
+        S = rng.standard_normal((12, 12))
+        S = S + S.T
+        sys = QuadraticHamiltonianSystem(S, rng.standard_normal(12))
+        x, v = rng.standard_normal((2, sys.dim))
+        assert np.array_equal(sys.linearize(x)(v), apply_J_inverse(S @ v))
+        assert np.array_equal(sys.jvp(x, v), apply_J_inverse(S @ v))
+
+    @pytest.mark.parametrize("cls", [LinearWaveSystem, NonlinearSchroedingerSystem,
+                                     KleinGordonSystem])
+    def test_action_does_not_see_later_changes_to_x(self, rng, cls):
+        # systems stay read-only and shareable: the action keeps the
+        # linearization point it was built at
+        sys = cls(n=16)
+        x, v = scaled_pair(rng, sys.dim)
+        want = sys.jvp(x, v)
+        action = sys.linearize(x)
+        x += rng.standard_normal(sys.dim)
+        assert np.array_equal(action(v), want)
 
 
 class TestRegistry:
