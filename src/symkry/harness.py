@@ -5,9 +5,10 @@ dimension, horizon, step count), integrated with the configured stepper,
 and measured against a reference trajectory:
 
   dense     exact propagation of the affine system x' = A x + c, with
-            A = ``jacobian_dense`` and c = f(0), by one affine exponential
-            per grid interval (linear systems only, refused above
-            dimension DENSE_REFERENCE_LIMIT = 2000);
+            A = ``jacobian_dense`` and c = f(0) (linear systems only,
+            refused above dimension DENSE_REFERENCE_LIMIT = 2000): in
+            K's eigenbasis for q' = p, p' = K q + b with K symmetric,
+            else by one affine exponential per grid interval;
   fine      a classical fourth-order Runge-Kutta run at the main step
             divided by a refinement factor (default 100).
 
@@ -69,6 +70,24 @@ def _rk4_step(f, x, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _second_order_flow(K, b, x0, times):
+    """States of q' = p, p' = K q + b (K symmetric) from x0 at each time,
+    exact in the eigenbasis of K.  Mode by mode a'' = lam a + beta; with
+    w = sqrt(-lam t^2), imaginary where lam > 0, the flow has C = cos w,
+    S = sin(w)/w and G = 2 sin^2(w/2)/w^2 = S(w/2)^2/2, none of which
+    cancels near w = 0 (``np.sinc`` holds the limit at w = 0)."""
+    lam, V = np.linalg.eigh(K)
+    n = lam.size
+    a, pi, beta = V.T @ x0[:n], V.T @ x0[n:], V.T @ b
+    t = times[:, None]
+    w = np.sqrt((-lam * t * t).astype(complex))
+    C, S = np.cos(w).real, np.sinc(w / np.pi).real
+    G = 0.5 * np.sinc(w / (2 * np.pi)).real ** 2
+    q = (C * a + t * S * pi + t * t * G * beta) @ V.T
+    p = (lam * t * S * a + C * pi + t * S * beta) @ V.T
+    return np.hstack([q, p])
+
+
 def _check_reference(system, mode, factor):
     """Refuse, as a ConfigError, a reference the oracle cannot give: an
     unknown mode, a refinement factor that is not an integer >= 1, and the
@@ -88,8 +107,10 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
     """Reference states at the given times.
 
     mode "dense": densify the affine system x' = A x + c (A the dense
-    Jacobian at x0, c = f(0)) and propagate with ``exp_affine(A, c, dt)``
-    per grid interval (exact for linear systems).  mode "fine": classical
+    Jacobian at x0, c = f(0)), exact for linear systems.  When A is
+    exactly [[0, I], [K, 0]] with K symmetric and c's q-half is zero, the
+    states come from one ``eigh`` of K (``_second_order_flow``); otherwise
+    from ``exp_affine(A, c, dt)`` per grid interval.  mode "fine": classical
     RK4 with ``factor`` micro steps per grid interval, each of length
     interval/factor.  ``_check_reference`` refuses bad arguments before
     any work, on a one-point grid too.
@@ -109,6 +130,12 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
     if mode == "dense":
         A = system.jacobian_dense(x0)
         c = system.f(np.zeros(system.dim))
+        n = system.dim // 2
+        K = A[n:, :n]
+        if (np.array_equal(A[:n], np.eye(n, 2 * n, n)) and not A[n:, n:].any()
+                and np.array_equal(K, K.T) and not c[:n].any()):
+            states[1:] = _second_order_flow(K, c[n:], x0, t_grid[1:] - t_grid[0])
+            return states
         x = x0.copy()
         cache = {}
         for i in range(1, t_grid.size):

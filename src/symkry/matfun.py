@@ -1,10 +1,11 @@
 """Dense kernels: the matrix exponential, the affine flow and phi.
 
 These run on the reduced m x m matrices produced by the basis processes
-(m <= ~64) and on the dense reference, the only places transcendental
-matrix functions are evaluated.  phi(z) = (e^z - 1)/z is the first
-exponential-integrator kernel; ``exp_affine`` is the one place it is
-formed, from a single augmented exponential, so singular M is fine.
+(m <= ~64) and on the dense reference of a linear system that is not
+second order, the only places matrix exponentials are evaluated.
+phi(z) = (e^z - 1)/z is the first exponential-integrator kernel;
+``exp_affine`` is the one place it is formed, from a single augmented
+exponential, so singular M is fine.
 """
 
 from dataclasses import dataclass
@@ -70,7 +71,8 @@ def _pade_expm(A, degree):
 
 
 def expm(M):
-    """Matrix exponential by Pade approximation with scaling and squaring."""
+    """Matrix exponential by Pade approximation with scaling and squaring;
+    a result that overflows is a ValueError, with no numpy warning."""
     M = _validate_square(M)
     if M.shape[0] == 0:
         return M.copy()
@@ -82,8 +84,11 @@ def expm(M):
     if norm > _THETA[13]:
         s = int(np.ceil(np.log2(norm / _THETA[13])))
     F = _pade_expm(M / 2.0 ** s, 13)
-    for _ in range(s):
-        F = F @ F
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            F = F @ F
+    if not np.isfinite(F).all():
+        raise ValueError("matrix exponential overflowed")
     return F
 
 

@@ -70,11 +70,6 @@ class DiscreteLaplacian:
         out *= self.scale
         return out
 
-    def eigenvalues_periodic(self):
-        """Closed-form spectrum -(2/dx^2)(1 - cos(2 pi j / n)), j = 0..n-1."""
-        j = np.arange(self.n)
-        return -2.0 * self.scale * (1.0 - np.cos(2.0 * np.pi * j / self.n))
-
 
 class LinearWaveSystem(QuadraticHamiltonianSystem):
     """Discretized linear wave equation with a fixed source term.

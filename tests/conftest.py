@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from symkry import QuadraticHamiltonianSystem, apply_J_inverse
+from symkry.problems import PERIODIC
 
 # one line per acceptance check, emitted as a terminal section at the end
 ACCEPTANCE_LINES = []
@@ -33,3 +34,27 @@ def random_hamiltonian_matrix(rng, n, scale=1.0):
     S = 0.5 * (S + S.T)
     return apply_J_inverse(S)
 
+
+def laplacian_eigenpairs(lap, dtype=float):
+    """Closed-form eigenpairs (lam, V) of a ``DiscreteLaplacian`` stencil,
+    with orthonormal real eigenvectors as the columns of V, in ``dtype``
+    (``np.longdouble`` for an oracle finer than double).
+
+    dirichlet: lam_j = -2 s (1 - cos(j pi/(n+1))), V_ij ~ sin(i j pi/(n+1)),
+    j = 1..n; periodic: lam_j = -2 s (1 - cos(2 pi j/n)), V_ij ~
+    cos(2 pi i j/n) for j <= n/2 and sin(2 pi i j/n) above, j = 0..n-1;
+    s = lap.scale, rows i counted from the first grid point.
+    """
+    n = lap.n
+    pi = np.arccos(dtype(-1))
+    j = np.arange(n, dtype=dtype)
+    i = j[:, None]
+    if lap.boundary == PERIODIC:
+        theta = 2 * pi * j / n
+        V = np.where(2 * j <= n, np.cos(i * theta), np.sin(i * theta))
+        V *= np.where((j == 0) | (2 * j == n), np.sqrt(1 / dtype(n)), np.sqrt(2 / dtype(n)))
+    else:
+        theta = pi * (j + 1) / (n + 1)
+        V = np.sqrt(2 / dtype(n + 1)) * np.sin((i + 1) * theta)
+    lam = -2 * dtype(lap.scale) * (1 - np.cos(theta))
+    return lam, V

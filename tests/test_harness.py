@@ -11,6 +11,7 @@ from symkry import (
     IntegrationAborted,
     KleinGordonSystem,
     LinearWaveSystem,
+    QuadraticHamiltonianSystem,
     apply_J_inverse,
     exp_affine,
     integrate,
@@ -29,7 +30,47 @@ from symkry.harness import (
     parse_config_text,
 )
 
-from conftest import random_quadratic_system
+from conftest import laplacian_eigenpairs, random_quadratic_system
+
+
+def second_order_system(K, b=None):
+    """The quadratic system q' = p, p' = K q + b: S = diag(K, -I), d = (b, 0)."""
+    n = K.shape[0]
+    S = np.zeros((2 * n, 2 * n))
+    S[:n, :n] = K
+    S[n:, n:] = -np.eye(n)
+    d = np.zeros(2 * n)
+    d[:n] = np.ones(n) if b is None else b
+    return QuadraticHamiltonianSystem(S, d)
+
+
+def affine_propagation(A, c, x0, t_grid):
+    """x' = A x + c propagated interval by interval with ``exp_affine``, one
+    exponential per distinct interval length."""
+    states, flows = [x0], {}
+    for dt in np.diff(t_grid):
+        if dt not in flows:
+            flows[dt] = exp_affine(A, c, dt)
+        prop, shift = flows[dt]
+        states.append(prop @ states[-1] + shift)
+    return np.array(states)
+
+
+def second_order_closed_form(lam, V, b, x0, t_grid):
+    """States of q' = p, p' = K q + b at t_grid from K's eigenpairs (lam, V)
+    with lam <= 0, in the precision of lam."""
+    n = lam.size
+    x0, b = x0.astype(lam.dtype), b.astype(lam.dtype)
+    a, pi, beta = V.T @ x0[:n], V.T @ x0[n:], V.T @ b
+    t = t_grid.astype(lam.dtype)[:, None]
+    w = np.sqrt(-lam)
+    w_safe = np.where(w == 0, 1, w)
+    cos = np.cos(w * t)
+    sin_w = np.where(w == 0, t, np.sin(w * t) / w_safe)  # sin(wt)/w
+    vers_w2 = np.where(w == 0, t * t / 2, 2 * np.sin(w * t / 2) ** 2 / w_safe ** 2)
+    q = (cos * a + sin_w * pi + vers_w2 * beta) @ V.T
+    p = (lam * sin_w * a + cos * pi + sin_w * beta) @ V.T
+    return np.hstack([q, p])
 
 
 class TestMetrics:
@@ -74,25 +115,71 @@ class TestReferenceSolution:
         res = step_ee(sys, cfg, x0)
         assert np.linalg.norm(states[1] - res.x_plus) <= 1e-10 * np.linalg.norm(res.x_plus)
 
-    @pytest.mark.parametrize("make,constant", [
-        (lambda: LinearWaveSystem(n=20), lambda sys: apply_J_inverse(sys.d)),
-        (lambda: LinearWaveSystem(n=20, boundary="periodic"),
-         lambda sys: apply_J_inverse(sys.d)),
-        (lambda: KleinGordonSystem(n=16, g=0.0), lambda sys: np.zeros(sys.dim)),
-    ], ids=["wave-dirichlet", "wave-periodic", "klein-gordon-linear"])
-    def test_dense_is_the_affine_propagation(self, make, constant):
-        # the propagation written out from jvp columns and the affine
-        # constant, bit for bit; every interval is exact in binary
-        sys = make()
-        x0 = sys.initial_state
+    def test_dense_is_the_affine_propagation_off_second_order(self, rng):
+        # a linear system that is not second order: the propagation written
+        # out from jvp columns and the affine constant, bit for bit; every
+        # interval is exact in binary
+        sys = random_quadratic_system(rng, 6)
+        x0 = rng.standard_normal(sys.dim)
         t_grid = np.array([0.0, 0.125, 0.25, 0.5])
         A = np.column_stack([sys.jvp(x0, e) for e in np.eye(sys.dim)])
-        want = [x0]
-        for dt in np.diff(t_grid):
-            prop, shift = exp_affine(A, constant(sys), dt)
-            want.append(prop @ want[-1] + shift)
+        want = affine_propagation(A, apply_J_inverse(sys.d), x0, t_grid)
         states = reference_solution(sys, x0, t_grid, mode="dense")
-        assert np.array_equal(states, np.array(want))
+        assert np.array_equal(states, want)
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_dense_wave_is_closer_to_closed_form_than_affine_propagation(self, boundary):
+        # against the stencil's closed-form modes in long double, the dense
+        # reference beats exp_affine's interval-by-interval propagation
+        sys = LinearWaveSystem(n=100, boundary=boundary)
+        n, x0 = sys.laplacian.n, sys.initial_state
+        t_grid = np.linspace(0.0, 50.0, 201)
+        b = sys.f(np.zeros(sys.dim))[n:]
+        exact = second_order_closed_form(*laplacian_eigenpairs(sys.laplacian, np.longdouble),
+                                         b, x0, t_grid)
+        affine = affine_propagation(sys.jacobian_dense(x0), sys.f(np.zeros(sys.dim)), x0, t_grid)
+
+        def worst(states):
+            err = np.linalg.norm(states - exact, axis=1) / np.linalg.norm(exact, axis=1)
+            return float(err.max())
+
+        dense = worst(reference_solution(sys, x0, t_grid, mode="dense"))
+        assert dense < worst(affine)
+        assert dense <= 1e-10
+
+    @pytest.mark.parametrize("make", [
+        lambda: second_order_system(np.array([[-2.0, 1.0, 0.0, 0.0, 0.0],
+                                              [1.0, -2.0, 0.0, 0.0, 0.0],
+                                              [0.0, 0.0, 0.0, 0.0, 0.0],
+                                              [0.0, 0.0, 0.0, 1.0, 1.0],
+                                              [0.0, 0.0, 0.0, 1.0, 1.0]])),
+        lambda: KleinGordonSystem(n=16, g=0.0),
+    ], ids=["eigenvalues-of-every-sign", "klein-gordon-linear"])
+    def test_dense_second_order_agrees_with_affine_propagation(self, make, monkeypatch):
+        # q' = p, p' = K q + b with K's eigenvalues -3, -1, 0, 0, 2, and
+        # linear Klein-Gordon: the modal oracle, which never calls
+        # exp_affine, agrees with it
+        sys = make()
+        x0 = np.random.default_rng(5).standard_normal(sys.dim)
+        t_grid = np.array([0.0, 0.125, 0.25, 0.5])
+        want = affine_propagation(sys.jacobian_dense(x0), sys.f(np.zeros(sys.dim)), x0, t_grid)
+        monkeypatch.setattr(harness, "exp_affine", None)
+        states = reference_solution(sys, x0, t_grid, mode="dense")
+        assert np.array_equal(states[0], x0)
+        for got, ref in zip(states, want):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_dense_second_order_with_zero_stiffness_is_the_parabola(self, rng):
+        # K = 0: q(t) = q0 + t p0 + t^2 b / 2 and p(t) = p0 + t b
+        n = 3
+        sys = second_order_system(np.zeros((n, n)), b=rng.standard_normal(n))
+        x0 = rng.standard_normal(sys.dim)
+        t_grid = np.array([0.0, 0.5, 1.0, 3.0])
+        b, q0, p0 = sys.d[:n], x0[:n], x0[n:]
+        t = t_grid[:, None]
+        want = np.hstack([q0 + t * p0 + 0.5 * t * t * b, p0 + t * b])
+        states = reference_solution(sys, x0, t_grid, mode="dense")
+        assert np.allclose(states, want, rtol=1e-15, atol=1e-15)
 
     def test_dense_refused_for_nonlinear(self):
         sys = KleinGordonSystem(n=8)

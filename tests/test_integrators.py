@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,20 @@ class TestIntegrate:
         assert err.value.summary.steps_completed == k - 1
         assert isinstance(err.value.__cause__, StepFailureError)
         assert isinstance(err.value.__cause__.__cause__, ValueError)
+
+    def test_overflowing_kernel_fails_the_step_without_warning(self):
+        # x' = (-800 q, 800 p): one step of h = 1 needs e^800, which
+        # overflows in expm's squaring; the step fails typed, and numpy
+        # prints no RuntimeWarning on the way
+        sys = QuadraticHamiltonianSystem(np.array([[0.0, 800.0], [800.0, 0.0]]))
+        cfg = StepperConfig(method="EE", basis_process="arnoldi", basis_dim=2, step_size=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationAborted) as err:
+                integrate(sys, cfg, np.array([1.0, 1.0]), n_steps=1)
+        assert err.value.summary.steps_completed == 0
+        assert isinstance(err.value.__cause__, StepFailureError)
+        assert "reduced kernel failed: matrix exponential overflowed" in str(err.value.__cause__)
 
     def test_degenerate_pair_aborts_with_partial_summary(self, rng, monkeypatch):
         # a symplectic extension that cannot pair its vector fails the EEMP

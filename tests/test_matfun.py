@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,14 @@ class TestExpm:
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             expm(np.ones((2, 3)))
+
+    def test_overflow_is_a_value_error_without_warning(self):
+        # e^800 overflows in the squaring loop; numpy must not warn first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflowed"):
+                expm(np.diag([800.0, 0.0]))
+            assert np.isfinite(expm(np.diag([700.0, 0.0]))).all()
 
 
 class TestPhi1:

@@ -19,6 +19,8 @@ from symkry.errors import ConfigError
 from symkry.harness import reference_solution, relative_energy_error
 from symkry.problems import checked_params
 
+from conftest import laplacian_eigenpairs
+
 
 def gradient_by_differences(system, x, eps=1e-6):
     g = np.empty(system.dim)
@@ -40,11 +42,15 @@ class TestDiscreteLaplacian:
         col = lap.apply(np.array([0.0, 1.0, 0.0, 0.0]))
         assert np.allclose(col, 16.0 * np.array([1.0, -2.0, 1.0, 0.0]))
 
-    def test_periodic_spectrum_closed_form(self):
-        lap = DiscreteLaplacian(8, 1.0, "periodic")
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_spectrum_closed_form(self, boundary, n):
+        lap = DiscreteLaplacian(n, 1.0, boundary)
+        lam, V = laplacian_eigenpairs(lap)
         dense = np.column_stack([lap.apply(e) for e in np.eye(lap.n)])
-        got = np.sort(np.linalg.eigvalsh(dense))
-        assert np.allclose(got, np.sort(lap.eigenvalues_periodic()), atol=1e-10)
+        assert np.allclose(np.sort(np.linalg.eigvalsh(dense)), np.sort(lam), atol=1e-10)
+        assert np.allclose(dense @ V, V * lam, atol=1e-10)
+        assert np.allclose(V.T @ V, np.eye(n), atol=1e-14)
 
     def test_symmetry(self, rng):
         for boundary in ("periodic", "dirichlet"):

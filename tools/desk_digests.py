@@ -27,12 +27,20 @@ problem list:
     cli-run-help <sha256 of ``symkry run --help``>
     cli-list-problems <sha256 of ``symkry list-problems``>
 
+A third line, after them, digests the dense reference's affine-exponential
+path, which no preset takes (their linear systems are second order and
+go through the modal path): the states of
+``reference_solution(mode="dense")`` on a fixed-seed
+``QuadraticHamiltonianSystem`` of dimension 40:
+
+    dense-reference-quadratic <sha256 of the states' bytes>
+
 Usage: python3 tools/desk_digests.py [SRC_DIR]
 
 SRC_DIR is the directory symkry is imported from (default: this
 checkout's ``src/``), so two checkouts can be compared with ``diff``;
 the workloads always come from this checkout.  Uses only the standard
-library, symkry and ``perfbench/workloads.py``.
+library, numpy, symkry and ``perfbench/workloads.py``.
 """
 
 import contextlib
@@ -42,6 +50,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 
 def printed_digest(main, argv):
@@ -60,9 +70,10 @@ def main(argv):
     src = Path(argv[1]) if len(argv) > 1 else root / "src"
     sys.path.insert(0, str(src.resolve()))
     sys.path.append(str(root / "perfbench"))
+    from symkry import QuadraticHamiltonianSystem
     from symkry.cli import available_presets, load_preset, main as cli_main
     from symkry.errors import IntegrationAborted
-    from symkry.harness import config_from_mapping, parse_config_text, run
+    from symkry.harness import config_from_mapping, parse_config_text, reference_solution, run
     from workloads import WORKLOADS, preset_text
 
     def print_digest(label, mapping, path):
@@ -82,6 +93,13 @@ def main(argv):
     for command in ("run --help", "list-problems"):
         digest = printed_digest(cli_main, command.split())
         print(f"cli-{command.replace(' --', '-')} {digest}", flush=True)
+    rng = np.random.default_rng(2017)
+    S = rng.standard_normal((40, 40))
+    system = QuadraticHamiltonianSystem(S + S.T, rng.standard_normal(40))
+    states = reference_solution(system, rng.standard_normal(40), np.arange(9) * 0.125,
+                                mode="dense")
+    print(f"dense-reference-quadratic {hashlib.sha256(states.tobytes()).hexdigest()}",
+          flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in available_presets():
             if not name.endswith("-desk"):
