@@ -15,7 +15,6 @@ from symkry import (
     expm,
     hamiltonian_lanczos,
     phi1,
-    phi1_scaled_identities_check,
 )
 
 rng = np.random.default_rng(0)
@@ -27,9 +26,11 @@ print(phi1(np.array([[0.0, 1.0], [0.0, 0.0]])))
 
 M = rng.standard_normal((8, 8))
 M *= 1.5 / np.linalg.norm(M, 2)
-rep = phi1_scaled_identities_check(M)
+# reflection e^(-M) phi(M) = phi(-M), doubling e^M phi(M) = 2 phi(2M) - phi(M)
+reflection = np.linalg.norm(expm(-M) @ phi1(M) - phi1(-M))
+doubling = np.linalg.norm(expm(M) @ phi1(M) - (2.0 * phi1(2.0 * M) - phi1(M)))
 print(f"\nkernel identities on a random 8x8 matrix:"
-      f" reflection defect {rep.reflection:.2e}, doubling defect {rep.doubling:.2e}")
+      f" reflection defect {reflection:.2e}, doubling defect {doubling:.2e}")
 print(f"M phi(M) - (e^M - I) defect: "
       f"{np.linalg.norm(M @ phi1(M) - (expm(M) - np.eye(8))):.2e}")
 

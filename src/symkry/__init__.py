@@ -19,7 +19,6 @@ from .core import (
     apply_J,
     apply_J_inverse,
     canonical_J,
-    check_hamiltonian_matrix,
     join_state,
     omega,
     orthonormal_defect,
@@ -27,7 +26,6 @@ from .core import (
     symplectic_defect,
 )
 from .errors import (
-    BasisKindError,
     ConfigError,
     DegeneratePairError,
     IntegrationAborted,
@@ -54,13 +52,12 @@ from .krylov import (
     CountingAction,
     KrylovOutcome,
     arnoldi,
-    extend_basis_orthogonal,
-    extend_basis_symplectic,
+    extend_basis,
     hamiltonian_lanczos,
     isotropic_arnoldi,
     symplectic_arnoldi,
 )
-from .matfun import exp_affine, expm, phi1, phi1_scaled_identities_check
+from .matfun import exp_affine, expm, phi1
 from .problems import (
     DiscreteLaplacian,
     KleinGordonSystem,
@@ -73,19 +70,17 @@ from .problems import (
 __all__ = [
     "__version__",
     "BasisMatrix", "HamiltonianSystem", "QuadraticHamiltonianSystem",
-    "apply_J", "apply_J_inverse", "canonical_J", "check_hamiltonian_matrix",
-    "join_state", "omega", "orthonormal_defect", "split_state",
-    "symplectic_defect",
-    "BasisKindError", "ConfigError", "DegeneratePairError",
+    "apply_J", "apply_J_inverse", "canonical_J", "join_state", "omega",
+    "orthonormal_defect", "split_state", "symplectic_defect",
+    "ConfigError", "DegeneratePairError",
     "IntegrationAborted", "StepFailureError",
     "ExperimentConfig", "MetricsSeries", "reference_solution",
     "relative_energy_error", "run", "solution_error",
     "StepperConfig", "StepResult", "TrajectorySummary",
     "integrate", "step_ee", "step_eemp", "step_iemp",
-    "CountingAction", "KrylovOutcome", "arnoldi", "extend_basis_orthogonal",
-    "extend_basis_symplectic", "hamiltonian_lanczos", "isotropic_arnoldi",
-    "symplectic_arnoldi",
-    "exp_affine", "expm", "phi1", "phi1_scaled_identities_check",
+    "CountingAction", "KrylovOutcome", "arnoldi", "extend_basis",
+    "hamiltonian_lanczos", "isotropic_arnoldi", "symplectic_arnoldi",
+    "exp_affine", "expm", "phi1",
     "DiscreteLaplacian", "KleinGordonSystem", "LinearWaveSystem",
     "NonlinearSchroedingerSystem", "build_problem", "list_problems",
 ]

@@ -105,28 +105,13 @@ def orthonormal_defect(U):
     return float(np.linalg.norm(U.T @ U - np.eye(U.shape[1])))
 
 
-def check_hamiltonian_matrix(A, tol=1e-8):
-    """True iff ||A^T - J A J||_F <= tol * max(1, ||A||_F).
-
-    A matrix with A^T = J A J is Hamiltonian; Jacobians of Hamiltonian
-    vector fields have this structure.  Dense diagnostic, small sizes only.
-    """
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    _check_even(A.shape[0], "matrix")
-    J = canonical_J(A.shape[0] // 2)
-    defect = A.T - J @ A @ J
-    return bool(np.linalg.norm(defect) <= tol * max(1.0, np.linalg.norm(A)))
-
-
 class BasisMatrix:
     """Tall basis U in R^(2n x m) with structural kind and reduced matrix.
 
     kind is "orthonormal" (U^T U = I) or "symplectic" (U^T J U = J_k); a
     basis that is both, like the paired [V, J^(-1) V], is symplectic.
     ``reduced`` is the m x m projection F = U^+ A U of the current matrix
-    action (None when stale, e.g. right after an extension).
+    action (None until it is set).
     """
 
     __slots__ = ("columns", "kind", "reduced")
@@ -239,17 +224,3 @@ class QuadraticHamiltonianSystem(HamiltonianSystem):
 
     def linearize(self, x):
         return lambda v: apply_J_inverse(self._s_apply(v))
-
-
-def jvp_matches_finite_difference(system, x, v, rel_tol=1e-5):
-    """Central finite-difference check of the Jacobian-vector product.
-
-    Uses eps = 1e-6 (1 + ||x||) and accepts relative error rel_tol.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    eps = 1e-6 * (1.0 + np.linalg.norm(x))
-    fd = (system.f(x + eps * v) - system.f(x - eps * v)) / (2.0 * eps)
-    jv = system.jvp(x, v)
-    scale = max(np.linalg.norm(fd), np.linalg.norm(jv), 1e-30)
-    return bool(np.linalg.norm(jv - fd) <= rel_tol * scale)

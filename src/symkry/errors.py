@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class BasisKindError(ValueError):
-    """Raised when a basis of the wrong structural kind is passed to an operation."""
-
-
 class StepFailureError(RuntimeError):
     """A single integrator step could not be completed.
 

@@ -75,17 +75,22 @@ def _second_order_flow(K, b, x0, times):
     exact in the eigenbasis of K.  Mode by mode a'' = lam a + beta; with
     w = sqrt(-lam t^2), imaginary where lam > 0, the flow has C = cos w,
     S = sin(w)/w and G = 2 sin^2(w/2)/w^2 = S(w/2)^2/2, none of which
-    cancels near w = 0 (``np.sinc`` holds the limit at w = 0)."""
+    cancels near w = 0 (``np.sinc`` holds the limit at w = 0).  A state
+    that overflows is a ValueError, with no numpy warning."""
     lam, V = np.linalg.eigh(K)
     n = lam.size
     a, pi, beta = V.T @ x0[:n], V.T @ x0[n:], V.T @ b
     t = times[:, None]
-    w = np.sqrt((-lam * t * t).astype(complex))
-    C, S = np.cos(w).real, np.sinc(w / np.pi).real
-    G = 0.5 * np.sinc(w / (2 * np.pi)).real ** 2
-    q = (C * a + t * S * pi + t * t * G * beta) @ V.T
-    p = (lam * t * S * a + C * pi + t * S * beta) @ V.T
-    return np.hstack([q, p])
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.sqrt((-lam * t * t).astype(complex))
+        C, S = np.cos(w).real, np.sinc(w / np.pi).real
+        G = 0.5 * np.sinc(w / (2 * np.pi)).real ** 2
+        q = (C * a + t * S * pi + t * t * G * beta) @ V.T
+        p = (lam * t * S * a + C * pi + t * S * beta) @ V.T
+    states = np.hstack([q, p])
+    if not np.isfinite(states).all():
+        raise ValueError("second-order flow overflowed")
+    return states
 
 
 def _check_reference(system, mode, factor):

@@ -9,10 +9,11 @@ matrix F = U^+ Df U, and advances with one small dense kernel,
     IEMP  implicit midpoint variant solved by fixed-point iteration in the
           reduced coordinates; one application advances a full macro step.
 
-For EEMP the difference x_prev - x is adjoined to the basis (keeping its
-structural kind's guarantees) so the scheme's symmetry and average-energy
-properties hold.  With a symplectic basis all three steps preserve the
-energy of linear systems exactly, up to rounding.  Every step returns a
+For EEMP, ``krylov.extend_basis`` adjoins the difference x_prev - x to the
+basis, keeping its kind, and returns the extended basis with its reduced
+matrix, so the scheme's symmetry and average-energy properties hold.
+With a symplectic basis all three steps preserve the energy of linear
+systems exactly, up to rounding.  Every step returns a
 StepResult; a step that cannot be completed, including a reduced matrix
 the kernel rejects as non-finite, raises StepFailureError.
 """
@@ -22,15 +23,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BasisMatrix, ORTHONORMAL
+from .core import BasisMatrix
 from .errors import IntegrationAborted, StepFailureError
 from .krylov import (
     BREAKDOWN,
     CountingAction,
     KrylovOutcome,
     arnoldi,
-    extend_basis_orthogonal,
-    extend_basis_symplectic,
+    extend_basis,
     hamiltonian_lanczos,
     isotropic_arnoldi,
     symplectic_arnoldi,
@@ -160,24 +160,6 @@ def step_ee(system, config, x, rng=None):
     return StepResult(x_plus, basis, outcome, action.count)
 
 
-def _extend_with(action, outcome, d):
-    """Adjoin d to the basis per its kind and refresh the reduced matrix,
-    reusing the cached images A U of the columns already there."""
-    basis = outcome.basis
-    extend = extend_basis_orthogonal if basis.kind == ORTHONORMAL else extend_basis_symplectic
-    new_basis, fresh = extend(basis, d)
-    if not fresh:
-        return basis
-    AU = np.empty_like(new_basis.columns)
-    cached = np.ones(new_basis.n_columns, dtype=bool)
-    cached[fresh] = False
-    AU[:, cached] = outcome.action_images
-    for j in fresh:
-        AU[:, j] = action.apply(new_basis.columns[:, j])
-    new_basis.reduced = new_basis.left_apply(AU)
-    return new_basis
-
-
 def step_eemp(system, config, x, x_prev, rng=None):
     """Explicit exponential midpoint step using the two-step memory x_prev.
 
@@ -196,7 +178,7 @@ def step_eemp(system, config, x, x_prev, rng=None):
 
     action = CountingAction.from_system(system, x)
     outcome = build_basis(action, start, config, rng)
-    basis = outcome.basis if nd == 0.0 else _extend_with(action, outcome, d)
+    basis = outcome.basis if nd == 0.0 else extend_basis(outcome, action, d)
     E, y = _kernel(exp_affine, basis.reduced, 2.0 * basis.left_apply(fx), config.step_size)
     x_plus = x + basis.columns @ (E @ basis.left_apply(d) + y)
     return StepResult(_check_finite(x_plus), basis, outcome, action.count)

@@ -10,12 +10,17 @@ Gram-Schmidt is classical with one reorthogonalization pass.  ``_cgs2``
 runs the Arnoldi recurrences and returns Arnoldi's coefficients;
 ``_project_out`` is every removal of a basis's range, along its left
 inverse (the paired processes' omega-orthogonalization, the Lanczos
-reorthogonalization, the basis extensions).  Hamiltonian Lanczos keeps its
+reorthogonalization, the basis extension).  Hamiltonian Lanczos keeps its
 pairs as rows of one preallocated block (the other builders, as columns),
 so each removal is two row products.  The Lanczos recursion is kept
 short on purpose, which is where its cost advantage comes from, at the
 price of slow symplecticity drift for larger pair counts.
 ``CountingAction`` is the one matrix action and the one matvec counter.
+
+``extend_basis`` adjoins one vector to a built basis of either kind (one
+column, or one pair) and returns the extended basis with its reduced
+matrix; it alone knows where new columns go and how the cached images
+A U are laid out.
 """
 
 from dataclasses import dataclass, field
@@ -31,7 +36,7 @@ from .core import (
     apply_J_inverse,
     omega,
 )
-from .errors import BasisKindError, DegeneratePairError
+from .errors import DegeneratePairError
 
 REACHED_K = "reached_k"
 INVARIANT_SUBSPACE = "invariant_subspace"
@@ -83,8 +88,8 @@ class KrylovOutcome:
     ``residual_norm`` is the norm of the last unorthogonalized remainder
     (the quantity whose smallness triggered an early stop, or the final
     subdiagonal/remainder norm on a clean finish).  ``action_images``
-    caches A @ U column by column so callers can cheaply re-project after
-    extending the basis.
+    caches A @ U column by column; ``extend_basis`` reads it to form the
+    reduced matrix of an extended basis with one action per new column.
     """
 
     basis: BasisMatrix
@@ -331,66 +336,51 @@ def hamiltonian_lanczos(action, v, k):
     return KrylovOutcome(basis, terminated, float(resid), images[order].T)
 
 
-def extend_basis_symplectic(basis, x):
-    """Adjoin x (and a paired companion) to a symplectic basis [V | W].
+def extend_basis(outcome, action, x):
+    """Adjoin x to ``outcome.basis`` so that x lies in its range, and return
+    the extended BasisMatrix with ``reduced`` = U^+ (A U) set.
 
-    Two-pass omega-orthogonalization: x is orthogonalized against range(U)
-    and adjoined as v_new; J x_hat is orthogonalized the same way and scaled
-    so that omega(v_new, w_new) = 1.  Returns ``(new_basis, added)`` where
-    ``added`` lists the new pair's column indices ``[kp, m + 1]`` for an
-    input of m = 2 kp columns, or is empty when x was already representable
-    (basis unchanged).
-    The reduced matrix of an extended basis is stale and set to None.
+    The range of U is removed from x along U's left inverse.  An
+    orthonormal basis gets the normalized remainder v_new as its last
+    column; a symplectic basis [V | W] gets v_new after V and, after W, the
+    companion w_new: J v_new with the range removed and scaled so that
+    omega(v_new, w_new) = 1 (DegeneratePairError if that pairing vanishes).
+    The images A U come from ``outcome.action_images``, so each new column
+    costs one action.  An x that is already representable returns
+    ``outcome.basis`` unchanged.
     """
-    if not isinstance(basis, BasisMatrix) or basis.kind != SYMPLECTIC:
-        raise BasisKindError("extend_basis_symplectic needs a symplectic basis")
-    x = np.asarray(x, dtype=float)
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
-        raise ValueError("cannot extend with a zero vector")
-
-    U = basis.columns
-    m = U.shape[1]
-    kp = m // 2
-    x_hat = _project_out(basis.project, x)
-    if np.linalg.norm(x_hat) <= DEPENDENCE_RTOL * nx:
-        return basis, []
-
-    v_new = x_hat / np.linalg.norm(x_hat)
-    y = _project_out(basis.project, apply_J(x_hat))
-    pairing = omega(v_new, y)
-    if abs(pairing) <= DEPENDENCE_RTOL * max(np.linalg.norm(y), 1e-300):
-        raise DegeneratePairError("paired companion of the new vector degenerated")
-    w_new = y / pairing
-
-    cols = np.empty((U.shape[0], m + 2))
-    cols[:, :kp] = U[:, :kp]
-    cols[:, kp] = v_new
-    cols[:, kp + 1: m + 1] = U[:, kp:]
-    cols[:, m + 1] = w_new
-    return BasisMatrix(cols, SYMPLECTIC, None), [kp, m + 1]
-
-
-def extend_basis_orthogonal(basis, x):
-    """Adjoin x to an orthonormal basis by Gram-Schmidt with reorthogonalization.
-
-    Returns ``(new_basis, added)`` with ``added = [m]``, the index of the new
-    column; a dependent x leaves the basis unchanged with ``added`` empty.
-    The reduced matrix is stale and set to None.
-    """
-    if not isinstance(basis, BasisMatrix) or basis.kind != ORTHONORMAL:
-        raise BasisKindError("extend_basis_orthogonal needs an orthonormal basis")
+    basis = outcome.basis
     x = np.asarray(x, dtype=float)
     if x.shape != (basis.dim,):
         raise ValueError(f"vector has length {x.shape}, expected ({basis.dim},)")
     nx = np.linalg.norm(x)
     if nx == 0.0:
         raise ValueError("cannot extend with a zero vector")
-
-    Q = basis.columns
-    r = _project_out(basis.project, x)
-    nr = np.linalg.norm(r)
+    x_hat = _project_out(basis.project, x)
+    nr = np.linalg.norm(x_hat)
     if nr <= DEPENDENCE_RTOL * nx:
-        return basis, []
-    cols = np.concatenate([Q, (r / nr)[:, None]], axis=1)
-    return BasisMatrix(cols, ORTHONORMAL, None), [Q.shape[1]]
+        return basis
+
+    new = [x_hat / nr]
+    if basis.kind == SYMPLECTIC:
+        y = _project_out(basis.project, apply_J(x_hat))
+        pairing = omega(new[0], y)
+        if abs(pairing) <= DEPENDENCE_RTOL * max(np.linalg.norm(y), 1e-300):
+            raise DegeneratePairError("paired companion of the new vector degenerated")
+        new.append(y / pairing)
+
+    # each block of U (all of it, or V and W) is followed by its new column;
+    # both arrays are C order whatever U's layout (Lanczos's is F order),
+    # because left_apply's BLAS rounding depends on it
+    cols = np.empty((basis.dim, basis.n_columns + len(new)))
+    images = np.empty_like(cols)
+    size = basis.n_columns // len(new)
+    for i, vec in enumerate(new):
+        j = i * (size + 1)  # where block i starts in the extended basis
+        cols[:, j:j + size] = basis.columns[:, i * size:(i + 1) * size]
+        images[:, j:j + size] = outcome.action_images[:, i * size:(i + 1) * size]
+        cols[:, j + size] = vec
+        images[:, j + size] = action.apply(cols[:, j + size])
+    extended = BasisMatrix(cols, basis.kind)
+    extended.reduced = extended.left_apply(images)
+    return extended

@@ -8,8 +8,6 @@ phi(z) = (e^z - 1)/z is the first exponential-integrator kernel;
 exponential, so singular M is fine.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Pade coefficient tables and switching thresholds for the standard
@@ -125,28 +123,3 @@ def phi1(M):
     """
     M = _validate_square(M)
     return exp_affine(M, np.eye(M.shape[0]), 1.0)[1]
-
-
-@dataclass
-class PhiIdentityReport:
-    """Defect norms of the phi-function identities the integrators rest on:
-
-    reflection  ||e^(-M) phi(M) - phi(-M)||_F
-    doubling    ||e^M phi(M) - (2 phi(2M) - phi(M))||_F
-    """
-
-    reflection: float
-    doubling: float
-
-    def max_defect(self):
-        return max(self.reflection, self.doubling)
-
-
-def phi1_scaled_identities_check(M):
-    """Evaluate both phi identities on M and report the defect norms."""
-    M = _validate_square(M)
-    eM = expm(M)
-    phiM = phi1(M)
-    reflection = np.linalg.norm(expm(-M) @ phiM - phi1(-M))
-    doubling = np.linalg.norm(eM @ phiM - (2.0 * phi1(2.0 * M) - phiM))
-    return PhiIdentityReport(float(reflection), float(doubling))

@@ -1,7 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from symkry import QuadraticHamiltonianSystem, apply_J_inverse
+from symkry import QuadraticHamiltonianSystem, apply_J_inverse, canonical_J, expm, phi1
 from symkry.problems import PERIODIC
 
 # one line per acceptance check, emitted as a terminal section at the end
@@ -33,6 +35,59 @@ def random_hamiltonian_matrix(rng, n, scale=1.0):
     S = rng.standard_normal((2 * n, 2 * n)) * scale
     S = 0.5 * (S + S.T)
     return apply_J_inverse(S)
+
+
+def check_hamiltonian_matrix(A, tol=1e-8):
+    """True iff ||A^T - J A J||_F <= tol * max(1, ||A||_F).
+
+    A matrix with A^T = J A J is Hamiltonian; Jacobians of Hamiltonian
+    vector fields have this structure.  Dense, small sizes only.
+    """
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
+        raise ValueError("A must be square of even dimension")
+    J = canonical_J(A.shape[0] // 2)
+    defect = A.T - J @ A @ J
+    return bool(np.linalg.norm(defect) <= tol * max(1.0, np.linalg.norm(A)))
+
+
+def jvp_matches_finite_difference(system, x, v, rel_tol=1e-5):
+    """Central finite-difference check of the Jacobian-vector product.
+
+    Uses eps = 1e-6 (1 + ||x||) and accepts relative error rel_tol.
+    """
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    eps = 1e-6 * (1.0 + np.linalg.norm(x))
+    fd = (system.f(x + eps * v) - system.f(x - eps * v)) / (2.0 * eps)
+    jv = system.jvp(x, v)
+    scale = max(np.linalg.norm(fd), np.linalg.norm(jv), 1e-30)
+    return bool(np.linalg.norm(jv - fd) <= rel_tol * scale)
+
+
+@dataclass
+class PhiIdentityReport:
+    """Defect norms of the phi-function identities the integrators rest on:
+
+    reflection  ||e^(-M) phi(M) - phi(-M)||_F
+    doubling    ||e^M phi(M) - (2 phi(2M) - phi(M))||_F
+    """
+
+    reflection: float
+    doubling: float
+
+    def max_defect(self):
+        return max(self.reflection, self.doubling)
+
+
+def phi1_scaled_identities_check(M):
+    """Evaluate both phi identities on M and report the defect norms."""
+    M = np.asarray(M, dtype=float)
+    eM = expm(M)
+    phiM = phi1(M)
+    reflection = np.linalg.norm(expm(-M) @ phiM - phi1(-M))
+    doubling = np.linalg.norm(eM @ phiM - (2.0 * phi1(2.0 * M) - phiM))
+    return PhiIdentityReport(float(reflection), float(doubling))
 
 
 def laplacian_eigenpairs(lap, dtype=float):

@@ -26,7 +26,6 @@ from symkry import (
     isotropic_arnoldi,
     orthonormal_defect,
     phi1,
-    phi1_scaled_identities_check,
     solution_error,
     step_ee,
     step_eemp,
@@ -38,7 +37,11 @@ from symkry.harness import reference_solution
 from symkry.cli import main as cli_main
 
 import conftest
-from conftest import random_hamiltonian_matrix, random_quadratic_system
+from conftest import (
+    phi1_scaled_identities_check,
+    random_hamiltonian_matrix,
+    random_quadratic_system,
+)
 
 SYMPLECTIC_PROCESSES = ("symplectic-arnoldi", "isotropic-arnoldi", "hamiltonian-lanczos")
 

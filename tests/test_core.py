@@ -6,16 +6,20 @@ from symkry import (
     apply_J,
     apply_J_inverse,
     canonical_J,
-    check_hamiltonian_matrix,
     join_state,
     omega,
     orthonormal_defect,
     split_state,
     symplectic_defect,
 )
-from symkry.core import SYMPLECTIC, jvp_matches_finite_difference
+from symkry.core import SYMPLECTIC
 
-from conftest import random_hamiltonian_matrix, random_quadratic_system
+from conftest import (
+    check_hamiltonian_matrix,
+    jvp_matches_finite_difference,
+    random_hamiltonian_matrix,
+    random_quadratic_system,
+)
 
 
 class TestApplyJ:

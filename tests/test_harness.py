@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys as _sys
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,15 @@ class TestReferenceSolution:
         want = np.hstack([q0 + t * p0 + 0.5 * t * t * b, p0 + t * b])
         states = reference_solution(sys, x0, t_grid, mode="dense")
         assert np.allclose(states, want, rtol=1e-15, atol=1e-15)
+
+    def test_dense_second_order_overflow_is_a_value_error_without_warning(self):
+        # q'' = 1e4 q grows like e^(100 t): at t = 50 the modal flow
+        # overflows; the oracle fails typed, and numpy prints no warning
+        sys = QuadraticHamiltonianSystem(np.diag([1e4, -1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflowed"):
+                reference_solution(sys, [1.0, 0.0], [0.0, 50.0], mode="dense")
 
     def test_dense_refused_for_nonlinear(self):
         sys = KleinGordonSystem(n=8)
@@ -607,15 +617,15 @@ class TestCLI:
     def test_degenerate_pair_exit_code(self, tmp_path, capsys, monkeypatch):
         # a pairing failure inside an EEMP step is a numerical failure with
         # the partial CSV flushed, not a traceback
-        real, calls = integrators.extend_basis_symplectic, []
+        real, calls = integrators.extend_basis, []
 
-        def extend(basis, x):
+        def extend(outcome, action, x):
             calls.append(1)
             if len(calls) == 5:
                 raise DegeneratePairError("paired companion degenerated")
-            return real(basis, x)
+            return real(outcome, action, x)
 
-        monkeypatch.setattr(integrators, "extend_basis_symplectic", extend)
+        monkeypatch.setattr(integrators, "extend_basis", extend)
         out = tmp_path / "pair.csv"
         code = main(["run", "--problem", "linear-wave", "--param", "n=24",
                      "--method", "EEMP", "--basis", "hamiltonian-lanczos",

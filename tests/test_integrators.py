@@ -328,15 +328,15 @@ class TestIntegrate:
         # makes the (k-1)-th extension call
         sys = random_quadratic_system(rng, 4)
         k, calls = 4, []
-        real = integrators.extend_basis_symplectic
+        real = integrators.extend_basis
 
-        def extend(basis, x):
+        def extend(outcome, action, x):
             calls.append(1)
             if len(calls) == k - 1:
                 raise DegeneratePairError("paired companion degenerated")
-            return real(basis, x)
+            return real(outcome, action, x)
 
-        monkeypatch.setattr(integrators, "extend_basis_symplectic", extend)
+        monkeypatch.setattr(integrators, "extend_basis", extend)
         cfg = StepperConfig(method="EEMP", basis_process="hamiltonian-lanczos",
                             basis_dim=4, step_size=0.05)
         with pytest.raises(IntegrationAborted) as err:

@@ -9,8 +9,7 @@ from symkry import (
     apply_J_inverse,
     arnoldi,
     canonical_J,
-    extend_basis_orthogonal,
-    extend_basis_symplectic,
+    extend_basis,
     hamiltonian_lanczos,
     isotropic_arnoldi,
     omega,
@@ -20,8 +19,8 @@ from symkry import (
 )
 from symkry import krylov
 from symkry.core import ORTHONORMAL, STRUCTURE_TOL, SYMPLECTIC
-from symkry.errors import BasisKindError
-from symkry.krylov import BREAKDOWN, INVARIANT_SUBSPACE, REACHED_K
+from symkry.errors import DegeneratePairError
+from symkry.krylov import BREAKDOWN, INVARIANT_SUBSPACE, REACHED_K, KrylovOutcome
 
 from conftest import random_hamiltonian_matrix
 
@@ -319,78 +318,89 @@ class TestExactnessAtInvariantSubspace:
             assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
-class TestExtendSymplectic:
-    def test_dependent_vector_flagged(self):
-        n = 2
-        E = np.eye(2 * n)
-        basis = BasisMatrix(np.column_stack([E[0], E[n]]), SYMPLECTIC)
-        out, added = extend_basis_symplectic(basis, E[0])
-        assert added == []
-        assert out is basis
+def outcome_of(basis, A):
+    """A built basis with its cached images A U, as the builders return it."""
+    return KrylovOutcome(basis, REACHED_K, 0.0, A @ basis.columns)
 
-    def test_smallest_case_from_empty(self):
-        basis = BasisMatrix(np.zeros((2, 0)), SYMPLECTIC)
-        out, added = extend_basis_symplectic(basis, np.array([1.0, 0.0]))
-        assert added == [0, 1]
+
+class TestExtendBasis:
+    # builder, Krylov vectors, columns one extension adds, structure measure
+    KINDS = [(arnoldi, 6, 1, orthonormal_defect),
+             (symplectic_arnoldi, 3, 2, symplectic_defect),
+             (isotropic_arnoldi, 3, 2, symplectic_defect),
+             (hamiltonian_lanczos, 3, 2, symplectic_defect)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("builder,k,added,defect", KINDS,
+                             ids=["arnoldi", "symplectic-arnoldi", "isotropic-arnoldi",
+                                  "hamiltonian-lanczos"])
+    def test_extension_keeps_structure_and_sets_reduced(self, builder, k, added, defect, seed):
+        rng = np.random.default_rng(seed)
+        A = random_hamiltonian_matrix(rng, 8)
+        v, x = rng.standard_normal((2, 16))
+        out = builder(CountingAction.from_dense(A), v, k)
+        act = CountingAction.from_dense(A)
+        ext = extend_basis(out, act, x)
+        m = out.basis.n_columns
+        assert act.count == added  # the cached images serve the old columns
+        assert ext.kind == out.basis.kind and ext.n_columns == m + added
+        assert ext.columns.flags.c_contiguous
+        # new columns: at the end of U, or v_new after V and w_new after W
+        fresh = [m] if added == 1 else [m // 2, m + 1]
+        assert np.array_equal(np.delete(ext.columns, fresh, axis=1), out.basis.columns)
+        assert np.linalg.norm(x - ext.project(x)) <= 1e-10 * np.linalg.norm(x)
+        assert defect(ext.columns) <= STRUCTURE_TOL
+        want = ext.left_apply(A @ ext.columns)
+        assert np.linalg.norm(ext.reduced - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kind", [ORTHONORMAL, SYMPLECTIC])
+    def test_dependent_vector_returns_the_basis(self, kind, rng):
+        n = 4
+        E = np.eye(2 * n)
+        basis = BasisMatrix(np.column_stack([E[0], E[n]]), kind)
+        out = outcome_of(basis, canonical_J(n))
+        act = CountingAction.from_dense(canonical_J(n))
+        assert extend_basis(out, act, 2.0 * E[0] - 3.0 * E[n]) is basis
+        assert act.count == 0
+
+    def test_smallest_symplectic_case_from_empty(self):
+        A = canonical_J(1)
+        out = outcome_of(BasisMatrix(np.zeros((2, 0)), SYMPLECTIC), A)
+        ext = extend_basis(out, CountingAction.from_dense(A), np.array([1.0, 0.0]))
         # pairing normalization fixes the companion up to the free scaling
         # of the first vector: omega(v, w) = +1
-        assert np.allclose(out.columns, np.eye(2))
-        assert omega(out.columns[:, 0], out.columns[:, 1]) == 1.0
+        assert np.allclose(ext.columns, np.eye(2))
+        assert omega(ext.columns[:, 0], ext.columns[:, 1]) == 1.0
+        assert np.allclose(ext.reduced, A)
 
-    def test_extension_of_lanczos_basis(self, rng):
-        A = random_hamiltonian_matrix(rng, 8)
-        out = hamiltonian_lanczos(CountingAction.from_dense(A), rng.standard_normal(16), 3)
-        x = rng.standard_normal(16)
-        ext, added = extend_basis_symplectic(out.basis, x)
-        assert added == [3, 7]  # the new pair sits at [kp, m + 1] for m = 6
-        assert np.array_equal(ext.columns[:, [0, 1, 2, 4, 5, 6]], out.basis.columns)
-        assert ext.n_columns == out.basis.n_columns + 2
-        assert symplectic_defect(ext.columns) <= 1e-9
-        assert np.linalg.norm(x - ext.project(x)) <= 1e-9 * np.linalg.norm(x)
-        assert ext.reduced is None
+    def test_explicit_small_orthonormal_case(self):
+        A = canonical_J(2)
+        out = outcome_of(BasisMatrix(np.eye(4)[:, :1], ORTHONORMAL), A)
+        ext = extend_basis(out, CountingAction.from_dense(A), np.array([1.0, 1.0, 0.0, 0.0]))
+        assert np.allclose(ext.columns[:, 1], [0.0, 1.0, 0.0, 0.0])
 
-    def test_kind_requirement(self, rng):
-        Q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
-        with pytest.raises(BasisKindError):
-            extend_basis_symplectic(BasisMatrix(Q, ORTHONORMAL), rng.standard_normal(8))
-
-    def test_zero_vector_rejected(self):
-        basis = BasisMatrix(np.zeros((4, 0)), SYMPLECTIC)
-        with pytest.raises(ValueError):
-            extend_basis_symplectic(basis, np.zeros(4))
-
-
-class TestExtendOrthogonal:
-    def test_dependent_vector_flagged(self, rng):
-        Q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
-        basis = BasisMatrix(Q, ORTHONORMAL)
-        out, added = extend_basis_orthogonal(basis, Q @ rng.standard_normal(3))
-        assert added == []
-        assert out is basis
-
-    def test_explicit_small_case(self):
-        basis = BasisMatrix(np.eye(4)[:, :1], ORTHONORMAL)
-        out, added = extend_basis_orthogonal(basis, np.array([1.0, 1.0, 0.0, 0.0]))
-        assert added == [1]
-        assert np.allclose(out.columns[:, 1], [0.0, 1.0, 0.0, 0.0])
-
-    def test_random_extension_orthonormal(self, rng):
-        Q, _ = np.linalg.qr(rng.standard_normal((12, 5)))
-        out, added = extend_basis_orthogonal(BasisMatrix(Q, ORTHONORMAL),
-                                             rng.standard_normal(12))
-        assert added == [5]
-        assert orthonormal_defect(out.columns) <= 1e-10
-
-    def test_empty_basis_takes_the_normalized_vector(self, rng):
+    def test_empty_orthonormal_basis_takes_the_normalized_vector(self, rng):
         x = rng.standard_normal(6)
-        out, added = extend_basis_orthogonal(BasisMatrix(np.zeros((6, 0)), ORTHONORMAL), x)
-        assert added == [0]
-        assert np.array_equal(out.columns, (x / np.linalg.norm(x))[:, None])
+        out = outcome_of(BasisMatrix(np.zeros((6, 0)), ORTHONORMAL), canonical_J(3))
+        ext = extend_basis(out, CountingAction.from_dense(canonical_J(3)), x)
+        assert np.array_equal(ext.columns, (x / np.linalg.norm(x))[:, None])
 
-    def test_kind_requirement(self):
-        basis = BasisMatrix(np.zeros((4, 0)), SYMPLECTIC)
-        with pytest.raises(BasisKindError):
-            extend_basis_orthogonal(basis, np.ones(4))
+    @pytest.mark.parametrize("kind", [ORTHONORMAL, SYMPLECTIC])
+    def test_zero_and_wrong_length_vectors_rejected(self, kind):
+        out = outcome_of(BasisMatrix(np.zeros((4, 0)), kind), canonical_J(2))
+        act = CountingAction.from_dense(canonical_J(2))
+        with pytest.raises(ValueError, match="zero vector"):
+            extend_basis(out, act, np.zeros(4))
+        with pytest.raises(ValueError, match="length"):
+            extend_basis(out, act, np.ones(6))
+
+    def test_degenerate_pair_raises(self, monkeypatch):
+        # a companion with no omega-pairing to the new vector cannot be
+        # normalized: the extension fails typed instead of dividing by ~0
+        monkeypatch.setattr(krylov, "omega", lambda x, y: 0.0)
+        out = outcome_of(BasisMatrix(np.zeros((4, 0)), SYMPLECTIC), canonical_J(2))
+        with pytest.raises(DegeneratePairError):
+            extend_basis(out, CountingAction.from_dense(canonical_J(2)), np.ones(4))
 
 
 class TestStructureAsKGrows:
@@ -454,21 +464,3 @@ class TestCosts:
             assert np.array_equal(act.apply(v), KleinGordonSystem(n=16).jvp(x, v))
             assert act.count == i
         assert len(points) == 1
-
-
-class TestReducedMatrixHelper:
-    def test_cached_images_reused(self, rng):
-        # refreshing F after an extension reuses the cached images A U:
-        # only the adjoined columns (one, or one pair) cost an action
-        from symkry.integrators import _extend_with
-
-        A = random_hamiltonian_matrix(rng, 6)
-        v, d = rng.standard_normal((2, 12))
-        for builder, added in ((arnoldi, 1), (symplectic_arnoldi, 2),
-                               (hamiltonian_lanczos, 2)):
-            out = builder(CountingAction.from_dense(A), v, 4)
-            act = CountingAction.from_dense(A)
-            ext = _extend_with(act, out, d)
-            assert act.count == added
-            assert ext.n_columns == out.basis.n_columns + added
-            assert np.allclose(ext.reduced, ext.left_apply(A @ ext.columns), atol=1e-10)

@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from symkry import exp_affine, expm, phi1, phi1_scaled_identities_check
+from symkry import exp_affine, expm, phi1
 from symkry.core import canonical_J
 
-from conftest import random_hamiltonian_matrix
+from conftest import phi1_scaled_identities_check, random_hamiltonian_matrix
 
 
 def expm_series_oracle(M, terms=60):

@@ -9,17 +9,19 @@ from symkry import (
     QuadraticHamiltonianSystem,
     apply_J_inverse,
     build_problem,
-    check_hamiltonian_matrix,
     join_state,
     list_problems,
     split_state,
 )
-from symkry.core import jvp_matches_finite_difference
 from symkry.errors import ConfigError
 from symkry.harness import reference_solution, relative_energy_error
 from symkry.problems import checked_params
 
-from conftest import laplacian_eigenpairs
+from conftest import (
+    check_hamiltonian_matrix,
+    jvp_matches_finite_difference,
+    laplacian_eigenpairs,
+)
 
 
 def gradient_by_differences(system, x, eps=1e-6):

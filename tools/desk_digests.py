@@ -35,6 +35,12 @@ go through the modal path): the states of
 
     dense-reference-quadratic <sha256 of the states' bytes>
 
+Two more lines, after the desk presets, run EEMP with each paired process
+(``PAIRED_EEMP``, NLS n=125, about 1 s together), which no preset does, so
+the paired branch of the basis extension is covered too:
+
+    eemp-paired-<process> <sha256> matvecs=<n> fp_iters=<n> max_ree=<e> final_sol=<e>
+
 Usage: python3 tools/desk_digests.py [SRC_DIR]
 
 SRC_DIR is the directory symkry is imported from (default: this
@@ -52,6 +58,26 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+# EEMP extends every step's basis by x_prev - x; no desk preset does so
+# with a paired (symplectic and orthonormal) basis
+PAIRED_EEMP = """\
+problem = nls
+problem.n = 125
+method = EEMP
+basis-dim = 20
+t-final = 6.283185307179586
+steps = 400
+record-every = 10
+reference = fine:10
+seed = 0
+
+[symplectic-arnoldi]
+basis = symplectic-arnoldi
+
+[isotropic-arnoldi]
+basis = isotropic-arnoldi
+"""
 
 
 def printed_digest(main, argv):
@@ -107,6 +133,9 @@ def main(argv):
             for section, mapping in load_preset(name):
                 label = f"{name}-{section}"
                 print_digest(label, mapping, Path(tmp) / f"{label}.csv")
+        for section, mapping in parse_config_text(PAIRED_EEMP):
+            label = f"eemp-paired-{section}"
+            print_digest(label, mapping, Path(tmp) / f"{label}.csv")
         for name in WORKLOADS:
             for seed in (0, 7):
                 for section, mapping in parse_config_text(preset_text(name, seed)):
