@@ -9,9 +9,10 @@ fixed here once; every other module imports these operations instead of
 re-deriving block signs.  The bilinear form is omega(x, y) = x^T J y, so the
 canonical pairs (e_i, e_{n+i}) satisfy omega(e_i, e_{n+i}) = +1.
 
-A basis is orthonormal or symplectic, each kind with one left inverse
-(``BasisMatrix.left_apply``); basis structure is measured once, by the
-absolute Frobenius defects ``symplectic_defect`` and ``orthonormal_defect``.
+A basis is orthonormal or symplectic and is kept as rows, next to the rows
+of its kind's one left inverse (``BasisMatrix.left``); basis structure is
+measured once, by the absolute Frobenius defects ``symplectic_defect`` and
+``orthonormal_defect``.
 """
 
 from abc import ABC, abstractmethod
@@ -106,15 +107,19 @@ def orthonormal_defect(U):
 
 
 class BasisMatrix:
-    """Tall basis U in R^(2n x m) with structural kind and reduced matrix.
+    """Tall basis U in R^(2n x m), kept as rows, with kind and reduced matrix.
 
     kind is "orthonormal" (U^T U = I) or "symplectic" (U^T J U = J_k); a
     basis that is both, like the paired [V, J^(-1) V], is symplectic.
+    ``rows`` is U^T in C order and read-only; ``columns`` is its view U.
+    ``left`` holds the rows of the kind's one left inverse U^+: ``rows``
+    itself, or J_k^(-1) U^T J = [J W | J^(-1) V]^T for U = [V | W], formed
+    once (a left inverse as far as U is numerically symplectic).
     ``reduced`` is the m x m projection F = U^+ A U of the current matrix
     action (None until it is set).
     """
 
-    __slots__ = ("columns", "kind", "reduced")
+    __slots__ = ("rows", "left", "kind", "reduced")
 
     def __init__(self, columns, kind, reduced=None):
         columns = np.asarray(columns, dtype=float)
@@ -123,29 +128,33 @@ class BasisMatrix:
         _check_even(columns.shape[0])
         if kind not in _KINDS:
             raise ValueError(f"unknown basis kind {kind!r}")
+        self.rows = self.left = rows = np.ascontiguousarray(columns.T)
+        rows.flags.writeable = False
         if kind == SYMPLECTIC:
             _check_even(columns.shape[1], "symplectic basis column")
-        self.columns = columns
+            k, n = rows.shape[0] // 2, rows.shape[1] // 2
+            # J w_i = (w_p, -w_q) and J^(-1) v_i = (-v_p, v_q)
+            self.left = left = np.empty_like(rows)
+            left[:k, :n], left[k:, n:] = rows[k:, n:], rows[:k, :n]
+            left[:k, n:], left[k:, :n] = -rows[k:, :n], -rows[:k, n:]
         self.kind = kind
         self.reduced = None if reduced is None else np.asarray(reduced, dtype=float)
 
     @property
+    def columns(self):
+        return self.rows.T
+
+    @property
     def dim(self):
-        return self.columns.shape[0]
+        return self.rows.shape[1]
 
     @property
     def n_columns(self):
-        return self.columns.shape[1]
+        return self.rows.shape[0]
 
     def left_apply(self, v):
-        """Apply the kind's left inverse U^+ to a vector or a matrix of
-        columns: U^T for an orthonormal basis, and U^+ = J_k^(-1) U^T J_n
-        for a symplectic one, a left inverse as far as U is numerically
-        symplectic.
-        """
-        if self.kind == SYMPLECTIC:
-            return apply_J_inverse(self.columns.T @ apply_J(v))
-        return self.columns.T @ np.asarray(v)
+        """Apply the left inverse U^+ to a vector or a matrix of columns."""
+        return self.left @ v
 
     def project(self, v):
         """Oblique projection U U^+ v onto range(U)."""

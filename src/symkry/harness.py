@@ -182,18 +182,19 @@ class ExperimentConfig:
     def build(self):
         """Check the whole run and return its ``(system, stepper)``.  Every
         refusal is a ConfigError: a bad problem or parameter (``build_problem``),
-        field, output path or stepper setting, a horizon that is not positive
-        and finite, a negative seed, ``basis_dim`` above the system dimension,
+        field, output path or stepper setting, a step or record count that is
+        not an integer of at least 1, a horizon that is not positive and
+        finite, a negative seed, ``basis_dim`` above the system dimension,
         and a reference the oracle cannot give (``_check_reference``)."""
         system = build_problem(self.problem, **self.problem_params)
-        if self.n_steps < 1:
-            raise ConfigError("n_steps must be at least 1")
+        for name in ("n_steps", "record_every"):
+            count = getattr(self, name)
+            if not isinstance(count, (int, np.integer)) or count < 1:
+                raise ConfigError(f"{name} must be an integer of at least 1, got {count!r}")
         if not 0 < self.t_final < np.inf:
             raise ConfigError(f"t_final must be positive and finite, got {self.t_final!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed!r}")
-        if self.record_every < 1:
-            raise ConfigError("record_every must be at least 1")
         _check_reference(system, self.reference, self.ref_factor)
         if self.output and not os.path.isdir(os.path.dirname(self.output) or "."):
             raise ConfigError(f"the output directory of {self.output!r} does not exist")

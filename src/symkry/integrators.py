@@ -66,7 +66,9 @@ class StepperConfig:
     basis_dim/2 Krylov vectors.  ``step_size`` is the macro step: one IEMP
     application advances a full step_size (internally split in half).
     IEMP's fixed-point iteration is bounded by the module constants FP_TOL
-    and FP_MAX_ITER.  Invalid values raise ValueError.
+    and FP_MAX_ITER.  Invalid values raise ValueError: an unknown method or
+    process, a ``basis_dim`` that is not a positive integer (or is odd for
+    a paired process), and a ``step_size`` that is negative or not finite.
     """
 
     method: str = EE
@@ -80,12 +82,12 @@ class StepperConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.basis_process not in BASIS_PROCESSES:
             raise ValueError(f"unknown basis process {self.basis_process!r}")
-        if self.basis_dim < 1:
-            raise ValueError("basis_dim must be positive")
+        if not isinstance(self.basis_dim, (int, np.integer)) or self.basis_dim < 1:
+            raise ValueError(f"basis_dim must be a positive integer, got {self.basis_dim!r}")
         if BASIS_PROCESSES[self.basis_process][1] == 2 and self.basis_dim % 2:
             raise ValueError("basis_dim must be even for symplectic processes")
-        if self.step_size < 0:
-            raise ValueError("step_size must be nonnegative")
+        if not 0 <= self.step_size < np.inf:
+            raise ValueError(f"step_size must be finite and nonnegative, got {self.step_size!r}")
 
 
 @dataclass

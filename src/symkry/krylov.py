@@ -6,16 +6,16 @@ isotropic Arnoldi processes (symplectic, orthonormal bases of the form
 [V, J^(-1) V]), and the Hamiltonian Lanczos recursion (symplectic basis
 with a short two-sided recursion and reduced matrix [[0, T], [D, 0]]).
 
-Gram-Schmidt is classical with one reorthogonalization pass.  ``_cgs2``
-runs the Arnoldi recurrences and returns Arnoldi's coefficients;
+Every builder writes its basis vectors, and their images, as rows of
+preallocated blocks, so the basis built so far is a contiguous prefix.
 ``_project_out`` is every removal of a basis's range, along its left
-inverse (the paired processes' omega-orthogonalization, the Lanczos
-reorthogonalization, the basis extension).  Hamiltonian Lanczos keeps its
-pairs as rows of one preallocated block (the other builders, as columns),
-so each removal is two row products.  The Lanczos recursion is kept
-short on purpose, which is where its cost advantage comes from, at the
-price of slow symplecticity drift for larger pair counts.
-``CountingAction`` is the one matrix action and the one matvec counter.
+inverse: classical Gram-Schmidt with one reorthogonalization pass, two
+row products per pass (the Arnoldi recurrences, the paired processes'
+omega-orthogonalization, the Lanczos reorthogonalization, the basis
+extension).  The Lanczos recursion is kept short on purpose, which is
+where its cost advantage comes from, at the price of slow symplecticity
+drift for larger pair counts.  ``CountingAction`` is the one matrix
+action and the one matvec counter.
 
 ``extend_basis`` adjoins one vector to a built basis of either kind (one
 column, or one pair) and returns the extended basis with its reduced
@@ -88,8 +88,9 @@ class KrylovOutcome:
     ``residual_norm`` is the norm of the last unorthogonalized remainder
     (the quantity whose smallness triggered an early stop, or the final
     subdiagonal/remainder norm on a clean finish).  ``action_images``
-    caches A @ U column by column; ``extend_basis`` reads it to form the
-    reduced matrix of an extended basis with one action per new column.
+    caches A U, a view of the builder's image rows; ``extend_basis`` reads
+    it to form the reduced matrix of an extended basis with one action per
+    new column.
     """
 
     basis: BasisMatrix
@@ -110,22 +111,17 @@ def _validate_start(action, v, k, k_max, what):
     return v, nv
 
 
-def _cgs2(w, Q):
-    """Classical Gram-Schmidt of w against the orthonormal columns of Q, two
-    passes; returns w and Arnoldi's H column (both passes' coefficients)."""
-    h = Q.T @ w
-    w = w - Q @ h
-    h2 = Q.T @ w
-    return w - Q @ h2, h + h2
-
-
-def _project_out(project, w):
-    """Remove range(U) from w along U's left inverse, in two passes of
-    w <- w - project(w) with project(w) = U U^+ w (``BasisMatrix.project``,
-    or Lanczos's row-block product).  An empty basis leaves w unchanged."""
-    for _ in range(2):
-        w = w - project(w)
-    return w
+def _project_out(w, rows, left=None):
+    """Remove range(U) from w along U's left inverse, by classical
+    Gram-Schmidt in two passes of w <- w - (U^+ w)^T U^T.  ``rows`` is U^T
+    and ``left`` the rows of U^+ (default ``rows``: an orthonormal U).
+    Returns w and the summed coefficients of both passes (Arnoldi's H
+    column).  An empty basis leaves w unchanged."""
+    left = rows if left is None else left
+    h = left @ w
+    w = w - h @ rows
+    h2 = left @ w
+    return w - h2 @ rows, h + h2
 
 
 def arnoldi(action, v, k):
@@ -135,22 +131,19 @@ def arnoldi(action, v, k):
     invariant subspace stops the iteration early (never an error).
     """
     v, nv = _validate_start(action, v, k, action.dim, "arnoldi")
-    n2 = action.dim
-    U = np.zeros((n2, k))
+    U, images = np.empty((k, action.dim)), np.empty((k, action.dim))
     H = np.zeros((k, k))
-    images = np.zeros((n2, k))
-    U[:, 0] = v / nv
+    U[0] = v / nv
 
     achieved = k
     terminated = REACHED_K
     resid = 0.0
     anorm = 0.0
     for j in range(k):
-        w = action.apply(U[:, j])
-        images[:, j] = w
+        w = action.apply(U[j])
+        images[j] = w
         anorm = max(anorm, np.linalg.norm(w))
-        w, h = _cgs2(w, U[:, : j + 1])
-        H[: j + 1, j] = h
+        w, H[: j + 1, j] = _project_out(w, U[: j + 1])
         r = np.linalg.norm(w)
         resid = r
         if j + 1 == k:
@@ -160,22 +153,23 @@ def arnoldi(action, v, k):
             terminated = INVARIANT_SUBSPACE
             break
         H[j + 1, j] = r
-        U[:, j + 1] = w / r
+        U[j + 1] = w / r
 
-    basis = BasisMatrix(U[:, :achieved], ORTHONORMAL, H[:achieved, :achieved])
-    return KrylovOutcome(basis, terminated, float(resid), images[:, :achieved])
+    basis = BasisMatrix(U[:achieved].T, ORTHONORMAL, H[:achieved, :achieved])
+    return KrylovOutcome(basis, terminated, float(resid), images[:achieved].T)
 
 
-def _assemble_paired(action, V, terminated, resid, known=()):
-    """Form the symplectic U = [V, J^(-1) V], F = U^+ (A U) for an isotropic
-    block V; ``known`` holds images A V[:, j] already computed for leading columns."""
-    U = np.concatenate([V, apply_J_inverse(V)], axis=1)
-    images = np.empty_like(U)
-    for j in range(U.shape[1]):
-        images[:, j] = known[j] if j < len(known) else action.apply(U[:, j])
-    basis = BasisMatrix(U, SYMPLECTIC)
-    basis.reduced = basis.left_apply(images)
-    return KrylovOutcome(basis, terminated, float(resid), images)
+def _assemble_paired(action, P, terminated, resid, known=()):
+    """Form the symplectic U = [V, J^(-1) V], F = U^+ (A U) from the row
+    block P = [v_1, J^(-1) v_1, v_2, ...] of an isotropic V; ``known`` holds
+    images A v_j already computed for leading rows of V."""
+    rows = P[np.r_[0:len(P):2, 1:len(P):2]]
+    images = np.empty_like(rows)
+    for j, row in enumerate(rows):
+        images[j] = known[j] if j < len(known) else action.apply(row)
+    basis = BasisMatrix(rows.T, SYMPLECTIC)
+    basis.reduced = basis.left_apply(images.T)
+    return KrylovOutcome(basis, terminated, float(resid), images.T)
 
 
 def symplectic_arnoldi(action, v, k):
@@ -188,28 +182,25 @@ def symplectic_arnoldi(action, v, k):
     2k' extra actions at completion.
     """
     v, nv = _validate_start(action, v, k, action.dim // 2, "symplectic_arnoldi")
-    n2 = action.dim
-    Q = np.zeros((n2, k))
-    P = np.zeros((n2, 2 * k))
-    Q[:, 0] = P[:, 0] = v / nv
-    P[:, 1] = apply_J_inverse(P[:, 0])
+    Q, P = np.empty((k, action.dim)), np.empty((2 * k, action.dim))
+    Q[0] = P[0] = v / nv
+    P[1] = apply_J_inverse(P[0])
     nq = 1
 
     terminated = REACHED_K
     resid = 0.0
     anorm = 0.0
     for j in range(1, k):
-        w = action.apply(Q[:, j - 1])
+        w = action.apply(Q[j - 1])
         anorm = max(anorm, np.linalg.norm(w))
-        w, _ = _cgs2(w, Q[:, :j])
+        w, _ = _project_out(w, Q[:j])
         r = np.linalg.norm(w)
         resid = r
         if r <= DEFLATION_RTOL * anorm:
             terminated = INVARIANT_SUBSPACE
             break
-        q = w / r
-        Q[:, j] = q
-        s = _project_out(BasisMatrix(P[:, : 2 * nq], ORTHONORMAL).project, q)
+        Q[j] = w / r
+        s, _ = _project_out(Q[j], P[: 2 * nq])
         rs = np.linalg.norm(s)
         if rs <= DEPENDENCE_RTOL:
             # The companion vector vanished although the Arnoldi remainder
@@ -217,11 +208,11 @@ def symplectic_arnoldi(action, v, k):
             terminated = BREAKDOWN
             resid = rs
             break
-        P[:, 2 * nq] = s / rs
-        P[:, 2 * nq + 1] = apply_J_inverse(P[:, 2 * nq])
+        P[2 * nq] = s / rs
+        P[2 * nq + 1] = apply_J_inverse(P[2 * nq])
         nq += 1
 
-    return _assemble_paired(action, P[:, : 2 * nq: 2], terminated, resid)
+    return _assemble_paired(action, P[: 2 * nq], terminated, resid)
 
 
 def isotropic_arnoldi(action, v, k):
@@ -235,9 +226,9 @@ def isotropic_arnoldi(action, v, k):
     for F, so k pairs cost 2k actions.
     """
     v, nv = _validate_start(action, v, k, action.dim // 2, "isotropic_arnoldi")
-    P = np.zeros((action.dim, 2 * k))
-    P[:, 0] = v / nv
-    P[:, 1] = apply_J_inverse(P[:, 0])
+    P = np.empty((2 * k, action.dim))
+    P[0] = v / nv
+    P[1] = apply_J_inverse(P[0])
     nq = 1
 
     terminated = REACHED_K
@@ -245,20 +236,20 @@ def isotropic_arnoldi(action, v, k):
     anorm = 0.0
     images = []
     for j in range(1, k):
-        w = action.apply(P[:, 2 * (j - 1)])
+        w = action.apply(P[2 * (j - 1)])
         images.append(w)
         anorm = max(anorm, np.linalg.norm(w))
-        w = _project_out(BasisMatrix(P[:, : 2 * nq], ORTHONORMAL).project, w)
+        w, _ = _project_out(w, P[: 2 * nq])
         r = np.linalg.norm(w)
         resid = r
         if r <= DEFLATION_RTOL * anorm:
             terminated = BREAKDOWN
             break
-        P[:, 2 * nq] = w / r
-        P[:, 2 * nq + 1] = apply_J_inverse(P[:, 2 * nq])
+        P[2 * nq] = w / r
+        P[2 * nq + 1] = apply_J_inverse(P[2 * nq])
         nq += 1
 
-    return _assemble_paired(action, P[:, : 2 * nq: 2], terminated, resid, images)
+    return _assemble_paired(action, P[: 2 * nq], terminated, resid, images)
 
 
 def hamiltonian_lanczos(action, v, k):
@@ -322,7 +313,7 @@ def hamiltonian_lanczos(action, v, k):
             # components sit at drift level) but without this the basis
             # loses symplecticity rapidly.  Costs 4j inner products per
             # pair, still well below one Arnoldi orthogonalization sweep.
-            u_hat = _project_out(lambda w: (L[:2 * j + 2] @ w) @ R[:2 * j + 2], u_hat)
+            u_hat, _ = _project_out(u_hat, R[:2 * j + 2], L[:2 * j + 2])
             scale_ref = np.linalg.norm(x)
 
     kp = len(deltas)
@@ -356,31 +347,24 @@ def extend_basis(outcome, action, x):
     nx = np.linalg.norm(x)
     if nx == 0.0:
         raise ValueError("cannot extend with a zero vector")
-    x_hat = _project_out(basis.project, x)
+    x_hat, _ = _project_out(x, basis.rows, basis.left)
     nr = np.linalg.norm(x_hat)
     if nr <= DEPENDENCE_RTOL * nx:
         return basis
 
     new = [x_hat / nr]
     if basis.kind == SYMPLECTIC:
-        y = _project_out(basis.project, apply_J(x_hat))
+        y, _ = _project_out(apply_J(x_hat), basis.rows, basis.left)
         pairing = omega(new[0], y)
         if abs(pairing) <= DEPENDENCE_RTOL * max(np.linalg.norm(y), 1e-300):
             raise DegeneratePairError("paired companion of the new vector degenerated")
         new.append(y / pairing)
 
-    # each block of U (all of it, or V and W) is followed by its new column;
-    # both arrays are C order whatever U's layout (Lanczos's is F order),
-    # because left_apply's BLAS rounding depends on it
-    cols = np.empty((basis.dim, basis.n_columns + len(new)))
-    images = np.empty_like(cols)
+    # each block of U (all of it, or V and W) is followed by its new row
     size = basis.n_columns // len(new)
-    for i, vec in enumerate(new):
-        j = i * (size + 1)  # where block i starts in the extended basis
-        cols[:, j:j + size] = basis.columns[:, i * size:(i + 1) * size]
-        images[:, j:j + size] = outcome.action_images[:, i * size:(i + 1) * size]
-        cols[:, j + size] = vec
-        images[:, j + size] = action.apply(cols[:, j + size])
-    extended = BasisMatrix(cols, basis.kind)
-    extended.reduced = extended.left_apply(images)
+    at = [size * (i + 1) for i in range(len(new))]
+    rows = np.insert(basis.rows, at, new, axis=0)
+    images = np.insert(outcome.action_images.T, at, [action.apply(u) for u in new], axis=0)
+    extended = BasisMatrix(rows.T, basis.kind)
+    extended.reduced = extended.left_apply(images.T)
     return extended

@@ -262,6 +262,12 @@ class TestExperimentConfig:
             ExperimentConfig(problem="klein-gordon", problem_params={"n": 8},
                              reference="dense").build()
 
+    @pytest.mark.parametrize("name, value", [("n_steps", 2.5), ("record_every", 1.5),
+                                             ("basis_dim", 2.5)])
+    def test_non_integer_counts_refused(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be .*integer.*, got {value}"):
+            ExperimentConfig(**{name: value}).build()
+
     def test_non_integer_ref_factor_refused(self):
         cfg = ExperimentConfig(problem="klein-gordon", problem_params={"n": 8}, ref_factor=2.5)
         with pytest.raises(ConfigError, match="an integer of at least 1, got 2.5"):

@@ -51,6 +51,17 @@ class TestStepperConfig:
         with pytest.raises(ValueError):
             StepperConfig(step_size=-0.1)
 
+    @pytest.mark.parametrize("basis_dim", [2.5, 4.0, "4"])
+    def test_non_integer_basis_dim(self, basis_dim):
+        with pytest.raises(ValueError, match="basis_dim must be a positive integer"):
+            StepperConfig(basis_dim=basis_dim)
+        assert StepperConfig(basis_dim=np.int64(4)).basis_dim == 4
+
+    @pytest.mark.parametrize("step_size", [float("nan"), float("inf")])
+    def test_non_finite_step(self, step_size):
+        with pytest.raises(ValueError, match="step_size must be finite"):
+            StepperConfig(step_size=step_size)
+
 
 class TestStepEE:
     def test_zero_step_returns_state(self, rng):

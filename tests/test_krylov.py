@@ -6,6 +6,7 @@ from symkry import (
     CountingAction,
     KleinGordonSystem,
     LinearWaveSystem,
+    apply_J,
     apply_J_inverse,
     arnoldi,
     canonical_J,
@@ -273,9 +274,10 @@ class TestLanczosRowBlock:
         project_out = krylov._project_out
         calls = []
 
-        def spy(project, w):
-            calls.append((w, project_out(project, w)))
-            return calls[-1][1]
+        def spy(w, rows, left):
+            out = project_out(w, rows, left)
+            calls.append((w, out[0]))
+            return out
 
         monkeypatch.setattr(krylov, "_project_out", spy)
         sys = KleinGordonSystem(n=400)
@@ -285,8 +287,67 @@ class TestLanczosRowBlock:
         assert kp == 11 and len(calls) == kp - 1
         for j, (w, got) in enumerate(calls, start=1):
             partial = BasisMatrix(np.column_stack([U[:, :j], U[:, kp: kp + j]]), SYMPLECTIC)
-            want = project_out(partial.project, w)
+            want = project_out(w, partial.rows, partial.left)[0]
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+BUILDERS = [(arnoldi, 1), (symplectic_arnoldi, 2), (isotropic_arnoldi, 2),
+            (hamiltonian_lanczos, 2)]
+BUILDER_IDS = ["arnoldi", "symplectic-arnoldi", "isotropic-arnoldi", "hamiltonian-lanczos"]
+
+
+def build_on(problem, builder, mult):
+    """A basis from a random Hamiltonian matrix (6 columns) or from a
+    perturbed Klein-Gordon n=64 state (16 columns)."""
+    rng = np.random.default_rng(15)
+    if problem == "random-hamiltonian":
+        action, v, columns = CountingAction.from_dense(random_hamiltonian_matrix(rng, 8)), None, 6
+    else:
+        sys = KleinGordonSystem(n=64)
+        x = sys.initial_state + 0.1 * rng.standard_normal(sys.dim)
+        action, v, columns = CountingAction.from_system(sys, x), sys.f(x), 16
+    v = rng.standard_normal(action.dim) if v is None else v
+    return builder(action, v, columns // mult), rng
+
+
+@pytest.mark.parametrize("problem", ["random-hamiltonian", "klein-gordon-64"])
+class TestTwoRowBlocks:
+    @pytest.mark.parametrize("builder,mult", BUILDERS, ids=BUILDER_IDS)
+    def test_left_inverts_columns_and_rows_are_c_order(self, problem, builder, mult):
+        basis = build_on(problem, builder, mult)[0].basis
+        assert basis.rows.flags.c_contiguous
+        assert np.array_equal(basis.columns, basis.rows.T)
+        gap = basis.left @ basis.columns - np.eye(basis.n_columns)
+        assert np.linalg.norm(gap) <= STRUCTURE_TOL
+
+    @pytest.mark.parametrize("builder,mult", BUILDERS, ids=BUILDER_IDS)
+    def test_left_apply_is_the_kinds_formula(self, problem, builder, mult):
+        out, rng = build_on(problem, builder, mult)
+        U = out.basis.columns
+        for v in (rng.standard_normal(U.shape[0]), rng.standard_normal((U.shape[0], 3))):
+            if out.basis.kind == SYMPLECTIC:
+                want = apply_J_inverse(U.T @ apply_J(v))  # J_k^(-1) U^T J v
+            else:
+                want = U.T @ v
+            got = out.basis.left_apply(v)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_lanczos_left_is_its_in_loop_block(self, problem, monkeypatch):
+        # U^+ formed by BasisMatrix is, bit for bit, the block L of rows
+        # J v_i, J^(-1) u_i that the recursion keeps
+        project_out = krylov._project_out
+        blocks = []
+
+        def spy(w, rows, left):
+            blocks.append(left.base)  # the whole block L, filled in place
+            return project_out(w, rows, left)
+
+        monkeypatch.setattr(krylov, "_project_out", spy)
+        out = build_on(problem, hamiltonian_lanczos, 2)[0]
+        kp = out.basis.n_columns // 2
+        assert out.terminated == REACHED_K and 2 * kp == len(blocks[-1])
+        order = np.r_[0:2 * kp:2, 1:2 * kp:2]  # [u..., v...]
+        assert np.array_equal(out.basis.left, blocks[-1][order])
 
 
 class TestExactnessAtInvariantSubspace:
@@ -344,7 +405,7 @@ class TestExtendBasis:
         m = out.basis.n_columns
         assert act.count == added  # the cached images serve the old columns
         assert ext.kind == out.basis.kind and ext.n_columns == m + added
-        assert ext.columns.flags.c_contiguous
+        assert ext.rows.flags.c_contiguous
         # new columns: at the end of U, or v_new after V and w_new after W
         fresh = [m] if added == 1 else [m // 2, m + 1]
         assert np.array_equal(np.delete(ext.columns, fresh, axis=1), out.basis.columns)

@@ -35,6 +35,14 @@ go through the modal path): the states of
 
     dense-reference-quadratic <sha256 of the states' bytes>
 
+Then one line per basis process digests the basis layer itself, where a
+change of rounding starts: U, F and A U built with 16 columns from a
+fixed perturbed ``KleinGordonSystem(n=64)`` state, then U and F of
+``extend_basis`` with a fixed vector (C-order bytes, whatever the
+layout):
+
+    basis-<process> <sha256>
+
 Two more lines, after the desk presets, run EEMP with each paired process
 (``PAIRED_EEMP``, NLS n=125, about 1 s together), which no preset does, so
 the paired branch of the basis extension is covered too:
@@ -96,10 +104,12 @@ def main(argv):
     src = Path(argv[1]) if len(argv) > 1 else root / "src"
     sys.path.insert(0, str(src.resolve()))
     sys.path.append(str(root / "perfbench"))
-    from symkry import QuadraticHamiltonianSystem
+    from symkry import CountingAction, KleinGordonSystem, QuadraticHamiltonianSystem
     from symkry.cli import available_presets, load_preset, main as cli_main
     from symkry.errors import IntegrationAborted
     from symkry.harness import config_from_mapping, parse_config_text, reference_solution, run
+    from symkry.integrators import BASIS_PROCESSES
+    from symkry.krylov import extend_basis
     from workloads import WORKLOADS, preset_text
 
     def print_digest(label, mapping, path):
@@ -126,6 +136,17 @@ def main(argv):
                                 mode="dense")
     print(f"dense-reference-quadratic {hashlib.sha256(states.tobytes()).hexdigest()}",
           flush=True)
+    kg = KleinGordonSystem(n=64)
+    x = kg.initial_state + 0.1 * rng.standard_normal(kg.dim)
+    y = rng.standard_normal(kg.dim)
+    for process, (builder, mult) in BASIS_PROCESSES.items():
+        out = builder(CountingAction.from_system(kg, x), kg.f(x), 16 // mult)
+        ext = extend_basis(out, CountingAction.from_system(kg, x), y)
+        digest = hashlib.sha256()
+        for array in (out.basis.columns, out.basis.reduced, out.action_images,
+                      ext.columns, ext.reduced):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        print(f"basis-{process} {digest.hexdigest()}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in available_presets():
             if not name.endswith("-desk"):
