@@ -113,15 +113,16 @@ class BasisMatrix:
     basis that is both, like the paired [V, J^(-1) V], is symplectic.
     ``rows`` is U^T in C order and read-only; ``columns`` is its view U.
     ``left`` holds the rows of the kind's one left inverse U^+: ``rows``
-    itself, or J_k^(-1) U^T J = [J W | J^(-1) V]^T for U = [V | W], formed
-    once (a left inverse as far as U is numerically symplectic).
-    ``reduced`` is the m x m projection F = U^+ A U of the current matrix
-    action (None until it is set).
+    itself, or J_k^(-1) U^T J = [J W | J^(-1) V]^T for U = [V | W] (a left
+    inverse as far as U is numerically symplectic).  A builder that already
+    holds those rows passes them as ``left``; otherwise they are formed
+    once here.  ``reduced`` is the m x m projection F = U^+ A U of the
+    current matrix action (None until it is set).
     """
 
     __slots__ = ("rows", "left", "kind", "reduced")
 
-    def __init__(self, columns, kind, reduced=None):
+    def __init__(self, columns, kind, reduced=None, left=None):
         columns = np.asarray(columns, dtype=float)
         if columns.ndim != 2:
             raise ValueError("columns must be a 2-d array")
@@ -132,6 +133,11 @@ class BasisMatrix:
         rows.flags.writeable = False
         if kind == SYMPLECTIC:
             _check_even(columns.shape[1], "symplectic basis column")
+        if left is not None:
+            self.left = np.asarray(left, dtype=float)
+            if self.left.shape != rows.shape:
+                raise ValueError(f"left has shape {self.left.shape}, expected {rows.shape}")
+        elif kind == SYMPLECTIC:
             k, n = rows.shape[0] // 2, rows.shape[1] // 2
             # J w_i = (w_p, -w_q) and J^(-1) v_i = (-v_p, v_q)
             self.left = left = np.empty_like(rows)
@@ -155,10 +161,6 @@ class BasisMatrix:
     def left_apply(self, v):
         """Apply the left inverse U^+ to a vector or a matrix of columns."""
         return self.left @ v
-
-    def project(self, v):
-        """Oblique projection U U^+ v onto range(U)."""
-        return self.columns @ self.left_apply(v)
 
 
 class HamiltonianSystem(ABC):

@@ -9,6 +9,14 @@ matrix F = U^+ Df U, and advances with one small dense kernel,
     IEMP  implicit midpoint variant solved by fixed-point iteration in the
           reduced coordinates; one application advances a full macro step.
 
+IEMP predicts its midpoint with an EE half step in a basis of half the
+columns, rounded up to whole Krylov vectors, and builds the full basis
+there.  Each IEMP step evaluates two reduced exponentials: the
+predictor's, and one half-step ``exp_affine(F, I, h/2)`` whose e^(hF/2)
+and (h/2) phi(hF/2) serve both the fixed point and, by the doubling
+identities e^(hF) = e^(hF/2)^2 and h phi(hF) = (h/2) phi(hF/2) (e^(hF/2)
++ I), the macro update.
+
 For EEMP, ``krylov.extend_basis`` adjoins the difference x_prev - x to the
 basis, keeping its kind, and returns the extended basis with its reduced
 matrix, so the scheme's symmetry and average-energy properties hold.
@@ -35,7 +43,7 @@ from .krylov import (
     isotropic_arnoldi,
     symplectic_arnoldi,
 )
-from .matfun import exp_affine, phi1
+from .matfun import exp_affine
 
 EE = "EE"
 EEMP = "EEMP"
@@ -63,7 +71,10 @@ class StepperConfig:
 
     ``basis_dim`` counts total columns of U, so cross-process comparisons
     at equal subspace dimension are fair; paired processes receive
-    basis_dim/2 Krylov vectors.  ``step_size`` is the macro step: one IEMP
+    basis_dim/2 Krylov vectors.  IEMP's predictor basis has
+    mult * ceil(basis_dim / (2 mult)) columns, mult being the process's
+    columns per Krylov vector (12 for a paired process and 11 for Arnoldi
+    at basis_dim 22).  ``step_size`` is the macro step: one IEMP
     application advances a full step_size (internally split in half).
     IEMP's fixed-point iteration is bounded by the module constants FP_TOL
     and FP_MAX_ITER.  Invalid values raise ValueError: an unknown method or
@@ -186,8 +197,9 @@ def step_eemp(system, config, x, x_prev, rng=None):
     return StepResult(_check_finite(x_plus), basis, outcome, action.count)
 
 
-def _solve_reduced_fixed_point(system, x, basis, h, xi0):
-    """Solve e^(hF) xi = h phi(hF) U^+ f(x + U xi) by fixed-point iteration.
+def _solve_reduced_fixed_point(system, x, basis, kernel, xi0):
+    """Solve e^(hF) xi = h phi(hF) U^+ f(x + U xi) by fixed-point iteration,
+    given ``kernel`` = h phi(hF).
 
     Iterates xi <- h phi(hF) (U^+ f(x + U xi) - F xi), which treats the
     frozen linear part exactly: the naive Picard map has Lipschitz constant
@@ -197,7 +209,6 @@ def _solve_reduced_fixed_point(system, x, basis, h, xi0):
     nonlinear remainder vanishes and one iteration lands on the solution.
     """
     F = basis.reduced
-    kernel = h * _kernel(phi1, h * F)
     xi = xi0
     for it in range(1, FP_MAX_ITER + 1):
         xi_next = kernel @ (basis.left_apply(system.f(x + basis.columns @ xi)) - F @ xi)
@@ -212,18 +223,26 @@ def _solve_reduced_fixed_point(system, x, basis, h, xi0):
 
 
 def step_iemp(system, config, x, rng=None):
-    """Implicit exponential midpoint step advancing one macro step.
+    """Implicit exponential midpoint step advancing one macro step h.
 
-    Strategy: predict the midpoint with an exponential Euler half step,
-    linearize and build the basis there, solve the implicit half-step
-    relation by fixed-point iteration, then form the full-step update from
-    the doubled-step relation.  The result carries the midpoint as x_mid.
+    Strategy: predict the midpoint with an exponential Euler half step in
+    a basis of half the columns (rounded up to whole Krylov vectors; the
+    predictor only picks the point of linearization), linearize and build
+    the full basis there, solve the implicit half-step relation by
+    fixed-point iteration, then form the full-step update from the
+    doubled-step relation.  One exponential, e^(hF/2) with K = (h/2)
+    phi(hF/2), serves both: K is the fixed point's kernel, and the update
+    uses e^(hF) = e^(hF/2)^2 and h phi(hF) b = K (e^(hF/2) b + b), so the
+    step evaluates two reduced exponentials, the predictor's included.
+    The result carries the midpoint as x_mid.
     """
     macro = config.step_size
     half = 0.5 * macro
     x = np.asarray(x, dtype=float)
 
-    predictor = step_ee(system, replace(config, step_size=half), x, rng)
+    mult = BASIS_PROCESSES[config.basis_process][1]
+    small = mult * -(-config.basis_dim // (2 * mult))  # mult * ceil(dim / (2 mult))
+    predictor = step_ee(system, replace(config, step_size=half, basis_dim=small), x, rng)
     x_tilde = predictor.x_plus
 
     v = system.f(x_tilde)
@@ -233,12 +252,15 @@ def step_iemp(system, config, x, rng=None):
     action = CountingAction.from_system(system, x_tilde)
     outcome = build_basis(action, v if np.linalg.norm(v) > 0 else system.f(x), config, rng)
     basis = outcome.basis
+    F = basis.reduced
+    E_half, kernel = _kernel(exp_affine, F, np.eye(F.shape[0]), half)
     xi0 = basis.left_apply(x_tilde - x)
-    xi, iters = _solve_reduced_fixed_point(system, x, basis, half, xi0)
+    xi, iters = _solve_reduced_fixed_point(system, x, basis, kernel, xi0)
 
     x_mid = x + basis.columns @ xi
-    E, y = _kernel(exp_affine, basis.reduced, basis.left_apply(system.f(x_mid)), macro)
-    x_plus = _check_finite(x + basis.columns @ (xi - E @ xi + y))
+    b = basis.left_apply(system.f(x_mid))
+    update = xi - (E_half @ E_half) @ xi + kernel @ (E_half @ b + b)
+    x_plus = _check_finite(x + basis.columns @ update)
     return StepResult(x_plus, basis, outcome, predictor.matvecs + action.count, iters, x_mid)
 
 

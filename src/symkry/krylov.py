@@ -7,7 +7,9 @@ isotropic Arnoldi processes (symplectic, orthonormal bases of the form
 with a short two-sided recursion and reduced matrix [[0, T], [D, 0]]).
 
 Every builder writes its basis vectors, and their images, as rows of
-preallocated blocks, so the basis built so far is a contiguous prefix.
+preallocated blocks, so the basis built so far is a contiguous prefix,
+and hands the rows of the finished basis's left inverse to ``BasisMatrix``
+(the paired bases are orthonormal, so theirs are the basis rows).
 ``_project_out`` is every removal of a basis's range, along its left
 inverse: classical Gram-Schmidt with one reorthogonalization pass, two
 row products per pass (the Arnoldi recurrences, the paired processes'
@@ -167,7 +169,8 @@ def _assemble_paired(action, P, terminated, resid, known=()):
     images = np.empty_like(rows)
     for j, row in enumerate(rows):
         images[j] = known[j] if j < len(known) else action.apply(row)
-    basis = BasisMatrix(rows.T, SYMPLECTIC)
+    # U is orthonormal as well, so U^+ = J_k^(-1) U^T J = U^T: J J^(-1) v = v
+    basis = BasisMatrix(rows.T, SYMPLECTIC, left=rows)
     basis.reduced = basis.left_apply(images.T)
     return KrylovOutcome(basis, terminated, float(resid), images.T)
 
@@ -267,7 +270,8 @@ def hamiltonian_lanczos(action, v, k):
     The pairs are rows of one preallocated block R = [u_1, v_1, u_2, ...],
     with the rows of U^+ (J v_i, J^(-1) u_i) in a block L and the images in
     a third, so the basis so far is a prefix and ``_project_out`` removes it
-    with (L[:2j] w) R[:2j].  U and its images take [u..., v...] order at the end.
+    with (L[:2j] w) R[:2j].  U, L and the images take [u..., v...] order at
+    the end, and L is handed to the basis as its left inverse.
     """
     v, nv = _validate_start(action, v, k, action.dim // 2, "hamiltonian_lanczos")
     R, L, images = (np.empty((2 * k, action.dim)) for _ in range(3))
@@ -323,7 +327,7 @@ def hamiltonian_lanczos(action, v, k):
     F[i[:-1], kp + i[1:]] = F[i[1:], kp + i[:-1]] = betas
     F[kp + i, i] = deltas
     order = np.concatenate([2 * i, 2 * i + 1])
-    basis = BasisMatrix(R[order].T, SYMPLECTIC, F)
+    basis = BasisMatrix(R[order].T, SYMPLECTIC, F, left=L[order])
     return KrylovOutcome(basis, terminated, float(resid), images[order].T)
 
 

@@ -37,6 +37,11 @@ def random_hamiltonian_matrix(rng, n, scale=1.0):
     return apply_J_inverse(S)
 
 
+def project(basis, v):
+    """Oblique projection U U^+ v of v onto the range of a BasisMatrix."""
+    return basis.columns @ basis.left_apply(v)
+
+
 def check_hamiltonian_matrix(A, tol=1e-8):
     """True iff ||A^T - J A J||_F <= tol * max(1, ||A||_F).
 

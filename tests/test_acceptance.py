@@ -39,6 +39,7 @@ from symkry.cli import main as cli_main
 import conftest
 from conftest import (
     phi1_scaled_identities_check,
+    project,
     random_hamiltonian_matrix,
     random_quadratic_system,
 )
@@ -179,7 +180,7 @@ def test_criterion_06_krylov_containment(rng):
     v = rng.standard_normal(24)
 
     def residual(basis, w):
-        return np.linalg.norm(w - basis.project(w)) / np.linalg.norm(w)
+        return np.linalg.norm(w - project(basis, w)) / np.linalg.norm(w)
 
     def worst_over_powers(basis, depth):
         w = v.copy()

@@ -116,6 +116,12 @@ class TestSymplecticLeftInverse:
         UdU = BasisMatrix(U, SYMPLECTIC).left_apply(U)
         assert np.linalg.norm(UdU - np.eye(U.shape[1])) < 1e-10
 
+    def test_left_of_the_wrong_shape_is_refused(self):
+        U = np.eye(8)[:, [0, 4]]
+        assert BasisMatrix(U, SYMPLECTIC, left=U.T).left_apply(U).tolist() == [[1, 0], [0, 1]]
+        with pytest.raises(ValueError, match="left has shape"):
+            BasisMatrix(U, SYMPLECTIC, left=U)
+
 
 class TestExports:
     def test_all_names_resolve_without_duplicates(self):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,6 +232,27 @@ class TestStepIEMP:
         prop = U.columns @ (expm(0.5 * macro * U.reduced) @ U.left_apply(res.x_mid - x))
         assert (np.linalg.norm((res.x_plus - res.x_mid) - prop)
                 <= 1e-9 * max(np.linalg.norm(prop), 1.0))
+
+    @pytest.mark.parametrize("process,matvecs", [
+        ("arnoldi", 33), ("symplectic-arnoldi", 49), ("isotropic-arnoldi", 34),
+        ("hamiltonian-lanczos", 34)])
+    def test_predictor_basis_has_half_the_columns(self, process, matvecs):
+        # an EE half step in mult * ceil(22 / (2 mult)) columns (11 for
+        # Arnoldi, 12 for a paired process) plus one full build at the
+        # predicted midpoint, not two full bases
+        sys = KleinGordonSystem(n=64)
+        x = sys.initial_state + 0.1 * np.random.default_rng(16).standard_normal(sys.dim)
+        cfg = StepperConfig(method="IEMP", basis_process=process, basis_dim=22,
+                            step_size=0.02)
+        small = 12 if integrators.BASIS_PROCESSES[process][1] == 2 else 11
+        predictor = step_ee(sys, replace(cfg, basis_dim=small, step_size=0.01), x)
+        action = CountingAction.from_system(sys, predictor.x_plus)
+        integrators.build_basis(action, sys.f(predictor.x_plus), cfg)
+        res = step_iemp(sys, cfg, x)
+        assert res.matvecs == predictor.matvecs + action.count == matvecs
+        assert predictor.basis.n_columns == small
+        assert res.basis.n_columns == 22
+        assert res.matvecs < step_ee(sys, replace(cfg, step_size=0.01), x).matvecs + action.count
 
     def test_nonconvergence_raises_step_failure(self, monkeypatch):
         monkeypatch.setattr(integrators, "FP_TOL", 1e-16)

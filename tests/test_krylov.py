@@ -23,7 +23,7 @@ from symkry.core import ORTHONORMAL, STRUCTURE_TOL, SYMPLECTIC
 from symkry.errors import DegeneratePairError
 from symkry.krylov import BREAKDOWN, INVARIANT_SUBSPACE, REACHED_K, KrylovOutcome
 
-from conftest import random_hamiltonian_matrix
+from conftest import project, random_hamiltonian_matrix
 
 
 def wave_action(n):
@@ -32,7 +32,7 @@ def wave_action(n):
 
 
 def projection_residual(basis, w):
-    return np.linalg.norm(w - basis.project(w)) / np.linalg.norm(w)
+    return np.linalg.norm(w - project(basis, w)) / np.linalg.norm(w)
 
 
 class TestArnoldi:
@@ -350,6 +350,18 @@ class TestTwoRowBlocks:
         assert np.array_equal(out.basis.left, blocks[-1][order])
 
 
+@pytest.mark.parametrize("problem", ["random-hamiltonian", "klein-gordon-64"])
+@pytest.mark.parametrize("builder,mult", BUILDERS[1:], ids=BUILDER_IDS[1:])
+def test_handed_over_left_is_the_formed_one(problem, builder, mult):
+    # the rows of U^+ a symplectic builder hands to BasisMatrix are, bit for
+    # bit, the ones the constructor forms from U alone; a paired basis's
+    # are its own rows
+    basis = build_on(problem, builder, mult)[0].basis
+    assert np.array_equal(basis.left, BasisMatrix(basis.columns, SYMPLECTIC).left)
+    if builder is not hamiltonian_lanczos:
+        assert np.shares_memory(basis.left, basis.rows)  # no copy made
+
+
 class TestExactnessAtInvariantSubspace:
     def test_rotation_block(self, rng):
         # A = J: K(A, v) = span{v, Jv} is invariant for every v, and
@@ -409,7 +421,7 @@ class TestExtendBasis:
         # new columns: at the end of U, or v_new after V and w_new after W
         fresh = [m] if added == 1 else [m // 2, m + 1]
         assert np.array_equal(np.delete(ext.columns, fresh, axis=1), out.basis.columns)
-        assert np.linalg.norm(x - ext.project(x)) <= 1e-10 * np.linalg.norm(x)
+        assert np.linalg.norm(x - project(ext, x)) <= 1e-10 * np.linalg.norm(x)
         assert defect(ext.columns) <= STRUCTURE_TOL
         want = ext.left_apply(A @ ext.columns)
         assert np.linalg.norm(ext.reduced - want) <= 1e-12 * np.linalg.norm(want)

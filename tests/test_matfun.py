@@ -233,3 +233,25 @@ class TestPhiIdentities:
         h = 40.0 * np.pi / 8000.0
         rep = phi1_scaled_identities_check(h * out.basis.reduced)
         assert rep.max_defect() <= 1e-11
+
+
+class TestHalfStepDoubling:
+    """One half-step exponential E, K = exp_affine(F, I, h/2) gives the
+    full step's pair: e^(hF) = E^2 and h phi(hF) b = K (E b + b)."""
+
+    @pytest.mark.parametrize("problem,h", [("klein-gordon", 0.02), ("nls", np.pi / 200.0)])
+    @pytest.mark.parametrize("process", ["arnoldi", "hamiltonian-lanczos"])
+    def test_matches_full_step_exp_affine(self, problem, h, process):
+        from symkry import CountingAction, KleinGordonSystem, NonlinearSchroedingerSystem
+        from symkry.integrators import BASIS_PROCESSES
+
+        sys = KleinGordonSystem(n=400) if problem == "klein-gordon" else \
+            NonlinearSchroedingerSystem(n=125)
+        x = sys.initial_state
+        builder, mult = BASIS_PROCESSES[process]
+        basis = builder(CountingAction.from_system(sys, x), sys.f(x), 22 // mult).basis
+        F, b = basis.reduced, basis.left_apply(sys.f(x))
+        E_half, K = exp_affine(F, np.eye(F.shape[0]), 0.5 * h)
+        E, y = exp_affine(F, b, h)
+        assert np.linalg.norm(E_half @ E_half - E) <= 1e-12 * np.linalg.norm(E)
+        assert np.linalg.norm(K @ (E_half @ b + b) - y) <= 1e-12 * np.linalg.norm(y)

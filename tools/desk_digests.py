@@ -49,6 +49,12 @@ the paired branch of the basis extension is covered too:
 
     eemp-paired-<process> <sha256> matvecs=<n> fp_iters=<n> max_ree=<e> final_sol=<e>
 
+and two more run IEMP with each paired process (``PAIRED_IEMP``, Klein-Gordon
+n=100, a few seconds together), which no preset does either, so the
+predictor basis's rounding to whole pairs is covered:
+
+    iemp-paired-<process> <sha256> matvecs=<n> fp_iters=<n> max_ree=<e> final_sol=<e>
+
 Usage: python3 tools/desk_digests.py [SRC_DIR]
 
 SRC_DIR is the directory symkry is imported from (default: this
@@ -76,6 +82,26 @@ method = EEMP
 basis-dim = 20
 t-final = 6.283185307179586
 steps = 400
+record-every = 10
+reference = fine:10
+seed = 0
+
+[symplectic-arnoldi]
+basis = symplectic-arnoldi
+
+[isotropic-arnoldi]
+basis = isotropic-arnoldi
+"""
+
+# IEMP's predictor basis has half the columns, rounded up to whole pairs
+# for a paired process; no desk preset runs IEMP with a paired process
+PAIRED_IEMP = """\
+problem = klein-gordon
+problem.n = 100
+method = IEMP
+basis-dim = 22
+t-final = 10.0
+steps = 500
 record-every = 10
 reference = fine:10
 seed = 0
@@ -154,9 +180,10 @@ def main(argv):
             for section, mapping in load_preset(name):
                 label = f"{name}-{section}"
                 print_digest(label, mapping, Path(tmp) / f"{label}.csv")
-        for section, mapping in parse_config_text(PAIRED_EEMP):
-            label = f"eemp-paired-{section}"
-            print_digest(label, mapping, Path(tmp) / f"{label}.csv")
+        for prefix, text in (("eemp-paired", PAIRED_EEMP), ("iemp-paired", PAIRED_IEMP)):
+            for section, mapping in parse_config_text(text):
+                label = f"{prefix}-{section}"
+                print_digest(label, mapping, Path(tmp) / f"{label}.csv")
         for name in WORKLOADS:
             for seed in (0, 7):
                 for section, mapping in parse_config_text(preset_text(name, seed)):
