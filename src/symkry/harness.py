@@ -16,9 +16,19 @@ Each recorded row holds (step, t, relative energy error, solution error,
 achieved basis dimension, fixed-point iterations).  Output is plain CSV
 with one comment header line echoing the full configuration; identical
 configuration and seed give byte-identical files.
+
+The reference runs beside the integration: a run that must compute it
+forks one child, which computes the states and sends them back through
+a pipe while the parent steps.  The parent keeps each recorded state and
+fills in the solution errors once the states arrive.  Where the platform
+cannot fork or the process may use a single CPU, the reference is
+computed inline before the first step.  Either way the CSV is the same,
+and an exception from the oracle takes precedence over one from the
+integration.
 """
 
 import os
+import pickle
 import time
 from dataclasses import dataclass, field
 
@@ -117,8 +127,9 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
     states come from one ``eigh`` of K (``_second_order_flow``); otherwise
     from ``exp_affine(A, c, dt)`` per grid interval.  mode "fine": classical
     RK4 with ``factor`` micro steps per grid interval, each of length
-    interval/factor.  ``_check_reference`` refuses bad arguments before
-    any work, on a one-point grid too.
+    interval/factor; a state that is not finite at a grid point is a
+    ValueError, with no numpy warning.  ``_check_reference`` refuses bad
+    arguments before any work, on a one-point grid too.
     """
     x0 = np.asarray(x0, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -154,11 +165,15 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
         return states
 
     x = x0.copy()
-    for i in range(1, t_grid.size):
-        micro = (t_grid[i] - t_grid[i - 1]) / factor
-        for _ in range(factor):
-            x = _rk4_step(system.f, x, micro)
-        states[i] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, t_grid.size):
+            micro = (t_grid[i] - t_grid[i - 1]) / factor
+            for _ in range(factor):
+                x = _rk4_step(system.f, x, micro)
+            if not np.isfinite(x).all():
+                raise ValueError(f"fine reference overflowed by t={t_grid[i]:.6g}: "
+                                 f"RK4 is unstable at its micro step {micro:.3g}")
+            states[i] = x
     return states
 
 
@@ -258,42 +273,127 @@ class RunResult:
     summary: object
 
 
-def _reference_states(config, system, h):
-    """Reference states at the recorded steps, taken from the memo when the
-    previous run had the same problem, grid and reference; a miss replaces
-    the entry, so the memo holds one states array."""
-    key = (config.problem, tuple(sorted(config.problem_params.items())), config.reference,
-           config.ref_factor, config.t_final, config.n_steps, config.record_every)
-    states = _reference_memo.get(key)
-    if states is None:
-        _reference_memo.clear()
-        t_grid = np.array([s * h for s in range(0, config.n_steps + 1, config.record_every)])
-        states = reference_solution(system, system.initial_state, t_grid, mode=config.reference,
-                                    factor=config.ref_factor * config.record_every)
-        states.flags.writeable = False
-        _reference_memo[key] = states
-    return states
+def _usable_cpus():
+    """How many CPUs this process may run on: its affinity mask where the
+    platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pickled_outcome(compute):
+    """``(True, compute())`` or ``(False, the exception it raised)``,
+    pickled; an exception that does not survive pickling goes as a
+    RuntimeError naming it."""
+    try:
+        return pickle.dumps((True, compute()), pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:  # every failure of compute is the parent's to raise
+        try:
+            data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+            pickle.loads(data)
+            return data
+        except Exception:
+            return pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+
+
+class _Beside:
+    """``compute()`` evaluated beside the caller, in a child forked with a
+    pipe back, so that the caller goes on working meanwhile; inline, at
+    once, where the platform cannot fork or the process may use a single
+    CPU.  ``result()`` waits for the value and returns it, or raises the
+    exception ``compute`` raised, with its type and message.  ``close()``
+    kills and reaps a child that is still there.  The child leaves with
+    ``os._exit``: it runs no exit handler and flushes no buffer it
+    inherited."""
+
+    def __init__(self, compute):
+        self._pid = None
+        if hasattr(os, "fork") and _usable_cpus() > 1:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: compute inline
+                os.close(read_fd)
+                os.close(write_fd)
+            else:
+                if pid == 0:
+                    try:
+                        os.close(read_fd)
+                        with open(write_fd, "wb") as pipe:
+                            pipe.write(_pickled_outcome(compute))
+                    finally:
+                        os._exit(0)
+                os.close(write_fd)
+                self._pid, self._pipe = pid, open(read_fd, "rb")
+                return
+        self._outcome = (True, compute())
+
+    def result(self):
+        if self._pid is not None:
+            with self._pipe:
+                data = self._pipe.read()
+            _, status = os.waitpid(self._pid, 0)
+            self._pid = None
+            if not data:
+                raise ChildProcessError(f"the child ended with wait status {status} and sent "
+                                        "nothing")
+            self._outcome = pickle.loads(data)
+        ok, value = self._outcome
+        if not ok:
+            raise value
+        return value
+
+    def close(self):
+        if self._pid is not None:
+            import signal  # loaded only on this path: a child still to stop
+            self._pipe.close()
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+
+
+def _start_reference(config, system, h):
+    """Start computing the reference states at the recorded steps (see
+    ``_Beside``); ``result()`` of the returned object gives them."""
+    t_grid = np.array([s * h for s in range(0, config.n_steps + 1, config.record_every)])
+    return _Beside(lambda: reference_solution(
+        system, system.initial_state, t_grid, mode=config.reference,
+        factor=config.ref_factor * config.record_every))
 
 
 def run(config, quiet=False):
     """Execute one configured experiment; returns its RunResult.
 
     ``config.build()`` checks the whole run before anything is computed.
-    The observer of ``integrate`` appends each recorded step's CSV row as
-    the step completes; a state norm above DIVERGENCE_FACTOR * ||x0|| (any
-    step) or a non-finite energy (recorded steps) fails that step.  On a
-    numerical failure the partial CSV is still flushed and the
-    IntegrationAborted (with its partial summary) is re-raised with the
-    partial ``series`` attached.
+    The reference states come from the memo when the previous run had the
+    same problem, grid and reference; a miss replaces the entry, so the
+    memo holds one read-only states array.  On a miss ``_start_reference``
+    computes them in a forked child while the parent integrates, or inline
+    first where the platform cannot fork or the process may use a single
+    CPU.  The observer of ``integrate`` keeps each recorded step's row and
+    state as the step completes; a state norm above DIVERGENCE_FACTOR *
+    ||x0|| (any step) or a non-finite energy (recorded steps) fails that
+    step.  Once the reference states are in, the solution errors are
+    filled in and the CSV is written.  On a numerical failure the partial
+    CSV is still flushed and the IntegrationAborted (with its partial
+    summary) is re-raised with the partial ``series`` attached.  An
+    exception from the oracle takes precedence over one from the
+    integration, and a child is killed and reaped on every exit path.
     """
     wall_start = time.perf_counter()
     system, stepper = config.build()
     x0 = system.initial_state
 
     every = config.record_every
-    ref_states = _reference_states(config, system, stepper.step_size)
-    series = MetricsSeries(config.echo())
+    key = (config.problem, tuple(sorted(config.problem_params.items())), config.reference,
+           config.ref_factor, config.t_final, config.n_steps, config.record_every)
+    ref_states = _reference_memo.get(key)
+    oracle = None
+    if ref_states is None:
+        _reference_memo.clear()
+        oracle = _start_reference(config, system, stepper.step_size)
     guard = DIVERGENCE_FACTOR * max(np.linalg.norm(x0), 1e-300)
+    rows = []  # (step, t, ree, basis_dim, fp_iters, state) of each recorded step
 
     def observer(step, t, res):
         if np.linalg.norm(res.x_plus) > guard:
@@ -304,18 +404,32 @@ def run(config, quiet=False):
             ree = relative_energy_error(system, res.x_plus, x0)
         except ValueError as exc:
             raise StepFailureError(str(exc)) from exc
-        sol = solution_error(res.x_plus, ref_states[step // every])
-        series.append(step, t, ree, sol, res.basis.n_columns if res.basis is not None else 0,
-                      res.fp_iters)
+        rows.append((step, t, ree, res.basis.n_columns if res.basis is not None else 0,
+                     res.fp_iters, res.x_plus))
 
     rng = np.random.default_rng(config.seed)
     aborted_exc = None
     try:
-        summary = integrate(system, stepper, x0, n_steps=config.n_steps,
-                            observer=observer, rng=rng)
-    except IntegrationAborted as exc:
-        summary, aborted_exc = exc.summary, exc
+        try:
+            summary = integrate(system, stepper, x0, n_steps=config.n_steps,
+                                observer=observer, rng=rng)
+        except IntegrationAborted as exc:
+            summary, aborted_exc = exc.summary, exc
+        except Exception:
+            if oracle is not None:
+                oracle.result()  # the oracle's exception takes precedence
+            raise
+        if oracle is not None:
+            ref_states = oracle.result()
+            ref_states.flags.writeable = False
+            _reference_memo[key] = ref_states
+    finally:
+        if oracle is not None:
+            oracle.close()
 
+    series = MetricsSeries(config.echo())
+    for step, t, ree, dim, fp, x in rows:
+        series.append(step, t, ree, solution_error(x, ref_states[step // every]), dim, fp)
     if config.output:
         series.write(config.output)
 

@@ -287,8 +287,8 @@ def integrate(system, config, x0, n_steps=1, observer=None, rng=None):
     IntegrationAborted("step N: ..."), which carries the summary of the
     steps completed so far, the failed step included when it completed.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise ValueError(f"n_steps must be an integer of at least 1, got {n_steps!r}")
     h = config.step_size
     if h <= 0:
         raise ValueError("the step size must be positive for integration")

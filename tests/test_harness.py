@@ -191,6 +191,17 @@ class TestReferenceSolution:
             with pytest.raises(ValueError, match="overflowed"):
                 reference_solution(sys, [1.0, 0.0], [0.0, 50.0], mode="dense")
 
+    def test_fine_overflow_is_a_value_error_without_warning(self):
+        # RK4 at a micro step of 0.1 is unstable on Klein-Gordon n=100
+        # (rho(Df) h of about 20); the oracle fails typed instead of
+        # returning NaN states after numpy warnings
+        sys = KleinGordonSystem(n=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="fine reference overflowed by t=1:"):
+                reference_solution(sys, sys.initial_state, np.array([0.0, 0.5, 1.0]),
+                                   mode="fine", factor=5)
+
     def test_dense_refused_for_nonlinear(self):
         sys = KleinGordonSystem(n=8)
         with pytest.raises(ConfigError):
@@ -418,15 +429,16 @@ class TestReferenceMemo:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Count reference computations, starting from an empty memo."""
+        """Count reference computations where the parent starts them (the
+        computation itself may run in a child), from an empty memo."""
         monkeypatch.setattr(harness, "_reference_memo", {})
-        real, calls = harness.reference_solution, []
+        real, calls = harness._start_reference, []
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "reference_solution", counted)
+        monkeypatch.setattr(harness, "_start_reference", counted)
         return calls
 
     def test_shared_key_computes_once(self, calls):
@@ -467,6 +479,162 @@ class TestReferenceMemo:
             alone.append(run(cfg, quiet=True).series.to_csv_text())
         assert shared == alone
         assert len(calls) == 3
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestReferenceBeside:
+    """On a memo miss run() computes the reference in a forked child while
+    it integrates; inline where it cannot fork or may use a single CPU."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(harness, "_reference_memo", {})
+
+    @pytest.fixture
+    def forked(self, monkeypatch):
+        """The overlapped path, whatever CPUs this host gives the process."""
+        if not hasattr(os, "fork"):
+            pytest.skip("the platform cannot fork")
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+
+    def _kg(self, **kw):
+        base = dict(problem="klein-gordon", problem_params={"n": 64}, method="IEMP",
+                    basis="hamiltonian-lanczos", basis_dim=16, t_final=2.0, n_steps=100,
+                    record_every=10, reference="fine", ref_factor=4)
+        base.update(kw)
+        return ExperimentConfig(**base)
+
+    @pytest.mark.parametrize("config", [
+        dict(),
+        dict(problem="linear-wave", problem_params={"n": 100}, method="EE", basis_dim=12,
+             t_final=5.0, n_steps=200, reference="dense"),
+        dict(method="EEMP", basis="arnoldi", basis_dim=20, t_final=45.0, n_steps=2250,
+             ref_factor=1),
+    ], ids=["kg-iemp", "wave-dense", "kg-aborted"])
+    def test_overlapped_and_inline_csvs_are_byte_identical(self, config, forked, tmp_path,
+                                                           monkeypatch):
+        texts = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            harness._reference_memo.clear()
+            out = tmp_path / f"cpus{cpus}.csv"
+            try:
+                run(self._kg(**config, output=str(out)), quiet=True)
+            except IntegrationAborted:
+                pass
+            texts.append(out.read_bytes())
+            assert_no_child()
+        assert texts[0] == texts[1]
+        assert b"nan" not in texts[0]
+
+    def test_normal_run_leaves_no_child(self, forked):
+        run(self._kg(), quiet=True)
+        assert_no_child()
+        (states,) = harness._reference_memo.values()
+        assert not states.flags.writeable
+
+    def test_memo_hit_leaves_no_child(self, forked):
+        run(self._kg(), quiet=True)
+        run(self._kg(method="EE", basis="arnoldi"), quiet=True)
+        assert_no_child()
+
+    def test_aborted_run_fills_the_partial_csv_and_leaves_no_child(self, forked, tmp_path):
+        out = tmp_path / "partial.csv"
+        with pytest.raises(IntegrationAborted, match="divergence") as err:
+            run(self._kg(method="EEMP", basis="arnoldi", basis_dim=20, t_final=45.0,
+                         n_steps=2250, ref_factor=1, output=str(out)), quiet=True)
+        assert_no_child()
+        rows = err.value.series.rows
+        assert len(rows) > 3 and all(np.isfinite(r[3]) for r in rows)
+        assert rows[0][3] == 0.0 and rows[-1][3] > 0.0
+        assert len(out.read_text().splitlines()) == 2 + len(rows)
+
+    def test_oracle_error_reaches_the_caller_from_the_child(self, forked, tmp_path):
+        # RK4 at a micro step of 0.1 overflows on Klein-Gordon n=100, as in
+        # the reference test above; the integration itself succeeds
+        out = tmp_path / "never.csv"
+        config = self._kg(problem_params={"n": 100}, basis_dim=20, n_steps=20, record_every=5,
+                          ref_factor=1, output=str(out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # numpy's, in either process
+            with pytest.raises(ValueError, match="fine reference overflowed by t=1:") as err:
+                run(config, quiet=True)
+        assert_no_child()
+        assert type(err.value) is ValueError
+        # raised where the parent collects the child's answer, not computed here
+        assert "reference_solution" not in {entry.name for entry in err.traceback}
+        assert not out.exists()
+        assert not harness._reference_memo
+
+    class Interrupt(BaseException):
+        """Not an Exception: run() stops the child without waiting for it."""
+
+    def _failing_f(self, monkeypatch, fail, in_child):
+        """Systems whose f calls ``fail()`` first, in the child (where the
+        oracle runs) or in the parent (where the integration runs) only."""
+        parent, build = os.getpid(), harness.build_problem
+
+        def patched(name, **params):
+            system = build(name, **params)
+            f = system.f
+
+            def failing(x):
+                if (os.getpid() != parent) == in_child:
+                    fail()
+                return f(x)
+
+            system.f = failing
+            return system
+
+        monkeypatch.setattr(harness, "build_problem", patched)
+
+    @pytest.mark.parametrize("error", [ZeroDivisionError, Interrupt])
+    def test_error_from_f_in_the_integration_propagates_and_leaves_no_child(
+            self, error, forked, monkeypatch):
+        def fail():
+            raise error("f failed in the parent")
+
+        self._failing_f(monkeypatch, fail, in_child=False)
+        with pytest.raises(error, match="f failed in the parent"):
+            run(self._kg(), quiet=True)
+        assert_no_child()
+        assert not harness._reference_memo
+
+    def test_unpicklable_oracle_error_arrives_as_runtime_error(self, forked, monkeypatch):
+        class LocalError(Exception):
+            pass
+
+        def fail():
+            raise LocalError("no pickle for me")
+
+        self._failing_f(monkeypatch, fail, in_child=True)
+        with pytest.raises(RuntimeError, match="LocalError: no pickle for me"):
+            run(self._kg(), quiet=True)
+        assert_no_child()
+
+    def test_child_that_dies_silently_is_a_child_process_error(self, forked, monkeypatch):
+        self._failing_f(monkeypatch, lambda: os._exit(3), in_child=True)
+        with pytest.raises(ChildProcessError, match="sent nothing"):
+            run(self._kg(), quiet=True)
+        assert_no_child()
+
+    @pytest.mark.parametrize("cpus,fork_error", [(1, AssertionError), (2, OSError)],
+                             ids=["single-cpu", "fork-fails"])
+    def test_computed_inline_where_forking_cannot_help(self, cpus, fork_error, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+
+        def fork():
+            raise fork_error("no fork here")
+
+        monkeypatch.setattr(os, "fork", fork, raising=False)
+        run(self._kg(output=str(tmp_path / "inline.csv")), quiet=True)
+        assert len(harness._reference_memo) == 1
+        assert b"nan" not in (tmp_path / "inline.csv").read_bytes()
 
 
 class TestConfigParsing:

@@ -383,6 +383,18 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(sys, cfg, rng.standard_normal(sys.dim), n_steps=0)
 
+    @pytest.mark.parametrize("n_steps", [2.5, 2.0, "2"])
+    def test_non_integer_steps_rejected(self, n_steps, rng):
+        sys = random_quadratic_system(rng, 4)
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            integrate(sys, StepperConfig(), rng.standard_normal(sys.dim), n_steps=n_steps)
+
+    def test_numpy_integer_steps_accepted(self, rng):
+        sys = random_quadratic_system(rng, 4)
+        summary = integrate(sys, StepperConfig(), rng.standard_normal(sys.dim),
+                            n_steps=np.int64(2))
+        assert summary.steps_completed == 2
+
 
 class TestLinearEnergyExactness:
     """With a symplectic basis every method keeps the energy of a linear

@@ -55,6 +55,14 @@ predictor basis's rounding to whole pairs is covered:
 
     iemp-paired-<process> <sha256> matvecs=<n> fp_iters=<n> max_ree=<e> final_sol=<e>
 
+One more runs a section that aborts (``ABORTED_EEMP``, Klein-Gordon
+n=100, EEMP with Arnoldi-20 over a horizon at which the divergence guard
+trips near step 260, about 1 s), so the partial CSV of an aborted run,
+whose solution errors are filled in once the reference states are in, is
+covered too; the line ends in `` aborted``:
+
+    aborted-eemp-arnoldi <sha256> matvecs=<n> fp_iters=<n> max_ree=<e> final_sol=<e> aborted
+
 Usage: python3 tools/desk_digests.py [SRC_DIR]
 
 SRC_DIR is the directory symkry is imported from (default: this
@@ -111,6 +119,22 @@ basis = symplectic-arnoldi
 
 [isotropic-arnoldi]
 basis = isotropic-arnoldi
+"""
+
+# EEMP with an orthonormal basis drifts until the divergence guard trips
+ABORTED_EEMP = """\
+problem = klein-gordon
+problem.n = 100
+method = EEMP
+basis-dim = 20
+t-final = 45
+steps = 2250
+record-every = 25
+reference = fine:4
+seed = 0
+
+[arnoldi]
+basis = arnoldi
 """
 
 
@@ -180,7 +204,8 @@ def main(argv):
             for section, mapping in load_preset(name):
                 label = f"{name}-{section}"
                 print_digest(label, mapping, Path(tmp) / f"{label}.csv")
-        for prefix, text in (("eemp-paired", PAIRED_EEMP), ("iemp-paired", PAIRED_IEMP)):
+        for prefix, text in (("eemp-paired", PAIRED_EEMP), ("iemp-paired", PAIRED_IEMP),
+                             ("aborted-eemp", ABORTED_EEMP)):
             for section, mapping in parse_config_text(text):
                 label = f"{prefix}-{section}"
                 print_digest(label, mapping, Path(tmp) / f"{label}.csv")
