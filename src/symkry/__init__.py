@@ -29,6 +29,7 @@ from .errors import (
     ConfigError,
     DegeneratePairError,
     IntegrationAborted,
+    ReferenceFailureError,
     StepFailureError,
 )
 from .harness import (
@@ -73,7 +74,7 @@ __all__ = [
     "apply_J", "apply_J_inverse", "canonical_J", "join_state", "omega",
     "orthonormal_defect", "split_state", "symplectic_defect",
     "ConfigError", "DegeneratePairError",
-    "IntegrationAborted", "StepFailureError",
+    "IntegrationAborted", "ReferenceFailureError", "StepFailureError",
     "ExperimentConfig", "MetricsSeries", "reference_solution",
     "relative_energy_error", "run", "solution_error",
     "StepperConfig", "StepResult", "TrajectorySummary",

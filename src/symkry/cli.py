@@ -16,7 +16,7 @@ from importlib.resources import files
 from pathlib import Path
 
 from ._version import __version__
-from .errors import ConfigError, IntegrationAborted, StepFailureError
+from .errors import ConfigError, IntegrationAborted, ReferenceFailureError, StepFailureError
 from .harness import CONFIG_KEYS, config_from_mapping, parse_config_text, run
 from .problems import list_problems
 
@@ -134,7 +134,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"symkry: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrationAborted, StepFailureError) as exc:
+    except (IntegrationAborted, ReferenceFailureError, StepFailureError) as exc:
         print(f"symkry: numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

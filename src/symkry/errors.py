@@ -27,3 +27,7 @@ class IntegrationAborted(RuntimeError):
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (maps to CLI exit code 2)."""
+
+
+class ReferenceFailureError(ValueError):
+    """The reference oracle reached a non-finite state (maps to CLI exit code 3)."""

@@ -17,14 +17,15 @@ achieved basis dimension, fixed-point iterations).  Output is plain CSV
 with one comment header line echoing the full configuration; identical
 configuration and seed give byte-identical files.
 
-The reference runs beside the integration: a run that must compute it
-forks one child, which computes the states and sends them back through
-a pipe while the parent steps.  The parent keeps each recorded state and
-fills in the solution errors once the states arrive.  Where the platform
-cannot fork or the process may use a single CPU, the reference is
-computed inline before the first step.  Either way the CSV is the same,
-and an exception from the oracle takes precedence over one from the
-integration.
+An ``ExperimentConfig`` is checked when it is made and keeps the system
+and stepper it built, so a run builds its problem once.  The reference
+runs beside the integration: a run that must compute it forks one child,
+which computes the states and sends them back through a pipe while the
+parent steps.  The parent keeps each recorded state and fills in the
+solution errors once the states arrive.  Where the platform has no
+``os.fork`` or the fork fails, the reference is computed inline before
+the first step.  Either way the CSV is the same, and an exception from
+the oracle takes precedence over one from the integration.
 """
 
 import os
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .errors import ConfigError, IntegrationAborted, StepFailureError
+from .errors import ConfigError, IntegrationAborted, ReferenceFailureError, StepFailureError
 from .integrators import StepperConfig, integrate
 from .matfun import exp_affine
 from .problems import build_problem
@@ -45,8 +46,8 @@ DENSE_REFERENCE_LIMIT = 2000
 # a run aborts once the state norm exceeds this multiple of ||x0||
 DIVERGENCE_FACTOR = 1e6
 
-# run()'s one-entry memo {key: read-only reference states}: consecutive runs
-# that share a problem and a grid (preset sections) compute them once
+# run()'s one-entry memo {key: the last finished reference oracle}: consecutive
+# runs that share a problem and a grid (preset sections) compute it once
 _reference_memo = {}
 
 
@@ -86,7 +87,7 @@ def _second_order_flow(K, b, x0, times):
     w = sqrt(-lam t^2), imaginary where lam > 0, the flow has C = cos w,
     S = sin(w)/w and G = 2 sin^2(w/2)/w^2 = S(w/2)^2/2, none of which
     cancels near w = 0 (``np.sinc`` holds the limit at w = 0).  A state
-    that overflows is a ValueError, with no numpy warning."""
+    that overflows is a ReferenceFailureError, with no numpy warning."""
     lam, V = np.linalg.eigh(K)
     n = lam.size
     a, pi, beta = V.T @ x0[:n], V.T @ x0[n:], V.T @ b
@@ -99,7 +100,7 @@ def _second_order_flow(K, b, x0, times):
         p = (lam * t * S * a + C * pi + t * S * beta) @ V.T
     states = np.hstack([q, p])
     if not np.isfinite(states).all():
-        raise ValueError("second-order flow overflowed")
+        raise ReferenceFailureError("second-order flow overflowed")
     return states
 
 
@@ -128,8 +129,8 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
     from ``exp_affine(A, c, dt)`` per grid interval.  mode "fine": classical
     RK4 with ``factor`` micro steps per grid interval, each of length
     interval/factor; a state that is not finite at a grid point is a
-    ValueError, with no numpy warning.  ``_check_reference`` refuses bad
-    arguments before any work, on a one-point grid too.
+    ReferenceFailureError, with no numpy warning.  ``_check_reference``
+    refuses bad arguments before any work, on a one-point grid too.
     """
     x0 = np.asarray(x0, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -171,15 +172,22 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
             for _ in range(factor):
                 x = _rk4_step(system.f, x, micro)
             if not np.isfinite(x).all():
-                raise ValueError(f"fine reference overflowed by t={t_grid[i]:.6g}: "
-                                 f"RK4 is unstable at its micro step {micro:.3g}")
+                raise ReferenceFailureError(
+                    f"fine reference overflowed by t={t_grid[i]:.6g}: "
+                    f"RK4 is unstable at its micro step {micro:.3g}")
             states[i] = x
     return states
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one run; see module docstring."""
+    """One run, declared (see module docstring); making it checks the whole
+    run and keeps its ``system`` and ``stepper``.  Every refusal is a ConfigError: a bad problem or
+    parameter (``build_problem``), field, output path or stepper setting, a
+    step or record count that is not an integer of at least 1, a horizon
+    that is not positive and finite, a seed that is not a nonnegative
+    integer, ``basis_dim`` above the system dimension, and a reference the
+    oracle cannot give (``_check_reference``)."""
 
     problem: str = "linear-wave"
     problem_params: dict = field(default_factory=dict)
@@ -193,14 +201,10 @@ class ExperimentConfig:
     ref_factor: int = 100
     output: str = ""
     seed: int = 0
+    system: object = field(init=False, repr=False, compare=False)
+    stepper: StepperConfig = field(init=False, repr=False, compare=False)
 
-    def build(self):
-        """Check the whole run and return its ``(system, stepper)``.  Every
-        refusal is a ConfigError: a bad problem or parameter (``build_problem``),
-        field, output path or stepper setting, a step or record count that is
-        not an integer of at least 1, a horizon that is not positive and
-        finite, a negative seed, ``basis_dim`` above the system dimension,
-        and a reference the oracle cannot give (``_check_reference``)."""
+    def __post_init__(self):
         system = build_problem(self.problem, **self.problem_params)
         for name in ("n_steps", "record_every"):
             count = getattr(self, name)
@@ -208,8 +212,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer of at least 1, got {count!r}")
         if not 0 < self.t_final < np.inf:
             raise ConfigError(f"t_final must be positive and finite, got {self.t_final!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         _check_reference(system, self.reference, self.ref_factor)
         if self.output and not os.path.isdir(os.path.dirname(self.output) or "."):
             raise ConfigError(f"the output directory of {self.output!r} does not exist")
@@ -224,7 +228,8 @@ class ExperimentConfig:
         if self.basis_dim > system.dim:
             raise ConfigError(
                 f"basis_dim {self.basis_dim} exceeds system dimension {system.dim}")
-        return system, stepper
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "stepper", stepper)
 
     def echo(self):
         """Deterministic one-line summary for the CSV header."""
@@ -273,14 +278,6 @@ class RunResult:
     summary: object
 
 
-def _usable_cpus():
-    """How many CPUs this process may run on: its affinity mask where the
-    platform has one, else the CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _pickled_outcome(compute):
     """``(True, compute())`` or ``(False, the exception it raised)``,
     pickled; an exception that does not survive pickling goes as a
@@ -299,16 +296,16 @@ def _pickled_outcome(compute):
 class _Beside:
     """``compute()`` evaluated beside the caller, in a child forked with a
     pipe back, so that the caller goes on working meanwhile; inline, at
-    once, where the platform cannot fork or the process may use a single
-    CPU.  ``result()`` waits for the value and returns it, or raises the
-    exception ``compute`` raised, with its type and message.  ``close()``
-    kills and reaps a child that is still there.  The child leaves with
-    ``os._exit``: it runs no exit handler and flushes no buffer it
-    inherited."""
+    once, where the platform has no ``os.fork`` or the fork raises
+    OSError.  ``result()`` waits for the value and returns it, or raises
+    the exception ``compute`` raised, with its type and message; once
+    finished it gives the same answer again.  ``close()`` kills and reaps a
+    child that is still there.  The child leaves with ``os._exit``: it
+    runs no exit handler and flushes no buffer it inherited."""
 
     def __init__(self, compute):
         self._pid = None
-        if hasattr(os, "fork") and _usable_cpus() > 1:
+        if hasattr(os, "fork"):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -352,9 +349,10 @@ class _Beside:
             self._pid = None
 
 
-def _start_reference(config, system, h):
+def _start_reference(config):
     """Start computing the reference states at the recorded steps (see
     ``_Beside``); ``result()`` of the returned object gives them."""
+    h, system = config.stepper.step_size, config.system
     t_grid = np.array([s * h for s in range(0, config.n_steps + 1, config.record_every)])
     return _Beside(lambda: reference_solution(
         system, system.initial_state, t_grid, mode=config.reference,
@@ -364,34 +362,33 @@ def _start_reference(config, system, h):
 def run(config, quiet=False):
     """Execute one configured experiment; returns its RunResult.
 
-    ``config.build()`` checks the whole run before anything is computed.
-    The reference states come from the memo when the previous run had the
-    same problem, grid and reference; a miss replaces the entry, so the
-    memo holds one read-only states array.  On a miss ``_start_reference``
-    computes them in a forked child while the parent integrates, or inline
-    first where the platform cannot fork or the process may use a single
-    CPU.  The observer of ``integrate`` keeps each recorded step's row and
-    state as the step completes; a state norm above DIVERGENCE_FACTOR *
-    ||x0|| (any step) or a non-finite energy (recorded steps) fails that
-    step.  Once the reference states are in, the solution errors are
-    filled in and the CSV is written.  On a numerical failure the partial
-    CSV is still flushed and the IntegrationAborted (with its partial
-    summary) is re-raised with the partial ``series`` attached.  An
-    exception from the oracle takes precedence over one from the
-    integration, and a child is killed and reaped on every exit path.
+    ``config`` carries its checked ``system`` and ``stepper``.  The
+    reference oracle is the memo's when the previous run finished one for
+    the same problem, grid and reference; else ``_start_reference`` starts
+    one (see ``_Beside``) and the memo is cleared.  Either way the run takes
+    its ``result()``, then ``close()``s it and keeps it in the memo, with
+    the states read-only.  The observer of ``integrate`` keeps each
+    recorded step's row and state as the step completes; a state norm
+    above DIVERGENCE_FACTOR * ||x0|| (any step) or a non-finite energy
+    (recorded steps) fails that step.  Once the reference states are in,
+    the solution errors are filled in and the CSV is written.  On a
+    numerical failure the partial CSV is still flushed and the
+    IntegrationAborted (with its partial summary) is re-raised with the
+    partial ``series`` attached.  An exception from the oracle takes
+    precedence over one from the integration, and a child is killed and
+    reaped on every exit path.
     """
     wall_start = time.perf_counter()
-    system, stepper = config.build()
+    system = config.system
     x0 = system.initial_state
 
     every = config.record_every
     key = (config.problem, tuple(sorted(config.problem_params.items())), config.reference,
            config.ref_factor, config.t_final, config.n_steps, config.record_every)
-    ref_states = _reference_memo.get(key)
-    oracle = None
-    if ref_states is None:
+    oracle = _reference_memo.get(key)
+    if oracle is None:
         _reference_memo.clear()
-        oracle = _start_reference(config, system, stepper.step_size)
+        oracle = _start_reference(config)
     guard = DIVERGENCE_FACTOR * max(np.linalg.norm(x0), 1e-300)
     rows = []  # (step, t, ree, basis_dim, fp_iters, state) of each recorded step
 
@@ -411,21 +408,18 @@ def run(config, quiet=False):
     aborted_exc = None
     try:
         try:
-            summary = integrate(system, stepper, x0, n_steps=config.n_steps,
+            summary = integrate(system, config.stepper, x0, n_steps=config.n_steps,
                                 observer=observer, rng=rng)
         except IntegrationAborted as exc:
             summary, aborted_exc = exc.summary, exc
         except Exception:
-            if oracle is not None:
-                oracle.result()  # the oracle's exception takes precedence
+            oracle.result()  # the oracle's exception takes precedence
             raise
-        if oracle is not None:
-            ref_states = oracle.result()
-            ref_states.flags.writeable = False
-            _reference_memo[key] = ref_states
+        ref_states = oracle.result()
     finally:
-        if oracle is not None:
-            oracle.close()
+        oracle.close()
+    ref_states.flags.writeable = False
+    _reference_memo[key] = oracle
 
     series = MetricsSeries(config.echo())
     for step, t, ree, dim, fp, x in rows:
@@ -513,7 +507,7 @@ def parse_config_text(text):
 
 
 def config_from_mapping(mapping):
-    """An ExperimentConfig from flag-named keys, checked by its ``build()``."""
+    """An ExperimentConfig from flag-named keys, checked as it is made."""
     cfg_kwargs = {}
     params = {}
     for key, value in mapping.items():
@@ -539,6 +533,4 @@ def config_from_mapping(mapping):
         reference = "fine"
     cfg_kwargs["reference"] = reference
     cfg_kwargs["problem_params"] = params
-    config = ExperimentConfig(**cfg_kwargs)
-    config.build()
-    return config
+    return ExperimentConfig(**cfg_kwargs)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -23,7 +24,7 @@ from symkry import (
 )
 from symkry import cli, harness, integrators
 from symkry.cli import _build_parser, available_presets, load_preset, main
-from symkry.errors import DegeneratePairError
+from symkry.errors import DegeneratePairError, ReferenceFailureError
 from symkry.harness import (
     CONFIG_KEYS,
     ExperimentConfig,
@@ -251,38 +252,63 @@ class TestReferenceSolution:
 
 class TestExperimentConfig:
     def test_validation_catches_bad_fields(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(problem="heat").build()
-        with pytest.raises(ConfigError):
-            ExperimentConfig(n_steps=0).build()
-        with pytest.raises(ConfigError):
-            ExperimentConfig(method="leapfrog").build()
-        with pytest.raises(ConfigError):
-            ExperimentConfig(basis="arnoldi", basis_dim=0).build()
-        with pytest.raises(ConfigError):
-            ExperimentConfig(basis="hamiltonian-lanczos", basis_dim=9).build()
-        with pytest.raises(ConfigError):
-            ExperimentConfig(reference="exact").build()
-        with pytest.raises(ConfigError):
-            ExperimentConfig(t_final=float("nan")).build()
-        with pytest.raises(ConfigError):
-            ExperimentConfig(seed=-1).build()
-        with pytest.raises(ConfigError):
-            ExperimentConfig(problem_params={"n": 2}, basis_dim=8).build()
-        with pytest.raises(ConfigError):
-            ExperimentConfig(problem="klein-gordon", problem_params={"n": 8},
-                             reference="dense").build()
+        for fields in (dict(problem="heat"), dict(n_steps=0), dict(method="leapfrog"),
+                       dict(basis="arnoldi", basis_dim=0),
+                       dict(basis="hamiltonian-lanczos", basis_dim=9),
+                       dict(reference="exact"), dict(t_final=float("nan")), dict(seed=-1),
+                       dict(problem_params={"n": 2}, basis_dim=8),
+                       dict(problem="klein-gordon", problem_params={"n": 8},
+                            reference="dense")):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(**fields)
 
     @pytest.mark.parametrize("name, value", [("n_steps", 2.5), ("record_every", 1.5),
                                              ("basis_dim", 2.5)])
     def test_non_integer_counts_refused(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be .*integer.*, got {value}"):
-            ExperimentConfig(**{name: value}).build()
+            ExperimentConfig(**{name: value})
 
     def test_non_integer_ref_factor_refused(self):
-        cfg = ExperimentConfig(problem="klein-gordon", problem_params={"n": 8}, ref_factor=2.5)
         with pytest.raises(ConfigError, match="an integer of at least 1, got 2.5"):
-            cfg.build()
+            ExperimentConfig(problem="klein-gordon", problem_params={"n": 8}, ref_factor=2.5)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None])
+    def test_non_integer_seed_refused(self, seed):
+        # refused when the config is made, not as numpy's TypeError in run()
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+            ExperimentConfig(seed=seed)
+
+    def test_config_keeps_what_it_built(self):
+        cfg = ExperimentConfig(problem="klein-gordon", problem_params={"n": 8}, basis_dim=6,
+                               t_final=2.0, n_steps=40)
+        assert isinstance(cfg.system, KleinGordonSystem) and cfg.system.dim == 16
+        assert (cfg.stepper.basis_dim, cfg.stepper.step_size) == (6, 0.05)
+        assert "system" not in repr(cfg)
+        assert cfg == ExperimentConfig(problem="klein-gordon", problem_params={"n": 8},
+                                       basis_dim=6, t_final=2.0, n_steps=40)
+
+    def test_fields_are_frozen(self):
+        cfg = ExperimentConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.n_steps = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.system = None
+
+    def test_one_build_per_section(self, monkeypatch):
+        # config_from_mapping checks a section by building its problem, and
+        # run() integrates that same system
+        build, built = harness.build_problem, []
+
+        def counted(name, **params):
+            built.append(build(name, **params))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "build_problem", counted)
+        config = config_from_mapping({"problem": "linear-wave", "problem.n": "24",
+                                      "basis": "hamiltonian-lanczos", "basis-dim": "8",
+                                      "t-final": "1", "steps": "10", "reference": "dense"})
+        run(config, quiet=True)
+        assert built == [config.system]
 
     def test_echo_is_deterministic(self):
         cfg = ExperimentConfig(problem="nls", problem_params={"n": 125},
@@ -392,7 +418,7 @@ class TestRun:
         result = run(cfg, quiet=True)
         seen = {}
         system = KleinGordonSystem(n=16)
-        integrate(system, cfg.build()[1], system.initial_state, n_steps=10,
+        integrate(system, cfg.stepper, system.initial_state, n_steps=10,
                   rng=np.random.default_rng(5),
                   observer=lambda step, t, res: seen.__setitem__(step, res))
         assert [r[0] for r in result.series.rows] == [0, 3, 6, 9]
@@ -465,7 +491,8 @@ class TestReferenceMemo:
 
     def test_cached_states_are_read_only(self, calls):
         run(self._config(), quiet=True)
-        (states,) = harness._reference_memo.values()
+        (oracle,) = harness._reference_memo.values()
+        states = oracle.result()
         assert not states.flags.writeable
         with pytest.raises(ValueError):
             states[0, 0] = 1.0
@@ -488,18 +515,17 @@ def assert_no_child():
 
 class TestReferenceBeside:
     """On a memo miss run() computes the reference in a forked child while
-    it integrates; inline where it cannot fork or may use a single CPU."""
+    it integrates; inline where the platform has no fork or it fails."""
 
     @pytest.fixture(autouse=True)
     def fresh_memo(self, monkeypatch):
         monkeypatch.setattr(harness, "_reference_memo", {})
 
     @pytest.fixture
-    def forked(self, monkeypatch):
-        """The overlapped path, whatever CPUs this host gives the process."""
+    def forked(self):
+        """The overlapped path."""
         if not hasattr(os, "fork"):
             pytest.skip("the platform cannot fork")
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
 
     def _kg(self, **kw):
         base = dict(problem="klein-gordon", problem_params={"n": 64}, method="IEMP",
@@ -517,11 +543,15 @@ class TestReferenceBeside:
     ], ids=["kg-iemp", "wave-dense", "kg-aborted"])
     def test_overlapped_and_inline_csvs_are_byte_identical(self, config, forked, tmp_path,
                                                            monkeypatch):
+        def fork():
+            raise OSError("no fork here")
+
         texts = []
-        for cpus in (2, 1):
-            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        for inline in (False, True):
+            if inline:
+                monkeypatch.setattr(os, "fork", fork)
             harness._reference_memo.clear()
-            out = tmp_path / f"cpus{cpus}.csv"
+            out = tmp_path / f"inline{inline}.csv"
             try:
                 run(self._kg(**config, output=str(out)), quiet=True)
             except IntegrationAborted:
@@ -534,8 +564,8 @@ class TestReferenceBeside:
     def test_normal_run_leaves_no_child(self, forked):
         run(self._kg(), quiet=True)
         assert_no_child()
-        (states,) = harness._reference_memo.values()
-        assert not states.flags.writeable
+        (oracle,) = harness._reference_memo.values()
+        assert not oracle.result().flags.writeable
 
     def test_memo_hit_leaves_no_child(self, forked):
         run(self._kg(), quiet=True)
@@ -564,7 +594,7 @@ class TestReferenceBeside:
             with pytest.raises(ValueError, match="fine reference overflowed by t=1:") as err:
                 run(config, quiet=True)
         assert_no_child()
-        assert type(err.value) is ValueError
+        assert type(err.value) is ReferenceFailureError
         # raised where the parent collects the child's answer, not computed here
         assert "reference_solution" not in {entry.name for entry in err.traceback}
         assert not out.exists()
@@ -622,17 +652,24 @@ class TestReferenceBeside:
             run(self._kg(), quiet=True)
         assert_no_child()
 
-    @pytest.mark.parametrize("cpus,fork_error", [(1, AssertionError), (2, OSError)],
-                             ids=["single-cpu", "fork-fails"])
-    def test_computed_inline_where_forking_cannot_help(self, cpus, fork_error, tmp_path,
-                                                       monkeypatch):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    @pytest.mark.parametrize("no_fork", ["missing", "fails"], ids=["no-fork", "fork-fails"])
+    def test_computed_inline_where_forking_cannot_help(self, no_fork, tmp_path, monkeypatch):
+        if no_fork == "missing":
+            monkeypatch.delattr(os, "fork", raising=False)
+        else:
+            def fork():
+                raise OSError("no fork here")
 
-        def fork():
-            raise fork_error("no fork here")
+            monkeypatch.setattr(os, "fork", fork, raising=False)
+        real, parent, calls = harness.reference_solution, os.getpid(), []
 
-        monkeypatch.setattr(os, "fork", fork, raising=False)
+        def counted(*args, **kwargs):
+            calls.append(os.getpid())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "reference_solution", counted)
         run(self._kg(output=str(tmp_path / "inline.csv")), quiet=True)
+        assert calls == [parent]  # computed in this process
         assert len(harness._reference_memo) == 1
         assert b"nan" not in (tmp_path / "inline.csv").read_bytes()
 
@@ -787,6 +824,18 @@ class TestCLI:
                      "--output", str(out)])
         assert code == 3
         assert out.exists()  # partial CSV flushed
+
+    def test_reference_failure_exit_code(self, capsys):
+        # RK4 at a micro step of 0.1 overflows on Klein-Gordon n=100: the
+        # oracle's failure is a numerical failure, not a traceback
+        code = main(["run", "--problem", "klein-gordon", "--param", "n=100",
+                     "--method", "IEMP", "--basis", "hamiltonian-lanczos",
+                     "--basis-dim", "20", "--t-final", "2", "--steps", "20",
+                     "--record-every", "5", "--reference", "fine:1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == ("symkry: numerical failure: fine reference overflowed by t=1: "
+                       "RK4 is unstable at its micro step 0.1\n")
 
     def test_degenerate_pair_exit_code(self, tmp_path, capsys, monkeypatch):
         # a pairing failure inside an EEMP step is a numerical failure with

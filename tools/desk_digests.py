@@ -27,7 +27,13 @@ problem list:
     cli-run-help <sha256 of ``symkry run --help``>
     cli-list-problems <sha256 of ``symkry list-problems``>
 
-A third line, after them, digests the dense reference's affine-exponential
+A third runs ``REFERENCE_FAILURE``, a ``symkry run`` whose fine-RK4
+reference overflows, as ``python -m symkry.cli`` in a child interpreter,
+so the exit-code mapping of an oracle failure is covered too:
+
+    cli-reference-failure exit=<exit code> <sha256 of its stderr>
+
+One more line, after them, digests the dense reference's affine-exponential
 path, which no preset takes (their linear systems are second order and
 go through the modal path): the states of
 ``reference_solution(mode="dense")`` on a fixed-seed
@@ -75,6 +81,7 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -121,6 +128,11 @@ basis = symplectic-arnoldi
 basis = isotropic-arnoldi
 """
 
+# RK4 at a micro step of 0.1 is unstable on Klein-Gordon n=100
+REFERENCE_FAILURE = ("run --problem klein-gordon --param n=100 --method IEMP "
+                     "--basis hamiltonian-lanczos --basis-dim 20 --t-final 2 --steps 20 "
+                     "--record-every 5 --reference fine:1")
+
 # EEMP with an orthonormal basis drifts until the divergence guard trips
 ABORTED_EEMP = """\
 problem = klein-gordon
@@ -151,8 +163,8 @@ def printed_digest(main, argv):
 
 def main(argv):
     root = Path(__file__).resolve().parents[1]
-    src = Path(argv[1]) if len(argv) > 1 else root / "src"
-    sys.path.insert(0, str(src.resolve()))
+    src = (Path(argv[1]) if len(argv) > 1 else root / "src").resolve()
+    sys.path.insert(0, str(src))
     sys.path.append(str(root / "perfbench"))
     from symkry import CountingAction, KleinGordonSystem, QuadraticHamiltonianSystem
     from symkry.cli import available_presets, load_preset, main as cli_main
@@ -179,6 +191,10 @@ def main(argv):
     for command in ("run --help", "list-problems"):
         digest = printed_digest(cli_main, command.split())
         print(f"cli-{command.replace(' --', '-')} {digest}", flush=True)
+    failed = subprocess.run([sys.executable, "-m", "symkry.cli", *REFERENCE_FAILURE.split()],
+                            capture_output=True, env={**os.environ, "PYTHONPATH": str(src)})
+    print(f"cli-reference-failure exit={failed.returncode} "
+          f"{hashlib.sha256(failed.stderr).hexdigest()}", flush=True)
     rng = np.random.default_rng(2017)
     S = rng.standard_normal((40, 40))
     system = QuadraticHamiltonianSystem(S + S.T, rng.standard_normal(40))
