@@ -15,6 +15,7 @@ measured once, by the absolute Frobenius defects ``symplectic_defect`` and
 ``orthonormal_defect``.
 """
 
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -32,6 +33,13 @@ _KINDS = (ORTHONORMAL, SYMPLECTIC)
 def _check_even(m, what="vector"):
     if m % 2 != 0:
         raise ValueError(f"{what} dimension must be even, got {m}")
+
+
+def _norm(v):
+    """2-norm of a contiguous 1-d float array: sqrt(v . v), the same bits as
+    ``np.linalg.norm(v)`` (which takes the same dot product) with less
+    dispatch.  A strided view may round differently, in its dot product."""
+    return math.sqrt(v @ v)
 
 
 def split_state(x):

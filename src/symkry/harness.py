@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
+from .core import _norm
 from .errors import ConfigError, IntegrationAborted, ReferenceFailureError, StepFailureError
 from .integrators import StepperConfig, integrate
 from .matfun import exp_affine
@@ -74,11 +75,29 @@ def solution_error(x_t, ref_t):
 
 
 def _rk4_step(f, x, h):
+    """One classical RK4 step, x + (h/6)(k1 + 2 k2 + 2 k3 + k4), with the
+    stage points and the sum formed in arrays the step allocates, each
+    operation in the formula's order, so the bits are the formula's.  No
+    array is written after f has seen it, and none that f returned is
+    written at all."""
     k1 = f(x)
-    k2 = f(x + 0.5 * h * k1)
-    k3 = f(x + 0.5 * h * k2)
-    k4 = f(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y = np.multiply(k1, 0.5 * h)
+    y += x
+    k2 = f(y)
+    total = np.multiply(k2, 2.0)
+    total += k1
+    y = np.multiply(k2, 0.5 * h)
+    y += x
+    k3 = f(y)
+    y = np.multiply(k3, 2.0)
+    total += y
+    np.multiply(k3, h, out=y)
+    y += x
+    k4 = f(y)
+    total += k4
+    total *= h / 6.0
+    total += x
+    return total
 
 
 def _second_order_flow(K, b, x0, times):
@@ -393,7 +412,7 @@ def run(config, quiet=False):
     rows = []  # (step, t, ree, basis_dim, fp_iters, state) of each recorded step
 
     def observer(step, t, res):
-        if np.linalg.norm(res.x_plus) > guard:
+        if _norm(res.x_plus) > guard:
             raise StepFailureError("divergence guard tripped")
         if step % every:
             return

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BasisMatrix
+from .core import BasisMatrix, _norm
 from .errors import IntegrationAborted, StepFailureError
 from .krylov import (
     BREAKDOWN,
@@ -135,7 +135,7 @@ def build_basis(action, v, config, rng=None):
         if outcome.terminated != BREAKDOWN or outcome.basis.n_columns >= mult * k:
             break
         rng = np.random.default_rng(0) if rng is None else rng
-        pert = v + rng.standard_normal(v.shape[0]) * (1e-10 * np.linalg.norm(v))
+        pert = v + rng.standard_normal(v.shape[0]) * (1e-10 * _norm(v))
         outcome = builder(action, pert, k)
     if outcome.terminated == BREAKDOWN and outcome.basis.n_columns < 2:
         raise StepFailureError(
@@ -145,7 +145,7 @@ def build_basis(action, v, config, rng=None):
 
 
 def _check_finite(x):
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise StepFailureError("step produced non-finite state")
     return x
 
@@ -163,7 +163,7 @@ def step_ee(system, config, x, rng=None):
     """Exponential Euler step x+ = x + h U phi(hF) U^+ f(x)."""
     x = np.asarray(x, dtype=float)
     fx = system.f(x)
-    if np.linalg.norm(fx) == 0.0:
+    if _norm(fx) == 0.0:
         return StepResult(x.copy(), None, None, 0)
     action = CountingAction.from_system(system, x)
     outcome = build_basis(action, fx, config, rng)
@@ -184,9 +184,9 @@ def step_eemp(system, config, x, x_prev, rng=None):
     x_prev = np.asarray(x_prev, dtype=float)
     fx = system.f(x)
     d = x_prev - x
-    nd = np.linalg.norm(d)
-    start = fx if np.linalg.norm(fx) > 0.0 else d
-    if np.linalg.norm(start) == 0.0:
+    nd = _norm(d)
+    start = fx if _norm(fx) > 0.0 else d
+    if _norm(start) == 0.0:
         return StepResult(x.copy(), None, None, 0)
 
     action = CountingAction.from_system(system, x)
@@ -212,8 +212,8 @@ def _solve_reduced_fixed_point(system, x, basis, kernel, xi0):
     xi = xi0
     for it in range(1, FP_MAX_ITER + 1):
         xi_next = kernel @ (basis.left_apply(system.f(x + basis.columns @ xi)) - F @ xi)
-        delta = np.linalg.norm(xi_next - xi)
-        bound = FP_TOL * (1.0 + np.linalg.norm(xi))
+        delta = _norm(xi_next - xi)
+        bound = FP_TOL * (1.0 + _norm(xi))
         xi = xi_next
         if delta <= bound:
             return xi, it
@@ -246,11 +246,11 @@ def step_iemp(system, config, x, rng=None):
     x_tilde = predictor.x_plus
 
     v = system.f(x_tilde)
-    if np.linalg.norm(v) == 0.0 and np.linalg.norm(system.f(x)) == 0.0:
+    if _norm(v) == 0.0 and _norm(system.f(x)) == 0.0:
         return StepResult(x.copy(), None, None, predictor.matvecs, x_mid=x.copy())
 
     action = CountingAction.from_system(system, x_tilde)
-    outcome = build_basis(action, v if np.linalg.norm(v) > 0 else system.f(x), config, rng)
+    outcome = build_basis(action, v if _norm(v) > 0 else system.f(x), config, rng)
     basis = outcome.basis
     F = basis.reduced
     E_half, kernel = _kernel(exp_affine, F, np.eye(F.shape[0]), half)

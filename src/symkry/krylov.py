@@ -6,15 +6,20 @@ isotropic Arnoldi processes (symplectic, orthonormal bases of the form
 [V, J^(-1) V]), and the Hamiltonian Lanczos recursion (symplectic basis
 with a short two-sided recursion and reduced matrix [[0, T], [D, 0]]).
 
-Every builder writes its basis vectors, and their images, as rows of
-preallocated blocks, so the basis built so far is a contiguous prefix,
-and hands the rows of the finished basis's left inverse to ``BasisMatrix``
-(the paired bases are orthonormal, so theirs are the basis rows).
-``_project_out`` is every removal of a basis's range, along its left
-inverse: classical Gram-Schmidt with one reorthogonalization pass, two
-row products per pass (the Arnoldi recurrences, the paired processes'
-omega-orthogonalization, the Lanczos reorthogonalization, the basis
-extension).  The Lanczos recursion is kept short on purpose, which is
+Every builder writes its basis vectors as rows of preallocated blocks,
+so the basis built so far is a contiguous prefix, puts the images A U
+into one block at the end, and hands the rows of the finished basis's
+left inverse to ``BasisMatrix`` (the paired bases are orthonormal, so
+theirs are the basis rows).  The rows J v and J^(-1) v are written into
+their block rows by two slice operations, norms are sqrt(v . v)
+(``core._norm``, numpy's bits) and recurrences update their fresh
+remainder in place, so a step makes few numpy calls and temporaries;
+each of these rewrites keeps the bits of the out-of-place expression it
+replaces.  ``_project_out`` is every removal of a basis's range, along
+its left inverse: classical Gram-Schmidt with one reorthogonalization
+pass, two row products per pass (the Arnoldi recurrences, the paired
+processes' omega-orthogonalization, the Lanczos reorthogonalization, the
+basis extension).  The Lanczos recursion is kept short on purpose, which is
 where its cost advantage comes from, at the price of slow symplecticity
 drift for larger pair counts.  ``CountingAction`` is the one matrix
 action and the one matvec counter.
@@ -22,9 +27,11 @@ action and the one matvec counter.
 ``extend_basis`` adjoins one vector to a built basis of either kind (one
 column, or one pair) and returns the extended basis with its reduced
 matrix; it alone knows where new columns go and how the cached images
-A U are laid out.
+A U are laid out, and it copies the rows, the images and the rows of U^+
+into new blocks with the new rows in place.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,8 +41,8 @@ from .core import (
     BasisMatrix,
     ORTHONORMAL,
     SYMPLECTIC,
+    _norm,
     apply_J,
-    apply_J_inverse,
     omega,
 )
 from .errors import DegeneratePairError
@@ -90,9 +97,9 @@ class KrylovOutcome:
     ``residual_norm`` is the norm of the last unorthogonalized remainder
     (the quantity whose smallness triggered an early stop, or the final
     subdiagonal/remainder norm on a clean finish).  ``action_images``
-    caches A U, a view of the builder's image rows; ``extend_basis`` reads
-    it to form the reduced matrix of an extended basis with one action per
-    new column.
+    caches A U, as the columns view of the builder's image rows;
+    ``extend_basis`` reads it to form the reduced matrix of an extended
+    basis with one action per new column.
     """
 
     basis: BasisMatrix
@@ -101,11 +108,25 @@ class KrylovOutcome:
     action_images: Optional[np.ndarray] = field(default=None, repr=False)
 
 
+def _write_J(v, row):
+    """row <- J v = (p, -q)."""
+    n = v.shape[0] // 2
+    row[:n] = v[n:]
+    np.negative(v[:n], out=row[n:])
+
+
+def _write_J_inverse(v, row):
+    """row <- J^(-1) v = (-p, q)."""
+    n = v.shape[0] // 2
+    np.negative(v[n:], out=row[:n])
+    row[n:] = v[:n]
+
+
 def _validate_start(action, v, k, k_max, what):
-    v = np.asarray(v, dtype=float)
+    v = np.ascontiguousarray(v, dtype=float)
     if v.shape != (action.dim,):
         raise ValueError(f"start vector has length {v.shape}, expected ({action.dim},)")
-    nv = np.linalg.norm(v)
+    nv = _norm(v)
     if nv == 0.0:
         raise ValueError("start vector must be nonzero")
     if not (1 <= k <= k_max):
@@ -117,13 +138,16 @@ def _project_out(w, rows, left=None):
     """Remove range(U) from w along U's left inverse, by classical
     Gram-Schmidt in two passes of w <- w - (U^+ w)^T U^T.  ``rows`` is U^T
     and ``left`` the rows of U^+ (default ``rows``: an orthonormal U).
-    Returns w and the summed coefficients of both passes (Arnoldi's H
-    column).  An empty basis leaves w unchanged."""
+    Returns w and the coefficients of each pass (their sum is Arnoldi's H
+    column).  The first pass writes a new array, so the caller's w is
+    left alone, and the second subtracts in place.  An empty basis leaves
+    w unchanged."""
     left = rows if left is None else left
     h = left @ w
     w = w - h @ rows
     h2 = left @ w
-    return w - h2 @ rows, h + h2
+    w -= h2 @ rows
+    return w, h, h2
 
 
 def arnoldi(action, v, k):
@@ -133,7 +157,7 @@ def arnoldi(action, v, k):
     invariant subspace stops the iteration early (never an error).
     """
     v, nv = _validate_start(action, v, k, action.dim, "arnoldi")
-    U, images = np.empty((k, action.dim)), np.empty((k, action.dim))
+    U, images = np.empty((k, action.dim)), []
     H = np.zeros((k, k))
     U[0] = v / nv
 
@@ -143,10 +167,11 @@ def arnoldi(action, v, k):
     anorm = 0.0
     for j in range(k):
         w = action.apply(U[j])
-        images[j] = w
-        anorm = max(anorm, np.linalg.norm(w))
-        w, H[: j + 1, j] = _project_out(w, U[: j + 1])
-        r = np.linalg.norm(w)
+        images.append(w)
+        anorm = max(anorm, _norm(w))
+        w, h, h2 = _project_out(w, U[: j + 1])
+        np.add(h, h2, out=H[: j + 1, j])
+        r = _norm(w)
         resid = r
         if j + 1 == k:
             break
@@ -155,17 +180,17 @@ def arnoldi(action, v, k):
             terminated = INVARIANT_SUBSPACE
             break
         H[j + 1, j] = r
-        U[j + 1] = w / r
+        np.divide(w, r, out=U[j + 1])
 
     basis = BasisMatrix(U[:achieved].T, ORTHONORMAL, H[:achieved, :achieved])
-    return KrylovOutcome(basis, terminated, float(resid), images[:achieved].T)
+    return KrylovOutcome(basis, terminated, float(resid), np.array(images).T)
 
 
 def _assemble_paired(action, P, terminated, resid, known=()):
     """Form the symplectic U = [V, J^(-1) V], F = U^+ (A U) from the row
     block P = [v_1, J^(-1) v_1, v_2, ...] of an isotropic V; ``known`` holds
     images A v_j already computed for leading rows of V."""
-    rows = P[np.r_[0:len(P):2, 1:len(P):2]]
+    rows = np.concatenate((P[0::2], P[1::2]))
     images = np.empty_like(rows)
     for j, row in enumerate(rows):
         images[j] = known[j] if j < len(known) else action.apply(row)
@@ -187,7 +212,7 @@ def symplectic_arnoldi(action, v, k):
     v, nv = _validate_start(action, v, k, action.dim // 2, "symplectic_arnoldi")
     Q, P = np.empty((k, action.dim)), np.empty((2 * k, action.dim))
     Q[0] = P[0] = v / nv
-    P[1] = apply_J_inverse(P[0])
+    _write_J_inverse(P[0], P[1])
     nq = 1
 
     terminated = REACHED_K
@@ -195,24 +220,24 @@ def symplectic_arnoldi(action, v, k):
     anorm = 0.0
     for j in range(1, k):
         w = action.apply(Q[j - 1])
-        anorm = max(anorm, np.linalg.norm(w))
-        w, _ = _project_out(w, Q[:j])
-        r = np.linalg.norm(w)
+        anorm = max(anorm, _norm(w))
+        w = _project_out(w, Q[:j])[0]
+        r = _norm(w)
         resid = r
         if r <= DEFLATION_RTOL * anorm:
             terminated = INVARIANT_SUBSPACE
             break
-        Q[j] = w / r
-        s, _ = _project_out(Q[j], P[: 2 * nq])
-        rs = np.linalg.norm(s)
+        np.divide(w, r, out=Q[j])
+        s = _project_out(Q[j], P[: 2 * nq])[0]
+        rs = _norm(s)
         if rs <= DEPENDENCE_RTOL:
             # The companion vector vanished although the Arnoldi remainder
             # did not: no new information about the paired subspace.
             terminated = BREAKDOWN
             resid = rs
             break
-        P[2 * nq] = s / rs
-        P[2 * nq + 1] = apply_J_inverse(P[2 * nq])
+        np.divide(s, rs, out=P[2 * nq])
+        _write_J_inverse(P[2 * nq], P[2 * nq + 1])
         nq += 1
 
     return _assemble_paired(action, P[: 2 * nq], terminated, resid)
@@ -231,7 +256,7 @@ def isotropic_arnoldi(action, v, k):
     v, nv = _validate_start(action, v, k, action.dim // 2, "isotropic_arnoldi")
     P = np.empty((2 * k, action.dim))
     P[0] = v / nv
-    P[1] = apply_J_inverse(P[0])
+    _write_J_inverse(P[0], P[1])
     nq = 1
 
     terminated = REACHED_K
@@ -241,15 +266,15 @@ def isotropic_arnoldi(action, v, k):
     for j in range(1, k):
         w = action.apply(P[2 * (j - 1)])
         images.append(w)
-        anorm = max(anorm, np.linalg.norm(w))
-        w, _ = _project_out(w, P[: 2 * nq])
-        r = np.linalg.norm(w)
+        anorm = max(anorm, _norm(w))
+        w = _project_out(w, P[: 2 * nq])[0]
+        r = _norm(w)
         resid = r
         if r <= DEFLATION_RTOL * anorm:
             terminated = BREAKDOWN
             break
-        P[2 * nq] = w / r
-        P[2 * nq + 1] = apply_J_inverse(P[2 * nq])
+        np.divide(w, r, out=P[2 * nq])
+        _write_J_inverse(P[2 * nq], P[2 * nq + 1])
         nq += 1
 
     return _assemble_paired(action, P[: 2 * nq], terminated, resid, images)
@@ -268,67 +293,75 @@ def hamiltonian_lanczos(action, v, k):
     recursion while keeping the orthogonalization bill below Arnoldi's.
 
     The pairs are rows of one preallocated block R = [u_1, v_1, u_2, ...],
-    with the rows of U^+ (J v_i, J^(-1) u_i) in a block L and the images in
-    a third, so the basis so far is a prefix and ``_project_out`` removes it
-    with (L[:2j] w) R[:2j].  U, L and the images take [u..., v...] order at
-    the end, and L is handed to the basis as its left inverse.
+    with the rows of U^+ (J v_i, J^(-1) u_i) in a block L, so the basis so
+    far is a prefix and ``_project_out`` removes it with (L[:2j] w) R[:2j].
+    U and L take [u..., v...] order at the end, and L is handed to the
+    basis as its left inverse.  The actions' outputs are kept as they
+    come; the images A U are written once at the end, in that order, with
+    A u_j = (A u_hat) / sigma_j as the loop would have divided it.
     """
     v, nv = _validate_start(action, v, k, action.dim // 2, "hamiltonian_lanczos")
-    R, L, images = (np.empty((2 * k, action.dim)) for _ in range(3))
-    alphas, betas, deltas = [], [], []
+    R, L = np.empty((2 * k, action.dim)), np.empty((2 * k, action.dim))
+    alphas, sigmas, deltas = [], [], []
+    w_hats, xs = [], []  # the actions' images of u_hat and of v_j
 
     u_hat = v.copy()
     scale_ref = nv
     terminated = REACHED_K
     resid = 0.0
     for j in range(k):
-        nu = np.linalg.norm(u_hat)
+        nu = _norm(u_hat)
         resid = nu
         if nu <= DEFLATION_RTOL * scale_ref:
             terminated = INVARIANT_SUBSPACE
             break
         w_hat = action.apply(u_hat)
-        left_u = apply_J_inverse(u_hat)
-        tau = float(left_u @ w_hat)  # omega(u_hat, w_hat)
+        _write_J_inverse(u_hat, L[2 * j + 1])
+        tau = float(L[2 * j + 1] @ w_hat)  # omega(u_hat, w_hat)
         if abs(tau) <= BREAKDOWN_RTOL * nu * nu:
             terminated = BREAKDOWN
             break
-        sigma = np.sqrt(abs(tau))
+        sigma = math.sqrt(abs(tau))
         delta = 1.0 if tau > 0 else -1.0
         u_j, v_j = R[2 * j], R[2 * j + 1]
         np.divide(u_hat, sigma, out=u_j)
         np.multiply(delta / sigma, w_hat, out=v_j)
-        L[2 * j] = apply_J(v_j)
-        np.divide(left_u, sigma, out=L[2 * j + 1])  # J^(-1) u_j
+        _write_J(v_j, L[2 * j])
+        L[2 * j + 1] /= sigma  # J^(-1) u_j
         deltas.append(delta)
-        np.divide(w_hat, sigma, out=images[2 * j])  # A u_j, as computed
-        if j:
-            betas.append(sigma)  # beta_{j-1} couples u_{j-1} and u_j in T
+        sigmas.append(sigma)  # sigma_j = beta_{j-1} couples u_{j-1} and u_j in T
+        w_hats.append(w_hat)
 
         x = action.apply(v_j)
-        images[2 * j + 1] = x
+        xs.append(x)
         alphas.append(float(L[2 * j] @ x))  # alpha_j = -omega(v_j, x)
         if j + 1 < k:
             u_hat = x - alphas[-1] * u_j
             if j:
-                u_hat = u_hat - sigma * R[2 * j - 2]
+                u_hat -= sigma * R[2 * j - 2]
             # omega-reorthogonalize the remainder against all current pairs;
             # the recursion coefficients are left untouched (the removed
             # components sit at drift level) but without this the basis
             # loses symplecticity rapidly.  Costs 4j inner products per
             # pair, still well below one Arnoldi orthogonalization sweep.
-            u_hat, _ = _project_out(u_hat, R[:2 * j + 2], L[:2 * j + 2])
-            scale_ref = np.linalg.norm(x)
+            u_hat = _project_out(u_hat, R[:2 * j + 2], L[:2 * j + 2])[0]
+            scale_ref = _norm(x)
 
     kp = len(deltas)
-    i = np.arange(kp)
     F = np.zeros((2 * kp, 2 * kp))
-    F[i, kp + i] = alphas  # T in the upper right block, D in the lower left
-    F[i[:-1], kp + i[1:]] = F[i[1:], kp + i[:-1]] = betas
-    F[kp + i, i] = deltas
-    order = np.concatenate([2 * i, 2 * i + 1])
-    basis = BasisMatrix(R[order].T, SYMPLECTIC, F, left=L[order])
-    return KrylovOutcome(basis, terminated, float(resid), images[order].T)
+    T, D = F[:kp, kp:], F[kp:, :kp]  # F = [[0, T], [D, 0]]
+    T.flat[::kp + 1] = alphas
+    T.flat[1::kp + 1] = T.flat[kp::kp + 1] = sigmas[1:]
+    D.flat[::kp + 1] = deltas
+    images = np.empty((2 * kp, action.dim))  # A U in [u..., v...] order
+    if kp:
+        np.divide(w_hats, np.array(sigmas)[:, None], out=images[:kp])  # A u_j, as computed
+        images[kp:] = xs
+
+    def uv(block):  # rows [u_1, v_1, u_2, ...] in [u..., v...] order
+        return np.concatenate((block[0:2 * kp:2], block[1:2 * kp:2]))
+    basis = BasisMatrix(uv(R).T, SYMPLECTIC, F, left=uv(L))
+    return KrylovOutcome(basis, terminated, float(resid), images.T)
 
 
 def extend_basis(outcome, action, x):
@@ -340,35 +373,47 @@ def extend_basis(outcome, action, x):
     column; a symplectic basis [V | W] gets v_new after V and, after W, the
     companion w_new: J v_new with the range removed and scaled so that
     omega(v_new, w_new) = 1 (DegeneratePairError if that pairing vanishes).
-    The images A U come from ``outcome.action_images``, so each new column
-    costs one action.  An x that is already representable returns
-    ``outcome.basis`` unchanged.
+    The rows, the images A U (from ``outcome.action_images``, so each new
+    column costs one action) and, for a symplectic basis, the rows of U^+
+    are copied into new blocks with the new rows in place; U^+ gains the
+    rows J w_new and J^(-1) v_new.  An x that is already representable
+    returns ``outcome.basis`` unchanged.
     """
     basis = outcome.basis
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     if x.shape != (basis.dim,):
         raise ValueError(f"vector has length {x.shape}, expected ({basis.dim},)")
-    nx = np.linalg.norm(x)
+    nx = _norm(x)
     if nx == 0.0:
         raise ValueError("cannot extend with a zero vector")
-    x_hat, _ = _project_out(x, basis.rows, basis.left)
-    nr = np.linalg.norm(x_hat)
+    x_hat = _project_out(x, basis.rows, basis.left)[0]
+    nr = _norm(x_hat)
     if nr <= DEPENDENCE_RTOL * nx:
         return basis
 
     new = [x_hat / nr]
     if basis.kind == SYMPLECTIC:
-        y, _ = _project_out(apply_J(x_hat), basis.rows, basis.left)
+        y = _project_out(apply_J(x_hat), basis.rows, basis.left)[0]
         pairing = omega(new[0], y)
-        if abs(pairing) <= DEPENDENCE_RTOL * max(np.linalg.norm(y), 1e-300):
+        if abs(pairing) <= DEPENDENCE_RTOL * max(_norm(y), 1e-300):
             raise DegeneratePairError("paired companion of the new vector degenerated")
         new.append(y / pairing)
 
     # each block of U (all of it, or V and W) is followed by its new row
     size = basis.n_columns // len(new)
-    at = [size * (i + 1) for i in range(len(new))]
-    rows = np.insert(basis.rows, at, new, axis=0)
-    images = np.insert(outcome.action_images.T, at, [action.apply(u) for u in new], axis=0)
-    extended = BasisMatrix(rows.T, basis.kind)
+    rows, images = (np.empty((basis.n_columns + len(new), basis.dim)) for _ in range(2))
+    for i, row in enumerate(new):
+        old, at = slice(i * size, (i + 1) * size), i * (size + 1)
+        rows[at:at + size], rows[at + size] = basis.rows[old], row
+        images[at:at + size] = outcome.action_images.T[old]
+        images[at + size] = action.apply(row)
+    left = None
+    if len(new) == 2:
+        # U^+ = [J W | J^(-1) V]^T gains J w_new after J W and J^(-1) v_new last
+        left = np.empty_like(rows)
+        left[:size], left[size + 1:-1] = basis.left[:size], basis.left[size:]
+        _write_J(new[1], left[size])
+        _write_J_inverse(new[0], left[-1])
+    extended = BasisMatrix(rows.T, basis.kind, left=left)
     extended.reduced = extended.left_apply(images.T)
     return extended

@@ -33,11 +33,16 @@ _THETA = {
 }
 
 
-def _validate_square(M):
+def _square(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(M)):
+    return M
+
+
+def _validate_square(M):
+    M = _square(M)
+    if not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
     return M
 
@@ -74,7 +79,7 @@ def expm(M):
     M = _validate_square(M)
     if M.shape[0] == 0:
         return M.copy()
-    norm = np.linalg.norm(M, 1)
+    norm = np.abs(M).sum(axis=0).max()  # the 1-norm, as np.linalg.norm(M, 1) forms it
     for degree in (3, 5, 7, 9):
         if norm <= _THETA[degree]:
             return _pade_expm(M, degree)
@@ -98,9 +103,10 @@ def exp_affine(M, B, t):
     x(0) = a.  The adjoined columns are scaled by a power of two 2^-e
     (e >= 0) so their 1-norm is at most one, which keeps a large b from
     driving the scaling-and-squaring; the scaling is exact and undone on
-    the result.
+    the result.  Non-finite entries are found once, in the augmented
+    matrix, by ``expm``.
     """
-    M = _validate_square(M)
+    M = _square(M)
     B = np.asarray(B, dtype=float)
     m = M.shape[0]
     cols = B[:, None] if B.ndim == 1 else B
@@ -121,5 +127,5 @@ def phi1(M):
     The upper-right block of the exponential of [[M, I], [0, 0]], so
     singular M is handled and M phi(M) = e^M - I holds to rounding.
     """
-    M = _validate_square(M)
+    M = _square(M)
     return exp_affine(M, np.eye(M.shape[0]), 1.0)[1]

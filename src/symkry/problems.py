@@ -12,9 +12,14 @@ energy and an analytic Jacobian action whose point coefficients
                  real and imaginary parts.
   klein-gordon   u_tt = u_xx - m^2 u - g u^3, periodic.
 
-The Laplacian prefactor is 1/(dx)^2 = (n/L)^2 throughout.  Energies are
-written so that f = J^(-1) grad H holds exactly for the implemented
-dynamics; energy-error metrics do not depend on the overall sign choice.
+``DiscreteLaplacian.apply(v, out=None)`` writes the stencil into ``out``;
+each ``f`` and each Jacobian action writes it into a half of its output
+array and adds or subtracts the point terms there in place, with the
+operations of the out-of-place formula in the same order, so the bits
+are those of the formula.  The Laplacian prefactor is 1/(dx)^2 = (n/L)^2
+throughout.  Energies are written so that f = J^(-1) grad H holds exactly
+for the implemented dynamics; energy-error metrics do not depend on the
+overall sign choice.
 Each problem's default parameters are the defaults of its class signature.
 """
 
@@ -52,21 +57,22 @@ class DiscreteLaplacian:
     def scale(self):
         return (self.n / self.length) ** 2
 
-    def apply(self, v):
+    def apply(self, v, out=None):
+        """The stencil of v, written into ``out`` (a new array if None) and
+        returned; ``out`` must not overlap v."""
         v = np.asarray(v, dtype=float)
         if v.shape[0] != self.n:
             raise ValueError(f"vector has length {v.shape[0]}, expected {self.n}")
-        out = -2.0 * v
+        out = np.multiply(v, -2.0, out=out)
         if self.boundary == PERIODIC:
             # (-2 v + left) + right on v padded with its wrapped neighbours
-            w = np.empty(self.n + 2)
-            w[1:-1] = v
-            w[0], w[-1] = v[-1], v[0]
+            w = np.concatenate((v[-1:], v, v[:1]))
             out += w[:-2]
             out += w[2:]
         else:
-            out[:-1] += v[1:]
-            out[1:] += v[:-1]
+            head, tail = out[:-1], out[1:]
+            head += v[1:]
+            tail += v[:-1]
         out *= self.scale
         return out
 
@@ -101,7 +107,7 @@ class LinearWaveSystem(QuadraticHamiltonianSystem):
         n = self.laplacian.n
         out = np.empty(self.dim)
         out[:n] = v[n:]
-        out[n:] = self.laplacian.apply(v[:n])
+        self.laplacian.apply(v[:n], out=out[n:])
         return out
 
 
@@ -144,8 +150,16 @@ class NonlinearSchroedingerSystem(HamiltonianSystem):
         q, p = x[:self.n], x[self.n:]
         density = q * q + p * p
         out = np.empty(self.dim)
-        out[:self.n] = -(-0.5 * self.laplacian.apply(p) + density * p - self._v0_potential * p)
-        out[self.n:] = -0.5 * self.laplacian.apply(q) + density * q - self._v0_potential * q
+        top, bottom = out[:self.n], out[self.n:]
+        self.laplacian.apply(p, out=top)
+        top *= -0.5
+        top += density * p
+        top -= self._v0_potential * p
+        np.negative(top, out=top)
+        self.laplacian.apply(q, out=bottom)
+        bottom *= -0.5
+        bottom += density * q
+        bottom -= self._v0_potential * q
         return out
 
     def energy(self, x):
@@ -166,8 +180,16 @@ class NonlinearSchroedingerSystem(HamiltonianSystem):
             v = np.asarray(v, dtype=float)
             a, b = v[:n], v[n:]
             out = np.empty(self.dim)
-            out[:n] = -(-0.5 * self.laplacian.apply(b) + coeff_b * b + cross * a)
-            out[n:] = -0.5 * self.laplacian.apply(a) + coeff_a * a + cross * b
+            top, bottom = out[:n], out[n:]
+            self.laplacian.apply(b, out=top)
+            top *= -0.5
+            top += coeff_b * b
+            top += cross * a
+            np.negative(top, out=top)
+            self.laplacian.apply(a, out=bottom)
+            bottom *= -0.5
+            bottom += coeff_a * a
+            bottom += cross * b
             return out
         return action
 
@@ -200,7 +222,12 @@ class KleinGordonSystem(HamiltonianSystem):
         q = x[:self.n]
         out = np.empty(self.dim)
         out[:self.n] = x[self.n:]
-        out[self.n:] = self.laplacian.apply(q) - self.m ** 2 * q - self.g * (q * q * q)
+        bottom = self.laplacian.apply(q, out=out[self.n:])
+        bottom -= self.m ** 2 * q
+        cube = q * q
+        cube *= q
+        cube *= self.g
+        bottom -= cube
         return out
 
     def energy(self, x):
@@ -218,7 +245,8 @@ class KleinGordonSystem(HamiltonianSystem):
             a = v[:n]
             out = np.empty(self.dim)
             out[:n] = v[n:]
-            out[n:] = self.laplacian.apply(a) - coeff * a
+            bottom = self.laplacian.apply(a, out=out[n:])
+            bottom -= coeff * a
             return out
         return action
 

@@ -3,7 +3,18 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from symkry import QuadraticHamiltonianSystem, apply_J_inverse, canonical_J, expm, phi1
+from symkry import (
+    BasisMatrix,
+    QuadraticHamiltonianSystem,
+    apply_J,
+    apply_J_inverse,
+    canonical_J,
+    expm,
+    omega,
+    phi1,
+)
+from symkry.core import SYMPLECTIC
+from symkry.krylov import DEPENDENCE_RTOL, _project_out
 from symkry.problems import PERIODIC
 
 # one line per acceptance check, emitted as a terminal section at the end
@@ -40,6 +51,31 @@ def random_hamiltonian_matrix(rng, n, scale=1.0):
 def project(basis, v):
     """Oblique projection U U^+ v of v onto the range of a BasisMatrix."""
     return basis.columns @ basis.left_apply(v)
+
+
+def extend_by_insert(outcome, action, x):
+    """``krylov.extend_basis`` as np.insert builds it: the new rows go into
+    copies of U^T and of the images A U, and BasisMatrix forms U^+ from the
+    extended rows.  Returns the extended basis, or ``outcome.basis`` when x
+    is already representable."""
+    basis = outcome.basis
+    x = np.asarray(x, dtype=float)
+    nx = np.linalg.norm(x)
+    x_hat = _project_out(x, basis.rows, basis.left)[0]
+    nr = np.linalg.norm(x_hat)
+    if nr <= DEPENDENCE_RTOL * nx:
+        return basis
+    new = [x_hat / nr]
+    if basis.kind == SYMPLECTIC:
+        y = _project_out(apply_J(x_hat), basis.rows, basis.left)[0]
+        new.append(y / omega(new[0], y))
+    size = basis.n_columns // len(new)
+    at = [size * (i + 1) for i in range(len(new))]
+    rows = np.insert(basis.rows, at, new, axis=0)
+    images = np.insert(outcome.action_images.T, at, [action.apply(u) for u in new], axis=0)
+    extended = BasisMatrix(rows.T, basis.kind)
+    extended.reduced = extended.left_apply(images.T)
+    return extended
 
 
 def check_hamiltonian_matrix(A, tol=1e-8):

@@ -12,7 +12,7 @@ from symkry import (
     split_state,
     symplectic_defect,
 )
-from symkry.core import SYMPLECTIC
+from symkry.core import SYMPLECTIC, _norm
 
 from conftest import (
     check_hamiltonian_matrix,
@@ -50,6 +50,15 @@ class TestApplyJ:
         assert np.allclose(apply_J(v), J @ v)
         M = rng.standard_normal((6, 4))
         assert np.allclose(apply_J(M), J @ M)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 22, 800, 801])
+def test_norm_is_numpys_bit_for_bit(rng, n):
+    # the hot paths' sqrt(v . v) gives np.linalg.norm's bits on a
+    # contiguous vector, at any scale
+    for _ in range(50):
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-150, 150)
+        assert _norm(v) == np.linalg.norm(v)
 
 
 class TestOmega:

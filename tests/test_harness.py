@@ -13,6 +13,7 @@ from symkry import (
     IntegrationAborted,
     KleinGordonSystem,
     LinearWaveSystem,
+    NonlinearSchroedingerSystem,
     QuadraticHamiltonianSystem,
     apply_J_inverse,
     exp_affine,
@@ -95,6 +96,44 @@ class TestMetrics:
     def test_solution_error_shape_mismatch(self):
         with pytest.raises(ValueError):
             solution_error(np.ones(4), np.ones(6))
+
+
+class TestRK4Step:
+    SYSTEMS = pytest.mark.parametrize("system", [
+        KleinGordonSystem(n=64), NonlinearSchroedingerSystem(n=50), LinearWaveSystem(n=64)],
+        ids=["klein-gordon", "nls", "wave"])
+
+    @SYSTEMS
+    def test_bit_equal_to_the_stage_formula(self, rng, system):
+        f = system.f
+        for h in (1e-3, 0.0137, 0.1):
+            x = system.initial_state + 0.1 * rng.standard_normal(system.dim)
+            k1 = f(x)
+            k2 = f(x + 0.5 * h * k1)
+            k3 = f(x + 0.5 * h * k2)
+            k4 = f(x + h * k3)
+            want = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            assert np.array_equal(harness._rk4_step(f, x, h), want)
+
+    @SYSTEMS
+    def test_reads_what_f_sees_and_returns(self, rng, system):
+        # f may return read-only arrays, and no array f has seen or
+        # returned is written by the step
+        seen = []
+
+        def f(y):
+            out = system.f(y)
+            out.flags.writeable = False
+            seen.extend([(y, y.copy()), (out, out.copy())])
+            return out
+
+        x = system.initial_state + 0.1 * rng.standard_normal(system.dim)
+        x.flags.writeable = False
+        got = harness._rk4_step(f, x, 0.02)
+        assert np.array_equal(got, harness._rk4_step(system.f, x, 0.02))
+        assert len(seen) == 8
+        for array, copy in seen:
+            assert np.array_equal(array, copy) and array is not got
 
 
 class TestReferenceSolution:

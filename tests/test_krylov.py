@@ -23,7 +23,7 @@ from symkry.core import ORTHONORMAL, STRUCTURE_TOL, SYMPLECTIC
 from symkry.errors import DegeneratePairError
 from symkry.krylov import BREAKDOWN, INVARIANT_SUBSPACE, REACHED_K, KrylovOutcome
 
-from conftest import project, random_hamiltonian_matrix
+from conftest import extend_by_insert, project, random_hamiltonian_matrix
 
 
 def wave_action(n):
@@ -425,6 +425,31 @@ class TestExtendBasis:
         assert defect(ext.columns) <= STRUCTURE_TOL
         want = ext.left_apply(A @ ext.columns)
         assert np.linalg.norm(ext.reduced - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("problem", ["random-hamiltonian", "klein-gordon-64"])
+    @pytest.mark.parametrize("builder,k,added", [kind[:3] for kind in KINDS],
+                             ids=["arnoldi", "symplectic-arnoldi", "isotropic-arnoldi",
+                                  "hamiltonian-lanczos"])
+    def test_same_bytes_as_the_insert_construction(self, problem, builder, k, added):
+        # the preallocated blocks hold, bit for bit, the rows, U^+ and F
+        # that np.insert and the constructor's own U^+ give
+        rng = np.random.default_rng(19)
+        if problem == "random-hamiltonian":
+            A = random_hamiltonian_matrix(rng, 8)
+            actions = [CountingAction.from_dense(A) for _ in range(3)]
+            v = rng.standard_normal(16)
+        else:
+            sys = KleinGordonSystem(n=64)
+            x0 = sys.initial_state + 0.1 * rng.standard_normal(sys.dim)
+            actions = [CountingAction.from_system(sys, x0) for _ in range(3)]
+            v, k = sys.f(x0), 8 * k // 3
+        out = builder(actions[0], v, k)
+        x = rng.standard_normal(actions[0].dim)
+        got, want = extend_basis(out, actions[1], x), extend_by_insert(out, actions[2], x)
+        assert got.n_columns == out.basis.n_columns + added
+        for name in ("rows", "left", "reduced"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert actions[1].count == actions[2].count == added
 
     @pytest.mark.parametrize("kind", [ORTHONORMAL, SYMPLECTIC])
     def test_dependent_vector_returns_the_basis(self, kind, rng):

@@ -73,6 +73,21 @@ class TestDiscreteLaplacian:
             DiscreteLaplacian(8, 1.0).apply(np.ones(7))
 
     @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 399, 400])
+    def test_out_is_written_and_returned(self, rng, boundary, n):
+        # apply(v, out=o) fills o, a view as f and the actions pass it, with
+        # the bits of apply(v); a list is still taken
+        lap = DiscreteLaplacian(n, 1.7, boundary)
+        for _ in range(10):
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8)
+            block = np.full(2 * n, np.nan)
+            o = block[n:]
+            assert lap.apply(v, out=o) is o
+            assert np.array_equal(o, lap.apply(v))
+            assert np.isnan(block[:n]).all()
+            assert np.array_equal(lap.apply(list(v), out=np.empty(n)), lap.apply(v))
+
+    @pytest.mark.parametrize("boundary", ["periodic", "dirichlet"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 400])
     def test_bit_equal_to_explicit_formula(self, rng, boundary, n):
         # the periodic stencil as np.roll writes it, and the Dirichlet one
