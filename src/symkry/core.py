@@ -59,24 +59,33 @@ def join_state(q, p):
     return np.concatenate([q, p])
 
 
-def apply_J(v):
+def apply_J(v, out=None):
     """Apply J = [[0, I], [-I, 0]]: (q, p) -> (p, -q).
 
     Works on vectors and on matrices (acting on axis 0), so ``apply_J(U)``
-    is J @ U without forming J.
+    is J @ U without forming J.  The result is written, by two slice
+    operations, into ``out`` (a view of a block row or column is fine) or
+    into a new C-order array, and returned.  With ``apply_J_inverse`` this
+    is the only code that writes J.
     """
     v = np.asarray(v)
     _check_even(v.shape[0])
     n = v.shape[0] // 2
-    return np.concatenate([v[n:], -v[:n]], axis=0)
+    out = np.empty_like(v, order="C") if out is None else out
+    out[:n] = v[n:]
+    np.negative(v[:n], out=out[n:])
+    return out
 
 
-def apply_J_inverse(v):
-    """Apply J^(-1) = -J: (q, p) -> (-p, q)."""
+def apply_J_inverse(v, out=None):
+    """Apply J^(-1) = -J: (q, p) -> (-p, q), into ``out`` as ``apply_J``."""
     v = np.asarray(v)
     _check_even(v.shape[0])
     n = v.shape[0] // 2
-    return np.concatenate([-v[n:], v[:n]], axis=0)
+    out = np.empty_like(v, order="C") if out is None else out
+    np.negative(v[n:], out=out[:n])
+    out[n:] = v[:n]
+    return out
 
 
 def omega(x, y):
@@ -146,11 +155,10 @@ class BasisMatrix:
             if self.left.shape != rows.shape:
                 raise ValueError(f"left has shape {self.left.shape}, expected {rows.shape}")
         elif kind == SYMPLECTIC:
-            k, n = rows.shape[0] // 2, rows.shape[1] // 2
-            # J w_i = (w_p, -w_q) and J^(-1) v_i = (-v_p, v_q)
+            k = rows.shape[0] // 2  # the rows J w_i, then J^(-1) v_i
             self.left = left = np.empty_like(rows)
-            left[:k, :n], left[k:, n:] = rows[k:, n:], rows[:k, :n]
-            left[:k, n:], left[k:, :n] = -rows[k:, :n], -rows[:k, n:]
+            apply_J(rows[k:].T, out=left[:k].T)
+            apply_J_inverse(rows[:k].T, out=left[k:].T)
         self.kind = kind
         self.reduced = None if reduced is None else np.asarray(reduced, dtype=float)
 

@@ -23,9 +23,9 @@ runs beside the integration: a run that must compute it forks one child,
 which computes the states and sends them back through a pipe while the
 parent steps.  The parent keeps each recorded state and fills in the
 solution errors once the states arrive.  Where the platform has no
-``os.fork`` or the fork fails, the reference is computed inline before
-the first step.  Either way the CSV is the same, and an exception from
-the oracle takes precedence over one from the integration.
+``os.fork`` or the pipe or the fork fails, the reference is computed
+inline before the first step.  Either way the CSV is the same, and an
+exception from the oracle takes precedence over one from the integration.
 """
 
 import os
@@ -238,12 +238,8 @@ class ExperimentConfig:
             raise ConfigError(f"the output directory of {self.output!r} does not exist")
         if os.path.isdir(self.output):
             raise ConfigError(f"the output path {self.output!r} is a directory")
-        try:
-            stepper = StepperConfig(method=self.method, basis_process=self.basis,
-                                    basis_dim=self.basis_dim,
-                                    step_size=self.t_final / self.n_steps)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        stepper = StepperConfig(method=self.method, basis_process=self.basis,
+                                basis_dim=self.basis_dim, step_size=self.t_final / self.n_steps)
         if self.basis_dim > system.dim:
             raise ConfigError(
                 f"basis_dim {self.basis_dim} exceeds system dimension {system.dim}")
@@ -315,22 +311,23 @@ def _pickled_outcome(compute):
 class _Beside:
     """``compute()`` evaluated beside the caller, in a child forked with a
     pipe back, so that the caller goes on working meanwhile; inline, at
-    once, where the platform has no ``os.fork`` or the fork raises
-    OSError.  ``result()`` waits for the value and returns it, or raises
-    the exception ``compute`` raised, with its type and message; once
-    finished it gives the same answer again.  ``close()`` kills and reaps a
+    once, where the platform has no ``os.fork`` or the pipe or the fork
+    raises OSError.  ``result()`` waits for the value and returns it, or
+    raises the exception ``compute`` raised, with its type and message;
+    once finished it gives the same answer again.  ``close()`` kills and reaps a
     child that is still there.  The child leaves with ``os._exit``: it
     runs no exit handler and flushes no buffer it inherited."""
 
     def __init__(self, compute):
         self._pid = None
         if hasattr(os, "fork"):
-            read_fd, write_fd = os.pipe()
+            fds = ()
             try:
+                fds = read_fd, write_fd = os.pipe()
                 pid = os.fork()
-            except OSError:  # no process to spare: compute inline
-                os.close(read_fd)
-                os.close(write_fd)
+            except OSError:  # no descriptor or no process to spare: compute inline
+                for fd in fds:
+                    os.close(fd)
             else:
                 if pid == 0:
                     try:

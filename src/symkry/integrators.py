@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BasisMatrix, _norm
-from .errors import IntegrationAborted, StepFailureError
+from .errors import ConfigError, IntegrationAborted, StepFailureError
 from .krylov import (
     BREAKDOWN,
     CountingAction,
@@ -77,9 +77,10 @@ class StepperConfig:
     at basis_dim 22).  ``step_size`` is the macro step: one IEMP
     application advances a full step_size (internally split in half).
     IEMP's fixed-point iteration is bounded by the module constants FP_TOL
-    and FP_MAX_ITER.  Invalid values raise ValueError: an unknown method or
-    process, a ``basis_dim`` that is not a positive integer (or is odd for
-    a paired process), and a ``step_size`` that is negative or not finite.
+    and FP_MAX_ITER.  Invalid values raise ConfigError (a ValueError): an
+    unknown method or process, a ``basis_dim`` that is not a positive
+    integer (or is odd for a paired process), and a ``step_size`` that is
+    negative or not finite.
     """
 
     method: str = EE
@@ -90,15 +91,15 @@ class StepperConfig:
     def __post_init__(self):
         self.method = self.method.upper()
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ConfigError(f"unknown method {self.method!r}")
         if self.basis_process not in BASIS_PROCESSES:
-            raise ValueError(f"unknown basis process {self.basis_process!r}")
+            raise ConfigError(f"unknown basis process {self.basis_process!r}")
         if not isinstance(self.basis_dim, (int, np.integer)) or self.basis_dim < 1:
-            raise ValueError(f"basis_dim must be a positive integer, got {self.basis_dim!r}")
+            raise ConfigError(f"basis_dim must be a positive integer, got {self.basis_dim!r}")
         if BASIS_PROCESSES[self.basis_process][1] == 2 and self.basis_dim % 2:
-            raise ValueError("basis_dim must be even for symplectic processes")
+            raise ConfigError("basis_dim must be even for symplectic processes")
         if not 0 <= self.step_size < np.inf:
-            raise ValueError(f"step_size must be finite and nonnegative, got {self.step_size!r}")
+            raise ConfigError(f"step_size must be finite and nonnegative, got {self.step_size!r}")
 
 
 @dataclass
@@ -184,14 +185,13 @@ def step_eemp(system, config, x, x_prev, rng=None):
     x_prev = np.asarray(x_prev, dtype=float)
     fx = system.f(x)
     d = x_prev - x
-    nd = _norm(d)
     start = fx if _norm(fx) > 0.0 else d
     if _norm(start) == 0.0:
         return StepResult(x.copy(), None, None, 0)
 
     action = CountingAction.from_system(system, x)
     outcome = build_basis(action, start, config, rng)
-    basis = outcome.basis if nd == 0.0 else extend_basis(outcome, action, d)
+    basis = extend_basis(outcome, action, d)
     E, y = _kernel(exp_affine, basis.reduced, 2.0 * basis.left_apply(fx), config.step_size)
     x_plus = x + basis.columns @ (E @ basis.left_apply(d) + y)
     return StepResult(_check_finite(x_plus), basis, outcome, action.count)

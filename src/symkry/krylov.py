@@ -11,24 +11,24 @@ so the basis built so far is a contiguous prefix, puts the images A U
 into one block at the end, and hands the rows of the finished basis's
 left inverse to ``BasisMatrix`` (the paired bases are orthonormal, so
 theirs are the basis rows).  The rows J v and J^(-1) v are written into
-their block rows by two slice operations, norms are sqrt(v . v)
-(``core._norm``, numpy's bits) and recurrences update their fresh
-remainder in place, so a step makes few numpy calls and temporaries;
-each of these rewrites keeps the bits of the out-of-place expression it
-replaces.  ``_project_out`` is every removal of a basis's range, along
-its left inverse: classical Gram-Schmidt with one reorthogonalization
-pass, two row products per pass (the Arnoldi recurrences, the paired
-processes' omega-orthogonalization, the Lanczos reorthogonalization, the
-basis extension).  The Lanczos recursion is kept short on purpose, which is
+their block rows by ``core.apply_J`` and ``apply_J_inverse`` with
+``out=``, norms are sqrt(v . v) (``core._norm``, numpy's bits) and
+recurrences update their fresh remainder in place.  ``_project_out`` is
+every removal of a basis's range, along its left inverse: classical
+Gram-Schmidt with one reorthogonalization pass, two row products per
+pass (the Arnoldi recurrences, the paired processes'
+omega-orthogonalization, the Lanczos reorthogonalization, the basis
+extension).  The Lanczos recursion is kept short on purpose, which is
 where its cost advantage comes from, at the price of slow symplecticity
 drift for larger pair counts.  ``CountingAction`` is the one matrix
 action and the one matvec counter.
 
-``extend_basis`` adjoins one vector to a built basis of either kind (one
+``extend_basis`` adjoins any vector to a built basis of either kind (one
 column, or one pair) and returns the extended basis with its reduced
-matrix; it alone knows where new columns go and how the cached images
-A U are laid out, and it copies the rows, the images and the rows of U^+
-into new blocks with the new rows in place.
+matrix; it alone decides whether the vector is already in range(U), knows
+where new columns go and how the cached images A U are laid out, and it
+copies the rows, the images and the rows of U^+ into new blocks with the
+new rows in place.
 """
 
 import math
@@ -43,6 +43,7 @@ from .core import (
     SYMPLECTIC,
     _norm,
     apply_J,
+    apply_J_inverse,
     omega,
 )
 from .errors import DegeneratePairError
@@ -106,20 +107,6 @@ class KrylovOutcome:
     terminated: str
     residual_norm: float
     action_images: Optional[np.ndarray] = field(default=None, repr=False)
-
-
-def _write_J(v, row):
-    """row <- J v = (p, -q)."""
-    n = v.shape[0] // 2
-    row[:n] = v[n:]
-    np.negative(v[:n], out=row[n:])
-
-
-def _write_J_inverse(v, row):
-    """row <- J^(-1) v = (-p, q)."""
-    n = v.shape[0] // 2
-    np.negative(v[n:], out=row[:n])
-    row[n:] = v[:n]
 
 
 def _validate_start(action, v, k, k_max, what):
@@ -212,7 +199,7 @@ def symplectic_arnoldi(action, v, k):
     v, nv = _validate_start(action, v, k, action.dim // 2, "symplectic_arnoldi")
     Q, P = np.empty((k, action.dim)), np.empty((2 * k, action.dim))
     Q[0] = P[0] = v / nv
-    _write_J_inverse(P[0], P[1])
+    apply_J_inverse(P[0], out=P[1])
     nq = 1
 
     terminated = REACHED_K
@@ -237,7 +224,7 @@ def symplectic_arnoldi(action, v, k):
             resid = rs
             break
         np.divide(s, rs, out=P[2 * nq])
-        _write_J_inverse(P[2 * nq], P[2 * nq + 1])
+        apply_J_inverse(P[2 * nq], out=P[2 * nq + 1])
         nq += 1
 
     return _assemble_paired(action, P[: 2 * nq], terminated, resid)
@@ -256,7 +243,7 @@ def isotropic_arnoldi(action, v, k):
     v, nv = _validate_start(action, v, k, action.dim // 2, "isotropic_arnoldi")
     P = np.empty((2 * k, action.dim))
     P[0] = v / nv
-    _write_J_inverse(P[0], P[1])
+    apply_J_inverse(P[0], out=P[1])
     nq = 1
 
     terminated = REACHED_K
@@ -274,7 +261,7 @@ def isotropic_arnoldi(action, v, k):
             terminated = BREAKDOWN
             break
         np.divide(w, r, out=P[2 * nq])
-        _write_J_inverse(P[2 * nq], P[2 * nq + 1])
+        apply_J_inverse(P[2 * nq], out=P[2 * nq + 1])
         nq += 1
 
     return _assemble_paired(action, P[: 2 * nq], terminated, resid, images)
@@ -316,7 +303,7 @@ def hamiltonian_lanczos(action, v, k):
             terminated = INVARIANT_SUBSPACE
             break
         w_hat = action.apply(u_hat)
-        _write_J_inverse(u_hat, L[2 * j + 1])
+        apply_J_inverse(u_hat, out=L[2 * j + 1])
         tau = float(L[2 * j + 1] @ w_hat)  # omega(u_hat, w_hat)
         if abs(tau) <= BREAKDOWN_RTOL * nu * nu:
             terminated = BREAKDOWN
@@ -326,7 +313,7 @@ def hamiltonian_lanczos(action, v, k):
         u_j, v_j = R[2 * j], R[2 * j + 1]
         np.divide(u_hat, sigma, out=u_j)
         np.multiply(delta / sigma, w_hat, out=v_j)
-        _write_J(v_j, L[2 * j])
+        apply_J(v_j, out=L[2 * j])
         L[2 * j + 1] /= sigma  # J^(-1) u_j
         deltas.append(delta)
         sigmas.append(sigma)  # sigma_j = beta_{j-1} couples u_{j-1} and u_j in T
@@ -376,19 +363,17 @@ def extend_basis(outcome, action, x):
     The rows, the images A U (from ``outcome.action_images``, so each new
     column costs one action) and, for a symplectic basis, the rows of U^+
     are copied into new blocks with the new rows in place; U^+ gains the
-    rows J w_new and J^(-1) v_new.  An x that is already representable
-    returns ``outcome.basis`` unchanged.
+    rows J w_new and J^(-1) v_new.  x may be any vector of the basis's
+    length: one that is already representable, x = 0 included, returns
+    ``outcome.basis`` unchanged, with no action.
     """
     basis = outcome.basis
     x = np.ascontiguousarray(x, dtype=float)
     if x.shape != (basis.dim,):
         raise ValueError(f"vector has length {x.shape}, expected ({basis.dim},)")
-    nx = _norm(x)
-    if nx == 0.0:
-        raise ValueError("cannot extend with a zero vector")
     x_hat = _project_out(x, basis.rows, basis.left)[0]
     nr = _norm(x_hat)
-    if nr <= DEPENDENCE_RTOL * nx:
+    if nr <= DEPENDENCE_RTOL * _norm(x):
         return basis
 
     new = [x_hat / nr]
@@ -412,8 +397,8 @@ def extend_basis(outcome, action, x):
         # U^+ = [J W | J^(-1) V]^T gains J w_new after J W and J^(-1) v_new last
         left = np.empty_like(rows)
         left[:size], left[size + 1:-1] = basis.left[:size], basis.left[size:]
-        _write_J(new[1], left[size])
-        _write_J_inverse(new[0], left[-1])
+        apply_J(new[1], out=left[size])
+        apply_J_inverse(new[0], out=left[-1])
     extended = BasisMatrix(rows.T, basis.kind, left=left)
     extended.reduced = extended.left_apply(images.T)
     return extended

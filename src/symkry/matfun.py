@@ -33,15 +33,10 @@ _THETA = {
 }
 
 
-def _square(M):
+def _validate_square(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
-    return M
-
-
-def _validate_square(M):
-    M = _square(M)
     if not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
     return M
@@ -103,11 +98,13 @@ def exp_affine(M, B, t):
     x(0) = a.  The adjoined columns are scaled by a power of two 2^-e
     (e >= 0) so their 1-norm is at most one, which keeps a large b from
     driving the scaling-and-squaring; the scaling is exact and undone on
-    the result.  Non-finite entries are found once, in the augmented
-    matrix, by ``expm``.
+    the result.  A non-finite entry of M or B is refused before anything
+    is scaled by t, so no numpy warning comes first.
     """
-    M = _square(M)
+    M = _validate_square(M)
     B = np.asarray(B, dtype=float)
+    if not np.isfinite(B).all():
+        raise ValueError("matrix has non-finite entries")
     m = M.shape[0]
     cols = B[:, None] if B.ndim == 1 else B
     W = np.zeros((m + cols.shape[1],) * 2)
@@ -127,5 +124,5 @@ def phi1(M):
     The upper-right block of the exponential of [[M, I], [0, 0]], so
     singular M is handled and M phi(M) = e^M - I holds to rounding.
     """
-    M = _square(M)
+    M = _validate_square(M)
     return exp_affine(M, np.eye(M.shape[0]), 1.0)[1]

@@ -40,6 +40,30 @@ class TestApplyJ:
         assert np.allclose(apply_J(apply_J_inverse(v)), v)
         assert np.allclose(apply_J_inverse(apply_J(v)), v)
 
+    def test_inverse_undoes_J_exactly(self, rng):
+        v = rng.standard_normal(8)
+        assert np.array_equal(apply_J_inverse(apply_J(v)), v)
+
+    @pytest.mark.parametrize("fn", [apply_J, apply_J_inverse])
+    def test_out_is_written_and_returned_bit_equal(self, fn, rng):
+        block = rng.standard_normal((3, 8))
+        targets = np.full((3, 8), np.nan)
+        cases = [
+            (rng.standard_normal(8), np.full(8, np.nan)),  # a vector
+            (block[1], targets[2]),  # a row of a block
+            (block.T, targets.T),  # a transposed block view
+        ]
+        for v, out in cases:
+            assert fn(v, out=out) is out
+            assert np.array_equal(out, fn(v))
+
+    @pytest.mark.parametrize("fn,sign", [(apply_J, 1.0), (apply_J_inverse, -1.0)])
+    def test_allocating_form_is_c_order_block_swap(self, fn, sign, rng):
+        v = rng.standard_normal((3, 8)).T  # J acts on axis 0 of the view
+        got = fn(v)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, sign * np.concatenate([v[4:], -v[:4]]))
+
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
             apply_J(np.ones(5))

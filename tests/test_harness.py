@@ -691,15 +691,21 @@ class TestReferenceBeside:
             run(self._kg(), quiet=True)
         assert_no_child()
 
-    @pytest.mark.parametrize("no_fork", ["missing", "fails"], ids=["no-fork", "fork-fails"])
+    @pytest.mark.parametrize("no_fork", ["missing", "fails", "pipe-fails"],
+                             ids=["no-fork", "fork-fails", "pipe-fails"])
     def test_computed_inline_where_forking_cannot_help(self, no_fork, tmp_path, monkeypatch):
         if no_fork == "missing":
             monkeypatch.delattr(os, "fork", raising=False)
-        else:
+        elif no_fork == "fails":
             def fork():
                 raise OSError("no fork here")
 
             monkeypatch.setattr(os, "fork", fork, raising=False)
+        else:
+            def pipe():
+                raise OSError(24, "Too many open files")
+
+            monkeypatch.setattr(os, "pipe", pipe)
         real, parent, calls = harness.reference_solution, os.getpid(), []
 
         def counted(*args, **kwargs):

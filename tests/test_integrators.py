@@ -11,6 +11,7 @@ from symkry import (
     LinearWaveSystem,
     NonlinearSchroedingerSystem,
     StepperConfig,
+    exp_affine,
     expm,
     integrate,
     omega,
@@ -19,7 +20,7 @@ from symkry import (
     step_eemp,
     step_iemp,
 )
-from symkry import DegeneratePairError, QuadraticHamiltonianSystem, StepFailureError
+from symkry import ConfigError, DegeneratePairError, QuadraticHamiltonianSystem, StepFailureError
 from symkry import integrators
 from symkry.core import BasisMatrix, SYMPLECTIC
 from symkry.krylov import BREAKDOWN, KrylovOutcome
@@ -62,6 +63,13 @@ class TestStepperConfig:
     def test_non_finite_step(self, step_size):
         with pytest.raises(ValueError, match="step_size must be finite"):
             StepperConfig(step_size=step_size)
+
+    @pytest.mark.parametrize("settings", [
+        {"method": "RK4"}, {"basis_process": "lanzcos"}, {"basis_dim": 0},
+        {"basis_process": "hamiltonian-lanczos", "basis_dim": 7}, {"step_size": -0.1}])
+    def test_refusals_are_config_errors(self, settings):
+        with pytest.raises(ConfigError):
+            StepperConfig(**settings)
 
 
 class TestStepEE:
@@ -140,6 +148,22 @@ class TestStepEEMP:
                               @ (phi1(h * res.basis.reduced)
                                  @ res.basis.left_apply(sys.f(x))))
         assert np.allclose(res.x_plus, manual, atol=1e-12)
+
+    @pytest.mark.parametrize("process", ["arnoldi", "hamiltonian-lanczos"])
+    def test_same_previous_state_keeps_the_built_basis(self, process, rng):
+        # x_prev = x adjoins the zero vector, which extend_basis returns
+        # unchanged with no action: the step is the formula in the built basis
+        sys = random_quadratic_system(rng, 5)
+        x = rng.standard_normal(sys.dim)
+        cfg = StepperConfig(method="EEMP", basis_process=process, basis_dim=6, step_size=0.04)
+        res = step_eemp(sys, cfg, x, x_prev=x)
+        action = CountingAction.from_system(sys, x)
+        U = integrators.build_basis(action, sys.f(x), cfg).basis
+        E, y = exp_affine(U.reduced, 2.0 * U.left_apply(sys.f(x)), cfg.step_size)
+        assert res.basis is res.outcome.basis
+        assert res.matvecs == action.count
+        assert np.array_equal(res.basis.rows, U.rows)
+        assert np.array_equal(res.x_plus, x + U.columns @ (E @ U.left_apply(x - x) + y))
 
     def test_average_energy_preserved(self, rng):
         sys = random_quadratic_system(rng, 6)

@@ -189,6 +189,13 @@ class TestExpAffine:
             exp_affine(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2), 1.0)
         with pytest.raises(ValueError):
             exp_affine(np.eye(2), np.array([np.inf, 0.0]), 1.0)
+        # at t = 0 too, refused before the scaling by t, with no warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                exp_affine(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2), 0.0)
+            with pytest.raises(ValueError, match="non-finite"):
+                exp_affine(np.eye(2), np.array([np.inf, 0.0]), 0.0)
 
 
 class TestPhiIdentities:
