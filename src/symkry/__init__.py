@@ -6,9 +6,10 @@ exponential integrators whose matrix functions are evaluated in small
 energy error of the projected schemes bounded instead of drifting.
 
 Submodules: ``core`` (symplectic linear algebra, system interface),
-``krylov`` (basis processes), ``matfun`` (exp, affine-flow and phi kernels),
-``integrators`` (EE / EEMP / IEMP steppers), ``problems`` (wave, NLS,
-Klein-Gordon benchmarks), ``harness`` (experiment runner and CSV metrics).
+``krylov`` (basis processes), ``matfun`` (the exponential and the affine
+flow, whose kernel gives phi), ``integrators`` (EE / EEMP / IEMP
+steppers), ``problems`` (wave, NLS, Klein-Gordon benchmarks), ``harness``
+(experiment runner and CSV metrics).
 """
 
 from ._version import __version__
@@ -58,7 +59,7 @@ from .krylov import (
     isotropic_arnoldi,
     symplectic_arnoldi,
 )
-from .matfun import exp_affine, expm, phi1
+from .matfun import exp_affine, expm
 from .problems import (
     DiscreteLaplacian,
     KleinGordonSystem,
@@ -81,7 +82,7 @@ __all__ = [
     "integrate", "step_ee", "step_eemp", "step_iemp",
     "CountingAction", "KrylovOutcome", "arnoldi", "extend_basis",
     "hamiltonian_lanczos", "isotropic_arnoldi", "symplectic_arnoldi",
-    "exp_affine", "expm", "phi1",
+    "exp_affine", "expm",
     "DiscreteLaplacian", "KleinGordonSystem", "LinearWaveSystem",
     "NonlinearSchroedingerSystem", "build_problem", "list_problems",
 ]

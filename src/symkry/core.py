@@ -183,12 +183,12 @@ class HamiltonianSystem(ABC):
     """Black-box Hamiltonian system x' = f(x) with conserved energy.
 
     Implementations provide the phase-space dimension 2n, the vector field
-    f, the energy H, and ``linearize``, the Jacobian action at a point;
-    ``jvp`` and ``jacobian_dense`` are derived from it.  All methods must be
-    pure (read-only after construction) so systems can be shared between
-    concurrent runs.  A linear system (``is_linear``) gives its affine parts
-    f(x) = A x + c through ``jacobian_dense`` (A, at any point) and ``f``
-    (c = f(0)).
+    f, the energy H, and ``linearize``, the one way to the Jacobian action
+    at a point (``linearize(x)(v)`` is Df(x) v); ``jacobian_dense`` is
+    derived from it.  All methods must be pure (read-only after
+    construction) so systems can be shared between concurrent runs.  A
+    linear system (``is_linear``) gives its affine parts f(x) = A x + c
+    through ``jacobian_dense`` (A, at any point) and ``f`` (c = f(0)).
     """
 
     is_linear = False
@@ -209,10 +209,6 @@ class HamiltonianSystem(ABC):
     def linearize(self, x):
         """The action v -> Df(x) v, with the coefficients that depend on x
         computed once; later changes to x do not reach it."""
-
-    def jvp(self, x, v):
-        """Jacobian-vector product Df(x) v."""
-        return self.linearize(x)(v)
 
     def jacobian_dense(self, x):
         """Densify Df(x) column by column; diagnostic, small sizes only."""
@@ -244,7 +240,7 @@ class QuadraticHamiltonianSystem(HamiltonianSystem):
         self._shift = apply_J_inverse(self.d)  # f(x) = A x + J^(-1) d
 
     def f(self, x):
-        return self.jvp(x, x) + self._shift
+        return self.linearize(x)(x) + self._shift
 
     def energy(self, x):
         return float(0.5 * x @ self._s_apply(x) + self.d @ x)

@@ -106,7 +106,7 @@ def _second_order_flow(K, b, x0, times):
     w = sqrt(-lam t^2), imaginary where lam > 0, the flow has C = cos w,
     S = sin(w)/w and G = 2 sin^2(w/2)/w^2 = S(w/2)^2/2, none of which
     cancels near w = 0 (``np.sinc`` holds the limit at w = 0).  A state
-    that overflows is a ReferenceFailureError, with no numpy warning."""
+    whose norm overflows is a ReferenceFailureError, with no numpy warning."""
     lam, V = np.linalg.eigh(K)
     n = lam.size
     a, pi, beta = V.T @ x0[:n], V.T @ x0[n:], V.T @ b
@@ -117,9 +117,9 @@ def _second_order_flow(K, b, x0, times):
         G = 0.5 * np.sinc(w / (2 * np.pi)).real ** 2
         q = (C * a + t * S * pi + t * t * G * beta) @ V.T
         p = (lam * t * S * a + C * pi + t * S * beta) @ V.T
-    states = np.hstack([q, p])
-    if not np.isfinite(states).all():
-        raise ReferenceFailureError("second-order flow overflowed")
+        states = np.hstack([q, p])
+        if not np.isfinite(np.einsum("ij,ij->i", states, states)).all():
+            raise ReferenceFailureError("second-order flow overflowed")
     return states
 
 
@@ -147,9 +147,10 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
     states come from one ``eigh`` of K (``_second_order_flow``); otherwise
     from ``exp_affine(A, c, dt)`` per grid interval.  mode "fine": classical
     RK4 with ``factor`` micro steps per grid interval, each of length
-    interval/factor; a state that is not finite at a grid point is a
-    ReferenceFailureError, with no numpy warning.  ``_check_reference``
-    refuses bad arguments before any work, on a one-point grid too.
+    interval/factor; a state at a grid point whose norm overflows (a
+    non-finite one included) is a ReferenceFailureError, with no numpy
+    warning.  ``_check_reference`` refuses bad arguments before any work,
+    on a one-point grid too.
     """
     x0 = np.asarray(x0, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -190,7 +191,7 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
             micro = (t_grid[i] - t_grid[i - 1]) / factor
             for _ in range(factor):
                 x = _rk4_step(system.f, x, micro)
-            if not np.isfinite(x).all():
+            if not np.isfinite(x @ x):
                 raise ReferenceFailureError(
                     f"fine reference overflowed by t={t_grid[i]:.6g}: "
                     f"RK4 is unstable at its micro step {micro:.3g}")

@@ -282,8 +282,10 @@ def integrate(system, config, x0, n_steps=1, observer=None, rng=None):
     and once first with StepResult(x0, None, None, 0) for the initial
     state.  ``rng`` seeds the breakdown restarts (see build_basis).  There
     is no divergence guard: a caller that wants one raises
-    StepFailureError from its observer.  A failed step, a non-finite state,
-    or a StepFailureError raised by the observer aborts with
+    StepFailureError from its observer.  Steps and observer run with
+    numpy's overflow, invalid and divide signals raised (``expm`` and
+    ``exp_affine`` handle theirs), so a failed step, a non-finite state, a
+    FloatingPointError, or a StepFailureError from the observer aborts with
     IntegrationAborted("step N: ..."), which carries the summary of the
     steps completed so far, the failed step included when it completed.
     """
@@ -297,25 +299,26 @@ def integrate(system, config, x0, n_steps=1, observer=None, rng=None):
     summary = TrajectorySummary(x0, 0)
     res = StepResult(x0, None, None, 0)
     x_prev = None
-    for step in range(n_steps + 1):
-        try:
-            if step > 0:
-                x = res.x_plus
-                if config.method == IEMP:
-                    res = step_iemp(system, config, x, rng)
-                elif config.method == EEMP and x_prev is not None:
-                    res = step_eemp(system, config, x, x_prev, rng)
-                else:
-                    res = step_ee(system, config, x, rng)
-                x_prev = x
-                summary.final_state = res.x_plus
-                summary.steps_completed = step
-                summary.matvec_count += res.matvecs
-                summary.fp_iterations += res.fp_iters
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for step in range(n_steps + 1):
+            try:
+                if step > 0:
+                    x = res.x_plus
+                    if config.method == IEMP:
+                        res = step_iemp(system, config, x, rng)
+                    elif config.method == EEMP and x_prev is not None:
+                        res = step_eemp(system, config, x, x_prev, rng)
+                    else:
+                        res = step_ee(system, config, x, rng)
+                    x_prev = x
+                    summary.final_state = res.x_plus
+                    summary.steps_completed = step
+                    summary.matvec_count += res.matvecs
+                    summary.fp_iterations += res.fp_iters
 
-            if observer is not None:
-                observer(step, step * h, res)
-        except StepFailureError as exc:
-            raise IntegrationAborted(f"step {step}: {exc}", summary) from exc
+                if observer is not None:
+                    observer(step, step * h, res)
+            except (StepFailureError, FloatingPointError) as exc:
+                raise IntegrationAborted(f"step {step}: {exc}", summary) from exc
 
     return summary

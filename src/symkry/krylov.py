@@ -75,11 +75,6 @@ class CountingAction:
         self.count = 0
 
     @classmethod
-    def from_dense(cls, A):
-        A = np.asarray(A, dtype=float)
-        return cls(A.shape[0], lambda v: A @ v)
-
-    @classmethod
     def from_system(cls, system, x):
         """Jacobian action of a HamiltonianSystem at the linearization point x."""
         return cls(system.dim, system.linearize(x))

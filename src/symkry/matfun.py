@@ -1,11 +1,11 @@
-"""Dense kernels: the matrix exponential, the affine flow and phi.
+"""Dense kernels: the matrix exponential and the affine flow.
 
 These run on the reduced m x m matrices produced by the basis processes
 (m <= ~64) and on the dense reference of a linear system that is not
 second order, the only places matrix exponentials are evaluated.
 phi(z) = (e^z - 1)/z is the first exponential-integrator kernel;
 ``exp_affine`` is the one place it is formed, from a single augmented
-exponential, so singular M is fine.
+exponential, so singular M is fine: phi(M) is ``exp_affine(M, I, 1)[1]``.
 """
 
 import numpy as np
@@ -33,12 +33,10 @@ _THETA = {
 }
 
 
-def _validate_square(M):
+def _square(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix has non-finite entries")
     return M
 
 
@@ -70,14 +68,20 @@ def _pade_expm(A, degree):
 
 def expm(M):
     """Matrix exponential by Pade approximation with scaling and squaring;
-    a result that overflows is a ValueError, with no numpy warning."""
-    M = _validate_square(M)
+    a non-finite entry, an overflowing 1-norm and an overflowing result are
+    each a ValueError, with no numpy warning."""
+    M = _square(M)
+    if not np.isfinite(M).all():
+        raise ValueError("matrix has non-finite entries")
     if M.shape[0] == 0:
         return M.copy()
-    norm = np.abs(M).sum(axis=0).max()  # the 1-norm, as np.linalg.norm(M, 1) forms it
+    with np.errstate(over="ignore"):
+        norm = np.abs(M).sum(axis=0).max()  # the 1-norm, as np.linalg.norm(M, 1) forms it
     for degree in (3, 5, 7, 9):
         if norm <= _THETA[degree]:
             return _pade_expm(M, degree)
+    if norm == np.inf:
+        raise ValueError("matrix 1-norm overflowed")
     s = 0
     if norm > _THETA[13]:
         s = int(np.ceil(np.log2(norm / _THETA[13])))
@@ -98,31 +102,22 @@ def exp_affine(M, B, t):
     x(0) = a.  The adjoined columns are scaled by a power of two 2^-e
     (e >= 0) so their 1-norm is at most one, which keeps a large b from
     driving the scaling-and-squaring; the scaling is exact and undone on
-    the result.  A non-finite entry of M or B is refused before anything
-    is scaled by t, so no numpy warning comes first.
+    the result.  The augmented matrix is formed with numpy's overflow and
+    invalid-value signals off, and ``expm``'s one finiteness check refuses
+    it as a ValueError: a non-finite entry of M or B, a non-finite t, and a
+    tM or tB that overflows all end there, with no numpy warning.
     """
-    M = _validate_square(M)
+    M = _square(M)
     B = np.asarray(B, dtype=float)
-    if not np.isfinite(B).all():
-        raise ValueError("matrix has non-finite entries")
     m = M.shape[0]
     cols = B[:, None] if B.ndim == 1 else B
     W = np.zeros((m + cols.shape[1],) * 2)
-    np.multiply(M, t, out=W[:m, :m])
-    np.multiply(cols, t, out=W[:m, m:])
-    # norm = mant 2^e with mant in [0.5, 1); an exact power of two keeps 1
-    mant, e = np.frexp(np.abs(W[:m, m:]).sum(axis=0).max(initial=0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(M, t, out=W[:m, :m])
+        np.multiply(cols, t, out=W[:m, m:])
+        # norm = mant 2^e with mant in [0.5, 1); an exact power of two keeps 1
+        mant, e = np.frexp(np.abs(W[:m, m:]).sum(axis=0).max(initial=0.0))
     e = max(int(e) - (mant == 0.5), 0)
     W[:m, m:] *= 2.0 ** -e
     E = expm(W)
     return E[:m, :m], (E[:m, m:] * 2.0 ** e).reshape(B.shape)
-
-
-def phi1(M):
-    """phi(M) with phi(z) = (e^z - 1)/z, evaluated without inverting M.
-
-    The upper-right block of the exponential of [[M, I], [0, 0]], so
-    singular M is handled and M phi(M) = e^M - I holds to rounding.
-    """
-    M = _validate_square(M)
-    return exp_affine(M, np.eye(M.shape[0]), 1.0)[1]

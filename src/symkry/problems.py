@@ -32,6 +32,7 @@ import numpy as np
 from .core import (
     HamiltonianSystem,
     QuadraticHamiltonianSystem,
+    apply_J,
     join_state,
     split_state,
 )
@@ -81,21 +82,16 @@ class LinearWaveSystem(QuadraticHamiltonianSystem):
     """Discretized linear wave equation with a fixed source term.
 
     H(q, p) = q^T Lap q / 2 - ||p||^2 / 2 + c^T q, whose canonical flow is
-    q' = p, p' = Lap q + c.
+    q' = p, p' = Lap q + c.  The operator is written once, as the
+    Jacobian action (p, Lap q); S is J applied to it, (Lap q, -p).
     """
 
     def __init__(self, n=400, L=2.0, boundary=DIRICHLET):
-        lap = DiscreteLaplacian(n, float(L), boundary)
-
-        def s_apply(x):
-            q, p = split_state(x)
-            return join_state(lap.apply(q), -p)
-
-        x_grid = (np.arange(1, n + 1)) * lap.length / n
+        self.laplacian = lap = DiscreteLaplacian(n, float(L), boundary)
+        self.grid = x_grid = (np.arange(1, n + 1)) * lap.length / n
         c = 0.125 * (x_grid * (x_grid - lap.length)) ** 2
-        super().__init__(s_apply, join_state(c, np.zeros(n)), dim=2 * n)
-        self.laplacian = lap
-        self.grid = x_grid
+        super().__init__(lambda v: apply_J(self._action(v)), join_state(c, np.zeros(n)),
+                         dim=2 * n)
         u0 = 1.0 / (1.0 + np.sin(np.pi * x_grid) ** 2) - 1.0
         self.initial_state = join_state(u0, np.zeros(n))
 
@@ -294,10 +290,20 @@ def checked_params(params):
 
 def build_problem(name, **overrides):
     """Instantiate a registered problem with parameter overrides (checked by
-    ``checked_params``); an unknown problem or parameter is a ConfigError."""
+    ``checked_params``).  An unknown problem or parameter is a ConfigError,
+    and so, with no numpy warning, are parameters with which the problem
+    overflows: built, or in the field, energy or norm of its initial state."""
     if name not in PROBLEM_REGISTRY:
         raise ConfigError(f"unknown problem {name!r}; known: {sorted(PROBLEM_REGISTRY)}")
     unknown = sorted(set(overrides) - set(list_problems()[name]))
     if unknown:
         raise ConfigError(f"problem {name!r} has no parameters {unknown}")
-    return PROBLEM_REGISTRY[name](**checked_params(overrides))
+    params = checked_params(overrides)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            system = PROBLEM_REGISTRY[name](**params)
+            x0 = system.initial_state
+            system.f(x0), system.energy(x0), x0 @ x0  # each raises on overflow
+    except (FloatingPointError, OverflowError) as exc:
+        raise ConfigError(f"problem {name!r} overflows with {params}: {exc}") from exc
+    return system

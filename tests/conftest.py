@@ -5,13 +5,14 @@ import pytest
 
 from symkry import (
     BasisMatrix,
+    CountingAction,
     QuadraticHamiltonianSystem,
     apply_J,
     apply_J_inverse,
     canonical_J,
+    exp_affine,
     expm,
     omega,
-    phi1,
 )
 from symkry.core import SYMPLECTIC
 from symkry.krylov import DEPENDENCE_RTOL, _project_out
@@ -46,6 +47,18 @@ def random_hamiltonian_matrix(rng, n, scale=1.0):
     S = rng.standard_normal((2 * n, 2 * n)) * scale
     S = 0.5 * (S + S.T)
     return apply_J_inverse(S)
+
+
+def dense_action(A):
+    """A counted matrix action v -> A v of a dense matrix."""
+    A = np.asarray(A, dtype=float)
+    return CountingAction(A.shape[0], lambda v: A @ v)
+
+
+def phi1(M):
+    """phi(M) with phi(z) = (e^z - 1)/z: the kernel ``exp_affine`` forms,
+    applied to the identity at t = 1."""
+    return exp_affine(M, np.eye(np.shape(M)[0]), 1.0)[1]
 
 
 def project(basis, v):
@@ -101,7 +114,7 @@ def jvp_matches_finite_difference(system, x, v, rel_tol=1e-5):
     v = np.asarray(v, dtype=float)
     eps = 1e-6 * (1.0 + np.linalg.norm(x))
     fd = (system.f(x + eps * v) - system.f(x - eps * v)) / (2.0 * eps)
-    jv = system.jvp(x, v)
+    jv = system.linearize(x)(v)
     scale = max(np.linalg.norm(fd), np.linalg.norm(jv), 1e-30)
     return bool(np.linalg.norm(jv - fd) <= rel_tol * scale)
 
@@ -122,7 +135,8 @@ class PhiIdentityReport:
 
 
 def phi1_scaled_identities_check(M):
-    """Evaluate both phi identities on M and report the defect norms."""
+    """Evaluate both phi identities on M, with ``phi1`` above, and report
+    the defect norms."""
     M = np.asarray(M, dtype=float)
     eM = expm(M)
     phiM = phi1(M)

@@ -14,7 +14,6 @@ from dataclasses import replace
 import numpy as np
 
 from symkry import (
-    CountingAction,
     KleinGordonSystem,
     LinearWaveSystem,
     NonlinearSchroedingerSystem,
@@ -25,7 +24,6 @@ from symkry import (
     integrate,
     isotropic_arnoldi,
     orthonormal_defect,
-    phi1,
     solution_error,
     step_ee,
     step_eemp,
@@ -38,6 +36,8 @@ from symkry.cli import main as cli_main
 
 import conftest
 from conftest import (
+    dense_action,
+    phi1,
     phi1_scaled_identities_check,
     project,
     random_hamiltonian_matrix,
@@ -148,7 +148,7 @@ def test_criterion_05_basis_structure_suite(rng):
     worst = {"sympl": 0.0, "iso": 0.0, "lanczos": 0.0, "arnoldi": 0.0, "hess": 0.0}
     for _ in range(50):
         A = random_hamiltonian_matrix(rng, 12)
-        act = CountingAction.from_dense(A)
+        act = dense_action(A)
         v = rng.standard_normal(24)
 
         out = symplectic_arnoldi(act, v, 6)
@@ -176,7 +176,7 @@ def test_criterion_05_basis_structure_suite(rng):
 
 def test_criterion_06_krylov_containment(rng):
     A = random_hamiltonian_matrix(rng, 12)
-    act = CountingAction.from_dense(A)
+    act = dense_action(A)
     v = rng.standard_normal(24)
 
     def residual(basis, w):

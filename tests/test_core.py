@@ -16,6 +16,7 @@ from symkry.core import SYMPLECTIC, _norm
 
 from conftest import (
     check_hamiltonian_matrix,
+    dense_action,
     jvp_matches_finite_difference,
     random_hamiltonian_matrix,
     random_quadratic_system,
@@ -141,10 +142,10 @@ class TestSymplecticLeftInverse:
         assert np.allclose(basis.left_apply(U @ zeta), zeta, atol=1e-10)
 
     def test_lanczos_basis_left_inverse_identity(self, rng):
-        from symkry import CountingAction, hamiltonian_lanczos
+        from symkry import hamiltonian_lanczos
 
         A = random_hamiltonian_matrix(rng, 6)
-        out = hamiltonian_lanczos(CountingAction.from_dense(A), rng.standard_normal(12), 3)
+        out = hamiltonian_lanczos(dense_action(A), rng.standard_normal(12), 3)
         U = out.basis.columns
         UdU = BasisMatrix(U, SYMPLECTIC).left_apply(U)
         assert np.linalg.norm(UdU - np.eye(U.shape[1])) < 1e-10
@@ -184,10 +185,10 @@ class TestStructuralChecks:
         assert symplectic_defect(U) <= 1e-12
 
     def test_plain_arnoldi_basis_not_symplectic(self, rng):
-        from symkry import CountingAction, arnoldi
+        from symkry import arnoldi
 
         A = random_hamiltonian_matrix(rng, 3)
-        out = arnoldi(CountingAction.from_dense(A), rng.standard_normal(6), 4)
+        out = arnoldi(dense_action(A), rng.standard_normal(6), 4)
         assert orthonormal_defect(out.basis.columns) <= 1e-10
         assert symplectic_defect(out.basis.columns) > 1e-10
 
@@ -204,10 +205,10 @@ class TestStructuralChecks:
 
 class TestDarbouxRelations:
     def test_symplectic_arnoldi_basis_darboux(self, rng):
-        from symkry import CountingAction, symplectic_arnoldi
+        from symkry import symplectic_arnoldi
 
         A = random_hamiltonian_matrix(rng, 8)
-        out = symplectic_arnoldi(CountingAction.from_dense(A), rng.standard_normal(16), 4)
+        out = symplectic_arnoldi(dense_action(A), rng.standard_normal(16), 4)
         U = out.basis.columns
         k = U.shape[1] // 2
         V, W = U[:, :k], U[:, k:]

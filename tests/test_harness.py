@@ -158,12 +158,12 @@ class TestReferenceSolution:
 
     def test_dense_is_the_affine_propagation_off_second_order(self, rng):
         # a linear system that is not second order: the propagation written
-        # out from jvp columns and the affine constant, bit for bit; every
+        # out from Jacobian-action columns and the affine constant, bit for bit; every
         # interval is exact in binary
         sys = random_quadratic_system(rng, 6)
         x0 = rng.standard_normal(sys.dim)
         t_grid = np.array([0.0, 0.125, 0.25, 0.5])
-        A = np.column_stack([sys.jvp(x0, e) for e in np.eye(sys.dim)])
+        A = np.column_stack([sys.linearize(x0)(e) for e in np.eye(sys.dim)])
         want = affine_propagation(A, apply_J_inverse(sys.d), x0, t_grid)
         states = reference_solution(sys, x0, t_grid, mode="dense")
         assert np.array_equal(states, want)
@@ -230,6 +230,16 @@ class TestReferenceSolution:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflowed"):
                 reference_solution(sys, [1.0, 0.0], [0.0, 50.0], mode="dense")
+
+    def test_dense_state_whose_norm_overflows_fails_typed(self):
+        # q'' = q grows like e^t: at t = 460 the state (about 1e200) is
+        # finite but its norm overflows, so no solution error can be taken
+        # against it
+        sys = QuadraticHamiltonianSystem(np.diag([1.0, -1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ReferenceFailureError, match="overflowed"):
+                reference_solution(sys, [1.0, 0.0], [0.0, 460.0], mode="dense")
 
     def test_fine_overflow_is_a_value_error_without_warning(self):
         # RK4 at a micro step of 0.1 is unstable on Klein-Gordon n=100
@@ -881,6 +891,21 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err == ("symkry: numerical failure: fine reference overflowed by t=1: "
                        "RK4 is unstable at its micro step 0.1\n")
+
+    def test_reference_norm_overflow_is_exit_3_not_a_nan_metric(self, tmp_path, capsys):
+        # one RK4 step of 1e6 gives a finite reference state whose norm
+        # overflows: a numerical failure, not exit 0 with sol_error = nan
+        # after numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's, in either process
+            code = main(["run", "--problem", "nls", "--param", "n=40", "--method", "EEMP",
+                         "--basis", "hamiltonian-lanczos", "--basis-dim", "2",
+                         "--t-final", "1e6", "--steps", "1", "--reference", "fine:1",
+                         "--output", str(tmp_path / "run.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "symkry: numerical failure: fine reference overflowed by t=1e+06: "
+            "RK4 is unstable at its micro step 1e+06\n")
 
     def test_degenerate_pair_exit_code(self, tmp_path, capsys, monkeypatch):
         # a pairing failure inside an EEMP step is a numerical failure with

@@ -15,7 +15,6 @@ from symkry import (
     expm,
     integrate,
     omega,
-    phi1,
     step_ee,
     step_eemp,
     step_iemp,
@@ -25,7 +24,7 @@ from symkry import integrators
 from symkry.core import BasisMatrix, SYMPLECTIC
 from symkry.krylov import BREAKDOWN, KrylovOutcome
 
-from conftest import random_quadratic_system
+from conftest import dense_action, phi1, random_quadratic_system
 
 
 def dense_affine(system):
@@ -379,6 +378,26 @@ class TestIntegrate:
         assert isinstance(err.value.__cause__, StepFailureError)
         assert "reduced kernel failed: matrix exponential overflowed" in str(err.value.__cause__)
 
+    @pytest.mark.parametrize("n,m,process,dim", [(40, 30.0, "isotropic-arnoldi", 40),
+                                                 (2, 0.5, "symplectic-arnoldi", 4)])
+    def test_overflowing_fixed_point_fails_at_once_without_warning(self, monkeypatch, n, m,
+                                                                   process, dim):
+        # Klein-Gordon at A = 1e4 and h = 0.1: the IEMP fixed point's
+        # iterates overflow; the first overflow ends the step, long before
+        # FP_MAX_ITER iterations, with no numpy warning first
+        sys = KleinGordonSystem(n=n, m=m, A=1e4)
+        calls, f = [], sys.f
+        monkeypatch.setattr(sys, "f", lambda x: calls.append(1) or f(x))
+        cfg = StepperConfig(method="IEMP", basis_process=process, basis_dim=dim,
+                            step_size=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationAborted, match="step 1: overflow") as err:
+                integrate(sys, cfg, sys.initial_state, n_steps=5)
+        assert err.value.summary.steps_completed == 0
+        assert isinstance(err.value.__cause__, FloatingPointError)
+        assert len(calls) < integrators.FP_MAX_ITER
+
     def test_degenerate_pair_aborts_with_partial_summary(self, rng, monkeypatch):
         # a symplectic extension that cannot pair its vector fails the EEMP
         # step it belongs to; EEMP extends from step 2 on, so the k-th step
@@ -507,7 +526,7 @@ class TestBuildBasis:
     def test_breakdown_retried_up_to_limit(self, rng, monkeypatch):
         attempts = self._broken(monkeypatch, 2)
         cfg = StepperConfig(basis_process="hamiltonian-lanczos", basis_dim=6)
-        action = CountingAction.from_dense(np.eye(8))
+        action = dense_action(np.eye(8))
         outcome = integrators.build_basis(action, np.ones(8), cfg, rng)
         assert len(attempts) == 1 + integrators.BREAKDOWN_RETRIES
         assert outcome.basis.n_columns == 2
@@ -517,7 +536,7 @@ class TestBuildBasis:
     def test_too_few_columns_is_step_failure(self, rng, monkeypatch):
         attempts = self._broken(monkeypatch, 0, residual=0.25)
         cfg = StepperConfig(basis_process="hamiltonian-lanczos", basis_dim=6)
-        action = CountingAction.from_dense(np.eye(8))
+        action = dense_action(np.eye(8))
         with pytest.raises(StepFailureError) as err:
             integrators.build_basis(action, np.ones(8), cfg, rng)
         assert err.value.residual == 0.25

@@ -23,7 +23,7 @@ from symkry.core import ORTHONORMAL, STRUCTURE_TOL, SYMPLECTIC
 from symkry.errors import DegeneratePairError
 from symkry.krylov import BREAKDOWN, INVARIANT_SUBSPACE, REACHED_K, KrylovOutcome
 
-from conftest import extend_by_insert, project, random_hamiltonian_matrix
+from conftest import dense_action, extend_by_insert, project, random_hamiltonian_matrix
 
 
 def wave_action(n):
@@ -38,14 +38,14 @@ def projection_residual(basis, w):
 class TestArnoldi:
     def test_two_step_hand_computation(self):
         # A = J in dimension 2, started at e1
-        act = CountingAction.from_dense(canonical_J(1))
+        act = dense_action(canonical_J(1))
         out = arnoldi(act, np.array([1.0, 0.0]), 2)
         assert np.allclose(out.basis.columns, np.array([[1.0, 0.0], [0.0, -1.0]]))
         assert np.allclose(out.basis.reduced, np.array([[0.0, -1.0], [1.0, 0.0]]))
         assert out.terminated == REACHED_K
 
     def test_eigenvector_stops_iteration(self, rng):
-        act = CountingAction.from_dense(np.eye(6))
+        act = dense_action(np.eye(6))
         out = arnoldi(act, rng.standard_normal(6), 3)
         assert out.basis.n_columns == 1
         assert out.terminated == INVARIANT_SUBSPACE
@@ -68,7 +68,7 @@ class TestArnoldi:
     def test_arnoldi_relation(self, rng):
         A = random_hamiltonian_matrix(rng, 8)
         v = rng.standard_normal(16)
-        out = arnoldi(CountingAction.from_dense(A), v, 7)
+        out = arnoldi(dense_action(A), v, 7)
         U, F = out.basis.columns, out.basis.reduced
         R = A @ U - U @ F
         # residual concentrated in the last column
@@ -77,16 +77,16 @@ class TestArnoldi:
 
     def test_hessenberg_structure(self, rng):
         A = random_hamiltonian_matrix(rng, 8)
-        out = arnoldi(CountingAction.from_dense(A), rng.standard_normal(16), 9)
+        out = arnoldi(dense_action(A), rng.standard_normal(16), 9)
         assert np.linalg.norm(np.tril(out.basis.reduced, -2)) == 0.0
 
     def test_zero_start_vector_rejected(self):
-        act = CountingAction.from_dense(np.eye(4))
+        act = dense_action(np.eye(4))
         with pytest.raises(ValueError):
             arnoldi(act, np.zeros(4), 2)
 
     def test_k_out_of_range(self, rng):
-        act = CountingAction.from_dense(np.eye(4))
+        act = dense_action(np.eye(4))
         with pytest.raises(ValueError):
             arnoldi(act, rng.standard_normal(4), 0)
         with pytest.raises(ValueError):
@@ -107,7 +107,7 @@ class TestSymplecticArnoldi:
 
     def test_structure_both_ways(self, rng):
         A = random_hamiltonian_matrix(rng, 10)
-        out = symplectic_arnoldi(CountingAction.from_dense(A), rng.standard_normal(20), 5)
+        out = symplectic_arnoldi(dense_action(A), rng.standard_normal(20), 5)
         U = out.basis.columns
         assert symplectic_defect(U) <= 1e-10
         assert orthonormal_defect(U) <= 1e-10
@@ -115,7 +115,7 @@ class TestSymplecticArnoldi:
     def test_single_vector_case(self):
         # started at e1 in dimension 2 the only symplectic completion with
         # omega(v, w) = +1 is [e1, e2]
-        act = CountingAction.from_dense(canonical_J(1))
+        act = dense_action(canonical_J(1))
         out = symplectic_arnoldi(act, np.array([1.0, 0.0]), 1)
         assert np.allclose(out.basis.columns, np.eye(2))
         A = canonical_J(1)
@@ -123,7 +123,7 @@ class TestSymplecticArnoldi:
 
     def test_reduced_matches_projection(self, rng):
         A = random_hamiltonian_matrix(rng, 8)
-        out = symplectic_arnoldi(CountingAction.from_dense(A), rng.standard_normal(16), 4)
+        out = symplectic_arnoldi(dense_action(A), rng.standard_normal(16), 4)
         U = out.basis.columns
         assert np.linalg.norm(out.basis.reduced - U.T @ A @ U) < 1e-8
 
@@ -131,7 +131,7 @@ class TestSymplecticArnoldi:
 class TestIsotropicArnoldi:
     def test_isotropy_and_orthonormality(self, rng):
         A = random_hamiltonian_matrix(rng, 10)
-        out = isotropic_arnoldi(CountingAction.from_dense(A), rng.standard_normal(20), 4)
+        out = isotropic_arnoldi(dense_action(A), rng.standard_normal(20), 4)
         U = out.basis.columns
         k = U.shape[1] // 2
         Q = U[:, :k]
@@ -143,8 +143,8 @@ class TestIsotropicArnoldi:
     def test_first_vector_matches_symplectic_arnoldi(self, rng):
         A = random_hamiltonian_matrix(rng, 5)
         v = rng.standard_normal(10)
-        iso = isotropic_arnoldi(CountingAction.from_dense(A), v, 1)
-        sym = symplectic_arnoldi(CountingAction.from_dense(A), v, 1)
+        iso = isotropic_arnoldi(dense_action(A), v, 1)
+        sym = symplectic_arnoldi(dense_action(A), v, 1)
         assert np.allclose(iso.basis.columns, sym.basis.columns)
         assert np.allclose(iso.basis.reduced, sym.basis.reduced)
 
@@ -163,7 +163,7 @@ class TestIsotropicArnoldi:
         # the defining weakness: range(U) need not contain K_k(A, v)
         A = random_hamiltonian_matrix(rng, 10)
         v = rng.standard_normal(20)
-        out = isotropic_arnoldi(CountingAction.from_dense(A), v, 4)
+        out = isotropic_arnoldi(dense_action(A), v, 4)
         w = np.linalg.matrix_power(A, 3) @ v
         assert projection_residual(out.basis, w) > 1e-3
 
@@ -187,7 +187,7 @@ class TestHamiltonianLanczos:
             w = A @ w
 
     def test_one_pair_case(self):
-        act = CountingAction.from_dense(canonical_J(1))
+        act = dense_action(canonical_J(1))
         out = hamiltonian_lanczos(act, np.array([1.0, 0.0]), 1)
         U = out.basis.columns
         assert np.linalg.norm(U.T @ canonical_J(1) @ U - canonical_J(1)) < 1e-15
@@ -196,7 +196,7 @@ class TestHamiltonianLanczos:
 
     def test_reduced_block_structure(self, rng):
         A = random_hamiltonian_matrix(rng, 8)
-        out = hamiltonian_lanczos(CountingAction.from_dense(A), rng.standard_normal(16), 4)
+        out = hamiltonian_lanczos(dense_action(A), rng.standard_normal(16), 4)
         F = out.basis.reduced
         kp = out.basis.n_columns // 2
         T = F[:kp, kp:]
@@ -210,7 +210,7 @@ class TestHamiltonianLanczos:
 
     def test_reduced_matches_projection(self, rng):
         A = random_hamiltonian_matrix(rng, 8)
-        out = hamiltonian_lanczos(CountingAction.from_dense(A), rng.standard_normal(16), 4)
+        out = hamiltonian_lanczos(dense_action(A), rng.standard_normal(16), 4)
         F_proj = out.basis.left_apply(A @ out.basis.columns)
         assert np.linalg.norm(out.basis.reduced - F_proj) < 1e-8
 
@@ -245,7 +245,7 @@ class TestLanczosRowBlock:
     @pytest.mark.parametrize("coupling, stop", [(0.0, INVARIANT_SUBSPACE), (1.0, BREAKDOWN)])
     def test_early_stop_keeps_u_then_v_order(self, coupling, stop):
         A = two_pair_lanczos_matrix(coupling)
-        out = hamiltonian_lanczos(CountingAction.from_dense(A), np.eye(8)[0], 4)
+        out = hamiltonian_lanczos(dense_action(A), np.eye(8)[0], 4)
         assert out.terminated == stop
         U = out.basis.columns
         assert np.array_equal(U, np.eye(8)[:, [0, 1, 4, 5]])
@@ -301,7 +301,7 @@ def build_on(problem, builder, mult):
     perturbed Klein-Gordon n=64 state (16 columns)."""
     rng = np.random.default_rng(15)
     if problem == "random-hamiltonian":
-        action, v, columns = CountingAction.from_dense(random_hamiltonian_matrix(rng, 8)), None, 6
+        action, v, columns = dense_action(random_hamiltonian_matrix(rng, 8)), None, 6
     else:
         sys = KleinGordonSystem(n=64)
         x = sys.initial_state + 0.1 * rng.standard_normal(sys.dim)
@@ -371,7 +371,7 @@ class TestExactnessAtInvariantSubspace:
         n = 5
         A = canonical_J(n)
         v = rng.standard_normal(2 * n)
-        out = arnoldi(CountingAction.from_dense(A), v, 6)
+        out = arnoldi(dense_action(A), v, 6)
         assert out.terminated == INVARIANT_SUBSPACE
         assert out.basis.n_columns == 2
         U, F = out.basis.columns, out.basis.reduced
@@ -385,7 +385,7 @@ class TestExactnessAtInvariantSubspace:
         A = random_hamiltonian_matrix(rng, 4)
         v = rng.standard_normal(8)
         for build, k in ((arnoldi, 8), (symplectic_arnoldi, 4), (hamiltonian_lanczos, 4)):
-            out = build(CountingAction.from_dense(A), v, k)
+            out = build(dense_action(A), v, k)
             got = out.basis.columns @ (expm(out.basis.reduced) @ out.basis.left_apply(v))
             want = expm(A) @ v
             assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
@@ -411,8 +411,8 @@ class TestExtendBasis:
         rng = np.random.default_rng(seed)
         A = random_hamiltonian_matrix(rng, 8)
         v, x = rng.standard_normal((2, 16))
-        out = builder(CountingAction.from_dense(A), v, k)
-        act = CountingAction.from_dense(A)
+        out = builder(dense_action(A), v, k)
+        act = dense_action(A)
         ext = extend_basis(out, act, x)
         m = out.basis.n_columns
         assert act.count == added  # the cached images serve the old columns
@@ -436,7 +436,7 @@ class TestExtendBasis:
         rng = np.random.default_rng(19)
         if problem == "random-hamiltonian":
             A = random_hamiltonian_matrix(rng, 8)
-            actions = [CountingAction.from_dense(A) for _ in range(3)]
+            actions = [dense_action(A) for _ in range(3)]
             v = rng.standard_normal(16)
         else:
             sys = KleinGordonSystem(n=64)
@@ -457,14 +457,14 @@ class TestExtendBasis:
         E = np.eye(2 * n)
         basis = BasisMatrix(np.column_stack([E[0], E[n]]), kind)
         out = outcome_of(basis, canonical_J(n))
-        act = CountingAction.from_dense(canonical_J(n))
+        act = dense_action(canonical_J(n))
         assert extend_basis(out, act, 2.0 * E[0] - 3.0 * E[n]) is basis
         assert act.count == 0
 
     def test_smallest_symplectic_case_from_empty(self):
         A = canonical_J(1)
         out = outcome_of(BasisMatrix(np.zeros((2, 0)), SYMPLECTIC), A)
-        ext = extend_basis(out, CountingAction.from_dense(A), np.array([1.0, 0.0]))
+        ext = extend_basis(out, dense_action(A), np.array([1.0, 0.0]))
         # pairing normalization fixes the companion up to the free scaling
         # of the first vector: omega(v, w) = +1
         assert np.allclose(ext.columns, np.eye(2))
@@ -474,19 +474,19 @@ class TestExtendBasis:
     def test_explicit_small_orthonormal_case(self):
         A = canonical_J(2)
         out = outcome_of(BasisMatrix(np.eye(4)[:, :1], ORTHONORMAL), A)
-        ext = extend_basis(out, CountingAction.from_dense(A), np.array([1.0, 1.0, 0.0, 0.0]))
+        ext = extend_basis(out, dense_action(A), np.array([1.0, 1.0, 0.0, 0.0]))
         assert np.allclose(ext.columns[:, 1], [0.0, 1.0, 0.0, 0.0])
 
     def test_empty_orthonormal_basis_takes_the_normalized_vector(self, rng):
         x = rng.standard_normal(6)
         out = outcome_of(BasisMatrix(np.zeros((6, 0)), ORTHONORMAL), canonical_J(3))
-        ext = extend_basis(out, CountingAction.from_dense(canonical_J(3)), x)
+        ext = extend_basis(out, dense_action(canonical_J(3)), x)
         assert np.array_equal(ext.columns, (x / np.linalg.norm(x))[:, None])
 
     @pytest.mark.parametrize("kind", [ORTHONORMAL, SYMPLECTIC])
     def test_zero_and_wrong_length_vectors_rejected(self, kind):
         out = outcome_of(BasisMatrix(np.zeros((4, 0)), kind), canonical_J(2))
-        act = CountingAction.from_dense(canonical_J(2))
+        act = dense_action(canonical_J(2))
         # the zero vector lies in every range: the basis comes back, no action
         assert extend_basis(out, act, np.zeros(4)) is out.basis
         assert act.count == 0
@@ -499,7 +499,7 @@ class TestExtendBasis:
         monkeypatch.setattr(krylov, "omega", lambda x, y: 0.0)
         out = outcome_of(BasisMatrix(np.zeros((4, 0)), SYMPLECTIC), canonical_J(2))
         with pytest.raises(DegeneratePairError):
-            extend_basis(out, CountingAction.from_dense(canonical_J(2)), np.ones(4))
+            extend_basis(out, dense_action(canonical_J(2)), np.ones(4))
 
 
 class TestStructureAsKGrows:
@@ -512,7 +512,7 @@ class TestStructureAsKGrows:
         A = random_hamiltonian_matrix(rng, 20)
         v = rng.standard_normal(40)
         for k in (1, 2, 4, 8, 12, 16, 20):
-            basis = builder(CountingAction.from_dense(A), v, k).basis
+            basis = builder(dense_action(A), v, k).basis
             U = basis.columns
             assert U.shape == (40, 2 * k)
             assert basis.kind == SYMPLECTIC
@@ -531,26 +531,27 @@ class TestCosts:
         A = random_hamiltonian_matrix(rng, 10)
         v = rng.standard_normal(20)
 
-        act = CountingAction.from_dense(A)
+        act = dense_action(A)
         arnoldi(act, v, 8)
         assert act.count == 8  # one action per Krylov vector
 
-        act = CountingAction.from_dense(A)
+        act = dense_action(A)
         out = symplectic_arnoldi(act, v, 4)
         assert act.count == 3 + out.basis.n_columns  # k-1 sweeps + F assembly
 
-        act = CountingAction.from_dense(A)
+        act = dense_action(A)
         out = isotropic_arnoldi(act, v, 4)
         assert out.basis.n_columns == 8
         assert act.count == 8  # two actions per pair: the sweep's images are reused
 
-        act = CountingAction.from_dense(A)
+        act = dense_action(A)
         hamiltonian_lanczos(act, v, 4)
         assert act.count == 8  # two actions per pair
 
     def test_system_action_linearizes_once_and_counts_each_apply(self, rng, monkeypatch):
         # the point-dependent coefficients are built once per action; each
-        # apply is one counted Jacobian action, equal to jvp at that point
+        # apply is one counted Jacobian action, equal to a fresh
+        # linearization's action at that point
         sys = KleinGordonSystem(n=16)
         x = rng.standard_normal(sys.dim)
         points = []
@@ -560,6 +561,6 @@ class TestCosts:
         assert len(points) == 1 and act.count == 0
         for i in range(1, 4):
             v = rng.standard_normal(sys.dim)
-            assert np.array_equal(act.apply(v), KleinGordonSystem(n=16).jvp(x, v))
+            assert np.array_equal(act.apply(v), KleinGordonSystem(n=16).linearize(x)(v))
             assert act.count == i
         assert len(points) == 1

@@ -3,10 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from symkry import exp_affine, expm, phi1
+from symkry import exp_affine, expm
 from symkry.core import canonical_J
 
-from conftest import phi1_scaled_identities_check, random_hamiltonian_matrix
+from conftest import phi1, phi1_scaled_identities_check, random_hamiltonian_matrix
 
 
 def expm_series_oracle(M, terms=60):
@@ -196,6 +196,34 @@ class TestExpAffine:
                 exp_affine(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2), 0.0)
             with pytest.raises(ValueError, match="non-finite"):
                 exp_affine(np.eye(2), np.array([np.inf, 0.0]), 0.0)
+
+    @pytest.mark.parametrize("M,B,t", [
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2), 0.0),  # inf M at t = 0
+        (np.eye(2), np.array([np.nan, 0.0]), 1.0),  # NaN B
+        (np.eye(2), np.ones(2), np.inf),
+        (np.eye(2), np.ones(2), -np.inf),
+        (np.full((2, 2), 1e300), np.ones(2), 1e10),  # tM overflows
+        (np.eye(2), np.ones(2), np.nan),
+    ])
+    def test_bad_input_is_one_value_error_without_warning(self, M, B, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                exp_affine(M, B, t)
+
+    def test_one_finiteness_check_per_call(self, rng, monkeypatch):
+        # M, B and t are covered by expm's one check of the augmented matrix
+        checks, isfinite = [], np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: checks.append(np.shape(a)) or isfinite(a))
+        exp_affine(rng.standard_normal((5, 5)), rng.standard_normal((5, 2)), 0.3)
+        assert checks == [(7, 7)]
+
+    def test_overflowing_norm_is_a_value_error_without_warning(self):
+        # every entry is finite, but the 1-norm that picks the scaling is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="1-norm overflowed"):
+                exp_affine(np.full((2, 2), 1e308), np.ones(2), 1.0)
 
 
 class TestPhiIdentities:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -267,15 +269,16 @@ class TestFieldAndJacobianAction:
     @pytest.mark.parametrize("n", [1, 2, 5, 400])
     @PROBLEM_FORMULAS
     def test_bit_equal_to_split_and_join_formulas(self, rng, cls, formulas, n):
-        # f and jvp write both halves into one output; the numbers are the
-        # ones the split_state / join_state / apply_J_inverse forms give
+        # f and the Jacobian action write both halves into one output; the
+        # numbers are the ones the split_state / join_state / apply_J_inverse
+        # forms give
         sys = cls(n=n)
         for _ in range(20):
             x, v = scaled_pair(rng, 2 * n)
             want_f, want_jvp, want_energy = formulas(sys, x, v)
             assert np.array_equal(sys.f(x), want_f)
-            assert np.array_equal(sys.jvp(x, v), want_jvp)
-            assert np.array_equal(sys.jvp(x, list(v)), want_jvp)
+            assert np.array_equal(sys.linearize(x)(v), want_jvp)
+            assert np.array_equal(sys.linearize(x)(list(v)), want_jvp)
             assert sys.energy(x) == want_energy
 
 
@@ -283,8 +286,8 @@ class TestLinearize:
     @pytest.mark.parametrize("n", [1, 5, 64])
     @PROBLEM_FORMULAS
     def test_one_linearization_serves_every_action(self, rng, cls, formulas, n):
-        # linearize(x) is the action jvp(x, .), bit for bit, for any number
-        # of vectors; x may be a list
+        # one linearize(x) is the action of a fresh one, bit for bit, for any
+        # number of vectors; x may be a list
         sys = cls(n=n)
         x, _ = scaled_pair(rng, 2 * n)
         action = sys.linearize(list(x))
@@ -292,7 +295,7 @@ class TestLinearize:
             v = scaled_pair(rng, 2 * n)[1]
             want = formulas(sys, x, v)[1]
             assert np.array_equal(action(v), want)
-            assert np.array_equal(sys.jvp(x, v), want)
+            assert np.array_equal(sys.linearize(x)(v), want)
 
     def test_quadratic_system(self, rng):
         S = rng.standard_normal((12, 12))
@@ -300,7 +303,6 @@ class TestLinearize:
         sys = QuadraticHamiltonianSystem(S, rng.standard_normal(12))
         x, v = rng.standard_normal((2, sys.dim))
         assert np.array_equal(sys.linearize(x)(v), apply_J_inverse(S @ v))
-        assert np.array_equal(sys.jvp(x, v), apply_J_inverse(S @ v))
 
     @pytest.mark.parametrize("cls", [LinearWaveSystem, NonlinearSchroedingerSystem,
                                      KleinGordonSystem])
@@ -309,7 +311,7 @@ class TestLinearize:
         # linearization point it was built at
         sys = cls(n=16)
         x, v = scaled_pair(rng, sys.dim)
-        want = sys.jvp(x, v)
+        want = sys.linearize(x.copy())(v)
         action = sys.linearize(x)
         x += rng.standard_normal(sys.dim)
         assert np.array_equal(action(v), want)
@@ -355,6 +357,19 @@ class TestRegistry:
     def test_bad_parameter_value_is_config_error(self, name, params):
         with pytest.raises(ConfigError):
             build_problem(name, **params)
+
+    @pytest.mark.parametrize("name,params", [
+        ("linear-wave", {"L": 1e172}),  # the source term overflows
+        ("linear-wave", {"L": 1e-209}),  # the stencil scale (n/L)^2 overflows
+        ("klein-gordon", {"m": 1e200}),  # m^2 overflows
+        ("klein-gordon", {"A": 1e160}),  # the initial state's norm overflows
+        ("nls", {"V0": 1e82, "B": 1e-243}),  # the initial phase overflows
+    ])
+    def test_overflowing_parameters_are_config_errors_without_warning(self, name, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="overflows"):
+                build_problem(name, **params)
 
     def test_parameters_take_the_constructor_types(self):
         assert checked_params({"n": 16.0, "L": 3, "boundary": "periodic"}) == {
