@@ -131,10 +131,10 @@ class BasisMatrix:
     ``rows`` is U^T in C order and read-only; ``columns`` is its view U.
     ``left`` holds the rows of the kind's one left inverse U^+: ``rows``
     itself, or J_k^(-1) U^T J = [J W | J^(-1) V]^T for U = [V | W] (a left
-    inverse as far as U is numerically symplectic).  A builder that already
-    holds those rows passes them as ``left``; otherwise they are formed
-    once here.  ``reduced`` is the m x m projection F = U^+ A U of the
-    current matrix action (None until it is set).
+    inverse as far as U is numerically symplectic).  A builder whose recursion
+    holds those rows passes them as ``left``; otherwise (``extend_basis``,
+    say) they are formed once here.  ``reduced`` is the m x m projection
+    F = U^+ A U of the current matrix action (None until it is set).
     """
 
     __slots__ = ("rows", "left", "kind", "reduced")

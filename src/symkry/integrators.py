@@ -80,7 +80,8 @@ class StepperConfig:
     and FP_MAX_ITER.  Invalid values raise ConfigError (a ValueError): an
     unknown method or process, a ``basis_dim`` that is not a positive
     integer (or is odd for a paired process), and a ``step_size`` that is
-    negative or not finite.
+    negative or not finite.  ``check_fits`` refuses a ``basis_dim`` above
+    a system's dimension; ``integrate`` calls it before the first step.
     """
 
     method: str = EE
@@ -100,6 +101,12 @@ class StepperConfig:
             raise ConfigError("basis_dim must be even for symplectic processes")
         if not 0 <= self.step_size < np.inf:
             raise ConfigError(f"step_size must be finite and nonnegative, got {self.step_size!r}")
+
+    def check_fits(self, system):
+        """Refuse, as a ConfigError, a basis wider than the system."""
+        if self.basis_dim > system.dim:
+            raise ConfigError(
+                f"basis_dim {self.basis_dim} exceeds system dimension {system.dim}")
 
 
 @dataclass
@@ -130,7 +137,7 @@ def build_basis(action, v, config, rng=None):
     failure.
     """
     builder, mult = BASIS_PROCESSES[config.basis_process]
-    k = min(config.basis_dim, action.dim) // mult
+    k = config.basis_dim // mult
     outcome = builder(action, v, k)
     for _ in range(BREAKDOWN_RETRIES):
         if outcome.terminated != BREAKDOWN or outcome.basis.n_columns >= mult * k:
@@ -282,18 +289,21 @@ def integrate(system, config, x0, n_steps=1, observer=None, rng=None):
     and once first with StepResult(x0, None, None, 0) for the initial
     state.  ``rng`` seeds the breakdown restarts (see build_basis).  There
     is no divergence guard: a caller that wants one raises
-    StepFailureError from its observer.  Steps and observer run with
-    numpy's overflow, invalid and divide signals raised (``expm`` and
-    ``exp_affine`` handle theirs), so a failed step, a non-finite state, a
-    FloatingPointError, or a StepFailureError from the observer aborts with
-    IntegrationAborted("step N: ..."), which carries the summary of the
-    steps completed so far, the failed step included when it completed.
+    StepFailureError from its observer.  A ``basis_dim`` above the system
+    dimension is a ConfigError before the first step.  Steps and observer
+    run with numpy's overflow, invalid and divide signals raised (``expm``
+    and ``exp_affine`` handle theirs), so a failed step, a non-finite
+    state, a FloatingPointError, or a StepFailureError from the observer
+    aborts with IntegrationAborted("step N: ..."), which carries the
+    summary of the steps completed so far, the failed step included when
+    it completed.
     """
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError(f"n_steps must be an integer of at least 1, got {n_steps!r}")
     h = config.step_size
     if h <= 0:
         raise ValueError("the step size must be positive for integration")
+    config.check_fits(system)
     x0 = np.array(x0, dtype=float)
 
     summary = TrajectorySummary(x0, 0)

@@ -8,12 +8,12 @@ with a short two-sided recursion and reduced matrix [[0, T], [D, 0]]).
 
 Every builder writes its basis vectors as rows of preallocated blocks,
 so the basis built so far is a contiguous prefix, puts the images A U
-into one block at the end, and hands the rows of the finished basis's
-left inverse to ``BasisMatrix`` (the paired bases are orthonormal, so
-theirs are the basis rows).  The rows J v and J^(-1) v are written into
-their block rows by ``core.apply_J`` and ``apply_J_inverse`` with
-``out=``, norms are sqrt(v . v) (``core._norm``, numpy's bits) and
-recurrences update their fresh remainder in place.  ``_project_out`` is
+into one block at the end, and hands ``BasisMatrix`` the rows of U^+ its
+recursion holds (the paired bases are orthonormal, so theirs are the
+basis rows; Lanczos's are J v_i and J^(-1) u_i).  The rows J v and
+J^(-1) v are written into their block rows by ``core.apply_J`` and
+``apply_J_inverse`` with ``out=``, norms are sqrt(v . v) (``core._norm``,
+numpy's bits) and recurrences update their fresh remainder in place.  ``_project_out`` is
 every removal of a basis's range, along its left inverse: classical
 Gram-Schmidt with one reorthogonalization pass, two row products per
 pass (the Arnoldi recurrences, the paired processes'
@@ -27,8 +27,7 @@ action and the one matvec counter.
 column, or one pair) and returns the extended basis with its reduced
 matrix; it alone decides whether the vector is already in range(U), knows
 where new columns go and how the cached images A U are laid out, and it
-copies the rows, the images and the rows of U^+ into new blocks with the
-new rows in place.
+leaves the extended basis's left inverse to ``BasisMatrix``.
 """
 
 import math
@@ -355,12 +354,12 @@ def extend_basis(outcome, action, x):
     column; a symplectic basis [V | W] gets v_new after V and, after W, the
     companion w_new: J v_new with the range removed and scaled so that
     omega(v_new, w_new) = 1 (DegeneratePairError if that pairing vanishes).
-    The rows, the images A U (from ``outcome.action_images``, so each new
-    column costs one action) and, for a symplectic basis, the rows of U^+
-    are copied into new blocks with the new rows in place; U^+ gains the
-    rows J w_new and J^(-1) v_new.  x may be any vector of the basis's
-    length: one that is already representable, x = 0 included, returns
-    ``outcome.basis`` unchanged, with no action.
+    The rows and the images A U (from ``outcome.action_images``, so each
+    new column costs one action) are copied into new blocks with the new
+    rows in place, and ``BasisMatrix`` forms the extended basis's U^+.
+    x may be any vector of the basis's length: one that is already
+    representable, x = 0 included, returns ``outcome.basis`` unchanged,
+    with no action.
     """
     basis = outcome.basis
     x = np.ascontiguousarray(x, dtype=float)
@@ -387,13 +386,6 @@ def extend_basis(outcome, action, x):
         rows[at:at + size], rows[at + size] = basis.rows[old], row
         images[at:at + size] = outcome.action_images.T[old]
         images[at + size] = action.apply(row)
-    left = None
-    if len(new) == 2:
-        # U^+ = [J W | J^(-1) V]^T gains J w_new after J W and J^(-1) v_new last
-        left = np.empty_like(rows)
-        left[:size], left[size + 1:-1] = basis.left[:size], basis.left[size:]
-        apply_J(new[1], out=left[size])
-        apply_J_inverse(new[0], out=left[-1])
-    extended = BasisMatrix(rows.T, basis.kind, left=left)
+    extended = BasisMatrix(rows.T, basis.kind)
     extended.reduced = extended.left_apply(images.T)
     return extended

@@ -298,6 +298,28 @@ class TestIntegrate:
         assert np.allclose(summary.final_state, res.x_plus, atol=1e-14)
         assert summary.steps_completed == 1
 
+    @pytest.mark.parametrize("basis_dim", [10, 20])
+    def test_basis_wider_than_the_system_refused(self, basis_dim):
+        # no clamp to the system dimension: the setting ExperimentConfig
+        # refuses is refused here too, with its text, before any step
+        sys = KleinGordonSystem(n=4)
+        cfg = StepperConfig(method="EE", basis_process="hamiltonian-lanczos",
+                            basis_dim=basis_dim, step_size=0.1)
+        steps = []
+        with pytest.raises(ConfigError,
+                           match=f"basis_dim {basis_dim} exceeds system dimension 8"):
+            integrate(sys, cfg, sys.initial_state, n_steps=2,
+                      observer=lambda s, t, res: steps.append(s))
+        assert steps == []
+
+    def test_basis_as_wide_as_the_system_runs(self):
+        sys = KleinGordonSystem(n=4)
+        cfg = StepperConfig(method="EE", basis_process="arnoldi", basis_dim=8, step_size=0.1)
+        results = []
+        integrate(sys, cfg, sys.initial_state, n_steps=1,
+                  observer=lambda s, t, res: results.append(res))
+        assert results[1].basis.n_columns <= 8
+
     def test_matvec_counter_exact_for_ee_arnoldi(self, rng):
         sys = random_quadratic_system(rng, 8)
         x0 = rng.standard_normal(sys.dim)
