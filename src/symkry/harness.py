@@ -211,14 +211,12 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run, declared (see module docstring); making it checks the whole
-    run and keeps its ``system`` and ``stepper``.  ``reference``, dense,
-    fine or fine:N, is kept in canonical form (fine is fine:100), and
-    ``ref_factor`` is its N (None for dense).  Every refusal is a
-    ConfigError: a bad problem or parameter (``build_problem``), field,
-    output path or stepper setting, a step or record count that is not an
-    integer of at least 1, a horizon that is not positive and finite, a seed
-    that is not a nonnegative integer, ``basis_dim`` above the system
-    dimension, and a reference the oracle cannot give."""
+    run and keeps its ``system`` and ``stepper``.  Every refusal is a ConfigError: a bad problem or
+    parameter (``build_problem``), field, output path or stepper setting, a
+    step or record count that is not an integer of at least 1, a horizon
+    that is not positive and finite, a seed that is not a nonnegative
+    integer, ``basis_dim`` above the system dimension, and a reference the
+    oracle cannot give (``_check_reference``)."""
 
     problem: str = "linear-wave"
     problem_params: dict = field(default_factory=dict)
@@ -229,9 +227,9 @@ class ExperimentConfig:
     n_steps: int = 100
     record_every: int = 1
     reference: str = "fine"
+    ref_factor: int = 100
     output: str = ""
     seed: int = 0
-    ref_factor: int | None = field(init=False, repr=False, compare=False)
     system: object = field(init=False, repr=False, compare=False)
     stepper: StepperConfig = field(init=False, repr=False, compare=False)
 
@@ -245,14 +243,7 @@ class ExperimentConfig:
             raise ConfigError(f"t_final must be positive and finite, got {self.t_final!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        mode, factor = self.reference, 100
-        if isinstance(mode, str) and mode.startswith("fine:"):
-            mode, text = "fine", mode[5:]
-            try:
-                factor = int(text)
-            except ValueError as exc:
-                raise ConfigError(f"bad reference refinement factor {text!r}") from exc
-        _check_reference(system, mode, factor)
+        _check_reference(system, self.reference, self.ref_factor)
         if self.output and not os.path.isdir(os.path.dirname(self.output) or "."):
             raise ConfigError(f"the output directory of {self.output!r} does not exist")
         if os.path.isdir(self.output):
@@ -260,8 +251,6 @@ class ExperimentConfig:
         stepper = StepperConfig(method=self.method, basis_process=self.basis,
                                 basis_dim=self.basis_dim, step_size=self.t_final / self.n_steps)
         stepper.check_fits(system)
-        object.__setattr__(self, "ref_factor", None if mode == "dense" else factor)
-        object.__setattr__(self, "reference", mode if mode == "dense" else f"fine:{factor}")
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "stepper", stepper)
 
@@ -270,6 +259,7 @@ class ExperimentConfig:
         parts = [f"problem={self.problem}"]
         for key in sorted(self.problem_params):
             parts.append(f"problem.{key}={self.problem_params[key]}")
+        ref = self.reference if self.reference == "dense" else f"fine:{self.ref_factor}"
         parts += [
             f"method={self.method.upper()}",
             f"basis={self.basis}",
@@ -277,7 +267,7 @@ class ExperimentConfig:
             f"t_final={_fmt(self.t_final)}",
             f"n_steps={self.n_steps}",
             f"record_every={self.record_every}",
-            f"reference={self.reference}",
+            f"reference={ref}",
             f"seed={self.seed}",
         ]
         return " ".join(parts)
@@ -388,9 +378,9 @@ def _start_reference(config):
     ``_Beside``); ``result()`` of the returned object gives them."""
     h, system = config.stepper.step_size, config.system
     t_grid = np.array([s * h for s in range(0, config.n_steps + 1, config.record_every)])
-    mode, factor = ("dense", 1) if config.ref_factor is None else ("fine", config.ref_factor)
     return _Beside(lambda: reference_solution(
-        system, system.initial_state, t_grid, mode=mode, factor=factor * config.record_every))
+        system, system.initial_state, t_grid, mode=config.reference,
+        factor=config.ref_factor * config.record_every))
 
 
 def run(config, quiet=False):
@@ -418,7 +408,7 @@ def run(config, quiet=False):
 
     every = config.record_every
     key = (config.problem, tuple(sorted(config.problem_params.items())), config.reference,
-           config.t_final, config.n_steps, config.record_every)
+           config.ref_factor, config.t_final, config.n_steps, config.record_every)
     oracle = _reference_memo.get(key)
     if oracle is None:
         _reference_memo.clear()
@@ -541,7 +531,7 @@ def parse_config_text(text):
 
 
 def config_from_mapping(mapping):
-    """An ExperimentConfig from flag-named keys, each value cast to its key's type."""
+    """An ExperimentConfig from flag-named keys, checked as it is made."""
     cfg_kwargs = {}
     params = {}
     for key, value in mapping.items():
@@ -556,5 +546,15 @@ def config_from_mapping(mapping):
                 raise ConfigError(f"bad value for {key}: {value!r}") from exc
         else:
             raise ConfigError(f"unknown configuration key {key!r}")
+
+    reference = cfg_kwargs.pop("reference", "fine")
+    if isinstance(reference, str) and reference.startswith("fine:"):
+        factor = reference.split(":", 1)[1]
+        try:
+            cfg_kwargs["ref_factor"] = int(factor)
+        except ValueError as exc:
+            raise ConfigError(f"bad reference refinement factor {factor!r}") from exc
+        reference = "fine"
+    cfg_kwargs["reference"] = reference
     cfg_kwargs["problem_params"] = params
     return ExperimentConfig(**cfg_kwargs)

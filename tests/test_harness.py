@@ -334,27 +334,9 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=f"{name} must be .*integer.*, got {value}"):
             ExperimentConfig(**{name: value})
 
-    @pytest.mark.parametrize("reference, message", [
-        ("fine:2.5", "bad reference refinement factor '2.5'"),
-        ("fine:0", "reference factor must be an integer of at least 1, got 0"),
-        ("dense:5", "reference must be 'dense' or 'fine', got 'dense:5'"),
-    ], ids=["non-integer-factor", "factor-below-one", "dense-with-factor"])
-    def test_bad_reference_refused(self, reference, message):
-        with pytest.raises(ConfigError, match=re.escape(message)):
-            ExperimentConfig(problem="klein-gordon", problem_params={"n": 8},
-                             reference=reference)
-
-    def test_reference_is_one_field_in_canonical_form(self):
-        fine = ExperimentConfig(reference="fine")
-        assert fine == ExperimentConfig(reference="fine:100")
-        assert (fine.reference, fine.ref_factor) == ("fine:100", 100)
-        assert fine.echo() == ExperimentConfig(reference="fine:100").echo()
-        assert dataclasses.replace(ExperimentConfig(reference="fine:3"), seed=1).ref_factor == 3
-        dense = ExperimentConfig(reference="dense")
-        assert (dense.reference, dense.ref_factor) == ("dense", None)
-        assert "reference=dense " in dense.echo()
-        with pytest.raises(TypeError):
-            ExperimentConfig(ref_factor=3)
+    def test_non_integer_ref_factor_refused(self):
+        with pytest.raises(ConfigError, match="an integer of at least 1, got 2.5"):
+            ExperimentConfig(problem="klein-gordon", problem_params={"n": 8}, ref_factor=2.5)
 
     @pytest.mark.parametrize("seed", [1.5, "3", None])
     def test_non_integer_seed_refused(self, seed):
@@ -447,7 +429,7 @@ class TestRun:
         cfg = ExperimentConfig(problem="klein-gordon", problem_params={"n": 64},
                                method="EEMP", basis="arnoldi", basis_dim=20,
                                t_final=45.0, n_steps=2250, record_every=10,
-                               reference="fine:1", output=str(out))
+                               reference="fine", ref_factor=1, output=str(out))
         with pytest.raises(IntegrationAborted) as err:
             run(cfg, quiet=True)
         assert out.exists()
@@ -497,8 +479,8 @@ class TestRun:
         # counts the fixed-point iterations of every step, recorded or not
         cfg = ExperimentConfig(problem="klein-gordon", problem_params={"n": 16},
                                method="IEMP", basis="hamiltonian-lanczos", basis_dim=8,
-                               t_final=0.5, n_steps=10, record_every=3,
-                               reference="fine:2", seed=5)
+                               t_final=0.5, n_steps=10, record_every=3, reference="fine",
+                               ref_factor=2, seed=5)
         result = run(cfg, quiet=True)
         seen = {}
         system = KleinGordonSystem(n=16)
@@ -532,7 +514,8 @@ class TestReferenceMemo:
     def _config(self, **kw):
         base = dict(problem="linear-wave", problem_params={"n": 24},
                     method="EE", basis="hamiltonian-lanczos", basis_dim=8,
-                    t_final=1.0, n_steps=20, record_every=4, reference="fine:2")
+                    t_final=1.0, n_steps=20, record_every=4, reference="fine",
+                    ref_factor=2)
         base.update(kw)
         return ExperimentConfig(**base)
 
@@ -556,7 +539,7 @@ class TestReferenceMemo:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("change", [
-        pytest.param({"reference": "fine:3"}, id="reference_factor"),
+        {"ref_factor": 3},
         {"problem_params": {"n": 24, "L": 3}},
         {"n_steps": 40},
         {"record_every": 2},
@@ -613,7 +596,7 @@ class TestReferenceBeside:
     def _kg(self, **kw):
         base = dict(problem="klein-gordon", problem_params={"n": 64}, method="IEMP",
                     basis="hamiltonian-lanczos", basis_dim=16, t_final=2.0, n_steps=100,
-                    record_every=10, reference="fine:4")
+                    record_every=10, reference="fine", ref_factor=4)
         base.update(kw)
         return ExperimentConfig(**base)
 
@@ -622,7 +605,7 @@ class TestReferenceBeside:
         dict(problem="linear-wave", problem_params={"n": 100}, method="EE", basis_dim=12,
              t_final=5.0, n_steps=200, reference="dense"),
         dict(method="EEMP", basis="arnoldi", basis_dim=20, t_final=45.0, n_steps=2250,
-             reference="fine:1"),
+             ref_factor=1),
     ], ids=["kg-iemp", "wave-dense", "kg-aborted"])
     def test_overlapped_and_inline_csvs_are_byte_identical(self, config, forked, tmp_path,
                                                            monkeypatch):
@@ -659,7 +642,7 @@ class TestReferenceBeside:
         out = tmp_path / "partial.csv"
         with pytest.raises(IntegrationAborted, match="divergence") as err:
             run(self._kg(method="EEMP", basis="arnoldi", basis_dim=20, t_final=45.0,
-                         n_steps=2250, reference="fine:1", output=str(out)), quiet=True)
+                         n_steps=2250, ref_factor=1, output=str(out)), quiet=True)
         assert_no_child()
         rows = err.value.series.rows
         assert len(rows) > 3 and all(np.isfinite(r[3]) for r in rows)
@@ -671,7 +654,7 @@ class TestReferenceBeside:
         # the reference test above; the integration itself succeeds
         out = tmp_path / "never.csv"
         config = self._kg(problem_params={"n": 100}, basis_dim=20, n_steps=20, record_every=5,
-                          reference="fine:1", output=str(out))
+                          ref_factor=1, output=str(out))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # numpy's, in either process
             with pytest.raises(ValueError, match="fine reference overflowed by t=1:") as err:
@@ -800,7 +783,7 @@ class TestConfigParsing:
     def test_reference_with_factor(self):
         cfg = config_from_mapping({"reference": "fine:17", "steps": "3",
                                    "t-final": "1"})
-        assert cfg.reference == "fine:17" and cfg.ref_factor == 17
+        assert cfg.reference == "fine" and cfg.ref_factor == 17
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):

@@ -487,6 +487,27 @@ class TestLinearEnergyExactness:
             assert defects.max() <= 1e-11, method
 
 
+    @pytest.mark.parametrize("process", ["symplectic-arnoldi", "isotropic-arnoldi",
+                                         "hamiltonian-lanczos"])
+    @pytest.mark.parametrize("method", ["EE", "IEMP"])
+    def test_one_step_over_drawn_systems(self, method, process):
+        # 100 seeded draws of the system dimension 2n (n in 2..10), the
+        # basis size (2, 4 or 8 columns, at most 2n) and the step h in
+        # [0.01, 0.1]; one step keeps the energy to the bound above
+        step = {"EE": step_ee, "IEMP": step_iemp}[method]
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            n = int(rng.integers(2, 11))
+            dim = int(rng.choice([d for d in (2, 4, 8) if d <= 2 * n]))
+            h = rng.uniform(0.01, 0.1)
+            sys = random_quadratic_system(rng, n)
+            x = rng.standard_normal(sys.dim)
+            cfg = StepperConfig(method=method, basis_process=process, basis_dim=dim,
+                                step_size=h)
+            energy = sys.energy(x)
+            defect = abs(sys.energy(step(sys, cfg, x).x_plus) - energy) / abs(energy)
+            assert defect <= 1e-11, (n, dim, h)
+
 class TestEEMPTimeSymmetry:
     """EEMP is symmetric: stepping back from (x+, x) with -h in the step's
     basis U and reduced matrix F gives x_prev again, because x_prev - x lies
