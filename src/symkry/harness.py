@@ -39,7 +39,7 @@ from ._version import __version__
 from .core import _norm
 from .errors import ConfigError, IntegrationAborted, ReferenceFailureError, StepFailureError
 from .integrators import StepperConfig, integrate
-from .matfun import exp_affine
+from .matfun import exp_affine, mode_factors
 from .problems import build_problem
 
 CSV_COLUMNS = "step,t,rel_energy_error,sol_error,basis_dim,fp_iters"
@@ -102,19 +102,16 @@ def _rk4_step(f, x, h):
 
 def _second_order_flow(K, b, x0, times):
     """States of q' = p, p' = K q + b (K symmetric) from x0 at each time,
-    exact in the eigenbasis of K.  Mode by mode a'' = lam a + beta; with
-    w = sqrt(-lam t^2), imaginary where lam > 0, the flow has C = cos w,
-    S = sin(w)/w and G = 2 sin^2(w/2)/w^2 = S(w/2)^2/2, none of which
-    cancels near w = 0 (``np.sinc`` holds the limit at w = 0).  A state
-    whose norm overflows is a ReferenceFailureError, with no numpy warning."""
+    exact in the eigenbasis of K: mode by mode a'' = lam a + beta, with the
+    factors C, S and G of ``matfun.mode_factors`` over modes x times.  A
+    state whose norm overflows is a ReferenceFailureError, with no numpy
+    warning."""
     lam, V = np.linalg.eigh(K)
     n = lam.size
     a, pi, beta = V.T @ x0[:n], V.T @ x0[n:], V.T @ b
     t = times[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.sqrt((-lam * t * t).astype(complex))
-        C, S = np.cos(w).real, np.sinc(w / np.pi).real
-        G = 0.5 * np.sinc(w / (2 * np.pi)).real ** 2
+        C, S, G = mode_factors(lam, t)
         q = (C * a + t * S * pi + t * t * G * beta) @ V.T
         p = (lam * t * S * a + C * pi + t * S * beta) @ V.T
         states = np.hstack([q, p])
@@ -144,8 +141,10 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
     mode "dense": densify the affine system x' = A x + c (A the dense
     Jacobian at x0, c = f(0)), exact for linear systems.  When A is
     exactly [[0, I], [K, 0]] with K symmetric and c's q-half is zero, the
-    states come from one ``eigh`` of K (``_second_order_flow``); otherwise
-    from ``exp_affine(A, c, dt)`` per grid interval.  mode "fine": classical
+    states come from one ``eigh`` of K (``_second_order_flow``, on the mode
+    factors ``matfun.mode_factors`` that ``exp_affine``'s closed form for
+    Hamiltonian Lanczos matrices shares); otherwise from
+    ``exp_affine(A, c, dt)`` per grid interval.  mode "fine": classical
     RK4 with ``factor`` micro steps per grid interval, each of length
     interval/factor.  In either mode a state at a grid point whose norm
     overflows (a non-finite one included), and an interval exponential

@@ -2,7 +2,12 @@
 
 Each step linearizes the system at a point, builds a basis U with reduced
 matrix F = U^+ Df U, and advances with one small dense kernel,
-``matfun.exp_affine``, which gives e^(hF) and h phi(hF) b together:
+``matfun.exp_affine``, which gives e^(hF) and h phi(hF) b together.  A
+Hamiltonian Lanczos F = [[0, T], [D, 0]] whose signs agree, D = delta I,
+takes its closed form from one ``eigh`` of delta T; every other F
+(Arnoldi's Hessenberg F, the symplectic and isotropic Arnoldi F, and a
+Lanczos F that EEMP's extension has grown by a pair) takes its Pade
+exponential:
 
     EE    x+ = x + h U phi(hF) U^+ f(x)
     EEMP  x+ = x + U e^(hF) U^+ (x_prev - x) + 2h U phi(hF) U^+ f(x)
@@ -23,7 +28,8 @@ matrix, so the scheme's symmetry and average-energy properties hold.
 With a symplectic basis all three steps preserve the energy of linear
 systems exactly, up to rounding.  Every step returns a
 StepResult; a step that cannot be completed, including a reduced matrix
-the kernel rejects as non-finite, raises StepFailureError.
+the kernel rejects as non-finite or whose exponential overflows, raises
+StepFailureError.
 """
 
 from dataclasses import dataclass, replace

@@ -5,6 +5,9 @@ import pytest
 
 from symkry import exp_affine, expm
 from symkry.core import canonical_J
+from symkry.errors import StepFailureError
+from symkry.integrators import _kernel
+from symkry.matfun import _second_order_sign
 
 from conftest import phi1, phi1_scaled_identities_check, random_hamiltonian_matrix
 
@@ -28,6 +31,29 @@ def expm_series_oracle(M, terms=60):
     for _ in range(s):
         out = out @ out
     return out
+
+
+def second_order(T, delta=1.0):
+    """[[0, T], [delta I, 0]], the reduced matrix of Hamiltonian Lanczos
+    when its signs agree."""
+    T = np.atleast_2d(np.asarray(T, dtype=float))
+    k = T.shape[0]
+    F = np.zeros((2 * k, 2 * k))
+    F[:k, k:] = T
+    F[k:, :k] = delta * np.eye(k)
+    return F
+
+
+def pade_augmented(M, B, t):
+    """(e^(tM), t phi(tM) B) from ``expm`` of the hand-built augmented
+    matrix [[tM, tB], [0, 0]]: the Pade kernel, whatever form M has."""
+    cols = B[:, None] if B.ndim == 1 else B
+    m = M.shape[0]
+    W = np.zeros((m + cols.shape[1],) * 2)
+    W[:m, :m] = t * M
+    W[:m, m:] = t * cols
+    E = expm(W)
+    return E[:m, :m], E[:m, m:].reshape(B.shape)
 
 
 def phi1_series_oracle(M, terms=60):
@@ -197,19 +223,39 @@ class TestExpAffine:
             with pytest.raises(ValueError, match="non-finite"):
                 exp_affine(np.eye(2), np.array([np.inf, 0.0]), 0.0)
 
-    @pytest.mark.parametrize("M,B,t", [
-        (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2), 0.0),  # inf M at t = 0
-        (np.eye(2), np.array([np.nan, 0.0]), 1.0),  # NaN B
-        (np.eye(2), np.ones(2), np.inf),
-        (np.eye(2), np.ones(2), -np.inf),
-        (np.full((2, 2), 1e300), np.ones(2), 1e10),  # tM overflows
-        (np.eye(2), np.ones(2), np.nan),
-    ])
-    def test_bad_input_is_one_value_error_without_warning(self, M, B, t):
+    BAD_INPUTS = [
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2), 0.0, "non-finite"),  # inf M at t = 0
+        (np.eye(2), np.array([np.nan, 0.0]), 1.0, "non-finite"),  # NaN B
+        (np.eye(2), np.ones(2), np.inf, "non-finite"),
+        (np.eye(2), np.ones(2), -np.inf, "non-finite"),
+        (np.full((2, 2), 1e300), np.ones(2), 1e10, "non-finite"),  # tM overflows
+        (np.eye(2), np.ones(2), np.nan, "non-finite"),
+        # the second-order closed form
+        (second_order([[np.inf, 0.0], [0.0, 1.0]]), np.ones(4), 1.0, "non-finite"),  # inf in T
+        (second_order([[np.inf, 0.0], [0.0, 1.0]], -1.0), np.ones(4), 0.0, "non-finite"),
+        (second_order(np.eye(2)), np.array([np.nan, 0.0, 0.0, 0.0]), 1.0, "non-finite"),  # NaN B
+        (second_order(np.eye(2)), np.ones(4), np.inf, "non-finite"),
+        (second_order(np.eye(2), -1.0), np.ones(4), -np.inf, "non-finite"),
+        (second_order(np.eye(2)), np.ones(4), np.nan, "non-finite"),
+        # delta T has eigenvalue 1e6: cosh(sqrt(1e6) t) = cosh(1000) overflows
+        (second_order(np.diag([1e6, -1.0])), np.ones(4), 1.0, "overflowed"),
+        (second_order(np.diag([-1e6, 1.0]), -1.0), np.eye(4), 1.0, "overflowed"),
+    ]
+
+    @pytest.mark.parametrize("M,B,t,match", BAD_INPUTS)
+    def test_bad_input_is_one_value_error_without_warning(self, M, B, t, match):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="non-finite"):
+            with pytest.raises(ValueError, match=match):
                 exp_affine(M, B, t)
+
+    @pytest.mark.parametrize("M,B,t,match", BAD_INPUTS)
+    def test_bad_input_fails_the_step(self, M, B, t, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailureError, match=match) as info:
+                _kernel(exp_affine, M, B, t)
+        assert isinstance(info.value.__cause__, ValueError)
 
     def test_one_finiteness_check_per_call(self, rng, monkeypatch):
         # M, B and t are covered by expm's one check of the augmented matrix
@@ -224,6 +270,120 @@ class TestExpAffine:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="1-norm overflowed"):
                 exp_affine(np.full((2, 2), 1e308), np.ones(2), 1.0)
+
+
+class TestSecondOrderClosedForm:
+    """M = [[0, T], [delta I, 0]] takes exp_affine's closed form; it must
+    agree with the Pade kernel, and every other M must keep its bits."""
+
+    def test_matches_pade_on_drawn_matrices(self):
+        rng = np.random.default_rng(23)
+        seen = set()
+        for draw in range(300):
+            k = int(rng.integers(1, 12))
+            delta = (1.0, -1.0)[draw % 2]
+            # the spectrum of delta T: negative, zero and positive eigenvalues
+            lam = rng.uniform(-1.0, 1.0, k) * (1.0, 10.0, 50.0)[draw % 3]
+            lam[rng.random(k) < 0.3] = 0.0
+            Q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+            T = delta * (Q * lam) @ Q.T
+            F = second_order(0.5 * (T + T.T), delta)
+            assert _second_order_sign(F) == delta
+            seen.update((delta, int(np.sign(v))) for v in lam)
+            B = (rng.standard_normal(2 * k) if draw % 4 < 2
+                 else rng.standard_normal((2 * k, int(rng.integers(1, 4)))))
+            t = rng.uniform(0.0, 1.0)
+            E, Y = exp_affine(F, B, t)
+            E_ref, Y_ref = pade_augmented(F, B, t)
+            assert Y.shape == B.shape
+            assert np.linalg.norm(E - E_ref) <= 1e-12 * np.linalg.norm(E_ref)
+            assert np.linalg.norm(Y - Y_ref) <= 1e-12 * np.linalg.norm(Y_ref)
+        assert seen == {(d, s) for d in (1.0, -1.0) for s in (-1, 0, 1)}
+
+    def test_nilpotent_and_scalar_forms(self):
+        # T = 0: e^(tF) = I + tF and t phi(tF) = tI + t^2 F/2, exactly
+        F = second_order(np.zeros((3, 3)), -1.0)
+        E, P = exp_affine(F, np.eye(6), 0.5)
+        assert np.array_equal(E, np.eye(6) + 0.5 * F)
+        assert np.array_equal(P, 0.5 * np.eye(6) + 0.125 * F)
+        # 1 x 1 T = -4 with delta = 1: a harmonic oscillator of frequency 2
+        E, y = exp_affine(second_order([[-4.0]]), np.array([0.0, 1.0]), 0.3)
+        c, s = np.cos(0.6), np.sin(0.6)
+        assert np.allclose(E, [[c, -2.0 * s], [0.5 * s, c]], rtol=1e-15, atol=1e-16)
+        assert np.allclose(y, [c - 1.0, s / 2.0], rtol=1e-14, atol=0.0)
+
+    def test_t_zero_is_identity_and_zero(self, rng):
+        T = rng.standard_normal((5, 5))
+        F = second_order(T + T.T, -1.0)
+        for B in (rng.standard_normal(10), rng.standard_normal((10, 3))):
+            E, Y = exp_affine(F, B, 0.0)
+            assert np.array_equal(E, np.eye(10))
+            assert np.array_equal(Y, np.zeros(B.shape))
+
+    def test_near_forms_keep_pade_bits(self, rng):
+        k = 5
+        T = rng.standard_normal((k, k))
+        T = T + T.T
+        mixed = second_order(T)
+        mixed[k + 2, 2] = -1.0  # D = diag(1, 1, -1, 1, 1)
+        diagonal_block = second_order(T)
+        diagonal_block[0, 0] = 1e-3
+        lower_block = second_order(T, -1.0)
+        lower_block[-1, -1] = -2.0
+        off_diagonal_d = second_order(T)
+        off_diagonal_d[k + 1, 0] = 0.5
+        nonsymmetric = second_order(T)
+        nonsymmetric[0, k + 1] += 1e-12
+        for M in (mixed, diagonal_block, lower_block, off_diagonal_d, nonsymmetric):
+            assert _second_order_sign(M) == 0.0
+            E, P = exp_affine(M, np.eye(2 * k), 1.0)
+            E_ref, P_ref = pade_augmented(M, np.eye(2 * k), 1.0)
+            assert np.array_equal(E, E_ref) and np.array_equal(P, P_ref)
+
+    def test_lanczos_matrix_takes_the_closed_form(self):
+        from symkry import CountingAction, KleinGordonSystem, hamiltonian_lanczos
+
+        sys = KleinGordonSystem(n=100)
+        x = sys.initial_state
+        F = hamiltonian_lanczos(CountingAction.from_system(sys, x), sys.f(x), 6).basis.reduced
+        assert _second_order_sign(F) in (1.0, -1.0)
+
+
+class TestPhiIdentityProperties:
+    """Seeded draws of structured and general F: exp_affine keeps the
+    reflection identity e^(-hF) h phi(hF) = h phi(-hF) and the doubling
+    identities e^(hF) = E^2 and h phi(hF) b = K (E b + b), with
+    (E, K) = exp_affine(F, I, h/2), on both of its paths."""
+
+    @staticmethod
+    def draws(structured, count=150):
+        rng = np.random.default_rng(31 if structured else 37)
+        for _ in range(count):
+            if structured:
+                k = int(rng.integers(1, 12))
+                T = rng.standard_normal((k, k))
+                F = second_order(T + T.T, float(rng.choice([-1.0, 1.0])))
+            else:
+                F = rng.standard_normal((int(rng.integers(1, 23)),) * 2)
+            h = rng.uniform(0.05, 8.0) / np.linalg.norm(F, 2)
+            yield F, h, rng.standard_normal(F.shape[0])
+
+    @pytest.mark.parametrize("structured", [True, False])
+    def test_reflection(self, structured):
+        for F, h, _ in self.draws(structured):
+            assert (_second_order_sign(F) != 0.0) == structured
+            I = np.eye(F.shape[0])
+            E_minus, K_minus = exp_affine(F, I, -h)  # K_minus = -h phi(-hF)
+            K = exp_affine(F, I, h)[1]
+            assert np.linalg.norm(E_minus @ K + K_minus) <= 1e-12 * np.linalg.norm(K_minus)
+
+    @pytest.mark.parametrize("structured", [True, False])
+    def test_doubling(self, structured):
+        for F, h, b in self.draws(structured):
+            E_half, K = exp_affine(F, np.eye(F.shape[0]), 0.5 * h)
+            E, y = exp_affine(F, b, h)
+            assert np.linalg.norm(E_half @ E_half - E) <= 1e-12 * np.linalg.norm(E)
+            assert np.linalg.norm(K @ (E_half @ b + b) - y) <= 1e-12 * np.linalg.norm(y)
 
 
 class TestPhiIdentities:

@@ -11,7 +11,9 @@ CSV is written; only the integration is on the clock.
 
 Prints each side's median seconds per pass with its interquartile range
 (and ms per step), the B/A ratio of the medians, the share of pairs each
-side won, and whether the two sides' final states are bit-equal.
+side won, and whether the two sides' final states are bit-equal; when they
+are not, the largest relative difference ||a - b||/||a|| of a section's
+final states, so a change that moves rounding reports how far.
 
 Usage: python3 tools/ab_time.py A_SRC B_SRC WORKLOAD [SEED [PAIRS]]
 
@@ -106,7 +108,13 @@ def main(argv):
     print(f"B/A median ratio {ratio:.3f}; B won {b_wins}/{pairs} pairs, "
           f"A won {a_wins}/{pairs}")
     equal = all(a.tobytes() == b.tobytes() for a, b in zip(finals["A"], finals["B"]))
-    print(f"final states bit-equal: {'yes' if equal else 'no'}")
+    if equal:
+        print("final states bit-equal: yes")
+    else:
+        diff = max(np.linalg.norm(a - b) / np.linalg.norm(a)
+                   for a, b in zip(finals["A"], finals["B"]))
+        print(f"final states bit-equal: no; largest relative difference "
+              f"||a - b||/||a|| over the sections {diff:.3e}")
     return 0
 
 
