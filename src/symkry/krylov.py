@@ -6,22 +6,25 @@ isotropic Arnoldi processes (symplectic, orthonormal bases of the form
 [V, J^(-1) V]), and the Hamiltonian Lanczos recursion (symplectic basis
 with a short two-sided recursion and reduced matrix [[0, T], [D, 0]]).
 
-Every builder writes its basis vectors as rows of preallocated blocks,
-so the basis built so far is a contiguous prefix, puts the images A U
-into one block at the end, and hands ``BasisMatrix`` the rows of U^+ its
-recursion holds (the paired bases are orthonormal, so theirs are the
-basis rows; Lanczos's are J v_i and J^(-1) u_i).  The rows J v and
-J^(-1) v are written into their block rows by ``core.apply_J`` and
-``apply_J_inverse`` with ``out=``, norms are sqrt(v . v) (``core._norm``,
-numpy's bits) and recurrences update their fresh remainder in place.  ``_project_out`` is
-every removal of a basis's range, along its left inverse: classical
-Gram-Schmidt with one reorthogonalization pass, two row products per
-pass (the Arnoldi recurrences, the paired processes'
-omega-orthogonalization, the Lanczos reorthogonalization, the basis
-extension).  The Lanczos recursion is kept short on purpose, which is
-where its cost advantage comes from, at the price of slow symplecticity
-drift for larger pair counts.  ``CountingAction`` is the one matrix
-action and the one matvec counter.
+Every builder writes its basis vectors as rows of preallocated blocks
+and hands ``BasisMatrix`` the rows of U^+ its recursion holds (the paired
+bases are orthonormal, so theirs are the basis rows; Lanczos's are J v_i
+and J^(-1) u_i).  The Arnoldi-type builders keep the basis built so far
+as a contiguous prefix and put the images A U into one block at the end;
+Lanczos writes U, U^+ and A U as three planes of one block, each row in
+its final [u..., v...] place.  The rows J v and J^(-1) v are written
+into their block rows by ``core.apply_J`` and ``apply_J_inverse`` with
+``out=``, norms are sqrt(v . v) (``core._norm``, numpy's bits) and
+recurrences update their fresh remainder in place.  ``_project_out`` is
+the removal of a basis's range along its left inverse for the Arnoldi
+recurrences, the paired processes' omega-orthogonalization and the basis
+extension: classical Gram-Schmidt with one reorthogonalization pass, two
+row products per pass.  Lanczos removes the pairs built so far from each
+remainder with one such pass of its own, since its three-term recurrence
+has already done the first.  The Lanczos recursion is kept short on
+purpose, which is where its cost advantage comes from, at the price of
+slow symplecticity drift for larger pair counts.  ``CountingAction`` is
+the one matrix action and the one matvec counter.
 
 ``extend_basis`` adjoins any vector to a built basis of either kind (one
 column, or one pair) and returns the extended basis with its reduced
@@ -92,9 +95,10 @@ class KrylovOutcome:
     ``residual_norm`` is the norm of the last unorthogonalized remainder
     (the quantity whose smallness triggered an early stop, or the final
     subdiagonal/remainder norm on a clean finish).  ``action_images``
-    caches A U, as the columns view of the builder's image rows;
-    ``extend_basis`` reads it to form the reduced matrix of an extended
-    basis with one action per new column.
+    caches A U, as the columns view of the builder's image rows (for
+    Lanczos, the third plane of the block that holds the basis rows and
+    their left inverse); ``extend_basis`` reads it to form the reduced
+    matrix of an extended basis with one action per new column.
     """
 
     basis: BasisMatrix
@@ -122,7 +126,9 @@ def _project_out(w, rows, left=None):
     Returns w and the coefficients of each pass (their sum is Arnoldi's H
     column).  The first pass writes a new array, so the caller's w is
     left alone, and the second subtracts in place.  An empty basis leaves
-    w unchanged."""
+    w unchanged.  Its callers remove a whole new vector, so the second
+    pass is what makes the removal hold to rounding; Hamiltonian Lanczos,
+    whose recurrence is a first pass, runs only one of its own."""
     left = rows if left is None else left
     h = left @ w
     w = w - h @ rows
@@ -269,22 +275,29 @@ def hamiltonian_lanczos(action, v, k):
     recursion coefficients and D = diag(+-1).  The range of U contains
     A^j v for j = 0..2k'-1.  A vanishing pairing tau stops the recursion
     (breakdown) with the partial basis returned; the caller decides the
-    fallback.  Each new remainder is omega-reorthogonalized against the
-    basis built so far, which arrests the symplecticity drift of the bare
-    recursion while keeping the orthogonalization bill below Arnoldi's.
+    fallback.
 
-    The pairs are rows of one preallocated block R = [u_1, v_1, u_2, ...],
-    with the rows of U^+ (J v_i, J^(-1) u_i) in a block L, so the basis so
-    far is a prefix and ``_project_out`` removes it with (L[:2j] w) R[:2j].
-    U and L take [u..., v...] order at the end, and L is handed to the
-    basis as its left inverse.  The actions' outputs are kept as they
-    come; the images A U are written once at the end, in that order, with
-    A u_j = (A u_hat) / sigma_j as the loop would have divided it.
+    The three-term recurrence is the first orthogonalization of each new
+    remainder; one classical Gram-Schmidt pass over the pairs built so far
+    follows, with the coefficients of both halves taken from the same
+    remainder (2j inner products for pair j).  Those are the two passes
+    that are enough ("twice is enough", Parlett, The Symmetric Eigenvalue
+    Problem, SIAM 1998, sec. 6-9): a third would remove only rounding,
+    while without this one the basis loses symplecticity rapidly.  The
+    recursion coefficients are left untouched: the removed components sit
+    at drift level.
+
+    One block of shape (3, 2k, 2n) holds the rows of U, the rows of U^+
+    (J v_i, then J^(-1) u_i) and the images A U, each already in its final
+    [u..., v...] place: u_j in row j and v_j in row k + j.  An early stop
+    (k' < k) moves the v rows up once.  The three planes become the
+    basis's rows, its left inverse and ``action_images``, with no copy.
+    A u_j is the action's image of the remainder divided by sigma_j.
     """
     v, nv = _validate_start(action, v, k, action.dim // 2, "hamiltonian_lanczos")
-    R, L = np.empty((2 * k, action.dim)), np.empty((2 * k, action.dim))
+    block = np.empty((3, 2 * k, action.dim))
+    U, L, images = block  # rows of U, of U^+ and of A U
     alphas, sigmas, deltas = [], [], []
-    w_hats, xs = [], []  # the actions' images of u_hat and of v_j
 
     u_hat = v.copy()
     scale_ref = nv
@@ -297,52 +310,45 @@ def hamiltonian_lanczos(action, v, k):
             terminated = INVARIANT_SUBSPACE
             break
         w_hat = action.apply(u_hat)
-        apply_J_inverse(u_hat, out=L[2 * j + 1])
-        tau = float(L[2 * j + 1] @ w_hat)  # omega(u_hat, w_hat)
+        apply_J_inverse(u_hat, out=L[k + j])
+        tau = float(L[k + j] @ w_hat)  # omega(u_hat, w_hat)
         if abs(tau) <= BREAKDOWN_RTOL * nu * nu:
             terminated = BREAKDOWN
             break
         sigma = math.sqrt(abs(tau))
         delta = 1.0 if tau > 0 else -1.0
-        u_j, v_j = R[2 * j], R[2 * j + 1]
+        u_j, v_j = U[j], U[k + j]
         np.divide(u_hat, sigma, out=u_j)
         np.multiply(delta / sigma, w_hat, out=v_j)
-        apply_J(v_j, out=L[2 * j])
-        L[2 * j + 1] /= sigma  # J^(-1) u_j
+        apply_J(v_j, out=L[j])
+        L[k + j] /= sigma  # J^(-1) u_j
+        np.divide(w_hat, sigma, out=images[j])  # A u_j
         deltas.append(delta)
         sigmas.append(sigma)  # sigma_j = beta_{j-1} couples u_{j-1} and u_j in T
-        w_hats.append(w_hat)
 
-        x = action.apply(v_j)
-        xs.append(x)
-        alphas.append(float(L[2 * j] @ x))  # alpha_j = -omega(v_j, x)
+        x = images[k + j] = action.apply(v_j)
+        alphas.append(float(L[j] @ x))  # alpha_j = -omega(v_j, x)
         if j + 1 < k:
             u_hat = x - alphas[-1] * u_j
             if j:
-                u_hat -= sigma * R[2 * j - 2]
-            # omega-reorthogonalize the remainder against all current pairs;
-            # the recursion coefficients are left untouched (the removed
-            # components sit at drift level) but without this the basis
-            # loses symplecticity rapidly.  Costs 4j inner products per
-            # pair, still well below one Arnoldi orthogonalization sweep.
-            u_hat = _project_out(u_hat, R[:2 * j + 2], L[:2 * j + 2])[0]
+                u_hat -= sigma * U[j - 1]
+            # one Gram-Schmidt pass over the pairs so far, both halves'
+            # coefficients from this remainder
+            h_u, h_v = L[:j + 1] @ u_hat, L[k:k + j + 1] @ u_hat
+            u_hat -= h_u @ U[:j + 1]
+            u_hat -= h_v @ U[k:k + j + 1]
             scale_ref = _norm(x)
 
     kp = len(deltas)
+    if kp < k:
+        block[:, kp:2 * kp] = block[:, k:k + kp]
     F = np.zeros((2 * kp, 2 * kp))
     T, D = F[:kp, kp:], F[kp:, :kp]  # F = [[0, T], [D, 0]]
     T.flat[::kp + 1] = alphas
     T.flat[1::kp + 1] = T.flat[kp::kp + 1] = sigmas[1:]
     D.flat[::kp + 1] = deltas
-    images = np.empty((2 * kp, action.dim))  # A U in [u..., v...] order
-    if kp:
-        np.divide(w_hats, np.array(sigmas)[:, None], out=images[:kp])  # A u_j, as computed
-        images[kp:] = xs
-
-    def uv(block):  # rows [u_1, v_1, u_2, ...] in [u..., v...] order
-        return np.concatenate((block[0:2 * kp:2], block[1:2 * kp:2]))
-    basis = BasisMatrix(uv(R).T, SYMPLECTIC, F, left=uv(L))
-    return KrylovOutcome(basis, terminated, float(resid), images.T)
+    basis = BasisMatrix(U[:2 * kp].T, SYMPLECTIC, F, left=L[:2 * kp])
+    return KrylovOutcome(basis, terminated, float(resid), images[:2 * kp].T)
 
 
 def extend_basis(outcome, action, x):

@@ -508,6 +508,32 @@ class TestLinearEnergyExactness:
             defect = abs(sys.energy(step(sys, cfg, x).x_plus) - energy) / abs(energy)
             assert defect <= 1e-11, (n, dim, h)
 
+    @pytest.mark.parametrize("process", ["symplectic-arnoldi", "isotropic-arnoldi",
+                                         "hamiltonian-lanczos"])
+    def test_eemp_average_energy_over_drawn_systems(self, process):
+        # 500 seeded draws as above, with x_prev = x + s z (s in [0.01, 0.5]):
+        # one EEMP step keeps H((x + x_prev)/2) in H((x_plus + x)/2) to
+        # 1e-11 of 1/2 ||A||_2 ||x||^2 times kappa(U) = ||U||_2^2.  H(x) can
+        # sit near 0, so |H(x)| is no scale; a symplectic U has ||U^+||_2 =
+        # ||U||_2 >= 1, so kappa(U) is 1 for the paired (orthonormal) bases
+        # and counts the rounding of a Lanczos basis near a breakdown
+        rng = np.random.default_rng(24)
+        for _ in range(500):
+            n = int(rng.integers(2, 11))
+            dim = int(rng.choice([d for d in (2, 4, 8) if d <= 2 * n]))
+            h = rng.uniform(0.01, 0.1)
+            sys = random_quadratic_system(rng, n)
+            x = rng.standard_normal(sys.dim)
+            x_prev = x + rng.uniform(0.01, 0.5) * rng.standard_normal(sys.dim)
+            cfg = StepperConfig(method="EEMP", basis_process=process, basis_dim=dim,
+                                step_size=h)
+            res = step_eemp(sys, cfg, x, x_prev)
+            defect = abs(sys.energy(0.5 * (res.x_plus + x)) - sys.energy(0.5 * (x + x_prev)))
+            scale = 0.5 * np.linalg.norm(sys.jacobian_dense(x), 2) * (x @ x)
+            kappa = np.linalg.norm(res.basis.columns, 2) ** 2
+            assert defect <= 1e-11 * scale * kappa, (n, dim, h)
+
+
 class TestEEMPTimeSymmetry:
     """EEMP is symmetric: stepping back from (x+, x) with -h in the step's
     basis U and reduced matrix F gives x_prev again, because x_prev - x lies

@@ -6,6 +6,7 @@ from symkry import (
     CountingAction,
     KleinGordonSystem,
     LinearWaveSystem,
+    NonlinearSchroedingerSystem,
     apply_J,
     apply_J_inverse,
     arnoldi,
@@ -268,27 +269,112 @@ class TestLanczosRowBlock:
         assert np.linalg.norm(F - out.basis.left_apply(AU)) <= 1e-12 * np.linalg.norm(F)
         assert symplectic_defect(U) <= STRUCTURE_TOL
 
-    def test_in_loop_removal_is_project_out_over_the_partial_basis(self, rng, monkeypatch):
-        # every reorthogonalization in the loop removes the range of the
-        # pairs built so far, as _project_out over that BasisMatrix does
-        project_out = krylov._project_out
-        calls = []
-
-        def spy(w, rows, left):
-            out = project_out(w, rows, left)
-            calls.append((w, out[0]))
-            return out
-
-        monkeypatch.setattr(krylov, "_project_out", spy)
+    def test_in_loop_removal_is_one_gram_schmidt_pass_over_the_partial_basis(self, rng):
+        # every remainder the loop hands to the action is the recurrence's
+        # remainder w after one classical Gram-Schmidt pass over the pairs
+        # built so far, w - (U^+ w)^T U^T over that partial BasisMatrix
         sys = KleinGordonSystem(n=400)
         x = sys.initial_state + 0.1 * rng.standard_normal(sys.dim)
-        out = hamiltonian_lanczos(CountingAction.from_system(sys, x), sys.f(x), 11)
-        U, kp = out.basis.columns, out.basis.n_columns // 2
-        assert kp == 11 and len(calls) == kp - 1
-        for j, (w, got) in enumerate(calls, start=1):
-            partial = BasisMatrix(np.column_stack([U[:, :j], U[:, kp: kp + j]]), SYMPLECTIC)
-            want = project_out(w, partial.rows, partial.left)[0]
+        jacobian = sys.linearize(x)
+        calls = []  # (input, image) of every action
+
+        def spy(v):
+            image = jacobian(v)
+            calls.append((v.copy(), image))
+            return image
+
+        out = hamiltonian_lanczos(CountingAction(sys.dim, spy), sys.f(x), 11)
+        U, F, kp = out.basis.columns, out.basis.reduced, out.basis.n_columns // 2
+        assert kp == 11 and len(calls) == 2 * kp
+        for j in range(kp - 1):
+            # the recurrence, as the loop forms it: x_j - alpha_j u_j - sigma_j u_(j-1)
+            w = calls[2 * j + 1][1] - F[j, kp + j] * U[:, j]
+            if j:
+                w -= F[j - 1, kp + j] * U[:, j - 1]
+            partial = BasisMatrix(np.column_stack([U[:, :j + 1], U[:, kp:kp + j + 1]]),
+                                  SYMPLECTIC)
+            want = w - (partial.left @ w) @ partial.rows
+            got = calls[2 * j + 2][0]
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_early_stop_compacts_to_the_formed_left_inverse(self, rng):
+        # a start inside an invariant block of 3 pairs stops a 5-pair build
+        # early; the v rows move up once, and U^+ is still, bit for bit,
+        # what BasisMatrix forms from U
+        A, v = invariant_block_start(rng, 7, 3)
+        out = hamiltonian_lanczos(dense_action(A), v, 5)
+        assert out.terminated == INVARIANT_SUBSPACE and out.basis.n_columns == 6
+        U = out.basis.columns
+        assert np.array_equal(out.basis.left, BasisMatrix(U, SYMPLECTIC).left)
+        assert np.linalg.norm(out.action_images - A @ U) <= 1e-13 * np.linalg.norm(A @ U)
+        assert symplectic_defect(U) <= STRUCTURE_TOL
+
+
+def spd_hamiltonian_matrix(rng, n, decades=4.0):
+    """A = J^(-1) S with S symmetric positive definite, its eigenvalues
+    log-uniform over ``decades`` decades around 1: omega(u, A u) = u^T S u > 0,
+    so the Lanczos pairing never vanishes."""
+    Q = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))[0]
+    eig = 10.0 ** rng.uniform(-decades / 2, decades / 2, 2 * n)
+    return apply_J_inverse((Q * eig) @ Q.T)
+
+
+def invariant_block_start(rng, n, m):
+    """A Hamiltonian matrix of dimension 2n that leaves the m coordinate
+    pairs (q_1..q_m, p_1..p_m) invariant, and a start vector inside them."""
+    inner, outer = np.r_[0:m, n:n + m], np.r_[m:n, n + m:2 * n]
+    A = np.zeros((2 * n, 2 * n))
+    A[np.ix_(inner, inner)] = spd_hamiltonian_matrix(rng, m)
+    if m < n:
+        A[np.ix_(outer, outer)] = spd_hamiltonian_matrix(rng, n - m)
+    v = np.zeros(2 * n)
+    v[inner] = rng.standard_normal(2 * m)
+    return A, v
+
+
+def check_lanczos_structure(out, action_images_of):
+    U = out.basis.columns
+    AU = action_images_of(U)
+    assert symplectic_defect(U) <= STRUCTURE_TOL
+    assert np.linalg.norm(out.action_images - AU) <= 1e-13 * np.linalg.norm(AU)
+
+
+class TestLanczosOnePassStructure:
+    """One Gram-Schmidt pass per remainder keeps the Lanczos basis
+    symplectic to STRUCTURE_TOL up to 60 pairs, and the images A U
+    exact, on the packaged problems and on drawn Hamiltonian matrices."""
+
+    @pytest.mark.parametrize("problem", ["klein-gordon-400", "nls-125", "wave-400"])
+    def test_packaged_problems_up_to_sixty_pairs(self, problem):
+        rng = np.random.default_rng(24)
+        sys = {"klein-gordon-400": lambda: KleinGordonSystem(n=400),
+               "nls-125": lambda: NonlinearSchroedingerSystem(n=125),
+               "wave-400": lambda: LinearWaveSystem(n=400)}[problem]()
+        for _ in range(2):
+            x = sys.initial_state + 0.1 * rng.standard_normal(sys.dim)
+            jacobian = sys.linearize(x)
+            for k in (10, 30, 60):
+                out = hamiltonian_lanczos(CountingAction(sys.dim, jacobian), sys.f(x), k)
+                assert out.terminated == REACHED_K and out.basis.n_columns == 2 * k
+                check_lanczos_structure(
+                    out, lambda U: np.column_stack([jacobian(u) for u in U.T]))
+
+    def test_drawn_matrices_and_early_stops(self):
+        # 200 seeded draws: dimension 2n (n in 2..80), up to 60 pairs, and
+        # half of the starts inside an invariant block of m < n pairs, so a
+        # build longer than m pairs stops early
+        rng = np.random.default_rng(24)
+        stops = {REACHED_K: 0, INVARIANT_SUBSPACE: 0}
+        for _ in range(200):
+            n = int(rng.integers(2, 81))
+            k = int(rng.integers(1, min(60, n) + 1))
+            m = int(rng.integers(1, n)) if rng.random() < 0.5 else n
+            A, v = invariant_block_start(rng, n, m)
+            out = hamiltonian_lanczos(dense_action(A), v, k)
+            stops[out.terminated] += 1
+            assert out.basis.n_columns == 2 * min(k, m), (n, k, m)
+            check_lanczos_structure(out, lambda U: A @ U)
+        assert min(stops.values()) >= 20, stops
 
 
 BUILDERS = [(arnoldi, 1), (symplectic_arnoldi, 2), (isotropic_arnoldi, 2),
@@ -332,22 +418,22 @@ class TestTwoRowBlocks:
             got = out.basis.left_apply(v)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
-    def test_lanczos_left_is_its_in_loop_block(self, problem, monkeypatch):
-        # U^+ formed by BasisMatrix is, bit for bit, the block L of rows
-        # J v_i, J^(-1) u_i that the recursion keeps
-        project_out = krylov._project_out
-        blocks = []
-
-        def spy(w, rows, left):
-            blocks.append(left.base)  # the whole block L, filled in place
-            return project_out(w, rows, left)
-
-        monkeypatch.setattr(krylov, "_project_out", spy)
+    def test_lanczos_rows_left_and_images_are_one_block(self, problem):
+        # a full-length build's U^T, U^+ and A U are the three planes of one
+        # allocation, with nothing else in it
         out = build_on(problem, hamiltonian_lanczos, 2)[0]
-        kp = out.basis.n_columns // 2
-        assert out.terminated == REACHED_K and 2 * kp == len(blocks[-1])
-        order = np.r_[0:2 * kp:2, 1:2 * kp:2]  # [u..., v...]
-        assert np.array_equal(out.basis.left, blocks[-1][order])
+        assert out.terminated == REACHED_K
+        arrays = (out.basis.rows, out.basis.left, out.action_images)
+        blocks = {id(allocation(a)) for a in arrays}
+        assert len(blocks) == 1
+        assert allocation(arrays[0]).nbytes == 3 * arrays[0].nbytes
+
+
+def allocation(array):
+    """The array that owns the memory ``array`` views."""
+    while array.base is not None:
+        array = array.base
+    return array
 
 
 @pytest.mark.parametrize("problem", ["random-hamiltonian", "klein-gordon-64"])

@@ -10,10 +10,12 @@ One untimed pass per side comes first.  No reference is computed and no
 CSV is written; only the integration is on the clock.
 
 Prints each side's median seconds per pass with its interquartile range
-(and ms per step), the B/A ratio of the medians, the share of pairs each
-side won, and whether the two sides' final states are bit-equal; when they
-are not, the largest relative difference ||a - b||/||a|| of a section's
-final states, so a change that moves rounding reports how far.
+(and ms per step), its minor page faults per step (the ``ru_minflt``
+growth over that side's timed passes), the B/A ratio of the medians, the
+share of pairs each side won, and whether the two sides' final states are
+bit-equal; when they are not, the largest relative difference
+||a - b||/||a|| of a section's final states, so a change that moves
+rounding reports how far.
 
 Usage: python3 tools/ab_time.py A_SRC B_SRC WORKLOAD [SEED [PAIRS]]
 
@@ -21,9 +23,15 @@ SEED defaults to 0 and PAIRS (at least 2) to 10.  In one interpreter
 both sides see the same machine state, so the ratio repeats where
 separate benchmark series drift; set OPENBLAS_NUM_THREADS=1 as perfbench
 does.  Uses only the standard library, numpy and the two trees.
+
+Both sides share one allocator, so a gain that comes from the allocation
+pattern (a heap that is no longer trimmed and re-faulted on every step)
+shows here in the fault counts but hardly in the ratio; only perfbench's
+fresh processes show it in time.
 """
 
 import importlib.util
+import resource
 import statistics
 import sys
 import time
@@ -91,9 +99,12 @@ def main(argv):
 
     finals = {label: one_pass(*sides[label])[1] for label in sides}
     times = {label: [] for label in sides}
+    faults = dict.fromkeys(sides, 0)
     for i in range(pairs):
         for label in ("AB" if i % 2 == 0 else "BA"):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             seconds, finals[label] = one_pass(*sides[label])
+            faults[label] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
             times[label].append(seconds)
 
     print(f"{argv[2]} seed {seed}: {pairs} pairs, order alternated, "
@@ -101,7 +112,8 @@ def main(argv):
     for label, src in (("A", argv[0]), ("B", argv[1])):
         median, iqr = quartiles(times[label])
         print(f"{label} {src}: median {median:.4f} s/pass (IQR {iqr:.4f}), "
-              f"{1e3 * median / steps:.4f} ms/step")
+              f"{1e3 * median / steps:.4f} ms/step, "
+              f"{faults[label] / (pairs * steps):.2f} minor faults/step")
     b_wins = sum(b < a for a, b in zip(times["A"], times["B"]))
     a_wins = sum(a < b for a, b in zip(times["A"], times["B"]))
     ratio = statistics.median(times["B"]) / statistics.median(times["A"])
