@@ -258,6 +258,45 @@ class TestReferenceSolution:
             with pytest.raises(ReferenceFailureError, match=re.escape(message)):
                 reference_solution(sys, [1.0, 0.0], t_grid, mode="dense")
 
+    def test_dense_intervals_below_the_old_absolute_key_stay_distinct(self, rng):
+        # intervals of 1e-16 and 2e-16 are two propagators: the state at
+        # 3e-16 is the one-interval state, not the state at 2e-16
+        S = rng.standard_normal((4, 4))
+        sys = QuadraticHamiltonianSystem(1e15 * (S + S.T))
+        x0 = rng.standard_normal(sys.dim)
+        states = reference_solution(sys, x0, [0.0, 1e-16, 3e-16], mode="dense")
+        want = reference_solution(sys, x0, [0.0, 3e-16], mode="dense")[1]
+        assert np.linalg.norm(states[2] - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_dense_uniform_grid_forms_one_propagator(self, rng, monkeypatch):
+        # the s h grid of a run (T = 10, 500 steps, every 10th recorded):
+        # its intervals differ in their last bits but are one length
+        S = rng.standard_normal((4, 4))
+        sys = QuadraticHamiltonianSystem(S + S.T, rng.standard_normal(4))
+        h = 10.0 / 500
+        t_grid = np.array([s * h for s in range(0, 501, 10)])
+        assert np.unique(np.diff(t_grid)).size > 1
+        calls, real = [], harness.exp_affine
+        monkeypatch.setattr(harness, "exp_affine", lambda *a: calls.append(a[2]) or real(*a))
+        reference_solution(sys, rng.standard_normal(4), t_grid, mode="dense")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("t_grid, message", [
+        ([0.0, np.nan], "finite"),
+        ([0.0, np.inf], "finite"),
+        ([np.nan], "finite"),
+        ([0.0, 1.0, 1.0], "strictly increasing"),
+        ([0.0, -1.0], "strictly increasing"),
+    ])
+    @pytest.mark.parametrize("mode", ["fine", "dense"])
+    def test_bad_time_grid_is_a_value_error_not_a_reference_failure(self, t_grid, message, mode):
+        sys = QuadraticHamiltonianSystem(np.diag([1.0, 2.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"t_grid must be {message}") as info:
+                reference_solution(sys, [1.0, 0.0], t_grid, mode=mode)
+        assert not isinstance(info.value, ReferenceFailureError)
+
     def test_fine_overflow_is_a_value_error_without_warning(self):
         # RK4 at a micro step of 0.1 is unstable on Klein-Gordon n=100
         # (rho(Df) h of about 20); the oracle fails typed instead of

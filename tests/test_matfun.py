@@ -76,11 +76,16 @@ class TestExpm:
         assert np.allclose(expm(N), np.array([[1.0, 1.0], [0.0, 1.0]]), atol=1e-15)
 
     def test_against_series_oracle(self, rng):
-        for scale in (0.1, 1.0, 8.0, 40.0):
+        # one draw in each 1-norm band of Higham's (2005) degree selection,
+        # split at theta_3, ..., theta_13; the one [13/13] approximant takes all
+        bands = set()
+        for scale in (0.1, 1.0, 8.0, 40.0, 0.004, 0.05, 0.6):
             M = rng.standard_normal((8, 8)) * scale / np.sqrt(8)
+            bands.add(int(np.searchsorted([0.015, 0.25, 0.95, 2.1, 5.37], np.linalg.norm(M, 1))))
             E = expm(M)
             O = expm_series_oracle(M)
             assert np.linalg.norm(E - O) <= 1e-13 * np.linalg.norm(O)
+        assert bands == set(range(6))
 
     def test_hamiltonian_exponential_is_symplectic(self, rng):
         # reduced matrices of symplectic bases are Hamiltonian, so their
@@ -203,6 +208,26 @@ class TestExpAffine:
                 assert np.array_equal(y_k, 2.0 ** k * y)
                 assert np.array_equal(E_k, E)
 
+    @pytest.mark.parametrize("M", [np.zeros((1, 1)), np.array([[2.0]])])
+    def test_power_of_two_scaling_is_exact_up_to_overflow(self, M):
+        # b = 2^k near the top of the range: y is 2^k times its value at
+        # b = 1, bit for bit, until the exact result overflows, which is a
+        # ValueError; no numpy warning on either side
+        y = exp_affine(M, np.ones(1), 1.0)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(1015, 1024):
+                with np.errstate(over="ignore"):
+                    want = np.ldexp(y, k)
+                if np.isfinite(want).all():
+                    assert np.array_equal(exp_affine(M, np.array([2.0 ** k]), 1.0)[1], want)
+                else:
+                    with pytest.raises(ValueError, match="overflowed"):
+                        exp_affine(M, np.array([2.0 ** k]), 1.0)
+            # the column norm 1e308 scales by 2^-1024 and back; y = b to rounding
+            y = exp_affine(np.zeros((1, 1)), [1e308], 1.0)[1]
+            assert np.isfinite(y).all() and abs(y[0] - 1e308) <= 1e-15 * 1e308
+
     def test_huge_column_keeps_relative_accuracy(self, rng):
         M = rng.standard_normal((6, 6))
         b = 1e8 * rng.standard_normal(6)
@@ -237,6 +262,9 @@ class TestExpAffine:
         (second_order(np.eye(2)), np.ones(4), np.inf, "non-finite"),
         (second_order(np.eye(2), -1.0), np.ones(4), -np.inf, "non-finite"),
         (second_order(np.eye(2)), np.ones(4), np.nan, "non-finite"),
+        # the Pade path: t phi(t M) b = 3.19 * 1e308 overflows when the
+        # column scaling is undone
+        (np.array([[2.0]]), np.array([1e308]), 1.0, "overflowed"),
         # delta T has eigenvalue 1e6: cosh(sqrt(1e6) t) = cosh(1000) overflows
         (second_order(np.diag([1e6, -1.0])), np.ones(4), 1.0, "overflowed"),
         (second_order(np.diag([-1e6, 1.0]), -1.0), np.eye(4), 1.0, "overflowed"),

@@ -1,13 +1,16 @@
 """Interleaved A/B timing of two symkry source trees in one interpreter.
 
 Loads the package of A_SRC as ``symkry_a`` and the one of B_SRC as
-``symkry_b``, builds each section of a perfbench workload on both sides
-(the preset text of ``perfbench/workloads.py`` of this checkout, read and
-not changed, through ``parse_config_text`` and ``config_from_mapping``),
-and then times ``integrators.integrate`` over all sections, alternating
+``symkry_b``, builds each section of NAME on both sides through
+``parse_config_text`` and ``config_from_mapping``, and then times
+``integrators.integrate`` over all sections, alternating
 the sides: pair i runs A first when i is even and B first when it is odd.
 One untimed pass per side comes first.  No reference is computed and no
-CSV is written; only the integration is on the clock.
+CSV is written; only the integration is on the clock.  NAME is a
+perfbench workload (the preset text of ``perfbench/workloads.py`` of this
+checkout, read and not changed, at seed SEED) or a packaged preset (the
+text of ``src/symkry/presets/NAME.conf`` of this checkout, whose sections
+carry their own seeds, so SEED is not used).
 
 Prints each side's median seconds per pass with its interquartile range
 (and ms per step), its minor page faults per step (the ``ru_minflt``
@@ -17,7 +20,7 @@ bit-equal; when they are not, the largest relative difference
 ||a - b||/||a|| of a section's final states, so a change that moves
 rounding reports how far.
 
-Usage: python3 tools/ab_time.py A_SRC B_SRC WORKLOAD [SEED [PAIRS]]
+Usage: python3 tools/ab_time.py A_SRC B_SRC NAME [SEED [PAIRS]]
 
 SEED defaults to 0 and PAIRS (at least 2) to 10.  In one interpreter
 both sides see the same machine state, so the ratio repeats where
@@ -40,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+PRESETS = ROOT / "src" / "symkry" / "presets"
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import WORKLOADS, preset_text  # noqa: E402
@@ -81,16 +85,21 @@ def quartiles(values):
 
 
 def main(argv):
-    if not 3 <= len(argv) <= 5 or argv[2] not in WORKLOADS:
+    presets = sorted(path.stem for path in PRESETS.glob("*.conf"))
+    if not 3 <= len(argv) <= 5 or argv[2] not in (*WORKLOADS, *presets):
         print(__doc__.split("\n\n")[-2], file=sys.stderr)
         print(f"workloads: {', '.join(WORKLOADS)}", file=sys.stderr)
+        print(f"presets: {', '.join(presets)}", file=sys.stderr)
         return 2
     seed = int(argv[3]) if len(argv) > 3 else 0
     pairs = int(argv[4]) if len(argv) > 4 else 10
     if pairs < 2:
         print("PAIRS must be at least 2 for quartiles", file=sys.stderr)
         return 2
-    text = preset_text(argv[2], seed)
+    if argv[2] in WORKLOADS:
+        text, seeds = preset_text(argv[2], seed), f"seed {seed}"
+    else:
+        text, seeds = (PRESETS / f"{argv[2]}.conf").read_text(), "preset seeds"
     sides = {}
     for label, name, src in (("A", "symkry_a", argv[0]), ("B", "symkry_b", argv[1])):
         package = load(name, src)
@@ -107,7 +116,7 @@ def main(argv):
             faults[label] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
             times[label].append(seconds)
 
-    print(f"{argv[2]} seed {seed}: {pairs} pairs, order alternated, "
+    print(f"{argv[2]} {seeds}: {pairs} pairs, order alternated, "
           f"{len(sides['A'][1])} section(s), {steps} steps per pass")
     for label, src in (("A", argv[0]), ("B", argv[1])):
         median, iqr = quartiles(times[label])
