@@ -6,8 +6,8 @@ exponential integrators whose matrix functions are evaluated in small
 energy error of the projected schemes bounded instead of drifting.
 
 Submodules: ``core`` (symplectic linear algebra, system interface),
-``krylov`` (basis processes), ``matfun`` (the exponential and the affine
-flow, whose kernel gives phi), ``integrators`` (EE / EEMP / IEMP
+``krylov`` (basis processes), ``matfun`` (the exponential and the one
+phi kernel), ``integrators`` (EE / EEMP / IEMP
 steppers), ``problems`` (wave, NLS, Klein-Gordon benchmarks), ``harness``
 (experiment runner and CSV metrics).
 """
@@ -59,7 +59,7 @@ from .krylov import (
     isotropic_arnoldi,
     symplectic_arnoldi,
 )
-from .matfun import exp_affine, expm
+from .matfun import expm, phi_apply
 from .problems import (
     DiscreteLaplacian,
     KleinGordonSystem,
@@ -82,7 +82,7 @@ __all__ = [
     "integrate", "step_ee", "step_eemp", "step_iemp",
     "CountingAction", "KrylovOutcome", "arnoldi", "extend_basis",
     "hamiltonian_lanczos", "isotropic_arnoldi", "symplectic_arnoldi",
-    "exp_affine", "expm",
+    "expm", "phi_apply",
     "DiscreteLaplacian", "KleinGordonSystem", "LinearWaveSystem",
     "NonlinearSchroedingerSystem", "build_problem", "list_problems",
 ]

@@ -184,9 +184,11 @@ class HamiltonianSystem(ABC):
 
     Implementations provide the phase-space dimension 2n, the vector field
     f, the energy H, and ``linearize``, the one way to the Jacobian action
-    at a point (``linearize(x)(v)`` is Df(x) v); ``jacobian_dense`` is
-    derived from it.  All methods must be pure (read-only after
-    construction) so systems can be shared between concurrent runs.  A
+    at a point: ``linearize(x)(v, out=None)`` is Df(x) v for any sequence
+    v of 2n numbers, written into ``out`` when given (a float array not
+    overlapping v; nothing else is written) with the bits of the new array
+    returned without it; ``jacobian_dense`` is derived from it.  All
+    methods must be pure (read-only after construction) so systems can be shared between concurrent runs.  A
     linear system (``is_linear``) gives its affine parts f(x) = A x + c
     through ``jacobian_dense`` (A, at any point) and ``f`` (c = f(0)).
     """
@@ -207,8 +209,8 @@ class HamiltonianSystem(ABC):
 
     @abstractmethod
     def linearize(self, x):
-        """The action v -> Df(x) v, with the coefficients that depend on x
-        computed once; later changes to x do not reach it."""
+        """The action (v, out=None) -> Df(x) v, with the coefficients that
+        depend on x computed once; later changes to x do not reach it."""
 
     def jacobian_dense(self, x):
         """Densify Df(x) column by column; diagnostic, small sizes only."""
@@ -246,4 +248,4 @@ class QuadraticHamiltonianSystem(HamiltonianSystem):
         return float(0.5 * x @ self._s_apply(x) + self.d @ x)
 
     def linearize(self, x):
-        return lambda v: apply_J_inverse(self._s_apply(v))
+        return lambda v, out=None: apply_J_inverse(self._s_apply(v), out)

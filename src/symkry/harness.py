@@ -39,7 +39,7 @@ from ._version import __version__
 from .core import _norm
 from .errors import ConfigError, IntegrationAborted, ReferenceFailureError, StepFailureError
 from .integrators import StepperConfig, integrate
-from .matfun import exp_affine, mode_factors
+from .matfun import mode_factors, pade_flow
 from .problems import build_problem
 
 CSV_COLUMNS = "step,t,rel_energy_error,sol_error,basis_dim,fp_iters"
@@ -142,14 +142,14 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
     Jacobian at x0, c = f(0)), exact for linear systems.  When A is
     exactly [[0, I], [K, 0]] with K symmetric and c's q-half is zero, the
     states come from one ``eigh`` of K (``_second_order_flow``, on the mode
-    factors ``matfun.mode_factors`` that ``exp_affine``'s closed form for
-    Hamiltonian Lanczos matrices shares); otherwise from
-    ``exp_affine(A, c, dt)`` per grid interval, formed once per interval
-    length to 12 significant digits.  mode "fine": classical
+    factors ``matfun.mode_factors`` that ``phi_apply``'s closed form for
+    Hamiltonian Lanczos matrices shares); otherwise from one ``expm`` of
+    [[dt A, dt c], [0, 0]] (``matfun.pade_flow``) per grid interval length,
+    to 12 significant digits.  mode "fine": classical
     RK4 with ``factor`` micro steps per grid interval, each of length
     interval/factor.  In either mode a state at a grid point whose norm
     overflows (a non-finite one included), and an interval exponential
-    that ``exp_affine`` refuses, are a ReferenceFailureError, with no numpy
+    that ``pade_flow`` refuses, are a ReferenceFailureError, with no numpy
     warning.  A time grid that is not finite and strictly increasing is a
     ValueError, and ``_check_reference`` refuses bad arguments, before any
     work, on a one-point grid too.
@@ -185,7 +185,7 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
                 key = f"{dt:.11e}"  # 12 significant digits, whatever dt's size
                 try:
                     if key not in cache:
-                        cache[key] = exp_affine(A, c, dt)
+                        cache[key] = pade_flow(A, c, dt)
                 except ValueError as exc:  # the interval's exponential overflowed
                     raise ReferenceFailureError(
                         f"dense reference overflowed by t={t_grid[i]:.6g}: {exc}") from exc

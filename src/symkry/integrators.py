@@ -2,25 +2,23 @@
 
 Each step linearizes the system at a point, builds a basis U with reduced
 matrix F = U^+ Df U, and advances with one small dense kernel,
-``matfun.exp_affine``, which gives e^(hF) and h phi(hF) b together.  A
-Hamiltonian Lanczos F = [[0, T], [D, 0]] whose signs agree, D = delta I,
-takes its closed form from one ``eigh`` of delta T; every other F
-(Arnoldi's Hessenberg F, the symplectic and isotropic Arnoldi F, and a
-Lanczos F that EEMP's extension has grown by a pair) takes its Pade
-exponential:
+``matfun.phi_apply``: t phi(tF) B, in closed form for a Hamiltonian
+Lanczos F whose signs agree, by a Pade exponential for every other F.  No
+step forms e^(hF) = I + hF phi(hF) (Hochbruck & Ostermann, Acta Numer. 19
+(2010) 209):
 
     EE    x+ = x + h U phi(hF) U^+ f(x)
-    EEMP  x+ = x + U e^(hF) U^+ (x_prev - x) + 2h U phi(hF) U^+ f(x)
-    IEMP  implicit midpoint variant solved by fixed-point iteration in the
-          reduced coordinates; one application advances a full macro step.
+    EEMP  x+ = x + U (c_d + h phi(hF) (F c_d + 2 c_f)), the form
+          e^(hF) c_d + 2h phi(hF) c_f, c_d = U^+ (x_prev - x), c_f = U^+ f(x)
+    IEMP  x+ = x_mid + U K U^+ f(x_mid), K = (h/2) phi(hF/2), where x_mid =
+          x + U xi solves e^(hF/2) xi = K U^+ f(x + U xi) by fixed-point
+          iteration in the reduced coordinates; one application advances
+          a full macro step.
 
 IEMP predicts its midpoint with an EE half step in a basis of half the
 columns, rounded up to whole Krylov vectors, and builds the full basis
-there.  Each IEMP step evaluates two reduced exponentials: the
-predictor's, and one half-step ``exp_affine(F, I, h/2)`` whose e^(hF/2)
-and (h/2) phi(hF/2) serve both the fixed point and, by the doubling
-identities e^(hF) = e^(hF/2)^2 and h phi(hF) = (h/2) phi(hF/2) (e^(hF/2)
-+ I), the macro update.
+there; K serves the fixed point and the update, so each step evaluates
+two reduced kernels, the predictor's included.
 
 For EEMP, ``krylov.extend_basis`` adjoins the difference x_prev - x to the
 basis, keeping its kind, and returns the extended basis with its reduced
@@ -49,7 +47,7 @@ from .krylov import (
     isotropic_arnoldi,
     symplectic_arnoldi,
 )
-from .matfun import exp_affine
+from .matfun import phi_apply
 
 EE = "EE"
 EEMP = "EEMP"
@@ -182,7 +180,7 @@ def step_ee(system, config, x, rng=None):
     action = CountingAction.from_system(system, x)
     outcome = build_basis(action, fx, config, rng)
     basis = outcome.basis
-    _, xi = _kernel(exp_affine, basis.reduced, basis.left_apply(fx), config.step_size)
+    xi = _kernel(phi_apply, basis.reduced, basis.left_apply(fx), config.step_size)
     x_plus = _check_finite(x + basis.columns @ xi)
     return StepResult(x_plus, basis, outcome, action.count)
 
@@ -205,8 +203,9 @@ def step_eemp(system, config, x, x_prev, rng=None):
     action = CountingAction.from_system(system, x)
     outcome = build_basis(action, start, config, rng)
     basis = extend_basis(outcome, action, d)
-    E, y = _kernel(exp_affine, basis.reduced, 2.0 * basis.left_apply(fx), config.step_size)
-    x_plus = x + basis.columns @ (E @ basis.left_apply(d) + y)
+    F, c_d = basis.reduced, basis.left_apply(d)
+    y = _kernel(phi_apply, F, F @ c_d + 2.0 * basis.left_apply(fx), config.step_size)
+    x_plus = x + basis.columns @ (c_d + y)
     return StepResult(_check_finite(x_plus), basis, outcome, action.count)
 
 
@@ -242,12 +241,10 @@ def step_iemp(system, config, x, rng=None):
     a basis of half the columns (rounded up to whole Krylov vectors; the
     predictor only picks the point of linearization), linearize and build
     the full basis there, solve the implicit half-step relation by
-    fixed-point iteration, then form the full-step update from the
-    doubled-step relation.  One exponential, e^(hF/2) with K = (h/2)
-    phi(hF/2), serves both: K is the fixed point's kernel, and the update
-    uses e^(hF) = e^(hF/2)^2 and h phi(hF) b = K (e^(hF/2) b + b), so the
-    step evaluates two reduced exponentials, the predictor's included.
-    The result carries the midpoint as x_mid.
+    fixed-point iteration, then advance from the midpoint.  K = (h/2)
+    phi(hF/2) is the fixed point's kernel, and at the fixed point
+    e^(hF/2) xi = K b, b = U^+ f(x_mid), so the full step's xi - e^(hF) xi
+    + h phi(hF) b is xi + K b.  The result carries the midpoint as x_mid.
     """
     macro = config.step_size
     half = 0.5 * macro
@@ -265,15 +262,13 @@ def step_iemp(system, config, x, rng=None):
     action = CountingAction.from_system(system, x_tilde)
     outcome = build_basis(action, v if _norm(v) > 0 else system.f(x), config, rng)
     basis = outcome.basis
-    F = basis.reduced
-    E_half, kernel = _kernel(exp_affine, F, np.eye(F.shape[0]), half)
+    kernel = _kernel(phi_apply, basis.reduced, np.eye(basis.n_columns), half)
     xi0 = basis.left_apply(x_tilde - x)
     xi, iters = _solve_reduced_fixed_point(system, x, basis, kernel, xi0)
 
     x_mid = x + basis.columns @ xi
     b = basis.left_apply(system.f(x_mid))
-    update = xi - (E_half @ E_half) @ xi + kernel @ (E_half @ b + b)
-    x_plus = _check_finite(x + basis.columns @ update)
+    x_plus = _check_finite(x_mid + basis.columns @ (kernel @ b))
     return StepResult(x_plus, basis, outcome, predictor.matvecs + action.count, iters, x_mid)
 
 
@@ -298,7 +293,7 @@ def integrate(system, config, x0, n_steps=1, observer=None, rng=None):
     StepFailureError from its observer.  A ``basis_dim`` above the system
     dimension is a ConfigError before the first step.  Steps and observer
     run with numpy's overflow, invalid and divide signals raised (``expm``
-    and ``exp_affine`` handle theirs), so a failed step, a non-finite
+    and ``phi_apply`` handle theirs), so a failed step, a non-finite
     state, a FloatingPointError, or a StepFailureError from the observer
     aborts with IntegrationAborted("step N: ..."), which carries the
     summary of the steps completed so far, the failed step included when

@@ -66,8 +66,9 @@ DEPENDENCE_RTOL = 1e-12
 class CountingAction:
     """Matrix-free access to a (typically Hamiltonian) matrix A = Df(x).
 
-    ``apply`` maps v -> A v (the matrix is assumed large with cheap action)
-    and counts its calls in ``count``; this count is the only matvec
+    ``apply(v, out=None)`` maps v -> A v (the matrix is assumed large with
+    cheap action), into ``out`` as ``HamiltonianSystem.linearize``'s action
+    does, and counts its calls in ``count``; this count is the only matvec
     counter, reported per step by the integrators.
     """
 
@@ -81,9 +82,9 @@ class CountingAction:
         """Jacobian action of a HamiltonianSystem at the linearization point x."""
         return cls(system.dim, system.linearize(x))
 
-    def apply(self, v):
+    def apply(self, v, out=None):
         self.count += 1
-        return self._matvec(v)
+        return self._matvec(v, out)
 
 
 @dataclass
@@ -144,7 +145,7 @@ def arnoldi(action, v, k):
     invariant subspace stops the iteration early (never an error).
     """
     v, nv = _validate_start(action, v, k, action.dim, "arnoldi")
-    U, images = np.empty((k, action.dim)), []
+    U, images = np.empty((k, action.dim)), np.empty((k, action.dim))
     H = np.zeros((k, k))
     U[0] = v / nv
 
@@ -153,8 +154,7 @@ def arnoldi(action, v, k):
     resid = 0.0
     anorm = 0.0
     for j in range(k):
-        w = action.apply(U[j])
-        images.append(w)
+        w = action.apply(U[j], images[j])
         anorm = max(anorm, _norm(w))
         w, h, h2 = _project_out(w, U[: j + 1])
         np.add(h, h2, out=H[: j + 1, j])
@@ -170,17 +170,18 @@ def arnoldi(action, v, k):
         np.divide(w, r, out=U[j + 1])
 
     basis = BasisMatrix(U[:achieved].T, ORTHONORMAL, H[:achieved, :achieved])
-    return KrylovOutcome(basis, terminated, float(resid), np.array(images).T)
+    return KrylovOutcome(basis, terminated, float(resid), images[:achieved].T)
 
 
-def _assemble_paired(action, P, terminated, resid, known=()):
+def _assemble_paired(action, P, terminated, resid, images=None, known=0):
     """Form the symplectic U = [V, J^(-1) V], F = U^+ (A U) from the row
-    block P = [v_1, J^(-1) v_1, v_2, ...] of an isotropic V; ``known`` holds
-    images A v_j already computed for leading rows of V."""
+    block P = [v_1, J^(-1) v_1, v_2, ...] of an isotropic V.  The images
+    A U go into the rows of ``images`` (a new block if None), whose first
+    ``known`` rows already hold A v_j for the leading rows of V."""
     rows = np.concatenate((P[0::2], P[1::2]))
-    images = np.empty_like(rows)
-    for j, row in enumerate(rows):
-        images[j] = known[j] if j < len(known) else action.apply(row)
+    images = np.empty_like(rows) if images is None else images[:rows.shape[0]]
+    for j in range(known, rows.shape[0]):
+        action.apply(rows[j], images[j])
     # U is orthonormal as well, so U^+ = J_k^(-1) U^T J = U^T: J J^(-1) v = v
     basis = BasisMatrix(rows.T, SYMPLECTIC, left=rows)
     basis.reduced = basis.left_apply(images.T)
@@ -237,11 +238,11 @@ def isotropic_arnoldi(action, v, k):
     Q is orthonormal with Q^T J Q = 0 and U = [Q, J^(-1) Q] is symplectic
     and orthonormal.  Its range does not in general contain K_k(A, v), so a
     vanishing remainder is reported as a breakdown (no invariant-subspace
-    information can be inferred).  The images A q_j of the loop are reused
-    for F, so k pairs cost 2k actions.
+    information can be inferred).  The images A q_j of the loop are written
+    into the block of A U and reused for F, so k pairs cost 2k actions.
     """
     v, nv = _validate_start(action, v, k, action.dim // 2, "isotropic_arnoldi")
-    P = np.empty((2 * k, action.dim))
+    P, images = np.empty((2, 2 * k, action.dim))
     P[0] = v / nv
     apply_J_inverse(P[0], out=P[1])
     nq = 1
@@ -249,10 +250,8 @@ def isotropic_arnoldi(action, v, k):
     terminated = REACHED_K
     resid = 0.0
     anorm = 0.0
-    images = []
     for j in range(1, k):
-        w = action.apply(P[2 * (j - 1)])
-        images.append(w)
+        w = action.apply(P[2 * (j - 1)], images[j - 1])
         anorm = max(anorm, _norm(w))
         w = _project_out(w, P[: 2 * nq])[0]
         r = _norm(w)
@@ -264,7 +263,8 @@ def isotropic_arnoldi(action, v, k):
         apply_J_inverse(P[2 * nq], out=P[2 * nq + 1])
         nq += 1
 
-    return _assemble_paired(action, P[: 2 * nq], terminated, resid, images)
+    # the loop imaged v_1..v_nq when it stopped early, v_1..v_(k-1) when not
+    return _assemble_paired(action, P[: 2 * nq], terminated, resid, images, min(nq, k - 1))
 
 
 def hamiltonian_lanczos(action, v, k):
@@ -292,7 +292,8 @@ def hamiltonian_lanczos(action, v, k):
     [u..., v...] place: u_j in row j and v_j in row k + j.  An early stop
     (k' < k) moves the v rows up once.  The three planes become the
     basis's rows, its left inverse and ``action_images``, with no copy.
-    A u_j is the action's image of the remainder divided by sigma_j.
+    The action writes A u_hat into row j of A U, divided there by sigma_j
+    to give A u_j, and A v_j into row k + j.
     """
     v, nv = _validate_start(action, v, k, action.dim // 2, "hamiltonian_lanczos")
     block = np.empty((3, 2 * k, action.dim))
@@ -309,7 +310,7 @@ def hamiltonian_lanczos(action, v, k):
         if nu <= DEFLATION_RTOL * scale_ref:
             terminated = INVARIANT_SUBSPACE
             break
-        w_hat = action.apply(u_hat)
+        w_hat = action.apply(u_hat, images[j])
         apply_J_inverse(u_hat, out=L[k + j])
         tau = float(L[k + j] @ w_hat)  # omega(u_hat, w_hat)
         if abs(tau) <= BREAKDOWN_RTOL * nu * nu:
@@ -322,11 +323,11 @@ def hamiltonian_lanczos(action, v, k):
         np.multiply(delta / sigma, w_hat, out=v_j)
         apply_J(v_j, out=L[j])
         L[k + j] /= sigma  # J^(-1) u_j
-        np.divide(w_hat, sigma, out=images[j])  # A u_j
+        w_hat /= sigma  # A u_j, in place
         deltas.append(delta)
         sigmas.append(sigma)  # sigma_j = beta_{j-1} couples u_{j-1} and u_j in T
 
-        x = images[k + j] = action.apply(v_j)
+        x = action.apply(v_j, images[k + j])
         alphas.append(float(L[j] @ x))  # alpha_j = -omega(v_j, x)
         if j + 1 < k:
             u_hat = x - alphas[-1] * u_j
@@ -391,7 +392,7 @@ def extend_basis(outcome, action, x):
         old, at = slice(i * size, (i + 1) * size), i * (size + 1)
         rows[at:at + size], rows[at + size] = basis.rows[old], row
         images[at:at + size] = outcome.action_images.T[old]
-        images[at + size] = action.apply(row)
+        action.apply(row, images[at + size])
     extended = BasisMatrix(rows.T, basis.kind)
     extended.reduced = extended.left_apply(images.T)
     return extended

@@ -1,18 +1,17 @@
-"""Dense kernels: the matrix exponential and the affine flow.
+"""Dense kernels: the matrix exponential and the one phi kernel.
 
-These run on the reduced m x m matrices produced by the basis processes
-(m <= ~64) and on the dense reference of a linear system, the only places
-matrix exponentials are evaluated.  phi(z) = (e^z - 1)/z is the first
-exponential-integrator kernel; ``exp_affine`` is the one place it is
-formed, so singular M is fine: phi(M) is ``exp_affine(M, I, 1)[1]``.
-
-A matrix of the second-order form [[0, T], [delta I, 0]] (T symmetric,
-delta = +-1), which Hamiltonian Lanczos returns, takes a closed form from
-one ``eigh`` of delta T and the mode factors of ``mode_factors``, which
-the dense oracle's second-order flow shares; every other matrix takes
-``expm`` of an augmented matrix, one [13/13] Pade approximant with
-scaling and squaring (Higham 2005).
+They run on the reduced m x m matrices of the basis processes (m <= ~64)
+and on the dense reference of a linear system.  phi(z) = (e^z - 1)/z is
+formed only by ``phi_apply``, so singular M is fine: phi(M) is
+``phi_apply(M, I, 1)``; no step needs e^(tM) = I + tM phi(tM).  A matrix
+[[0, T], [delta I, 0]] (T symmetric, delta = +-1), which Hamiltonian
+Lanczos returns, takes a closed form from one ``eigh`` of delta T and
+``mode_factors``, which the dense oracle's second-order flow shares;
+every other matrix takes ``expm`` of an augmented matrix (``pade_flow``),
+one [13/13] Pade approximant with scaling and squaring (Higham 2005).
 """
+
+import math
 
 import numpy as np
 
@@ -94,68 +93,57 @@ def _second_order_sign(M):
     delta = float(M[k, 0])
     T = M[:k, k:]
     if (np.count_nonzero(M) != np.count_nonzero(T) + k
-            or not (M.diagonal(-k) == delta).all() or not (T == T.T).all()):
+            or np.count_nonzero(M.diagonal(-k) == delta) != k or np.count_nonzero(T != T.T)):
         return 0.0
     return delta
 
 
-def _exp_affine_second_order(M, B, t, delta):
-    """``exp_affine`` for M = [[0, T], [delta I, 0]], from one ``eigh`` of
-    delta T = V diag(lam) V^T.  Per mode, with C, S, G from
-    ``mode_factors``, e^(tM) = [[C, delta t lam S], [delta t S, C]] and
-    t phi(tM) = [[t S, delta t^2 lam G], [delta t^2 G, t S]]; the diagonal
-    blocks of e^(tM) are formed as I + V diag(C - 1) V^T with
-    C - 1 = lam t^2 G, so t = 0 gives (I, 0) exactly."""
-    m = M.shape[0]
-    k = m // 2
+def _phi_second_order(M, B, t, delta):
+    """``phi_apply`` for M = [[0, T], [delta I, 0]] from one ``eigh`` of
+    delta T = V diag(lam) V^T: per mode, with S and G of ``mode_factors``,
+    t phi(tM) = [[t S, lam g], [g, t S]], g = delta t^2 G.  A vector B is
+    applied in the modes; a block meets t phi(tM) assembled from those
+    three blocks.  t = 0 gives zero exactly; B is checked if Y is not finite."""
+    k = M.shape[0] // 2
     T = M[:k, k:]
-    if not (np.isfinite(t) and np.isfinite(T).all() and np.isfinite(B).all()):
+    if not (math.isfinite(t) and np.isfinite(T).all()):
         raise ValueError("matrix has non-finite entries")
     lam, V = np.linalg.eigh(delta * T)
     with np.errstate(over="ignore", invalid="ignore"):
         _, S, G = mode_factors(lam, t)
-        tS = t * S
-        tG = delta * t * t * G
-        # the four blocks V diag(d) V^T in one product
-        P, Q, R, Z = ((V * np.array([tS, lam * tG, tG, delta * lam * tS])[:, None, :])
-                      .reshape(4 * k, k) @ V.T).reshape(4, k, k)
-        E, Phi = np.empty((m, m)), np.empty((m, m))
-        Phi[:k, :k] = Phi[k:, k:] = P
-        Phi[:k, k:] = Q
-        Phi[k:, :k] = R
-        E[:k, :k] = E[k:, k:] = np.eye(k) + delta * Q
-        E[:k, k:] = Z
-        E[k:, :k] = delta * P
-        Y = Phi @ B
-        if not (np.isfinite(E).all() and np.isfinite(Y).all()):
-            raise ValueError("matrix exponential overflowed")
-    return E, Y
+        tS, g = t * S, delta * t * t * G
+        if B.ndim == 1:
+            C = B.reshape(2, k) @ V  # the rows c1 = V^T b1 and c2 = V^T b2
+            Z = tS * C
+            Z[0] += lam * g * C[1]
+            Z[1] += g * C[0]
+            Y = (Z @ V.T).ravel()
+        else:
+            # the blocks V diag(d) V^T in one product
+            P, Q, R = ((V * np.array([tS, lam * g, g])[:, None, :])
+                       .reshape(3 * k, k) @ V.T).reshape(3, k, k)
+            Phi = np.empty((2 * k, 2 * k))
+            Phi[:k, :k] = Phi[k:, k:] = P
+            Phi[:k, k:], Phi[k:, :k] = Q, R
+            Y = Phi @ B
+        if not np.isfinite(Y).all():
+            raise ValueError("matrix has non-finite entries" if not np.isfinite(B).all()
+                             else "matrix exponential overflowed")
+    return Y
 
 
-def exp_affine(M, B, t):
-    """(e^(tM), t phi(tM) B): the flow x(t) = e^(tM) a + t phi(tM) b of
-    x' = M x + b from x(0) = a.
-
-    ``B`` is a vector or a block of columns; the second result has its
-    shape.  M of the exact form [[0, T], [delta I, 0]], T symmetric and
-    delta = +-1 (the reduced matrix of Hamiltonian Lanczos when its signs
-    agree), takes the closed form of ``_exp_affine_second_order``.  Any
-    other M takes one Pade exponential of [[tM, tB], [0, 0]], whose
-    adjoined columns are scaled by a power of two 2^-e (e >= 0) so their
-    1-norm is at most one, which keeps a large b from driving the
-    scaling-and-squaring; the scaling is exact and ``np.ldexp`` undoes it.
-    A non-finite entry of M or B, a non-finite t, and a result that
-    overflows are each a ValueError, with no numpy warning: on the Pade
-    path the augmented matrix is formed with numpy's overflow and
-    invalid-value signals off, ``expm``'s one finiteness check refuses it
-    and the undoing traps overflow; the closed form checks its inputs and
-    its results.
-    """
+def pade_flow(M, B, t):
+    """(e^(tM), t phi(tM) B), the flow of x' = M x + b, from one ``expm`` of
+    [[tM, tB], [0, 0]], for ``phi_apply`` and the dense oracle; the second
+    result has B's shape.  The adjoined columns are scaled by the power of
+    two 2^-e (e >= 0) that brings their 1-norm to at most one, so a large b
+    does not drive the scaling-and-squaring; ``np.ldexp`` undoes it
+    exactly.  A non-finite M, B or t and a result that overflows are each
+    a ValueError, with no numpy warning: ``expm`` checks the augmented
+    matrix, formed with numpy's overflow and invalid signals off, and the
+    undoing traps overflow."""
     M = _square(M)
     B = np.asarray(B, dtype=float)
-    delta = _second_order_sign(M)
-    if delta:
-        return _exp_affine_second_order(M, B, t, delta)
     m = M.shape[0]
     cols = B[:, None] if B.ndim == 1 else B
     W = np.zeros((m + cols.shape[1],) * 2)
@@ -173,3 +161,17 @@ def exp_affine(M, B, t):
     except FloatingPointError as exc:
         raise ValueError("matrix exponential overflowed") from exc
     return E[:m, :m], Y.reshape(B.shape)
+
+
+def phi_apply(M, B, t):
+    """t phi(tM) B for a vector or a block B, in B's shape: the closed form
+    of ``_phi_second_order`` for M exactly [[0, T], [delta I, 0]], T
+    symmetric and delta = +-1 (Hamiltonian Lanczos's F when its signs
+    agree), else ``pade_flow``.  A non-finite M, B or t and a result that
+    overflows are each a ValueError, with no numpy warning."""
+    M = _square(M)
+    B = np.asarray(B, dtype=float)
+    delta = _second_order_sign(M)
+    if delta:
+        return _phi_second_order(M, B, t, delta)
+    return pade_flow(M, B, t)[1]

@@ -14,9 +14,9 @@ energy and an analytic Jacobian action whose point coefficients
 
 ``DiscreteLaplacian.apply(v, out=None)`` writes the stencil into ``out``;
 each ``f`` and each Jacobian action writes it into a half of its output
-array and adds or subtracts the point terms there in place, with the
-operations of the out-of-place formula in the same order, so the bits
-are those of the formula.  The Laplacian prefactor is 1/(dx)^2 = (n/L)^2
+array (an action's ``out``, when given) and adds or subtracts the point
+terms there in place, with the operations of the out-of-place formula in
+the same order, so the bits are those of the formula.  The Laplacian prefactor is 1/(dx)^2 = (n/L)^2
 throughout.  Energies are written so that f = J^(-1) grad H holds exactly
 for the implemented dynamics; energy-error metrics do not depend on the
 overall sign choice.
@@ -98,10 +98,10 @@ class LinearWaveSystem(QuadraticHamiltonianSystem):
     def linearize(self, x):
         return self._action
 
-    def _action(self, v):
+    def _action(self, v, out=None):
         v = np.asarray(v, dtype=float)
         n = self.laplacian.n
-        out = np.empty(self.dim)
+        out = np.empty(self.dim) if out is None else out
         out[:n] = v[n:]
         self.laplacian.apply(v[:n], out=out[n:])
         return out
@@ -172,10 +172,10 @@ class NonlinearSchroedingerSystem(HamiltonianSystem):
         coeff_a = 3.0 * q * q + p * p - self._v0_potential
         coeff_b = q * q + 3.0 * p * p - self._v0_potential
 
-        def action(v):
+        def action(v, out=None):
             v = np.asarray(v, dtype=float)
             a, b = v[:n], v[n:]
-            out = np.empty(self.dim)
+            out = np.empty(self.dim) if out is None else out
             top, bottom = out[:n], out[n:]
             self.laplacian.apply(b, out=top)
             top *= -0.5
@@ -236,10 +236,10 @@ class KleinGordonSystem(HamiltonianSystem):
         n, q = self.n, np.asarray(x, dtype=float)[:self.n]
         coeff = self.m ** 2 + 3.0 * self.g * q * q
 
-        def action(v):
+        def action(v, out=None):
             v = np.asarray(v, dtype=float)
             a = v[:n]
-            out = np.empty(self.dim)
+            out = np.empty(self.dim) if out is None else out
             out[:n] = v[n:]
             bottom = self.laplacian.apply(a, out=out[n:])
             bottom -= coeff * a

@@ -10,9 +10,9 @@ from symkry import (
     apply_J,
     apply_J_inverse,
     canonical_J,
-    exp_affine,
     expm,
     omega,
+    phi_apply,
 )
 from symkry.core import SYMPLECTIC
 from symkry.krylov import DEPENDENCE_RTOL, _project_out
@@ -50,15 +50,16 @@ def random_hamiltonian_matrix(rng, n, scale=1.0):
 
 
 def dense_action(A):
-    """A counted matrix action v -> A v of a dense matrix."""
+    """A counted matrix action v -> A v of a dense matrix, written into
+    ``out`` when given."""
     A = np.asarray(A, dtype=float)
-    return CountingAction(A.shape[0], lambda v: A @ v)
+    return CountingAction(A.shape[0], lambda v, out=None: np.matmul(A, v, out=out))
 
 
 def phi1(M):
-    """phi(M) with phi(z) = (e^z - 1)/z: the kernel ``exp_affine`` forms,
+    """phi(M) with phi(z) = (e^z - 1)/z: the kernel ``phi_apply`` forms,
     applied to the identity at t = 1."""
-    return exp_affine(M, np.eye(np.shape(M)[0]), 1.0)[1]
+    return phi_apply(M, np.eye(np.shape(M)[0]), 1.0)
 
 
 def project(basis, v):

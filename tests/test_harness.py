@@ -17,7 +17,7 @@ from symkry import (
     NonlinearSchroedingerSystem,
     QuadraticHamiltonianSystem,
     apply_J_inverse,
-    exp_affine,
+    expm,
     integrate,
     reference_solution,
     relative_energy_error,
@@ -48,13 +48,29 @@ def second_order_system(K, b=None):
     return QuadraticHamiltonianSystem(S, d)
 
 
+def augmented_flow(A, c, dt):
+    """(e^(dt A), dt phi(dt A) c) from ``expm`` of the augmented matrix
+    [[dt A, 2^-e dt c], [0, 0]]: the column is scaled by the power of two
+    2^-e (e >= 0) that brings its 1-norm to at most one, and ``np.ldexp``
+    undoes the scaling."""
+    m = A.shape[0]
+    W = np.zeros((m + 1, m + 1))
+    W[:m, :m] = A * dt
+    W[:m, m] = c * dt
+    mant, e = np.frexp(np.abs(W[:m, m]).sum())
+    e = max(int(e) - (mant == 0.5), 0)
+    W[:m, m] = np.ldexp(W[:m, m], -e)
+    E = expm(W)
+    return E[:m, :m], np.ldexp(E[:m, m], e)
+
+
 def affine_propagation(A, c, x0, t_grid):
-    """x' = A x + c propagated interval by interval with ``exp_affine``, one
-    exponential per distinct interval length."""
+    """x' = A x + c propagated interval by interval with ``augmented_flow``,
+    one exponential per distinct interval length."""
     states, flows = [x0], {}
     for dt in np.diff(t_grid):
         if dt not in flows:
-            flows[dt] = exp_affine(A, c, dt)
+            flows[dt] = augmented_flow(A, c, dt)
         prop, shift = flows[dt]
         states.append(prop @ states[-1] + shift)
     return np.array(states)
@@ -158,21 +174,24 @@ class TestReferenceSolution:
         assert np.linalg.norm(states[1] - res.x_plus) <= 1e-10 * np.linalg.norm(res.x_plus)
 
     def test_dense_is_the_affine_propagation_off_second_order(self, rng):
-        # a linear system that is not second order: the propagation written
-        # out from Jacobian-action columns and the affine constant, bit for bit; every
-        # interval is exact in binary
+        # a drawn linear system that is not second order: the propagation
+        # written out from Jacobian-action columns and the affine constant,
+        # bit for bit, over intervals that are exact in binary and repeat,
+        # with a constant large enough that every interval scales its column
         sys = random_quadratic_system(rng, 6)
         x0 = rng.standard_normal(sys.dim)
-        t_grid = np.array([0.0, 0.125, 0.25, 0.5])
+        t_grid = np.array([0.0, 0.125, 0.25, 0.75, 1.25, 1.375])
         A = np.column_stack([sys.linearize(x0)(e) for e in np.eye(sys.dim)])
-        want = affine_propagation(A, apply_J_inverse(sys.d), x0, t_grid)
+        c = apply_J_inverse(sys.d)
+        assert np.abs(0.125 * c).sum() > 1.0
+        want = affine_propagation(A, c, x0, t_grid)
         states = reference_solution(sys, x0, t_grid, mode="dense")
         assert np.array_equal(states, want)
 
     @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
     def test_dense_wave_is_closer_to_closed_form_than_affine_propagation(self, boundary):
         # against the stencil's closed-form modes in long double, the dense
-        # reference beats exp_affine's interval-by-interval propagation
+        # reference beats the interval-by-interval affine propagation
         sys = LinearWaveSystem(n=100, boundary=boundary)
         n, x0 = sys.laplacian.n, sys.initial_state
         t_grid = np.linspace(0.0, 50.0, 201)
@@ -200,12 +219,12 @@ class TestReferenceSolution:
     def test_dense_second_order_agrees_with_affine_propagation(self, make, monkeypatch):
         # q' = p, p' = K q + b with K's eigenvalues -3, -1, 0, 0, 2, and
         # linear Klein-Gordon: the modal oracle, which never calls
-        # exp_affine, agrees with it
+        # pade_flow, agrees with the affine propagation
         sys = make()
         x0 = np.random.default_rng(5).standard_normal(sys.dim)
         t_grid = np.array([0.0, 0.125, 0.25, 0.5])
         want = affine_propagation(sys.jacobian_dense(x0), sys.f(np.zeros(sys.dim)), x0, t_grid)
-        monkeypatch.setattr(harness, "exp_affine", None)
+        monkeypatch.setattr(harness, "pade_flow", None)
         states = reference_solution(sys, x0, t_grid, mode="dense")
         assert np.array_equal(states[0], x0)
         for got, ref in zip(states, want):
@@ -243,7 +262,7 @@ class TestReferenceSolution:
                 reference_solution(sys, [1.0, 0.0], [0.0, 460.0], mode="dense")
 
     @pytest.mark.parametrize("t_grid, message", [
-        # the one interval's exponential overflows, and exp_affine refuses it
+        # the one interval's exponential overflows, and pade_flow refuses it
         ([0.0, 10.0], "dense reference overflowed by t=10: matrix exponential overflowed"),
         # each interval's exponential is finite, but the states grow until
         # their norm overflows
@@ -276,8 +295,8 @@ class TestReferenceSolution:
         h = 10.0 / 500
         t_grid = np.array([s * h for s in range(0, 501, 10)])
         assert np.unique(np.diff(t_grid)).size > 1
-        calls, real = [], harness.exp_affine
-        monkeypatch.setattr(harness, "exp_affine", lambda *a: calls.append(a[2]) or real(*a))
+        calls, real = [], harness.pade_flow
+        monkeypatch.setattr(harness, "pade_flow", lambda *a: calls.append(a[2]) or real(*a))
         reference_solution(sys, rng.standard_normal(4), t_grid, mode="dense")
         assert len(calls) == 1
 

@@ -11,10 +11,10 @@ from symkry import (
     LinearWaveSystem,
     NonlinearSchroedingerSystem,
     StepperConfig,
-    exp_affine,
     expm,
     integrate,
     omega,
+    phi_apply,
     step_ee,
     step_eemp,
     step_iemp,
@@ -158,11 +158,12 @@ class TestStepEEMP:
         res = step_eemp(sys, cfg, x, x_prev=x)
         action = CountingAction.from_system(sys, x)
         U = integrators.build_basis(action, sys.f(x), cfg).basis
-        E, y = exp_affine(U.reduced, 2.0 * U.left_apply(sys.f(x)), cfg.step_size)
+        F, c_d = U.reduced, U.left_apply(x - x)
+        y = phi_apply(F, F @ c_d + 2.0 * U.left_apply(sys.f(x)), cfg.step_size)
         assert res.basis is res.outcome.basis
         assert res.matvecs == action.count
         assert np.array_equal(res.basis.rows, U.rows)
-        assert np.array_equal(res.x_plus, x + U.columns @ (E @ U.left_apply(x - x) + y))
+        assert np.array_equal(res.x_plus, x + U.columns @ (c_d + y))
 
     def test_average_energy_preserved(self, rng):
         sys = random_quadratic_system(rng, 6)
@@ -287,6 +288,65 @@ class TestStepIEMP:
             step_iemp(sys, cfg, sys.initial_state)
 
 
+class TestShortFormsMatchExponentialForms:
+    """Over seeded steps on drawn linear systems and a perturbed
+    Klein-Gordon start, with every basis process, EEMP's and IEMP's
+    phi-only updates agree to 1e-12 of the step's increment with the forms
+    that use e^(hF), written out here with e^(hF) from ``expm``:
+
+        EEMP  x + U (e^(hF) c_d + 2h phi(hF) c_f)
+        IEMP  x + U (xi - E^2 xi + K (E b + b)),  E = e^(hF/2),
+              K = (h/2) phi(hF/2), xi = U^+ (x_mid - x), b = U^+ f(x_mid)
+    """
+
+    @staticmethod
+    def steps(method, process):
+        """(system, h, x_prev, x, StepResult) of every step, EEMP's EE
+        bootstrap left out."""
+        runs = []
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            runs.append((random_quadratic_system(rng, 8), rng.standard_normal(16), 0.05, 20))
+        kg = KleinGordonSystem(n=32)
+        x0 = kg.initial_state + 1e-3 * np.random.default_rng(9).standard_normal(kg.dim)
+        runs.append((kg, x0, 0.02, 50))
+        for system, x0, h, n_steps in runs:
+            cfg = StepperConfig(method=method, basis_process=process, basis_dim=8,
+                                step_size=h)
+            seen = []
+            integrate(system, cfg, x0, n_steps=n_steps,
+                      observer=lambda s, t, res: seen.append(res))
+            for i in range(2 if method == "EEMP" else 1, n_steps + 1):
+                x_prev = seen[i - 2].x_plus if i > 1 else None
+                yield system, h, x_prev, seen[i - 1].x_plus, seen[i]
+
+    @pytest.mark.parametrize("process", list(integrators.BASIS_PROCESSES))
+    def test_eemp(self, process):
+        count = 0
+        for system, h, x_prev, x, res in self.steps("EEMP", process):
+            U = res.basis
+            F = U.reduced
+            c_d, c_f = U.left_apply(x_prev - x), U.left_apply(system.f(x))
+            want = x + U.columns @ (expm(h * F) @ c_d + phi_apply(F, 2.0 * c_f, h))
+            assert np.linalg.norm(res.x_plus - want) <= 1e-12 * np.linalg.norm(want - x)
+            count += 1
+        assert count == 3 * 19 + 49
+
+    @pytest.mark.parametrize("process", list(integrators.BASIS_PROCESSES))
+    def test_iemp(self, process):
+        count = 0
+        for system, h, _, x, res in self.steps("IEMP", process):
+            U = res.basis
+            F = U.reduced
+            E = expm(0.5 * h * F)
+            K = phi_apply(F, np.eye(F.shape[0]), 0.5 * h)
+            xi, b = U.left_apply(res.x_mid - x), U.left_apply(system.f(res.x_mid))
+            want = x + U.columns @ (xi - E @ E @ xi + K @ (E @ b + b))
+            assert np.linalg.norm(res.x_plus - want) <= 1e-12 * np.linalg.norm(want - x)
+            count += 1
+        assert count == 3 * 20 + 50
+
+
 class TestIntegrate:
     def test_single_step_matches_step_ee(self, rng):
         sys = random_quadratic_system(rng, 5)
@@ -375,8 +435,13 @@ class TestIntegrate:
         sys = random_quadratic_system(rng, 4)
         k = 3
         linearize, poisoned = sys.linearize, []
-        sys.linearize = lambda x: ((lambda v: np.full_like(v, np.nan)) if poisoned
-                                   else linearize(x))
+
+        def nan_action(v, out=None):
+            out = np.empty(sys.dim) if out is None else out
+            out.fill(np.nan)
+            return out
+
+        sys.linearize = lambda x: nan_action if poisoned else linearize(x)
         cfg = StepperConfig(method=method, basis_process=process, basis_dim=4,
                             step_size=0.05)
         with pytest.raises(IntegrationAborted) as err:

@@ -278,9 +278,9 @@ class TestLanczosRowBlock:
         jacobian = sys.linearize(x)
         calls = []  # (input, image) of every action
 
-        def spy(v):
-            image = jacobian(v)
-            calls.append((v.copy(), image))
+        def spy(v, out=None):
+            image = jacobian(v, out)
+            calls.append((v.copy(), image.copy()))  # the builder divides rows in place
             return image
 
         out = hamiltonian_lanczos(CountingAction(sys.dim, spy), sys.f(x), 11)
@@ -633,6 +633,18 @@ class TestCosts:
         act = dense_action(A)
         hamiltonian_lanczos(act, v, 4)
         assert act.count == 8  # two actions per pair
+
+    def test_apply_passes_out_through(self, rng):
+        # apply(v, out) is one counted action written into out, with the
+        # bits of apply(v)
+        sys = KleinGordonSystem(n=16)
+        act = CountingAction.from_system(sys, rng.standard_normal(sys.dim))
+        v = rng.standard_normal(sys.dim)
+        block = np.zeros((2, sys.dim))
+        row = block[1]
+        assert act.apply(v, row) is row and act.count == 1
+        assert np.array_equal(row, act.apply(v)) and not block[0].any()
+        assert act.count == 2
 
     def test_system_action_linearizes_once_and_counts_each_apply(self, rng, monkeypatch):
         # the point-dependent coefficients are built once per action; each

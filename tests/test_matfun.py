@@ -3,11 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from symkry import exp_affine, expm
+from symkry import expm, phi_apply
 from symkry.core import canonical_J
 from symkry.errors import StepFailureError
 from symkry.integrators import _kernel
-from symkry.matfun import _second_order_sign
+from symkry.matfun import _second_order_sign, pade_flow
 
 from conftest import phi1, phi1_scaled_identities_check, random_hamiltonian_matrix
 
@@ -164,89 +164,86 @@ class TestPhi1:
             assert np.linalg.norm(phi1(M) @ v - quad) < 1e-9
 
 
-class TestExpAffine:
+class TestPhiApply:
     def test_vector_and_block_against_oracles(self, rng):
         M = rng.standard_normal((6, 6)) * 0.8
         t = 0.7
         want_phi = t * phi1_series_oracle(t * M)
         for B in (rng.standard_normal(6), rng.standard_normal((6, 3))):
-            E, Y = exp_affine(M, B, t)
+            Y = phi_apply(M, B, t)
             assert Y.shape == B.shape
-            assert np.linalg.norm(E - expm(t * M)) <= 1e-13 * np.linalg.norm(E)
             want = want_phi @ B
             assert np.linalg.norm(Y - want) <= 1e-13 * np.linalg.norm(want)
+            E, Y_flow = pade_flow(M, B, t)
+            assert np.array_equal(Y_flow, Y)
+            assert np.linalg.norm(E - expm(t * M)) <= 1e-13 * np.linalg.norm(E)
 
     def test_zero_columns(self, rng):
         M = rng.standard_normal((5, 5))
-        E, y = exp_affine(M, np.zeros(5), 0.3)
-        assert np.array_equal(y, np.zeros(5))
-        assert np.allclose(E, expm(0.3 * M), rtol=1e-14, atol=0.0)
+        assert np.array_equal(phi_apply(M, np.zeros(5), 0.3), np.zeros(5))
 
     def test_empty_matrix(self):
-        E, y = exp_affine(np.zeros((0, 0)), np.zeros(0), 1.0)
-        assert E.shape == (0, 0) and y.shape == (0,)
-        assert exp_affine(np.zeros((0, 0)), np.zeros((0, 2)), 1.0)[1].shape == (0, 2)
+        assert phi_apply(np.zeros((0, 0)), np.zeros(0), 1.0).shape == (0,)
+        assert phi_apply(np.zeros((0, 0)), np.zeros((0, 2)), 1.0).shape == (0, 2)
 
     def test_identity_block_is_phi_construction(self, rng):
-        # exp of [[M, I], [0, 0]] built by hand: the same bits as exp_affine
+        # exp of [[M, I], [0, 0]] built by hand: the same bits as phi_apply
         for m in (1, 5, 12, 22):
             M = rng.standard_normal((m, m)) * 2.0
             W = np.zeros((2 * m, 2 * m))
             W[:m, :m] = M
             W[:m, m:] = np.eye(m)
             want = expm(W)[:m, m:]
-            assert np.array_equal(exp_affine(M, np.eye(m), 1.0)[1], want)
+            assert np.array_equal(phi_apply(M, np.eye(m), 1.0), want)
             assert np.array_equal(phi1(M), want)
 
     def test_power_of_two_scaling_is_exact(self, rng):
         for scale in (0.1, 3.0):
             M = rng.standard_normal((6, 6)) * scale
             b = 4.0 * rng.standard_normal(6)
-            E, y = exp_affine(M, b, 0.5)
+            y = phi_apply(M, b, 0.5)
             for k in range(1, 7):
-                E_k, y_k = exp_affine(M, 2.0 ** k * b, 0.5)
-                assert np.array_equal(y_k, 2.0 ** k * y)
-                assert np.array_equal(E_k, E)
+                assert np.array_equal(phi_apply(M, 2.0 ** k * b, 0.5), 2.0 ** k * y)
 
     @pytest.mark.parametrize("M", [np.zeros((1, 1)), np.array([[2.0]])])
     def test_power_of_two_scaling_is_exact_up_to_overflow(self, M):
         # b = 2^k near the top of the range: y is 2^k times its value at
         # b = 1, bit for bit, until the exact result overflows, which is a
         # ValueError; no numpy warning on either side
-        y = exp_affine(M, np.ones(1), 1.0)[1]
+        y = phi_apply(M, np.ones(1), 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for k in range(1015, 1024):
                 with np.errstate(over="ignore"):
                     want = np.ldexp(y, k)
                 if np.isfinite(want).all():
-                    assert np.array_equal(exp_affine(M, np.array([2.0 ** k]), 1.0)[1], want)
+                    assert np.array_equal(phi_apply(M, np.array([2.0 ** k]), 1.0), want)
                 else:
                     with pytest.raises(ValueError, match="overflowed"):
-                        exp_affine(M, np.array([2.0 ** k]), 1.0)
+                        phi_apply(M, np.array([2.0 ** k]), 1.0)
             # the column norm 1e308 scales by 2^-1024 and back; y = b to rounding
-            y = exp_affine(np.zeros((1, 1)), [1e308], 1.0)[1]
+            y = phi_apply(np.zeros((1, 1)), [1e308], 1.0)
             assert np.isfinite(y).all() and abs(y[0] - 1e308) <= 1e-15 * 1e308
 
     def test_huge_column_keeps_relative_accuracy(self, rng):
         M = rng.standard_normal((6, 6))
         b = 1e8 * rng.standard_normal(6)
-        _, y = exp_affine(M, b, 0.4)
+        y = phi_apply(M, b, 0.4)
         want = 0.4 * (phi1_series_oracle(0.4 * M) @ b)
         assert np.linalg.norm(y - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            exp_affine(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2), 1.0)
+            phi_apply(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2), 1.0)
         with pytest.raises(ValueError):
-            exp_affine(np.eye(2), np.array([np.inf, 0.0]), 1.0)
+            phi_apply(np.eye(2), np.array([np.inf, 0.0]), 1.0)
         # at t = 0 too, refused before the scaling by t, with no warning first
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite"):
-                exp_affine(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2), 0.0)
+                phi_apply(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2), 0.0)
             with pytest.raises(ValueError, match="non-finite"):
-                exp_affine(np.eye(2), np.array([np.inf, 0.0]), 0.0)
+                phi_apply(np.eye(2), np.array([np.inf, 0.0]), 0.0)
 
     BAD_INPUTS = [
         (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2), 0.0, "non-finite"),  # inf M at t = 0
@@ -265,9 +262,15 @@ class TestExpAffine:
         # the Pade path: t phi(t M) b = 3.19 * 1e308 overflows when the
         # column scaling is undone
         (np.array([[2.0]]), np.array([1e308]), 1.0, "overflowed"),
-        # delta T has eigenvalue 1e6: cosh(sqrt(1e6) t) = cosh(1000) overflows
+        # delta T has eigenvalue 1e6: sinh(sqrt(1e6) t) = sinh(1000) overflows,
+        # for a vector B and for a block B
         (second_order(np.diag([1e6, -1.0])), np.ones(4), 1.0, "overflowed"),
         (second_order(np.diag([-1e6, 1.0]), -1.0), np.eye(4), 1.0, "overflowed"),
+        # the overflowing mode meets a zero coefficient of B, and its phi
+        # factors a finite B that overflows with them
+        (second_order(np.diag([1e6, -1.0])), np.array([0.0, 1.0, 0.0, 1.0]), 1.0,
+         "overflowed"),
+        (second_order(np.diag([1e3, -1.0])), np.full(4, 1e300), 1.0, "overflowed"),
     ]
 
     @pytest.mark.parametrize("M,B,t,match", BAD_INPUTS)
@@ -275,21 +278,21 @@ class TestExpAffine:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=match):
-                exp_affine(M, B, t)
+                phi_apply(M, B, t)
 
     @pytest.mark.parametrize("M,B,t,match", BAD_INPUTS)
     def test_bad_input_fails_the_step(self, M, B, t, match):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepFailureError, match=match) as info:
-                _kernel(exp_affine, M, B, t)
+                _kernel(phi_apply, M, B, t)
         assert isinstance(info.value.__cause__, ValueError)
 
     def test_one_finiteness_check_per_call(self, rng, monkeypatch):
         # M, B and t are covered by expm's one check of the augmented matrix
         checks, isfinite = [], np.isfinite
         monkeypatch.setattr(np, "isfinite", lambda a: checks.append(np.shape(a)) or isfinite(a))
-        exp_affine(rng.standard_normal((5, 5)), rng.standard_normal((5, 2)), 0.3)
+        phi_apply(rng.standard_normal((5, 5)), rng.standard_normal((5, 2)), 0.3)
         assert checks == [(7, 7)]
 
     def test_overflowing_norm_is_a_value_error_without_warning(self):
@@ -297,11 +300,11 @@ class TestExpAffine:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="1-norm overflowed"):
-                exp_affine(np.full((2, 2), 1e308), np.ones(2), 1.0)
+                phi_apply(np.full((2, 2), 1e308), np.ones(2), 1.0)
 
 
 class TestSecondOrderClosedForm:
-    """M = [[0, T], [delta I, 0]] takes exp_affine's closed form; it must
+    """M = [[0, T], [delta I, 0]] takes phi_apply's closed form; it must
     agree with the Pade kernel, and every other M must keep its bits."""
 
     def test_matches_pade_on_drawn_matrices(self):
@@ -318,35 +321,33 @@ class TestSecondOrderClosedForm:
             F = second_order(0.5 * (T + T.T), delta)
             assert _second_order_sign(F) == delta
             seen.update((delta, int(np.sign(v))) for v in lam)
+            # a vector B takes the modal form, a block B the assembled phi
             B = (rng.standard_normal(2 * k) if draw % 4 < 2
                  else rng.standard_normal((2 * k, int(rng.integers(1, 4)))))
             t = rng.uniform(0.0, 1.0)
-            E, Y = exp_affine(F, B, t)
-            E_ref, Y_ref = pade_augmented(F, B, t)
+            Y = phi_apply(F, B, t)
+            Y_ref = pade_augmented(F, B, t)[1]
             assert Y.shape == B.shape
-            assert np.linalg.norm(E - E_ref) <= 1e-12 * np.linalg.norm(E_ref)
             assert np.linalg.norm(Y - Y_ref) <= 1e-12 * np.linalg.norm(Y_ref)
         assert seen == {(d, s) for d in (1.0, -1.0) for s in (-1, 0, 1)}
 
     def test_nilpotent_and_scalar_forms(self):
-        # T = 0: e^(tF) = I + tF and t phi(tF) = tI + t^2 F/2, exactly
+        # T = 0: t phi(tF) = tI + t^2 F/2, exactly
         F = second_order(np.zeros((3, 3)), -1.0)
-        E, P = exp_affine(F, np.eye(6), 0.5)
-        assert np.array_equal(E, np.eye(6) + 0.5 * F)
-        assert np.array_equal(P, 0.5 * np.eye(6) + 0.125 * F)
+        assert np.array_equal(phi_apply(F, np.eye(6), 0.5), 0.5 * np.eye(6) + 0.125 * F)
         # 1 x 1 T = -4 with delta = 1: a harmonic oscillator of frequency 2
-        E, y = exp_affine(second_order([[-4.0]]), np.array([0.0, 1.0]), 0.3)
+        F = second_order([[-4.0]])
+        y = phi_apply(F, np.array([0.0, 1.0]), 0.3)
         c, s = np.cos(0.6), np.sin(0.6)
-        assert np.allclose(E, [[c, -2.0 * s], [0.5 * s, c]], rtol=1e-15, atol=1e-16)
+        assert np.allclose(expm(0.3 * F), [[c, -2.0 * s], [0.5 * s, c]], rtol=1e-15, atol=1e-16)
         assert np.allclose(y, [c - 1.0, s / 2.0], rtol=1e-14, atol=0.0)
 
-    def test_t_zero_is_identity_and_zero(self, rng):
+    def test_t_zero_is_zero(self, rng):
         T = rng.standard_normal((5, 5))
         F = second_order(T + T.T, -1.0)
+        assert np.array_equal(expm(0.0 * F), np.eye(10))
         for B in (rng.standard_normal(10), rng.standard_normal((10, 3))):
-            E, Y = exp_affine(F, B, 0.0)
-            assert np.array_equal(E, np.eye(10))
-            assert np.array_equal(Y, np.zeros(B.shape))
+            assert np.array_equal(phi_apply(F, B, 0.0), np.zeros(B.shape))
 
     def test_near_forms_keep_pade_bits(self, rng):
         k = 5
@@ -364,9 +365,8 @@ class TestSecondOrderClosedForm:
         nonsymmetric[0, k + 1] += 1e-12
         for M in (mixed, diagonal_block, lower_block, off_diagonal_d, nonsymmetric):
             assert _second_order_sign(M) == 0.0
-            E, P = exp_affine(M, np.eye(2 * k), 1.0)
-            E_ref, P_ref = pade_augmented(M, np.eye(2 * k), 1.0)
-            assert np.array_equal(E, E_ref) and np.array_equal(P, P_ref)
+            P = phi_apply(M, np.eye(2 * k), 1.0)
+            assert np.array_equal(P, pade_augmented(M, np.eye(2 * k), 1.0)[1])
 
     def test_lanczos_matrix_takes_the_closed_form(self):
         from symkry import CountingAction, KleinGordonSystem, hamiltonian_lanczos
@@ -378,10 +378,10 @@ class TestSecondOrderClosedForm:
 
 
 class TestPhiIdentityProperties:
-    """Seeded draws of structured and general F: exp_affine keeps the
+    """Seeded draws of structured and general F: phi_apply keeps the
     reflection identity e^(-hF) h phi(hF) = h phi(-hF) and the doubling
-    identities e^(hF) = E^2 and h phi(hF) b = K (E b + b), with
-    (E, K) = exp_affine(F, I, h/2), on both of its paths."""
+    identity h phi(hF) b = K (E b + b), with K = phi_apply(F, I, h/2) and
+    E = e^(hF/2), on both of its paths; e^(tF) comes from ``expm``."""
 
     @staticmethod
     def draws(structured, count=150):
@@ -401,15 +401,16 @@ class TestPhiIdentityProperties:
         for F, h, _ in self.draws(structured):
             assert (_second_order_sign(F) != 0.0) == structured
             I = np.eye(F.shape[0])
-            E_minus, K_minus = exp_affine(F, I, -h)  # K_minus = -h phi(-hF)
-            K = exp_affine(F, I, h)[1]
-            assert np.linalg.norm(E_minus @ K + K_minus) <= 1e-12 * np.linalg.norm(K_minus)
+            K_minus = phi_apply(F, I, -h)  # -h phi(-hF)
+            K = phi_apply(F, I, h)
+            assert np.linalg.norm(expm(-h * F) @ K + K_minus) <= 1e-12 * np.linalg.norm(K_minus)
 
     @pytest.mark.parametrize("structured", [True, False])
     def test_doubling(self, structured):
         for F, h, b in self.draws(structured):
-            E_half, K = exp_affine(F, np.eye(F.shape[0]), 0.5 * h)
-            E, y = exp_affine(F, b, h)
+            E_half, E = expm(0.5 * h * F), expm(h * F)
+            K = phi_apply(F, np.eye(F.shape[0]), 0.5 * h)
+            y = phi_apply(F, b, h)
             assert np.linalg.norm(E_half @ E_half - E) <= 1e-12 * np.linalg.norm(E)
             assert np.linalg.norm(K @ (E_half @ b + b) - y) <= 1e-12 * np.linalg.norm(y)
 
@@ -459,12 +460,13 @@ class TestPhiIdentities:
 
 
 class TestHalfStepDoubling:
-    """One half-step exponential E, K = exp_affine(F, I, h/2) gives the
-    full step's pair: e^(hF) = E^2 and h phi(hF) b = K (E b + b)."""
+    """On reduced matrices of the packaged problems, the half-step kernel
+    K = phi_apply(F, I, h/2) with E = e^(hF/2) from ``expm`` gives the full
+    step: e^(hF) = E^2 and h phi(hF) b = K (E b + b)."""
 
     @pytest.mark.parametrize("problem,h", [("klein-gordon", 0.02), ("nls", np.pi / 200.0)])
     @pytest.mark.parametrize("process", ["arnoldi", "hamiltonian-lanczos"])
-    def test_matches_full_step_exp_affine(self, problem, h, process):
+    def test_matches_full_step_phi_apply(self, problem, h, process):
         from symkry import CountingAction, KleinGordonSystem, NonlinearSchroedingerSystem
         from symkry.integrators import BASIS_PROCESSES
 
@@ -474,7 +476,8 @@ class TestHalfStepDoubling:
         builder, mult = BASIS_PROCESSES[process]
         basis = builder(CountingAction.from_system(sys, x), sys.f(x), 22 // mult).basis
         F, b = basis.reduced, basis.left_apply(sys.f(x))
-        E_half, K = exp_affine(F, np.eye(F.shape[0]), 0.5 * h)
-        E, y = exp_affine(F, b, h)
+        E_half, E = expm(0.5 * h * F), expm(h * F)
+        K = phi_apply(F, np.eye(F.shape[0]), 0.5 * h)
+        y = phi_apply(F, b, h)
         assert np.linalg.norm(E_half @ E_half - E) <= 1e-12 * np.linalg.norm(E)
         assert np.linalg.norm(K @ (E_half @ b + b) - y) <= 1e-12 * np.linalg.norm(y)

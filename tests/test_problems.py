@@ -317,6 +317,42 @@ class TestLinearize:
         assert np.array_equal(action(v), want)
 
 
+class TestActionOutContract:
+    """Every packaged Jacobian action, and a quadratic system's (dense S or
+    a callable S), writes Df(x) v into ``out`` when given: the same bits as
+    without ``out``, ``out`` returned, and nothing written but ``out`` (a
+    row of a block whose other rows stay put, v and x left alone); with no
+    ``out`` a list is still accepted."""
+
+    @staticmethod
+    def systems(rng):
+        S = rng.standard_normal((12, 12))
+        S = S + S.T
+        yield LinearWaveSystem(n=6, boundary="dirichlet")
+        yield LinearWaveSystem(n=6, boundary="periodic")
+        yield NonlinearSchroedingerSystem(n=6)
+        yield KleinGordonSystem(n=6)
+        yield QuadraticHamiltonianSystem(S, rng.standard_normal(12))
+        yield QuadraticHamiltonianSystem(lambda v: S @ v, dim=12)
+
+    def test_out_is_the_only_array_written(self, rng):
+        for sys in self.systems(rng):
+            for _ in range(5):
+                x, v = scaled_pair(rng, sys.dim)
+                x_before, v_before = x.copy(), v.copy()
+                action = sys.linearize(x)
+                want = action(v)
+                block = np.full((3, sys.dim), 7.0)
+                row = block[1]
+                assert action(v, row) is row
+                assert np.array_equal(row, want)
+                assert (block[[0, 2]] == 7.0).all()
+                assert np.array_equal(v, v_before) and np.array_equal(x, x_before)
+                assert np.array_equal(action(list(v)), want)
+                out = np.full(sys.dim, np.nan)
+                assert action(v, out=out) is out and np.array_equal(out, want)
+
+
 class TestRegistry:
     def test_names_and_defaults(self):
         # the defaults are read from the class signatures, which the
