@@ -35,6 +35,11 @@ def _check_even(m, what="vector"):
         raise ValueError(f"{what} dimension must be even, got {m}")
 
 
+def _is_int(value):
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _norm(v):
     """2-norm of a contiguous 1-d float array: sqrt(v . v), the same bits as
     ``np.linalg.norm(v)`` (which takes the same dot product) with less
@@ -124,7 +129,7 @@ def orthonormal_defect(U):
 
 
 class BasisMatrix:
-    """Tall basis U in R^(2n x m), kept as rows, with kind and reduced matrix.
+    """Tall basis U in R^(2n x m), kept as rows, with kind, images and F.
 
     kind is "orthonormal" (U^T U = I) or "symplectic" (U^T J U = J_k); a
     basis that is both, like the paired [V, J^(-1) V], is symplectic.
@@ -133,13 +138,14 @@ class BasisMatrix:
     itself, or J_k^(-1) U^T J = [J W | J^(-1) V]^T for U = [V | W] (a left
     inverse as far as U is numerically symplectic).  A builder whose recursion
     holds those rows passes them as ``left``; otherwise (``extend_basis``,
-    say) they are formed once here.  ``reduced`` is the m x m projection
-    F = U^+ A U of the current matrix action (None until it is set).
+    say) they are formed once here.  ``images`` is (A U)^T for the current
+    matrix action A, kept as given (no copy), and ``reduced`` the m x m
+    F = U^+ A U, as given or else formed here once as ``left @ images.T``.
     """
 
-    __slots__ = ("rows", "left", "kind", "reduced")
+    __slots__ = ("rows", "left", "images", "kind", "reduced")
 
-    def __init__(self, columns, kind, reduced=None, left=None):
+    def __init__(self, columns, kind, reduced=None, left=None, images=None):
         columns = np.asarray(columns, dtype=float)
         if columns.ndim != 2:
             raise ValueError("columns must be a 2-d array")
@@ -160,6 +166,9 @@ class BasisMatrix:
             apply_J(rows[k:].T, out=left[:k].T)
             apply_J_inverse(rows[:k].T, out=left[k:].T)
         self.kind = kind
+        self.images = images
+        if reduced is None and images is not None:
+            reduced = self.left @ images.T
         self.reduced = None if reduced is None else np.asarray(reduced, dtype=float)
 
     @property

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .core import _norm
+from .core import _is_int, _norm
 from .errors import ConfigError, IntegrationAborted, ReferenceFailureError, StepFailureError
 from .integrators import StepperConfig, integrate
 from .matfun import mode_factors, pade_flow
@@ -126,7 +126,7 @@ def _check_reference(system, mode, factor):
     dense oracle for a nonlinear system or one above DENSE_REFERENCE_LIMIT."""
     if mode not in ("dense", "fine"):
         raise ConfigError(f"reference must be 'dense' or 'fine', got {mode!r}")
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
+    if not _is_int(factor) or factor < 1:
         raise ConfigError(f"reference factor must be an integer of at least 1, got {factor!r}")
     if mode == "dense" and not system.is_linear:
         raise ConfigError("dense reference requires a linear system")
@@ -240,11 +240,11 @@ class ExperimentConfig:
         system = build_problem(self.problem, **self.problem_params)
         for name in ("n_steps", "record_every"):
             count = getattr(self, name)
-            if not isinstance(count, (int, np.integer)) or count < 1:
+            if not _is_int(count) or count < 1:
                 raise ConfigError(f"{name} must be an integer of at least 1, got {count!r}")
         if not 0 < self.t_final < np.inf:
             raise ConfigError(f"t_final must be positive and finite, got {self.t_final!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         _check_reference(system, self.reference, self.ref_factor)
         if self.output and not os.path.isdir(os.path.dirname(self.output) or "."):

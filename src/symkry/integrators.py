@@ -21,10 +21,9 @@ there; K serves the fixed point and the update, so each step evaluates
 two reduced kernels, the predictor's included.
 
 For EEMP, ``krylov.extend_basis`` adjoins the difference x_prev - x to the
-basis, keeping its kind, and returns the extended basis with its reduced
-matrix, so the scheme's symmetry and average-energy properties hold.
-With a symplectic basis all three steps preserve the energy of linear
-systems exactly, up to rounding.  Every step returns a
+basis, keeping its kind, so the scheme's symmetry and average-energy
+properties hold.  With a symplectic basis all three steps preserve the
+energy of linear systems exactly, up to rounding.  Every step returns a
 StepResult; a step that cannot be completed, including a reduced matrix
 the kernel rejects as non-finite or whose exponential overflows, raises
 StepFailureError.
@@ -35,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BasisMatrix, _norm
+from .core import BasisMatrix, _is_int, _norm
 from .errors import ConfigError, IntegrationAborted, StepFailureError
 from .krylov import (
     BREAKDOWN,
@@ -99,7 +98,7 @@ class StepperConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.basis_process not in BASIS_PROCESSES:
             raise ConfigError(f"unknown basis process {self.basis_process!r}")
-        if not isinstance(self.basis_dim, (int, np.integer)) or self.basis_dim < 1:
+        if not _is_int(self.basis_dim) or self.basis_dim < 1:
             raise ConfigError(f"basis_dim must be a positive integer, got {self.basis_dim!r}")
         if BASIS_PROCESSES[self.basis_process][1] == 2 and self.basis_dim % 2:
             raise ConfigError("basis_dim must be even for symplectic processes")
@@ -134,8 +133,8 @@ def build_basis(action, v, config, rng=None):
     """Run the configured basis process; perturb and restart on breakdown.
 
     The restart policy lives here (the processes only report): a breakdown
-    short of the requested size is retried up to BREAKDOWN_RETRIES times
-    with v perturbed by 1e-10 ||v|| noise from ``rng``, or from
+    (always short of the requested size) is retried up to BREAKDOWN_RETRIES
+    times with v perturbed by 1e-10 ||v|| noise from ``rng``, or from
     ``np.random.default_rng(0)`` when no generator is given.  A breakdown
     that leaves fewer than two columns with no retries left is a step
     failure.
@@ -144,7 +143,7 @@ def build_basis(action, v, config, rng=None):
     k = config.basis_dim // mult
     outcome = builder(action, v, k)
     for _ in range(BREAKDOWN_RETRIES):
-        if outcome.terminated != BREAKDOWN or outcome.basis.n_columns >= mult * k:
+        if outcome.terminated != BREAKDOWN:
             break
         rng = np.random.default_rng(0) if rng is None else rng
         pert = v + rng.standard_normal(v.shape[0]) * (1e-10 * _norm(v))
@@ -202,7 +201,7 @@ def step_eemp(system, config, x, x_prev, rng=None):
 
     action = CountingAction.from_system(system, x)
     outcome = build_basis(action, start, config, rng)
-    basis = extend_basis(outcome, action, d)
+    basis = extend_basis(outcome.basis, action, d)
     F, c_d = basis.reduced, basis.left_apply(d)
     y = _kernel(phi_apply, F, F @ c_d + 2.0 * basis.left_apply(fx), config.step_size)
     x_plus = x + basis.columns @ (c_d + y)
@@ -299,7 +298,7 @@ def integrate(system, config, x0, n_steps=1, observer=None, rng=None):
     summary of the steps completed so far, the failed step included when
     it completed.
     """
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+    if not _is_int(n_steps) or n_steps < 1:
         raise ValueError(f"n_steps must be an integer of at least 1, got {n_steps!r}")
     h = config.step_size
     if h <= 0:

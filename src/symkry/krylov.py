@@ -7,10 +7,11 @@ isotropic Arnoldi processes (symplectic, orthonormal bases of the form
 with a short two-sided recursion and reduced matrix [[0, T], [D, 0]]).
 
 Every builder writes its basis vectors as rows of preallocated blocks
-and hands ``BasisMatrix`` the rows of U^+ its recursion holds (the paired
-bases are orthonormal, so theirs are the basis rows; Lanczos's are J v_i
-and J^(-1) u_i).  The Arnoldi-type builders keep the basis built so far
-as a contiguous prefix and put the images A U into one block at the end;
+and hands ``BasisMatrix`` the rows of U^+ its recursion holds (the
+paired bases are orthonormal, so theirs are the basis rows; Lanczos's
+are J v_i and J^(-1) u_i) and the rows of A U, so every basis is
+complete.  The Arnoldi-type builders keep the basis built so far as a
+contiguous prefix and put the images A U into one block at the end;
 Lanczos writes U, U^+ and A U as three planes of one block, each row in
 its final [u..., v...] place.  The rows J v and J^(-1) v are written
 into their block rows by ``core.apply_J`` and ``apply_J_inverse`` with
@@ -26,16 +27,15 @@ purpose, which is where its cost advantage comes from, at the price of
 slow symplecticity drift for larger pair counts.  ``CountingAction`` is
 the one matrix action and the one matvec counter.
 
-``extend_basis`` adjoins any vector to a built basis of either kind (one
-column, or one pair) and returns the extended basis with its reduced
-matrix; it alone decides whether the vector is already in range(U), knows
-where new columns go and how the cached images A U are laid out, and it
-leaves the extended basis's left inverse to ``BasisMatrix``.
+``extend_basis`` adjoins any vector to a basis of either kind (one
+column, or one pair) and returns the extended basis, complete in turn, so
+it can be extended again; it alone decides whether the vector is already
+in range(U) and knows where new columns go, and it leaves the extended
+basis's left inverse and reduced matrix to ``BasisMatrix``.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,21 +91,17 @@ class CountingAction:
 class KrylovOutcome:
     """Result of a basis-building process.
 
-    ``basis.n_columns`` counts output columns of U (pairs count double);
-    ``terminated`` is one of "reached_k", "invariant_subspace", "breakdown";
-    ``residual_norm`` is the norm of the last unorthogonalized remainder
-    (the quantity whose smallness triggered an early stop, or the final
-    subdiagonal/remainder norm on a clean finish).  ``action_images``
-    caches A U, as the columns view of the builder's image rows (for
-    Lanczos, the third plane of the block that holds the basis rows and
-    their left inverse); ``extend_basis`` reads it to form the reduced
-    matrix of an extended basis with one action per new column.
+    ``basis`` is complete: its rows, left inverse, images A U and reduced
+    matrix; ``basis.n_columns`` counts output columns of U (pairs count
+    double).  ``terminated`` is one of "reached_k", "invariant_subspace",
+    "breakdown"; ``residual_norm`` is the norm of the last unorthogonalized
+    remainder (the quantity whose smallness triggered an early stop, or the
+    final subdiagonal/remainder norm on a clean finish).
     """
 
     basis: BasisMatrix
     terminated: str
     residual_norm: float
-    action_images: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def _validate_start(action, v, k, k_max, what):
@@ -169,23 +165,23 @@ def arnoldi(action, v, k):
         H[j + 1, j] = r
         np.divide(w, r, out=U[j + 1])
 
-    basis = BasisMatrix(U[:achieved].T, ORTHONORMAL, H[:achieved, :achieved])
-    return KrylovOutcome(basis, terminated, float(resid), images[:achieved].T)
+    basis = BasisMatrix(U[:achieved].T, ORTHONORMAL, H[:achieved, :achieved],
+                        images=images[:achieved])
+    return KrylovOutcome(basis, terminated, float(resid))
 
 
 def _assemble_paired(action, P, terminated, resid, images=None, known=0):
-    """Form the symplectic U = [V, J^(-1) V], F = U^+ (A U) from the row
-    block P = [v_1, J^(-1) v_1, v_2, ...] of an isotropic V.  The images
-    A U go into the rows of ``images`` (a new block if None), whose first
+    """Form the symplectic U = [V, J^(-1) V] with its images A U from the
+    row block P = [v_1, J^(-1) v_1, v_2, ...] of an isotropic V.  The images
+    go into the rows of ``images`` (a new block if None), whose first
     ``known`` rows already hold A v_j for the leading rows of V."""
     rows = np.concatenate((P[0::2], P[1::2]))
     images = np.empty_like(rows) if images is None else images[:rows.shape[0]]
     for j in range(known, rows.shape[0]):
         action.apply(rows[j], images[j])
     # U is orthonormal as well, so U^+ = J_k^(-1) U^T J = U^T: J J^(-1) v = v
-    basis = BasisMatrix(rows.T, SYMPLECTIC, left=rows)
-    basis.reduced = basis.left_apply(images.T)
-    return KrylovOutcome(basis, terminated, float(resid), images.T)
+    basis = BasisMatrix(rows.T, SYMPLECTIC, left=rows, images=images)
+    return KrylovOutcome(basis, terminated, float(resid))
 
 
 def symplectic_arnoldi(action, v, k):
@@ -291,7 +287,7 @@ def hamiltonian_lanczos(action, v, k):
     (J v_i, then J^(-1) u_i) and the images A U, each already in its final
     [u..., v...] place: u_j in row j and v_j in row k + j.  An early stop
     (k' < k) moves the v rows up once.  The three planes become the
-    basis's rows, its left inverse and ``action_images``, with no copy.
+    basis's rows, its left inverse and its images, with no copy.
     The action writes A u_hat into row j of A U, divided there by sigma_j
     to give A u_j, and A v_j into row k + j.
     """
@@ -348,27 +344,24 @@ def hamiltonian_lanczos(action, v, k):
     T.flat[::kp + 1] = alphas
     T.flat[1::kp + 1] = T.flat[kp::kp + 1] = sigmas[1:]
     D.flat[::kp + 1] = deltas
-    basis = BasisMatrix(U[:2 * kp].T, SYMPLECTIC, F, left=L[:2 * kp])
-    return KrylovOutcome(basis, terminated, float(resid), images[:2 * kp].T)
+    basis = BasisMatrix(U[:2 * kp].T, SYMPLECTIC, F, left=L[:2 * kp], images=images[:2 * kp])
+    return KrylovOutcome(basis, terminated, float(resid))
 
 
-def extend_basis(outcome, action, x):
-    """Adjoin x to ``outcome.basis`` so that x lies in its range, and return
-    the extended BasisMatrix with ``reduced`` = U^+ (A U) set.
+def extend_basis(basis, action, x):
+    """Adjoin x to ``basis`` so that x lies in its range, and return the
+    extended BasisMatrix with its images A U and reduced matrix.
 
     The range of U is removed from x along U's left inverse.  An
     orthonormal basis gets the normalized remainder v_new as its last
     column; a symplectic basis [V | W] gets v_new after V and, after W, the
     companion w_new: J v_new with the range removed and scaled so that
     omega(v_new, w_new) = 1 (DegeneratePairError if that pairing vanishes).
-    The rows and the images A U (from ``outcome.action_images``, so each
-    new column costs one action) are copied into new blocks with the new
-    rows in place, and ``BasisMatrix`` forms the extended basis's U^+.
-    x may be any vector of the basis's length: one that is already
-    representable, x = 0 included, returns ``outcome.basis`` unchanged,
-    with no action.
+    The rows and the images A U are copied into new blocks with the new
+    rows in place, so each new column costs one action.  x may be any
+    vector of the basis's length: one that is already representable,
+    x = 0 included, returns ``basis`` unchanged, with no action.
     """
-    basis = outcome.basis
     x = np.ascontiguousarray(x, dtype=float)
     if x.shape != (basis.dim,):
         raise ValueError(f"vector has length {x.shape}, expected ({basis.dim},)")
@@ -391,8 +384,6 @@ def extend_basis(outcome, action, x):
     for i, row in enumerate(new):
         old, at = slice(i * size, (i + 1) * size), i * (size + 1)
         rows[at:at + size], rows[at + size] = basis.rows[old], row
-        images[at:at + size] = outcome.action_images.T[old]
+        images[at:at + size] = basis.images[old]
         action.apply(row, images[at + size])
-    extended = BasisMatrix(rows.T, basis.kind)
-    extended.reduced = extended.left_apply(images.T)
-    return extended
+    return BasisMatrix(rows.T, basis.kind, images=images)

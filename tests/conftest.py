@@ -67,12 +67,11 @@ def project(basis, v):
     return basis.columns @ basis.left_apply(v)
 
 
-def extend_by_insert(outcome, action, x):
+def extend_by_insert(basis, action, x):
     """``krylov.extend_basis`` as np.insert builds it: the new rows go into
-    copies of U^T and of the images A U, and BasisMatrix forms U^+ from the
-    extended rows.  Returns the extended basis, or ``outcome.basis`` when x
-    is already representable."""
-    basis = outcome.basis
+    copies of U^T and of the images A U, and BasisMatrix forms U^+ and F
+    from the extended rows and images.  Returns the extended basis, or
+    ``basis`` when x is already representable."""
     x = np.asarray(x, dtype=float)
     nx = np.linalg.norm(x)
     x_hat = _project_out(x, basis.rows, basis.left)[0]
@@ -86,10 +85,8 @@ def extend_by_insert(outcome, action, x):
     size = basis.n_columns // len(new)
     at = [size * (i + 1) for i in range(len(new))]
     rows = np.insert(basis.rows, at, new, axis=0)
-    images = np.insert(outcome.action_images.T, at, [action.apply(u) for u in new], axis=0)
-    extended = BasisMatrix(rows.T, basis.kind)
-    extended.reduced = extended.left_apply(images.T)
-    return extended
+    images = np.insert(basis.images, at, [action.apply(u) for u in new], axis=0)
+    return BasisMatrix(rows.T, basis.kind, images=images)
 
 
 def check_hamiltonian_matrix(A, tol=1e-8):

@@ -16,6 +16,7 @@ from symkry import (
     LinearWaveSystem,
     NonlinearSchroedingerSystem,
     QuadraticHamiltonianSystem,
+    StepperConfig,
     apply_J_inverse,
     expm,
     integrate,
@@ -401,6 +402,24 @@ class TestExperimentConfig:
         # refused when the config is made, not as numpy's TypeError in run()
         with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
             ExperimentConfig(seed=seed)
+
+    # a bool is an int to Python, but never a count, seed or factor
+    BOOL_SETTINGS = {
+        "stepper-basis_dim": (lambda: StepperConfig(basis_dim=True), ConfigError),
+        "basis_dim": (lambda: ExperimentConfig(basis_dim=True), ConfigError),
+        "n_steps": (lambda: ExperimentConfig(n_steps=True), ConfigError),
+        "record_every": (lambda: ExperimentConfig(record_every=True), ConfigError),
+        "seed": (lambda: ExperimentConfig(seed=False), ConfigError),
+        "ref_factor": (lambda: ExperimentConfig(ref_factor=True), ConfigError),
+        "integrate-n_steps": (lambda: integrate(KleinGordonSystem(n=8), StepperConfig(),
+                                                np.zeros(16), n_steps=True), ValueError),
+    }
+
+    @pytest.mark.parametrize("setting", list(BOOL_SETTINGS))
+    def test_bool_refused_where_an_integer_is_required(self, setting):
+        make, error = self.BOOL_SETTINGS[setting]
+        with pytest.raises(error, match=r"integer.*, got (True|False)$"):
+            make()
 
     def test_config_keeps_what_it_built(self):
         cfg = ExperimentConfig(problem="klein-gordon", problem_params={"n": 8}, basis_dim=6,
@@ -987,11 +1006,11 @@ class TestCLI:
         # the partial CSV flushed, not a traceback
         real, calls = integrators.extend_basis, []
 
-        def extend(outcome, action, x):
+        def extend(basis, action, x):
             calls.append(1)
             if len(calls) == 5:
                 raise DegeneratePairError("paired companion degenerated")
-            return real(outcome, action, x)
+            return real(basis, action, x)
 
         monkeypatch.setattr(integrators, "extend_basis", extend)
         out = tmp_path / "pair.csv"

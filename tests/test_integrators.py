@@ -11,7 +11,9 @@ from symkry import (
     LinearWaveSystem,
     NonlinearSchroedingerSystem,
     StepperConfig,
+    apply_J_inverse,
     expm,
+    hamiltonian_lanczos,
     integrate,
     omega,
     phi_apply,
@@ -22,7 +24,7 @@ from symkry import (
 from symkry import ConfigError, DegeneratePairError, QuadraticHamiltonianSystem, StepFailureError
 from symkry import integrators
 from symkry.core import BasisMatrix, SYMPLECTIC
-from symkry.krylov import BREAKDOWN, KrylovOutcome
+from symkry.krylov import BREAKDOWN, REACHED_K, KrylovOutcome
 
 from conftest import dense_action, phi1, random_quadratic_system
 
@@ -493,11 +495,11 @@ class TestIntegrate:
         k, calls = 4, []
         real = integrators.extend_basis
 
-        def extend(outcome, action, x):
+        def extend(basis, action, x):
             calls.append(1)
             if len(calls) == k - 1:
                 raise DegeneratePairError("paired companion degenerated")
-            return real(outcome, action, x)
+            return real(basis, action, x)
 
         monkeypatch.setattr(integrators, "extend_basis", extend)
         cfg = StepperConfig(method="EEMP", basis_process="hamiltonian-lanczos",
@@ -626,6 +628,42 @@ class TestEEMPTimeSymmetry:
         assert np.linalg.norm(back - x_prev) <= 1e-11 * np.linalg.norm(x_prev)
 
 
+def lanczos_tau_root(rng, n, j):
+    """A = J^(-1) S of dimension 2n for a drawn symmetric S, and a start at
+    which Lanczos's j-th pairing tau_j = omega(u_hat_j, A u_hat_j), here
+    u_hat_j^T S u_hat_j, vanishes: on the half circle cos(t) a + sin(t) b
+    of two drawn vectors, t is bisected down to adjacent doubles where the
+    sign of tau_j flips and those of tau_0..tau_(j-1) do not."""
+    S = rng.standard_normal((2 * n, 2 * n))
+    S += S.T
+    A = apply_J_inverse(S)
+
+    def start(t):
+        return np.cos(t) * a + np.sin(t) * b
+
+    def signs(t):
+        remainders = []  # the actions alternate between u_hat_i and v_i
+
+        def spy(w, out=None):
+            remainders.append(w.copy())
+            return np.matmul(A, w, out=out)
+
+        hamiltonian_lanczos(CountingAction(2 * n, spy), start(t), j + 1)
+        return tuple(np.sign(u @ S @ u) for u in remainders[0::2])
+
+    grid = np.linspace(0.0, np.pi, 33)
+    flips = []
+    while not flips:
+        a, b = rng.standard_normal((2, 2 * n))
+        s = [signs(t) for t in grid]
+        flips = [i for i in range(grid.size - 1)
+                 if s[i] != s[i + 1] and s[i][:-1] == s[i + 1][:-1]]
+    lo, hi = grid[flips[0]], grid[flips[0] + 1]
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if signs(mid) == s[flips[0]] else (lo, mid)
+    return A, start(lo)
+
+
 class TestBuildBasis:
     @pytest.mark.parametrize("process", ["isotropic-arnoldi", "symplectic-arnoldi"])
     def test_breakdown_restarts_without_rng(self, process):
@@ -643,6 +681,19 @@ class TestBuildBasis:
                                         rng=np.random.default_rng(0))
         assert np.array_equal(outcome.basis.columns, again.basis.columns)
 
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_lanczos_breaks_down_short_where_tau_vanishes(self, j):
+        # a vanishing pairing tau_j stops Hamiltonian Lanczos at kp = j < k
+        # pairs, short of the request like every breakdown (the paired
+        # processes' at the wave start above); the restart then succeeds
+        A, v = lanczos_tau_root(np.random.default_rng(27), 8, j)
+        action = dense_action(A)
+        plain = hamiltonian_lanczos(action, v, 6)
+        assert plain.terminated == BREAKDOWN and plain.basis.n_columns == 2 * j
+        cfg = StepperConfig(basis_process="hamiltonian-lanczos", basis_dim=12)
+        outcome = integrators.build_basis(action, v, cfg)
+        assert outcome.terminated == REACHED_K and outcome.basis.n_columns == 12
+
     def _broken(self, monkeypatch, columns, residual=0.5):
         """Install a process that always breaks down with ``columns`` columns."""
         attempts = []
@@ -650,9 +701,8 @@ class TestBuildBasis:
         def process(action, v, k):
             attempts.append(v.copy())
             basis = BasisMatrix(np.eye(action.dim)[:, :columns], SYMPLECTIC,
-                                np.zeros((columns, columns)))
-            return KrylovOutcome(basis, BREAKDOWN, residual,
-                                 np.zeros((action.dim, columns)))
+                                images=np.zeros((columns, action.dim)))
+            return KrylovOutcome(basis, BREAKDOWN, residual)
 
         monkeypatch.setitem(integrators.BASIS_PROCESSES, "hamiltonian-lanczos", (process, 2))
         return attempts

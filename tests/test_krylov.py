@@ -22,7 +22,7 @@ from symkry import (
 from symkry import krylov
 from symkry.core import ORTHONORMAL, STRUCTURE_TOL, SYMPLECTIC
 from symkry.errors import DegeneratePairError
-from symkry.krylov import BREAKDOWN, INVARIANT_SUBSPACE, REACHED_K, KrylovOutcome
+from symkry.krylov import BREAKDOWN, INVARIANT_SUBSPACE, REACHED_K
 
 from conftest import dense_action, extend_by_insert, project, random_hamiltonian_matrix
 
@@ -158,7 +158,7 @@ class TestIsotropicArnoldi:
         assert out.basis.n_columns == 2
         assert act.count == 2
         A = sys.jacobian_dense(sys.initial_state)
-        assert np.allclose(out.action_images, A @ out.basis.columns)
+        assert np.allclose(out.basis.images.T, A @ out.basis.columns)
 
     def test_krylov_containment_fails_generically(self, rng):
         # the defining weakness: range(U) need not contain K_k(A, v)
@@ -254,7 +254,7 @@ class TestLanczosRowBlock:
         F[:2, 2:] = [[2.0, 3.0], [3.0, 5.0]]
         F[2:, :2] = np.diag([1.0, -1.0])
         assert np.array_equal(out.basis.reduced, F)
-        assert np.array_equal(out.action_images, A @ U)
+        assert np.array_equal(out.basis.images.T, A @ U)
 
     @pytest.mark.parametrize("n, k", [(50, 20), (400, 11)])
     def test_images_reduced_matrix_and_structure(self, rng, n, k):
@@ -264,7 +264,7 @@ class TestLanczosRowBlock:
         assert out.terminated == REACHED_K
         U = out.basis.columns
         AU = sys.jacobian_dense(x) @ U
-        assert np.linalg.norm(out.action_images - AU) <= 1e-13 * np.linalg.norm(AU)
+        assert np.linalg.norm(out.basis.images.T - AU) <= 1e-13 * np.linalg.norm(AU)
         F = out.basis.reduced
         assert np.linalg.norm(F - out.basis.left_apply(AU)) <= 1e-12 * np.linalg.norm(F)
         assert symplectic_defect(U) <= STRUCTURE_TOL
@@ -306,7 +306,7 @@ class TestLanczosRowBlock:
         assert out.terminated == INVARIANT_SUBSPACE and out.basis.n_columns == 6
         U = out.basis.columns
         assert np.array_equal(out.basis.left, BasisMatrix(U, SYMPLECTIC).left)
-        assert np.linalg.norm(out.action_images - A @ U) <= 1e-13 * np.linalg.norm(A @ U)
+        assert np.linalg.norm(out.basis.images.T - A @ U) <= 1e-13 * np.linalg.norm(A @ U)
         assert symplectic_defect(U) <= STRUCTURE_TOL
 
 
@@ -332,11 +332,11 @@ def invariant_block_start(rng, n, m):
     return A, v
 
 
-def check_lanczos_structure(out, action_images_of):
+def check_lanczos_structure(out, images_of):
     U = out.basis.columns
-    AU = action_images_of(U)
+    AU = images_of(U)
     assert symplectic_defect(U) <= STRUCTURE_TOL
-    assert np.linalg.norm(out.action_images - AU) <= 1e-13 * np.linalg.norm(AU)
+    assert np.linalg.norm(out.basis.images.T - AU) <= 1e-13 * np.linalg.norm(AU)
 
 
 class TestLanczosOnePassStructure:
@@ -423,7 +423,7 @@ class TestTwoRowBlocks:
         # allocation, with nothing else in it
         out = build_on(problem, hamiltonian_lanczos, 2)[0]
         assert out.terminated == REACHED_K
-        arrays = (out.basis.rows, out.basis.left, out.action_images)
+        arrays = (out.basis.rows, out.basis.left, out.basis.images)
         blocks = {id(allocation(a)) for a in arrays}
         assert len(blocks) == 1
         assert allocation(arrays[0]).nbytes == 3 * arrays[0].nbytes
@@ -434,6 +434,43 @@ def allocation(array):
     while array.base is not None:
         array = array.base
     return array
+
+
+@pytest.mark.parametrize("problem", ["random-hamiltonian", "klein-gordon-64"])
+@pytest.mark.parametrize("builder,mult", BUILDERS, ids=BUILDER_IDS)
+def test_built_and_extended_bases_are_complete(problem, builder, mult):
+    # a built basis, extended once and extended twice, carries its images
+    # A U and F; F is, bit for bit, left @ images.T wherever BasisMatrix
+    # formed it (every basis but a built Arnoldi or Lanczos one), and each
+    # extension is, bit for bit, the np.insert construction's
+    rng = np.random.default_rng(27)
+    if problem == "random-hamiltonian":
+        A = random_hamiltonian_matrix(rng, 8)
+        v, columns = rng.standard_normal(16), 6
+
+        def action():
+            return dense_action(A)
+    else:
+        sys = KleinGordonSystem(n=64)
+        x0 = sys.initial_state + 0.1 * rng.standard_normal(sys.dim)
+        A, v, columns = sys.jacobian_dense(x0), sys.f(x0), 16
+
+        def action():
+            return CountingAction.from_system(sys, x0)
+    built = builder(action(), v, columns // mult).basis
+    bases, oracles = [built], [built]
+    for _ in range(2):
+        x = rng.standard_normal(A.shape[0])
+        bases.append(extend_basis(bases[-1], action(), x))
+        oracles.append(extend_by_insert(oracles[-1], action(), x))
+    for i, (basis, oracle) in enumerate(zip(bases, oracles)):
+        assert basis.n_columns == columns + i * mult
+        AU = A @ basis.columns
+        assert np.linalg.norm(basis.images.T - AU) <= 1e-13 * np.linalg.norm(AU)
+        if i or builder in (symplectic_arnoldi, isotropic_arnoldi):
+            assert np.array_equal(basis.reduced, basis.left @ basis.images.T)
+        for name in ("rows", "left", "images", "reduced"):
+            assert getattr(basis, name).tobytes() == getattr(oracle, name).tobytes(), name
 
 
 @pytest.mark.parametrize("problem", ["random-hamiltonian", "klein-gordon-64"])
@@ -477,9 +514,10 @@ class TestExactnessAtInvariantSubspace:
             assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
-def outcome_of(basis, A):
-    """A built basis with its cached images A U, as the builders return it."""
-    return KrylovOutcome(basis, REACHED_K, 0.0, A @ basis.columns)
+def with_images(columns, kind, A):
+    """A complete basis of the given columns: its images A U and F, as the
+    builders return it."""
+    return BasisMatrix(columns, kind, images=(A @ columns).T)
 
 
 class TestExtendBasis:
@@ -499,7 +537,7 @@ class TestExtendBasis:
         v, x = rng.standard_normal((2, 16))
         out = builder(dense_action(A), v, k)
         act = dense_action(A)
-        ext = extend_basis(out, act, x)
+        ext = extend_basis(out.basis, act, x)
         m = out.basis.n_columns
         assert act.count == added  # the cached images serve the old columns
         assert ext.kind == out.basis.kind and ext.n_columns == m + added
@@ -531,7 +569,8 @@ class TestExtendBasis:
             v, k = sys.f(x0), 8 * k // 3
         out = builder(actions[0], v, k)
         x = rng.standard_normal(actions[0].dim)
-        got, want = extend_basis(out, actions[1], x), extend_by_insert(out, actions[2], x)
+        got = extend_basis(out.basis, actions[1], x)
+        want = extend_by_insert(out.basis, actions[2], x)
         assert got.n_columns == out.basis.n_columns + added
         for name in ("rows", "left", "reduced"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -541,16 +580,15 @@ class TestExtendBasis:
     def test_dependent_vector_returns_the_basis(self, kind, rng):
         n = 4
         E = np.eye(2 * n)
-        basis = BasisMatrix(np.column_stack([E[0], E[n]]), kind)
-        out = outcome_of(basis, canonical_J(n))
+        basis = with_images(np.column_stack([E[0], E[n]]), kind, canonical_J(n))
         act = dense_action(canonical_J(n))
-        assert extend_basis(out, act, 2.0 * E[0] - 3.0 * E[n]) is basis
+        assert extend_basis(basis, act, 2.0 * E[0] - 3.0 * E[n]) is basis
         assert act.count == 0
 
     def test_smallest_symplectic_case_from_empty(self):
         A = canonical_J(1)
-        out = outcome_of(BasisMatrix(np.zeros((2, 0)), SYMPLECTIC), A)
-        ext = extend_basis(out, dense_action(A), np.array([1.0, 0.0]))
+        basis = with_images(np.zeros((2, 0)), SYMPLECTIC, A)
+        ext = extend_basis(basis, dense_action(A), np.array([1.0, 0.0]))
         # pairing normalization fixes the companion up to the free scaling
         # of the first vector: omega(v, w) = +1
         assert np.allclose(ext.columns, np.eye(2))
@@ -559,33 +597,33 @@ class TestExtendBasis:
 
     def test_explicit_small_orthonormal_case(self):
         A = canonical_J(2)
-        out = outcome_of(BasisMatrix(np.eye(4)[:, :1], ORTHONORMAL), A)
-        ext = extend_basis(out, dense_action(A), np.array([1.0, 1.0, 0.0, 0.0]))
+        basis = with_images(np.eye(4)[:, :1], ORTHONORMAL, A)
+        ext = extend_basis(basis, dense_action(A), np.array([1.0, 1.0, 0.0, 0.0]))
         assert np.allclose(ext.columns[:, 1], [0.0, 1.0, 0.0, 0.0])
 
     def test_empty_orthonormal_basis_takes_the_normalized_vector(self, rng):
         x = rng.standard_normal(6)
-        out = outcome_of(BasisMatrix(np.zeros((6, 0)), ORTHONORMAL), canonical_J(3))
-        ext = extend_basis(out, dense_action(canonical_J(3)), x)
+        basis = with_images(np.zeros((6, 0)), ORTHONORMAL, canonical_J(3))
+        ext = extend_basis(basis, dense_action(canonical_J(3)), x)
         assert np.array_equal(ext.columns, (x / np.linalg.norm(x))[:, None])
 
     @pytest.mark.parametrize("kind", [ORTHONORMAL, SYMPLECTIC])
     def test_zero_and_wrong_length_vectors_rejected(self, kind):
-        out = outcome_of(BasisMatrix(np.zeros((4, 0)), kind), canonical_J(2))
+        basis = with_images(np.zeros((4, 0)), kind, canonical_J(2))
         act = dense_action(canonical_J(2))
         # the zero vector lies in every range: the basis comes back, no action
-        assert extend_basis(out, act, np.zeros(4)) is out.basis
+        assert extend_basis(basis, act, np.zeros(4)) is basis
         assert act.count == 0
         with pytest.raises(ValueError, match="length"):
-            extend_basis(out, act, np.ones(6))
+            extend_basis(basis, act, np.ones(6))
 
     def test_degenerate_pair_raises(self, monkeypatch):
         # a companion with no omega-pairing to the new vector cannot be
         # normalized: the extension fails typed instead of dividing by ~0
         monkeypatch.setattr(krylov, "omega", lambda x, y: 0.0)
-        out = outcome_of(BasisMatrix(np.zeros((4, 0)), SYMPLECTIC), canonical_J(2))
+        basis = with_images(np.zeros((4, 0)), SYMPLECTIC, canonical_J(2))
         with pytest.raises(DegeneratePairError):
-            extend_basis(out, dense_action(canonical_J(2)), np.ones(4))
+            extend_basis(basis, dense_action(canonical_J(2)), np.ones(4))
 
 
 class TestStructureAsKGrows:

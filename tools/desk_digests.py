@@ -42,10 +42,10 @@ go through the modal path): the states of
     dense-reference-quadratic <sha256 of the states' bytes>
 
 Then one line per basis process digests the basis layer itself, where a
-change of rounding starts: U, F and A U built with 16 columns from a
-fixed perturbed ``KleinGordonSystem(n=64)`` state, then U and F of
-``extend_basis`` with a fixed vector (C-order bytes, whatever the
-layout):
+change of rounding starts: U, F and A U (the columns of
+``basis.images``) built with 16 columns from a fixed perturbed
+``KleinGordonSystem(n=64)`` state, then U and F of ``extend_basis`` with
+a fixed vector (C-order bytes, whatever the layout):
 
     basis-<process> <sha256>
 
@@ -73,8 +73,16 @@ Usage: python3 tools/desk_digests.py [SRC_DIR]
 
 SRC_DIR is the directory symkry is imported from (default: this
 checkout's ``src/``), so two checkouts can be compared with ``diff``;
-the workloads always come from this checkout.  Uses only the standard
+the workloads always come from this checkout.  When a change alters the
+API this tool calls (``extend_basis`` taking a basis, say), an old
+``src/`` cannot run under the new tool: run each checkout's own tool on
+its own ``src/`` and diff those outputs.  Uses only the standard
 library, numpy, symkry and ``perfbench/workloads.py``.
+
+The ``aborted-eemp-arnoldi`` line's matvecs, hash and errors move with
+any rounding change of EEMP with Arnoldi: its divergence guard trips
+anywhere from step 49 to 260 over slightly perturbed starts, so for a
+change that moves rounding on purpose that line is noise.
 """
 
 import contextlib
@@ -207,9 +215,9 @@ def main(argv):
     y = rng.standard_normal(kg.dim)
     for process, (builder, mult) in BASIS_PROCESSES.items():
         out = builder(CountingAction.from_system(kg, x), kg.f(x), 16 // mult)
-        ext = extend_basis(out, CountingAction.from_system(kg, x), y)
+        ext = extend_basis(out.basis, CountingAction.from_system(kg, x), y)
         digest = hashlib.sha256()
-        for array in (out.basis.columns, out.basis.reduced, out.action_images,
+        for array in (out.basis.columns, out.basis.reduced, out.basis.images.T,
                       ext.columns, ext.reduced):
             digest.update(np.ascontiguousarray(array).tobytes())
         print(f"basis-{process} {digest.hexdigest()}", flush=True)
