@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys as _sys
+import time
 import warnings
 
 import numpy as np
@@ -677,22 +678,32 @@ class TestReferenceBeside:
         base.update(kw)
         return ExperimentConfig(**base)
 
-    @pytest.mark.parametrize("config", [
-        dict(),
-        dict(problem="linear-wave", problem_params={"n": 100}, method="EE", basis_dim=12,
-             t_final=5.0, n_steps=200, reference="dense"),
-        dict(method="EEMP", basis="arnoldi", basis_dim=20, t_final=45.0, n_steps=2250,
-             ref_factor=1),
-    ], ids=["kg-iemp", "wave-dense", "kg-aborted"])
-    def test_overlapped_and_inline_csvs_are_byte_identical(self, config, forked, tmp_path,
+    @pytest.mark.parametrize("config, slow", [
+        (dict(), None),
+        (dict(problem="linear-wave", problem_params={"n": 100}, method="EE", basis_dim=12,
+              t_final=5.0, n_steps=200, reference="dense"), None),
+        (dict(method="EEMP", basis="arnoldi", basis_dim=20, t_final=45.0, n_steps=2250,
+              ref_factor=1), None),
+        (dict(), "child"),
+        (dict(), "parent"),
+    ], ids=["kg-iemp", "wave-dense", "kg-aborted", "kg-oracle-last", "kg-oracle-first"])
+    def test_overlapped_and_inline_csvs_are_byte_identical(self, config, slow, forked, tmp_path,
                                                            monkeypatch):
         def fork():
             raise OSError("no fork here")
 
+        # a sleep in f of the process named by ``slow`` forces the order in
+        # which the oracle's rows and the recorded steps arrive
+        sleeping = [slow is not None]
+        if slow is not None:
+            self._failing_f(monkeypatch, lambda: sleeping[0] and time.sleep(0.001),
+                            in_child=slow == "child")
+        polls = self._spy_polls(monkeypatch)
         texts = []
         for inline in (False, True):
             if inline:
                 monkeypatch.setattr(os, "fork", fork)
+                sleeping[0] = False
             harness._reference_memo.clear()
             out = tmp_path / f"inline{inline}.csv"
             try:
@@ -701,8 +712,24 @@ class TestReferenceBeside:
                 pass
             texts.append(out.read_bytes())
             assert_no_child()
+            if not inline and slow == "child":  # rows still out at the last recorded step
+                assert polls[-1] < len(texts[0].splitlines()) - 2
+            if not inline and slow == "parent":  # every row in by then
+                assert polls[-1] == len(texts[0].splitlines()) - 2
         assert texts[0] == texts[1]
         assert b"nan" not in texts[0]
+
+    @staticmethod
+    def _spy_polls(monkeypatch):
+        """The list of what every ``poll()`` of an oracle returns, in order."""
+        real, polls = harness._Beside.poll, []
+
+        def poll(oracle):
+            polls.append(real(oracle))
+            return polls[-1]
+
+        monkeypatch.setattr(harness._Beside, "poll", poll)
+        return polls
 
     def test_normal_run_leaves_no_child(self, forked):
         run(self._kg(), quiet=True)
@@ -777,6 +804,26 @@ class TestReferenceBeside:
         assert_no_child()
         assert not harness._reference_memo
 
+    def test_oracle_error_after_some_rows_takes_precedence(self, forked, tmp_path, monkeypatch):
+        # the child fails at the 801st call of f, so rows 0-5 (160 calls of
+        # f per row) are in; the parent's f sleeps, so it sees them first
+        calls = itertools.count()
+
+        def fail():
+            if next(calls) == 800:
+                raise ZeroDivisionError("f failed in the child")
+
+        self._failing_f(monkeypatch, fail, in_child=True)
+        self._failing_f(monkeypatch, lambda: time.sleep(0.001), in_child=False)
+        polls = self._spy_polls(monkeypatch)
+        out = tmp_path / "never.csv"
+        with pytest.raises(ZeroDivisionError, match="f failed in the child"):
+            run(self._kg(output=str(out)), quiet=True)
+        assert polls[-1] == 6
+        assert not out.exists()
+        assert_no_child()
+        assert not harness._reference_memo
+
     def test_unpicklable_oracle_error_arrives_as_runtime_error(self, forked, monkeypatch):
         class LocalError(Exception):
             pass
@@ -791,14 +838,19 @@ class TestReferenceBeside:
 
     def test_child_that_dies_silently_is_a_child_process_error(self, forked, monkeypatch):
         self._failing_f(monkeypatch, lambda: os._exit(3), in_child=True)
-        with pytest.raises(ChildProcessError, match="sent nothing"):
+        with pytest.raises(ChildProcessError, match="sent no outcome"):
             run(self._kg(), quiet=True)
         assert_no_child()
 
-    @pytest.mark.parametrize("no_fork", ["missing", "fails", "pipe-fails"],
-                             ids=["no-fork", "fork-fails", "pipe-fails"])
+    @pytest.mark.parametrize("no_fork", ["missing", "fails", "pipe-fails", "mapping-fails"],
+                             ids=["no-fork", "fork-fails", "pipe-fails", "mapping-fails"])
     def test_computed_inline_where_forking_cannot_help(self, no_fork, tmp_path, monkeypatch):
-        if no_fork == "missing":
+        if no_fork == "mapping-fails":
+            def mapping(*args):
+                raise OSError(12, "Cannot allocate memory")
+
+            monkeypatch.setattr(harness.mmap, "mmap", mapping)
+        elif no_fork == "missing":
             monkeypatch.delattr(os, "fork", raising=False)
         elif no_fork == "fails":
             def fork():
