@@ -3,9 +3,10 @@
 A run is described declaratively (problem, method, basis process, basis
 dimension, horizon, step count), integrated with the configured stepper,
 and measured against a reference trajectory (``reference_solution``):
-``dense``, the exact propagation of a linear system (refused above
-dimension DENSE_REFERENCE_LIMIT = 2000), or ``fine``, classical RK4 at the
-main step divided by a refinement factor (default 100).
+``dense``, the exact flow x0 + t phi(tA) f(x0) of a linear system
+(refused above dimension DENSE_REFERENCE_LIMIT = 2000), or ``fine``,
+classical RK4 at the main step divided by a refinement factor (default
+100).
 
 Each recorded row holds (step, t, relative energy error, solution error,
 achieved basis dimension, fixed-point iterations).  Output is plain CSV
@@ -35,7 +36,7 @@ from ._version import __version__
 from .core import _is_int, _norm
 from .errors import ConfigError, IntegrationAborted, ReferenceFailureError, StepFailureError
 from .integrators import StepperConfig, integrate
-from .matfun import mode_factors, pade_flow
+from .matfun import _phi_second_order, _second_order_sign, pade_flow
 from .problems import build_problem
 
 CSV_COLUMNS = "step,t,rel_energy_error,sol_error,basis_dim,fp_iters"
@@ -96,24 +97,6 @@ def _rk4_step(f, x, h):
     return total
 
 
-def _second_order_flow(K, b, x0, times, out):
-    """Write into the rows of ``out`` the states of q' = p, p' = K q + b (K
-    symmetric) from x0 at each time, exact in the eigenbasis of K: mode by
-    mode a'' = lam a + beta, with the factors C, S and G of
-    ``matfun.mode_factors`` over modes x times.  A state whose norm
-    overflows is a ReferenceFailureError, with no numpy warning."""
-    lam, V = np.linalg.eigh(K)
-    n = lam.size
-    a, pi, beta = V.T @ x0[:n], V.T @ x0[n:], V.T @ b
-    t = times[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        C, S, G = mode_factors(lam, t)
-        np.matmul(C * a + t * S * pi + t * t * G * beta, V.T, out=out[:, :n])
-        np.matmul(lam * t * S * a + C * pi + t * S * beta, V.T, out=out[:, n:])
-        if not np.isfinite(np.einsum("ij,ij->i", out, out)).all():
-            raise ReferenceFailureError("second-order flow overflowed")
-
-
 def _check_reference(system, mode, factor):
     """Refuse, as a ConfigError, a reference the oracle cannot give: an
     unknown mode, a refinement factor that is not an integer >= 1, and the
@@ -133,19 +116,21 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
     """Reference states at the given times, one row per time, written in
     grid order through ``_reference_rows``.  mode "dense": densify the
     affine system x' = A x + c (A the dense Jacobian at x0, c = f(0)),
-    exact for linear systems.  When A is exactly [[0, I], [K, 0]] with K
-    symmetric and c's q-half is zero, the states come from one ``eigh`` of
-    K (``_second_order_flow``, on the mode factors ``matfun.mode_factors``
-    that ``phi_apply``'s closed form for Hamiltonian Lanczos matrices
-    shares); otherwise from one ``expm`` of [[dt A, dt c], [0, 0]]
-    (``matfun.pade_flow``) per grid interval length, to 12 significant
-    digits.  mode "fine": classical RK4 with ``factor`` micro steps per
-    grid interval, each of length interval/factor.  A state whose norm
-    overflows (a non-finite one included), and an interval exponential
-    that ``pade_flow`` refuses, are a ReferenceFailureError, with no numpy
-    warning.  A time grid that is not finite and strictly increasing is a
-    ValueError, and ``_check_reference`` refuses bad arguments, before any
-    work, on a one-point grid too."""
+    exact for linear systems.  When A in (p, q) order is exactly [[0, K],
+    [delta I, 0]] with K symmetric (``matfun._second_order_sign``; q' = p,
+    p' = K q + b, a constant in q' included), each state is x0 + t phi(tA)
+    (A x0 + c), t its time from the first, from one ``eigh`` of K for the
+    whole grid (``matfun._phi_second_order``, ``phi_apply``'s closed form
+    for Hamiltonian Lanczos matrices); otherwise the states are propagated
+    with one ``expm`` of [[dt A, dt c], [0, 0]] (``matfun.pade_flow``) per
+    grid interval length, to 12 significant digits.  mode "fine":
+    classical RK4 with ``factor`` micro steps per grid interval, each of
+    length interval/factor.  A state whose norm overflows (a non-finite
+    one included), and a closed form or an interval exponential that
+    overflows, are a ReferenceFailureError, with no numpy warning.  A time
+    grid that is not finite and strictly increasing is a ValueError, and
+    ``_check_reference`` refuses bad arguments, before any work, on a
+    one-point grid too."""
     x0 = np.asarray(x0, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
@@ -163,24 +148,31 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
 def _reference_rows(system, x0, t_grid, mode, factor, states):
     """Write the state at each time of ``t_grid`` into its row of ``states``
     (checked arguments, see ``reference_solution``) and yield once per row
-    written, as it is written (on the modal path, once all are)."""
+    written, as it is written (in closed form, once all are)."""
     states[0] = x0
     yield
-    if mode == "dense" and t_grid.size > 1:
-        A = system.jacobian_dense(x0)
-        c = system.f(np.zeros(system.dim))
-        n = system.dim // 2
-        K = A[n:, :n]
-        if (np.array_equal(A[:n], np.eye(n, 2 * n, n)) and not A[n:, n:].any()
-                and np.array_equal(K, K.T) and not c[:n].any()):
-            _second_order_flow(K, c[n:], x0, t_grid[1:] - t_grid[0], states[1:])
-            yield from range(1, t_grid.size)
-            return
-    x, cache = x0, {}
+    x, cache, delta = x0, {}, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "dense" and t_grid.size > 1:
+            A = system.jacobian_dense(x0)
+            c = system.f(np.zeros(system.dim))
+            n = system.dim // 2
+            # in (p, q) order, q' = p, p' = K q + b reads [[0, K], [I, 0]]
+            M = np.roll(A, n, axis=(0, 1))
+            delta = _second_order_sign(M)
+            if delta:  # x0 + t phi(tA) (A x0 + c), one column per time
+                times = (t_grid[1:] - t_grid[0])[:, None]
+                fx = np.roll(A @ x0 + c, n)
+                try:
+                    Y = _phi_second_order(M, fx, times, delta)
+                except ValueError as exc:  # the flow overflowed, or A is not finite
+                    raise ReferenceFailureError(f"dense reference overflowed: {exc}") from exc
+                np.add(x0, np.roll(Y.T, n, axis=1), out=states[1:])
         for i in range(1, t_grid.size):
             dt = t_grid[i] - t_grid[i - 1]
-            if mode == "fine":
+            if delta:
+                x = states[i]
+            elif mode == "fine":
                 micro = dt / factor
                 for _ in range(factor):
                     x = _rk4_step(system.f, x, micro)
@@ -404,6 +396,8 @@ def run(config, quiet=False):
     flushed and the IntegrationAborted is re-raised with the partial
     ``series`` attached.  An oracle exception takes precedence over one from
     the integration, and a child is killed and reaped on every exit path.
+    Unless ``quiet``, it prints the status and the last recorded row, named
+    by its step.
     """
     wall_start = time.perf_counter()
     system, every = config.system, config.record_every
@@ -456,10 +450,10 @@ def run(config, quiet=False):
     wall = time.perf_counter() - wall_start
     if not quiet:
         status = "FAILED" if aborted_exc is not None else "ok"
-        last = series.rows[-1] if series.rows else (0, 0.0, 0.0, 0.0, 0, 0)
+        last = series.rows[-1] if series.rows else ("-", 0.0, np.nan, np.nan)
         print(f"[{status}] {config.echo()}")
-        print(f"  final rel_energy_error={last[2]:.3e} sol_error={last[3]:.3e} "
-              f"matvecs={summary.matvec_count} wall={wall:.2f}s")
+        print(f"  recorded step {last[0]} of {config.n_steps}: rel_energy_error={last[2]:.3e} "
+              f"sol_error={last[3]:.3e} matvecs={summary.matvec_count} wall={wall:.2f}s")
         if aborted_exc is not None:
             print(f"  abort: {aborted_exc}")
 

@@ -5,13 +5,13 @@ and on the dense reference of a linear system.  phi(z) = (e^z - 1)/z is
 formed only by ``phi_apply``, so singular M is fine: phi(M) is
 ``phi_apply(M, I, 1)``; no step needs e^(tM) = I + tM phi(tM).  A matrix
 [[0, T], [delta I, 0]] (T symmetric, delta = +-1), which Hamiltonian
-Lanczos returns, takes a closed form from one ``eigh`` of delta T and
-``mode_factors``, which the dense oracle's second-order flow shares;
-every other matrix takes ``expm`` of an augmented matrix (``pade_flow``),
-one [13/13] Pade approximant with scaling and squaring (Higham 2005).
+Lanczos returns and a second-order system's Jacobian is in (p, q) order,
+takes a closed form from one ``eigh`` of delta T and ``mode_factors``
+(``_phi_second_order``, which the dense oracle calls with a column of
+times); every other matrix takes ``expm`` of an augmented matrix
+(``pade_flow``), one [13/13] Pade approximant with scaling and squaring
+(Higham 2005).
 """
-
-import math
 
 import numpy as np
 
@@ -71,15 +71,17 @@ def mode_factors(lam, t):
     """Mode factors of the second-order flow a'' = lam a + beta at times t.
 
     With w = sqrt(-lam t^2), imaginary where lam > 0, returns the real
-    arrays C = cos w, S = sin(w)/w and G = 2 sin^2(w/2)/w^2 = S(w/2)^2/2,
-    broadcast over ``lam`` and ``t`` (modes x times for a column of times),
-    so that a(t) = C a + t S a' + t^2 G beta and a'(t) = lam t S a + C a'
-    + t S beta.  None of them cancels near w = 0 (``np.sinc`` holds the
-    limit at w = 0).  A cosh that overflows gives inf: callers hold numpy's
-    overflow and invalid-value signals off and check what they form.
+    arrays S = sin(w)/w and G = 2 sin^2(w/2)/w^2 = S(w/2)^2/2, broadcast
+    over ``lam`` and ``t`` (times x modes for a column of times), so that
+    with f = lam a + beta the flow is a(t) = a + t S a' + t^2 G f and
+    a'(t) = a' + t S f + lam t^2 G a': x(t) = x + t phi(tM) f(x) in each
+    mode, which ``_phi_second_order`` forms.  Neither cancels near w = 0
+    (``np.sinc`` holds the limit at w = 0).  A sinh that overflows gives
+    inf: callers hold numpy's overflow and invalid-value signals off and
+    check what they form.
     """
     w = np.sqrt((-lam * t * t).astype(complex))
-    return np.cos(w).real, np.sinc(w / np.pi).real, 0.5 * np.sinc(w / (2 * np.pi)).real ** 2
+    return np.sinc(w / np.pi).real, 0.5 * np.sinc(w / (2 * np.pi)).real ** 2
 
 
 def _second_order_sign(M):
@@ -101,34 +103,30 @@ def _second_order_sign(M):
 def _phi_second_order(M, B, t, delta):
     """``phi_apply`` for M = [[0, T], [delta I, 0]] from one ``eigh`` of
     delta T = V diag(lam) V^T: per mode, with S and G of ``mode_factors``,
-    t phi(tM) = [[t S, lam g], [g, t S]], g = delta t^2 G.  A vector B is
-    applied in the modes; a block meets t phi(tM) assembled from those
-    three blocks.  t = 0 gives zero exactly; B is checked if Y is not finite."""
+    t phi(tM) = [[t S, lam g], [g, t S]], g = delta t^2 G, applied to each
+    column of B in the modes, so neither phi(tM) nor e^(tM) is formed.  t
+    is a number or a column of times, one per column of B (a vector B is
+    one column and meets every time), so that one ``eigh`` serves a whole
+    grid (the dense oracle's).  Returns one column per column or time;
+    t = 0 gives zero exactly; B and t are checked if Y is not finite."""
     k = M.shape[0] // 2
     T = M[:k, k:]
-    if not (math.isfinite(t) and np.isfinite(T).all()):
+    if not np.isfinite(T).all():
         raise ValueError("matrix has non-finite entries")
     lam, V = np.linalg.eigh(delta * T)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, S, G = mode_factors(lam, t)
+        S, G = mode_factors(lam, t)
         tS, g = t * S, delta * t * t * G
-        if B.ndim == 1:
-            C = B.reshape(2, k) @ V  # the rows c1 = V^T b1 and c2 = V^T b2
-            Z = tS * C
-            Z[0] += lam * g * C[1]
-            Z[1] += g * C[0]
-            Y = (Z @ V.T).ravel()
-        else:
-            # the blocks V diag(d) V^T in one product
-            P, Q, R = ((V * np.array([tS, lam * g, g])[:, None, :])
-                       .reshape(3 * k, k) @ V.T).reshape(3, k, k)
-            Phi = np.empty((2 * k, 2 * k))
-            Phi[:k, :k] = Phi[k:, k:] = P
-            Phi[:k, k:], Phi[k:, :k] = Q, R
-            Y = Phi @ B
+        # per column b, the rows c1 = V^T b1 and c2 = V^T b2, from one 2-D product
+        C = (B.T.reshape(-1, k) @ V).reshape(-1, 2, k)
+        Z = tS[..., None, :] * C
+        Z[:, 0] += lam * g * C[:, 1]
+        Z[:, 1] += g * C[:, 0]
+        Y = (Z.reshape(-1, k) @ V.T).reshape(-1, 2 * k).T
         if not np.isfinite(Y).all():
-            raise ValueError("matrix has non-finite entries" if not np.isfinite(B).all()
-                             else "matrix exponential overflowed")
+            raise ValueError("matrix exponential overflowed"
+                             if np.isfinite(B).all() and np.isfinite(t).all()
+                             else "matrix has non-finite entries")
     return Y
 
 
@@ -167,11 +165,12 @@ def phi_apply(M, B, t):
     """t phi(tM) B for a vector or a block B, in B's shape: the closed form
     of ``_phi_second_order`` for M exactly [[0, T], [delta I, 0]], T
     symmetric and delta = +-1 (Hamiltonian Lanczos's F when its signs
-    agree), else ``pade_flow``.  A non-finite M, B or t and a result that
-    overflows are each a ValueError, with no numpy warning."""
+    agree; the dense oracle calls that form itself), else ``pade_flow``.
+    A non-finite M, B or t and a result that overflows are each a
+    ValueError, with no numpy warning."""
     M = _square(M)
     B = np.asarray(B, dtype=float)
     delta = _second_order_sign(M)
     if delta:
-        return _phi_second_order(M, B, t, delta)
+        return _phi_second_order(M, B, t, delta).reshape(B.shape)
     return pade_flow(M, B, t)[1]

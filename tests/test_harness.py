@@ -39,14 +39,16 @@ from symkry.harness import (
 from conftest import laplacian_eigenpairs, random_quadratic_system
 
 
-def second_order_system(K, b=None):
-    """The quadratic system q' = p, p' = K q + b: S = diag(K, -I), d = (b, 0)."""
+def second_order_system(K, b=None, e=0.0):
+    """The quadratic system q' = p - e, p' = K q + b: S = diag(K, -I),
+    d = (b, e)."""
     n = K.shape[0]
     S = np.zeros((2 * n, 2 * n))
     S[:n, :n] = K
     S[n:, n:] = -np.eye(n)
     d = np.zeros(2 * n)
     d[:n] = np.ones(n) if b is None else b
+    d[n:] = e
     return QuadraticHamiltonianSystem(S, d)
 
 
@@ -217,11 +219,15 @@ class TestReferenceSolution:
                                               [0.0, 0.0, 0.0, 1.0, 1.0],
                                               [0.0, 0.0, 0.0, 1.0, 1.0]])),
         lambda: KleinGordonSystem(n=16, g=0.0),
-    ], ids=["eigenvalues-of-every-sign", "klein-gordon-linear"])
+        lambda: second_order_system(np.array([[-2.0, 1.0, 0.0],
+                                              [1.0, -3.0, 0.5],
+                                              [0.0, 0.5, 0.0]]), e=np.array([0.5, -1.0, 2.0])),
+    ], ids=["eigenvalues-of-every-sign", "klein-gordon-linear", "constant-in-q-half"])
     def test_dense_second_order_agrees_with_affine_propagation(self, make, monkeypatch):
-        # q' = p, p' = K q + b with K's eigenvalues -3, -1, 0, 0, 2, and
-        # linear Klein-Gordon: the modal oracle, which never calls
-        # pade_flow, agrees with the affine propagation
+        # q' = p, p' = K q + b with K's eigenvalues -3, -1, 0, 0, 2, linear
+        # Klein-Gordon, and q' = p - e, p' = K q + b with e nonzero: the
+        # closed-form oracle, which never calls pade_flow, agrees with the
+        # affine propagation
         sys = make()
         x0 = np.random.default_rng(5).standard_normal(sys.dim)
         t_grid = np.array([0.0, 0.125, 0.25, 0.5])
@@ -976,6 +982,16 @@ class TestCLI:
         assert code == 0
         assert out.exists()
         assert len(out.read_text().splitlines()) == 2 + 20 // 5 + 1
+
+    @pytest.mark.parametrize("every, step", [(20, 0), (5, 10)])
+    def test_run_summary_names_the_step_it_reports(self, every, step, capsys):
+        # recording every 20th of 10 steps records step 0 only, whose errors
+        # are zero: the summary names that step instead of calling it final
+        assert main(["run", "--problem", "linear-wave", "--param", "n=16", "--basis-dim", "4",
+                     "--steps", "10", "--record-every", str(every), "--reference", "dense"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1].startswith(f"  recorded step {step} of 10: rel_energy_error=")
+        assert (out[1].split()[5] == "rel_energy_error=0.000e+00") == (step == 0)
 
     def test_capitalised_parameter_runs(self, tmp_path, capsys):
         out = tmp_path / "wave-L3.csv"

@@ -7,7 +7,7 @@ from symkry import expm, phi_apply
 from symkry.core import canonical_J
 from symkry.errors import StepFailureError
 from symkry.integrators import _kernel
-from symkry.matfun import _second_order_sign, pade_flow
+from symkry.matfun import _phi_second_order, _second_order_sign, pade_flow
 
 from conftest import phi1, phi1_scaled_identities_check, random_hamiltonian_matrix
 
@@ -321,7 +321,7 @@ class TestSecondOrderClosedForm:
             F = second_order(0.5 * (T + T.T), delta)
             assert _second_order_sign(F) == delta
             seen.update((delta, int(np.sign(v))) for v in lam)
-            # a vector B takes the modal form, a block B the assembled phi
+            # a vector B and a block B, each column applied in the modes
             B = (rng.standard_normal(2 * k) if draw % 4 < 2
                  else rng.standard_normal((2 * k, int(rng.integers(1, 4)))))
             t = rng.uniform(0.0, 1.0)
@@ -329,6 +329,14 @@ class TestSecondOrderClosedForm:
             Y_ref = pade_augmented(F, B, t)[1]
             assert Y.shape == B.shape
             assert np.linalg.norm(Y - Y_ref) <= 1e-12 * np.linalg.norm(Y_ref)
+            # one time per column, and a vector meets every time: each
+            # column is the call at its time
+            ts = rng.uniform(-1.0, 1.0, B.shape[1] if B.ndim == 2 else 3)
+            Y = _phi_second_order(F, B, ts[:, None], delta)
+            assert Y.shape == (2 * k, ts.size)
+            for j, tj in enumerate(ts):
+                want = phi_apply(F, B[:, j] if B.ndim == 2 else B, tj)
+                assert np.linalg.norm(Y[:, j] - want) <= 1e-14 * np.linalg.norm(want)
         assert seen == {(d, s) for d in (1.0, -1.0) for s in (-1, 0, 1)}
 
     def test_nilpotent_and_scalar_forms(self):
@@ -348,6 +356,10 @@ class TestSecondOrderClosedForm:
         assert np.array_equal(expm(0.0 * F), np.eye(10))
         for B in (rng.standard_normal(10), rng.standard_normal((10, 3))):
             assert np.array_equal(phi_apply(F, B, 0.0), np.zeros(B.shape))
+        # with one time per column, the column at t = 0
+        Y = _phi_second_order(F, rng.standard_normal((10, 3)), np.array([[0.5], [0.0], [-2.0]]),
+                              -1.0)
+        assert np.array_equal(Y[:, 1], np.zeros(10)) and Y[:, [0, 2]].all()
 
     def test_near_forms_keep_pade_bits(self, rng):
         k = 5

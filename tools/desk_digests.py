@@ -33,13 +33,19 @@ so the exit-code mapping of an oracle failure is covered too:
 
     cli-reference-failure exit=<exit code> <sha256 of its stderr>
 
-One more line, after them, digests the dense reference's affine-exponential
-path, which no preset takes (their linear systems are second order and
-go through the modal path): the states of
-``reference_solution(mode="dense")`` on a fixed-seed
-``QuadraticHamiltonianSystem`` of dimension 40:
+Two more lines, after them, digest the states of
+``reference_solution(mode="dense")`` on each of its two paths.  The first
+takes the per-interval affine exponential, which no preset takes (their
+linear systems are second order and go through the closed form), on a
+fixed-seed ``QuadraticHamiltonianSystem`` of dimension 40.  The second
+takes the closed form on ``LinearWaveSystem(n=400)`` over wave-dense's
+record grid (every 10th of 2000 steps of 0.025).  The wave CSVs show
+the oracle only through solution errors near 2e-2, in whose last digits
+its rounding hides, so this line shows a change to the closed form bit
+for bit:
 
     dense-reference-quadratic <sha256 of the states' bytes>
+    dense-reference-second-order <sha256 of the states' bytes>
 
 Then one line per basis process digests the basis layer itself, where a
 change of rounding starts: U, F and A U (the columns of
@@ -174,7 +180,8 @@ def main(argv):
     src = (Path(argv[1]) if len(argv) > 1 else root / "src").resolve()
     sys.path.insert(0, str(src))
     sys.path.append(str(root / "perfbench"))
-    from symkry import CountingAction, KleinGordonSystem, QuadraticHamiltonianSystem
+    from symkry import (CountingAction, KleinGordonSystem, LinearWaveSystem,
+                        QuadraticHamiltonianSystem)
     from symkry.cli import available_presets, load_preset, main as cli_main
     from symkry.errors import IntegrationAborted
     from symkry.harness import config_from_mapping, parse_config_text, reference_solution, run
@@ -209,6 +216,12 @@ def main(argv):
     states = reference_solution(system, rng.standard_normal(40), np.arange(9) * 0.125,
                                 mode="dense")
     print(f"dense-reference-quadratic {hashlib.sha256(states.tobytes()).hexdigest()}",
+          flush=True)
+    wave = LinearWaveSystem(n=400)
+    states = reference_solution(wave, wave.initial_state,
+                                np.array([s * (50 / 2000) for s in range(0, 2001, 10)]),
+                                mode="dense")
+    print(f"dense-reference-second-order {hashlib.sha256(states.tobytes()).hexdigest()}",
           flush=True)
     kg = KleinGordonSystem(n=64)
     x = kg.initial_state + 0.1 * rng.standard_normal(kg.dim)
