@@ -30,6 +30,7 @@ from .errors import (
     ConfigError,
     DegeneratePairError,
     IntegrationAborted,
+    NumericalError,
     ReferenceFailureError,
     StepFailureError,
 )
@@ -75,7 +76,7 @@ __all__ = [
     "apply_J", "apply_J_inverse", "canonical_J", "join_state", "omega",
     "orthonormal_defect", "split_state", "symplectic_defect",
     "ConfigError", "DegeneratePairError",
-    "IntegrationAborted", "ReferenceFailureError", "StepFailureError",
+    "IntegrationAborted", "NumericalError", "ReferenceFailureError", "StepFailureError",
     "ExperimentConfig", "MetricsSeries", "reference_solution",
     "relative_energy_error", "run", "solution_error",
     "StepperConfig", "StepResult", "TrajectorySummary",

@@ -6,7 +6,7 @@ Subcommands:
   list-problems  registered benchmark systems and their defaults
   list-presets   packaged preset names
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 ConfigError, 3 numerical failure; any other error is a bug.
 """
 
 import argparse

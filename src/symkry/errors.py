@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package (README: "Errors and exit codes")."""
+
+
+class NumericalError(ValueError):
+    """A dense kernel or metric met a non-finite or overflowing value.  The
+    step, the dense oracle and ``integrate`` convert it to their typed
+    failures; any other ValueError is a bug and propagates as itself."""
 
 
 class StepFailureError(RuntimeError):

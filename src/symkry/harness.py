@@ -34,7 +34,8 @@ import numpy as np
 
 from ._version import __version__
 from .core import _is_int, _norm
-from .errors import ConfigError, IntegrationAborted, ReferenceFailureError, StepFailureError
+from .errors import (ConfigError, IntegrationAborted, NumericalError, ReferenceFailureError,
+                     StepFailureError)
 from .integrators import StepperConfig, integrate
 from .matfun import _phi_second_order, _second_order_sign, pade_flow
 from .problems import build_problem
@@ -54,11 +55,11 @@ def _fmt(value):
 
 
 def relative_energy_error(system, x_t, x0):
-    """|H(x_t) - H(x0)| / max(|H(x0)|, floor) with a 1e-300 denominator guard."""
+    """|H(x_t) - H(x0)| / max(|H(x0)|, 1e-300); a non-finite energy is a NumericalError."""
     h_t = system.energy(x_t)
     h_0 = system.energy(x0)
     if not (np.isfinite(h_t) and np.isfinite(h_0)):
-        raise ValueError("non-finite energy encountered")
+        raise NumericalError("non-finite energy encountered")
     return abs(h_t - h_0) / max(abs(h_0), 1e-300)
 
 
@@ -165,7 +166,7 @@ def _reference_rows(system, x0, t_grid, mode, factor, states):
                 fx = np.roll(A @ x0 + c, n)
                 try:
                     Y = _phi_second_order(M, fx, times, delta)
-                except ValueError as exc:  # the flow overflowed, or A is not finite
+                except NumericalError as exc:  # overflow or a non-finite A; a bug propagates
                     raise ReferenceFailureError(f"dense reference overflowed: {exc}") from exc
                 np.add(x0, np.roll(Y.T, n, axis=1), out=states[1:])
         for i in range(1, t_grid.size):
@@ -181,7 +182,7 @@ def _reference_rows(system, x0, t_grid, mode, factor, states):
                 try:
                     if key not in cache:
                         cache[key] = pade_flow(A, c, dt)
-                except ValueError as exc:  # the interval's exponential overflowed
+                except NumericalError as exc:  # the interval's flow overflowed; a bug propagates
                     raise ReferenceFailureError(
                         f"dense reference overflowed by t={t_grid[i]:.6g}: {exc}") from exc
                 prop, shift = cache[key]
@@ -422,10 +423,7 @@ def run(config, quiet=False):
             raise StepFailureError("divergence guard tripped")
         if step % every:
             return
-        try:
-            ree = relative_energy_error(system, res.x_plus, x0)
-        except ValueError as exc:
-            raise StepFailureError(str(exc)) from exc
+        ree = relative_energy_error(system, res.x_plus, x0)
         waiting.append((step, t, ree, res.basis.n_columns if res.basis is not None else 0,
                         res.fp_iters, res.x_plus))
         match(oracle.poll())

@@ -24,9 +24,9 @@ For EEMP, ``krylov.extend_basis`` adjoins the difference x_prev - x to the
 basis, keeping its kind, so the scheme's symmetry and average-energy
 properties hold.  With a symplectic basis all three steps preserve the
 energy of linear systems exactly, up to rounding.  Every step returns a
-StepResult; a step that cannot be completed, including a reduced matrix
-the kernel rejects as non-finite or whose exponential overflows, raises
-StepFailureError.
+StepResult; a step that cannot be completed, including one whose reduced
+kernel raises NumericalError (a non-finite matrix or an overflowing
+exponential), raises StepFailureError.
 """
 
 from dataclasses import dataclass, replace
@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .core import BasisMatrix, _is_int, _norm
-from .errors import ConfigError, IntegrationAborted, StepFailureError
+from .errors import ConfigError, IntegrationAborted, NumericalError, StepFailureError
 from .krylov import (
     BREAKDOWN,
     CountingAction,
@@ -162,11 +162,11 @@ def _check_finite(x):
 
 
 def _kernel(fn, *args):
-    """Call a matfun kernel on reduced data; its rejection of a non-finite
-    matrix fails the step, with the kernel's error as the cause."""
+    """Call a matfun kernel on reduced data; its NumericalError fails the
+    step, with the kernel's error as the cause."""
     try:
         return fn(*args)
-    except ValueError as exc:
+    except NumericalError as exc:
         raise StepFailureError(f"reduced kernel failed: {exc}") from exc
 
 
@@ -291,12 +291,12 @@ def integrate(system, config, x0, n_steps=1, observer=None, rng=None):
     is no divergence guard: a caller that wants one raises
     StepFailureError from its observer.  A ``basis_dim`` above the system
     dimension is a ConfigError before the first step.  Steps and observer
-    run with numpy's overflow, invalid and divide signals raised (``expm``
-    and ``phi_apply`` handle theirs), so a failed step, a non-finite
-    state, a FloatingPointError, or a StepFailureError from the observer
-    aborts with IntegrationAborted("step N: ..."), which carries the
-    summary of the steps completed so far, the failed step included when
-    it completed.
+    run with numpy's overflow, invalid and divide signals raised (``expm`` and
+    ``phi_apply`` handle theirs), so a failed step, a non-finite state, a
+    FloatingPointError, or a StepFailureError or NumericalError from the
+    observer aborts with IntegrationAborted("step N: ..."), which carries the
+    summary of the steps completed so far, the failed step included when it
+    completed; any other exception, a bug, propagates as itself.
     """
     if not _is_int(n_steps) or n_steps < 1:
         raise ValueError(f"n_steps must be an integer of at least 1, got {n_steps!r}")
@@ -328,7 +328,7 @@ def integrate(system, config, x0, n_steps=1, observer=None, rng=None):
 
                 if observer is not None:
                     observer(step, step * h, res)
-            except (StepFailureError, FloatingPointError) as exc:
+            except (StepFailureError, NumericalError, FloatingPointError) as exc:
                 raise IntegrationAborted(f"step {step}: {exc}", summary) from exc
 
     return summary

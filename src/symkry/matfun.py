@@ -10,10 +10,12 @@ takes a closed form from one ``eigh`` of delta T and ``mode_factors``
 (``_phi_second_order``, which the dense oracle calls with a column of
 times); every other matrix takes ``expm`` of an augmented matrix
 (``pade_flow``), one [13/13] Pade approximant with scaling and squaring
-(Higham 2005).
+(Higham 2005).  A non-finite or overflowing value is a NumericalError.
 """
 
 import numpy as np
+
+from .errors import NumericalError
 
 # [13/13] Pade coefficients b_0..b_13 and theta_13 (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179)
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
@@ -35,19 +37,19 @@ def expm(M):
     s times, s the least with ||M / 2^s||_1 <= theta_13 (Higham 2005).  A
     zero 1-norm (the zero matrix, and 0 x 0) gives the identity exactly,
     which the solve with b_0 = 6.5e16 would round.  A non-finite entry, an
-    overflowing 1-norm and an overflowing result are each a ValueError,
+    overflowing 1-norm and an overflowing result are each a NumericalError,
     with no numpy warning; the result is checked only when squared (s > 0),
     as the approximant at 1-norm <= theta_13 is bounded by about e^theta_13."""
     M = _square(M)
     if not np.isfinite(M).all():
-        raise ValueError("matrix has non-finite entries")
+        raise NumericalError("matrix has non-finite entries")
     I = np.eye(M.shape[0])
     with np.errstate(over="ignore"):
         norm = np.abs(M).sum(axis=0).max(initial=0.0)  # the 1-norm, as np.linalg.norm(M, 1) forms it
     if norm == 0.0:
         return I
     if norm == np.inf:
-        raise ValueError("matrix 1-norm overflowed")
+        raise NumericalError("matrix 1-norm overflowed")
     s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
     A = M / 2.0 ** s
     c = _PADE13
@@ -63,7 +65,7 @@ def expm(M):
         for _ in range(s):
             F = F @ F
     if s and not np.isfinite(F).all():
-        raise ValueError("matrix exponential overflowed")
+        raise NumericalError("matrix exponential overflowed")
     return F
 
 
@@ -112,7 +114,7 @@ def _phi_second_order(M, B, t, delta):
     k = M.shape[0] // 2
     T = M[:k, k:]
     if not np.isfinite(T).all():
-        raise ValueError("matrix has non-finite entries")
+        raise NumericalError("matrix has non-finite entries")
     lam, V = np.linalg.eigh(delta * T)
     with np.errstate(over="ignore", invalid="ignore"):
         S, G = mode_factors(lam, t)
@@ -124,9 +126,9 @@ def _phi_second_order(M, B, t, delta):
         Z[:, 1] += g * C[:, 0]
         Y = (Z.reshape(-1, k) @ V.T).reshape(-1, 2 * k).T
         if not np.isfinite(Y).all():
-            raise ValueError("matrix exponential overflowed"
-                             if np.isfinite(B).all() and np.isfinite(t).all()
-                             else "matrix has non-finite entries")
+            raise NumericalError("matrix exponential overflowed"
+                                 if np.isfinite(B).all() and np.isfinite(t).all()
+                                 else "matrix has non-finite entries")
     return Y
 
 
@@ -137,7 +139,7 @@ def pade_flow(M, B, t):
     two 2^-e (e >= 0) that brings their 1-norm to at most one, so a large b
     does not drive the scaling-and-squaring; ``np.ldexp`` undoes it
     exactly.  A non-finite M, B or t and a result that overflows are each
-    a ValueError, with no numpy warning: ``expm`` checks the augmented
+    a NumericalError, with no numpy warning: ``expm`` checks the augmented
     matrix, formed with numpy's overflow and invalid signals off, and the
     undoing traps overflow."""
     M = _square(M)
@@ -157,7 +159,7 @@ def pade_flow(M, B, t):
         with np.errstate(over="raise"):
             Y = np.ldexp(E[:m, m:], e)
     except FloatingPointError as exc:
-        raise ValueError("matrix exponential overflowed") from exc
+        raise NumericalError("matrix exponential overflowed") from exc
     return E[:m, :m], Y.reshape(B.shape)
 
 
@@ -167,7 +169,7 @@ def phi_apply(M, B, t):
     symmetric and delta = +-1 (Hamiltonian Lanczos's F when its signs
     agree; the dense oracle calls that form itself), else ``pade_flow``.
     A non-finite M, B or t and a result that overflows are each a
-    ValueError, with no numpy warning."""
+    NumericalError, with no numpy warning."""
     M = _square(M)
     B = np.asarray(B, dtype=float)
     delta = _second_order_sign(M)

@@ -28,7 +28,7 @@ from symkry import (
 )
 from symkry import cli, harness, integrators
 from symkry.cli import _build_parser, available_presets, load_preset, main
-from symkry.errors import DegeneratePairError, ReferenceFailureError
+from symkry.errors import DegeneratePairError, NumericalError, ReferenceFailureError
 from symkry.harness import (
     CONFIG_KEYS,
     ExperimentConfig,
@@ -109,6 +109,12 @@ class TestMetrics:
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError):
                 relative_energy_error(sys, bad, sys.initial_state)
+
+    def test_energy_error_nonfinite_is_a_numerical_error(self):
+        sys = QuadraticHamiltonianSystem(np.eye(2))
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalError, match="non-finite energy"):
+                relative_energy_error(sys, np.array([1e200, 0.0]), np.zeros(2))
 
     def test_solution_error_identical_states(self, rng):
         x = rng.standard_normal(12)
@@ -284,6 +290,15 @@ class TestReferenceSolution:
             warnings.simplefilter("error")
             with pytest.raises(ReferenceFailureError, match=re.escape(message)):
                 reference_solution(sys, [1.0, 0.0], t_grid, mode="dense")
+
+    def test_dense_affine_shape_bug_is_not_a_reference_failure(self, rng):
+        # an f of the wrong length is a bug: on the per-interval Pade path
+        # numpy's broadcast ValueError reaches the caller as itself
+        sys = random_quadratic_system(rng, 4)
+        sys.f = lambda x: np.ones(3)
+        with pytest.raises(ValueError, match="broadcast") as info:
+            reference_solution(sys, np.ones(sys.dim), [0.0, 0.5], mode="dense")
+        assert type(info.value) is ValueError
 
     def test_dense_intervals_below_the_old_absolute_key_stay_distinct(self, rng):
         # intervals of 1e-16 and 2e-16 are two propagators: the state at
@@ -556,6 +571,16 @@ class TestRun:
         rows = {int(r.split(",")[0]): r.split(",") for r in lines[2:]}
         assert rows[0][4:] == ["0", "0"]
         assert rows[4][4] == "8" and rows[8][4] == "8"
+
+    def test_energy_shape_bug_propagates(self, monkeypatch):
+        def patch(system):
+            energy = system.energy
+            system.energy = lambda x: energy(x) + x[:3] @ x  # a bug, not exit 3
+
+        self._patched_problem(monkeypatch, patch)
+        with pytest.raises(ValueError, match="mismatch") as info:
+            run(self._small_config(), quiet=True)
+        assert type(info.value) is ValueError
 
     def test_rows_carry_the_step_results_integrate_hands_out(self):
         # the CSV's basis_dim and fp_iters are those of the StepResults an

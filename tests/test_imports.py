@@ -41,3 +41,27 @@ def test_package_all_is_what_init_imports():
     assert len(exported) == 1, "__init__.py assigns __all__ once"
     assert len(exported[0]) == len(set(exported[0])), "duplicate names in __all__"
     assert sorted(exported[0]) == sorted(imported)
+
+
+def value_error_handlers(tree, function=None):
+    """The innermost enclosing function of each ``except`` clause naming
+    ValueError, alone or in a tuple (None at module level)."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(isinstance(name, ast.Name) and name.id == "ValueError" for name in names):
+                found.append(function)
+        is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        found += value_error_handlers(node, node.name if is_def else function)
+    return found
+
+
+def test_value_error_is_caught_only_where_text_is_parsed():
+    # NumericalError is the one numerical failure; a clause that caught
+    # every ValueError would turn a program bug into one, so only the
+    # parsers of configuration text catch ValueError
+    allowed = {"harness._coerce", "harness.config_from_mapping", "problems.checked_params"}
+    sites = [f"{path.stem}.{function}" for path in FILES if path.is_relative_to(ROOT / "src")
+             for function in value_error_handlers(ast.parse(path.read_text(encoding="utf-8")))]
+    assert set(sites) <= allowed, sorted(set(sites) - allowed)

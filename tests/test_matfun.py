@@ -5,7 +5,7 @@ import pytest
 
 from symkry import expm, phi_apply
 from symkry.core import canonical_J
-from symkry.errors import StepFailureError
+from symkry.errors import NumericalError, StepFailureError
 from symkry.integrators import _kernel
 from symkry.matfun import _phi_second_order, _second_order_sign, pade_flow
 
@@ -114,6 +114,15 @@ class TestExpm:
             with pytest.raises(ValueError, match="overflowed"):
                 expm(np.diag([800.0, 0.0]))
             assert np.isfinite(expm(np.diag([700.0, 0.0]))).all()
+
+    @pytest.mark.parametrize("M,match", [
+        (np.array([[np.inf, 0.0], [0.0, 0.0]]), "non-finite"),
+        (np.full((2, 2), 1e308), "1-norm overflowed"),
+        (np.diag([800.0, 0.0]), "exponential overflowed"),
+    ], ids=["non-finite", "norm", "squaring"])
+    def test_refusal_is_a_numerical_error(self, M, match):
+        with pytest.raises(NumericalError, match=match):
+            expm(M)
 
 
 class TestPhi1:
@@ -287,6 +296,21 @@ class TestPhiApply:
             with pytest.raises(StepFailureError, match=match) as info:
                 _kernel(phi_apply, M, B, t)
         assert isinstance(info.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize("M,B,t,match", BAD_INPUTS)
+    def test_bad_input_is_a_numerical_error(self, M, B, t, match):
+        with pytest.raises(NumericalError, match=match):
+            phi_apply(M, B, t)
+
+    @pytest.mark.parametrize("M,B", [
+        (np.ones((2, 3)), np.ones(2)),  # not square: _square refuses it
+        (np.eye(3), np.ones(4)),  # B's length is not M's: numpy cannot broadcast
+    ], ids=["non-square", "wrong-length"])
+    def test_shape_bug_is_a_plain_value_error_the_step_does_not_convert(self, M, B):
+        for call in (lambda: phi_apply(M, B, 0.1), lambda: _kernel(phi_apply, M, B, 0.1)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert type(info.value) is ValueError
 
     def test_one_finiteness_check_per_call(self, rng, monkeypatch):
         # M, B and t are covered by expm's one check of the augmented matrix
