@@ -383,6 +383,20 @@ def _start_reference(config):
                    config.ref_factor * config.record_every)
 
 
+class _RestartNoise:
+    """``np.random.default_rng(seed)``, made at its first draw: the breakdown
+    restarts of a run share one stream, and a run with none never imports
+    ``numpy.random``."""
+
+    def __init__(self, seed):
+        self._seed, self._rng = seed, None
+
+    def standard_normal(self, size):
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
+        return self._rng.standard_normal(size)
+
+
 def run(config, quiet=False):
     """Execute one configured experiment; returns its RunResult.
 
@@ -398,7 +412,11 @@ def run(config, quiet=False):
     ``series`` attached.  An oracle exception takes precedence over one from
     the integration, and a child is killed and reaped on every exit path.
     Unless ``quiet``, it prints the status and the last recorded row, named
-    by its step.
+    by its step.  At its peak a run holds one step's bases (the last step's
+    are freed before the next is built, see ``integrate``), the records
+    without a row and the oracle's mapping.  Breakdown restarts draw from
+    ``np.random.default_rng(config.seed)``, made at the run's first restart
+    (``_RestartNoise``).
     """
     wall_start = time.perf_counter()
     system, every = config.system, config.record_every
@@ -432,7 +450,7 @@ def run(config, quiet=False):
     try:
         try:
             summary = integrate(system, config.stepper, x0, n_steps=config.n_steps,
-                                observer=observer, rng=np.random.default_rng(config.seed))
+                                observer=observer, rng=_RestartNoise(config.seed))
         except IntegrationAborted as exc:
             summary, aborted_exc = exc.summary, exc
         except Exception:

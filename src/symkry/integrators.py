@@ -134,10 +134,11 @@ def build_basis(action, v, config, rng=None):
 
     The restart policy lives here (the processes only report): a breakdown
     (always short of the requested size) is retried up to BREAKDOWN_RETRIES
-    times with v perturbed by 1e-10 ||v|| noise from ``rng``, or from
-    ``np.random.default_rng(0)`` when no generator is given.  A breakdown
-    that leaves fewer than two columns with no retries left is a step
-    failure.
+    times with v perturbed by 1e-10 ||v|| noise from ``rng.standard_normal``
+    (a numpy Generator, or any object with that method), or, when ``rng``
+    is None, from a ``np.random.default_rng(0)`` made at this call's first
+    restart; only a restart touches ``rng``.  A breakdown that leaves fewer
+    than two columns with no retries left is a step failure.
     """
     builder, mult = BASIS_PROCESSES[config.basis_process]
     k = config.basis_dim // mult
@@ -252,11 +253,12 @@ def step_iemp(system, config, x, rng=None):
     mult = BASIS_PROCESSES[config.basis_process][1]
     small = mult * -(-config.basis_dim // (2 * mult))  # mult * ceil(dim / (2 mult))
     predictor = step_ee(system, replace(config, step_size=half, basis_dim=small), x, rng)
-    x_tilde = predictor.x_plus
+    x_tilde, matvecs = predictor.x_plus, predictor.matvecs
+    del predictor  # its basis is freed before the full one is built
 
     v = system.f(x_tilde)
     if _norm(v) == 0.0 and _norm(system.f(x)) == 0.0:
-        return StepResult(x.copy(), None, None, predictor.matvecs, x_mid=x.copy())
+        return StepResult(x.copy(), None, None, matvecs, x_mid=x.copy())
 
     action = CountingAction.from_system(system, x_tilde)
     outcome = build_basis(action, v if _norm(v) > 0 else system.f(x), config, rng)
@@ -268,7 +270,7 @@ def step_iemp(system, config, x, rng=None):
     x_mid = x + basis.columns @ xi
     b = basis.left_apply(system.f(x_mid))
     x_plus = _check_finite(x_mid + basis.columns @ (kernel @ b))
-    return StepResult(x_plus, basis, outcome, predictor.matvecs + action.count, iters, x_mid)
+    return StepResult(x_plus, basis, outcome, matvecs + action.count, iters, x_mid)
 
 
 @dataclass
@@ -287,7 +289,10 @@ def integrate(system, config, x0, n_steps=1, observer=None, rng=None):
     EEMP is bootstrapped with one exponential Euler step.  The observer is
     called as observer(step_index, t, result) with each step's StepResult,
     and once first with StepResult(x0, None, None, 0) for the initial
-    state.  ``rng`` seeds the breakdown restarts (see build_basis).  There
+    state.  ``rng`` draws the noise of the breakdown restarts, and only
+    they touch it (see build_basis).  The last step's StepResult is
+    dropped before the next step builds its basis, so a step holds one
+    step's bases at a time when the observer keeps none.  There
     is no divergence guard: a caller that wants one raises
     StepFailureError from its observer.  A ``basis_dim`` above the system
     dimension is a ConfigError before the first step.  Steps and observer
@@ -313,7 +318,7 @@ def integrate(system, config, x0, n_steps=1, observer=None, rng=None):
         for step in range(n_steps + 1):
             try:
                 if step > 0:
-                    x = res.x_plus
+                    x, res = res.x_plus, None  # the last step's basis is freed first
                     if config.method == IEMP:
                         res = step_iemp(system, config, x, rng)
                     elif config.method == EEMP and x_prev is not None:

@@ -615,6 +615,51 @@ class TestRun:
         with pytest.raises(ValueError, match="broadcast"):
             run(self._small_config(), quiet=True)
 
+    # (preset text, restarts it makes at least): the wave start restarts
+    # symplectic and isotropic Arnoldi once, as in fig4-desk; the other two
+    # restart at many steps, IEMP in its predictor's basis and its full one
+    RESTARTING = [
+        ("problem = linear-wave\nproblem.n = 100\nbasis = symplectic-arnoldi\nbasis-dim = 16\n"
+         "t-final = 2.5\nsteps = 100\nreference = dense\nseed = 7", 1),
+        ("problem = linear-wave\nproblem.n = 100\nbasis = isotropic-arnoldi\nbasis-dim = 16\n"
+         "t-final = 2.5\nsteps = 100\nreference = dense\nseed = 7", 1),
+        ("problem = klein-gordon\nproblem.n = 8\nbasis = isotropic-arnoldi\nbasis-dim = 16\n"
+         "t-final = 1\nsteps = 20\nseed = 3", 10),
+        ("problem = nls\nproblem.n = 8\nmethod = IEMP\nbasis = symplectic-arnoldi\n"
+         "basis-dim = 8\nt-final = 1\nsteps = 20\nseed = 3", 10),
+    ]
+
+    def test_restart_noise_is_made_at_the_first_restart(self, monkeypatch, tmp_path):
+        # a run with no restart never imports numpy.random, in a fresh interpreter
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); from symkry import cli; "
+                "code = cli.main(['run', '--problem', 'klein-gordon', '--param', 'n=32', "
+                "'--basis', 'hamiltonian-lanczos', '--basis-dim', '8', '--t-final', '0.2', "
+                "'--steps', '20', '--output', sys.argv[2]]); "
+                "print(code, 'numpy.random' in sys.modules)")
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        proc = subprocess.run([_sys.executable, "-c", code, src, str(tmp_path / "kg.csv")],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+        # a restarting run writes what integrate given an eager default_rng(seed)
+        # does: one stream from the seed across the run's restarts
+        processes = dict(integrators.BASIS_PROCESSES)
+        for text, least_restarts in self.RESTARTING:
+            config = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
+            builds = []
+            builder, mult = processes[config.basis]
+            monkeypatch.setitem(integrators.BASIS_PROCESSES, config.basis,
+                                (lambda *args, b=builder: builds.append(1) or b(*args), mult))
+            monkeypatch.setattr(harness, "integrate", integrate)
+            lazy = run(config, quiet=True).series.to_csv_text()
+            steps = config.n_steps * (2 if config.method == "IEMP" else 1)
+            assert len(builds) >= steps + least_restarts, text
+
+            def eager(*args, rng, **kwargs):
+                return integrate(*args, rng=np.random.default_rng(config.seed), **kwargs)
+
+            monkeypatch.setattr(harness, "integrate", eager)
+            assert run(config, quiet=True).series.to_csv_text() == lazy, text
+
 
 class TestReferenceMemo:
     """run() keeps the last reference states and reuses them while the

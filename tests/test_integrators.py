@@ -1,4 +1,5 @@
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -428,6 +429,35 @@ class TestIntegrate:
         integrate(sys, cfg, rng.standard_normal(sys.dim), n_steps=3,
                   observer=lambda s, t, res: seen.append((s, round(t, 12))))
         assert seen == [(0, 0.0), (1, 0.02), (2, 0.04), (3, 0.06)]
+
+    @pytest.mark.parametrize("method,builds", [("EE", 5), ("EEMP", 5), ("IEMP", 10)])
+    def test_each_build_finds_the_earlier_bases_freed(self, monkeypatch, method, builds):
+        # a step holds one basis at a time: when a basis is built, the bases
+        # of the steps before it (EEMP's extended one included) and IEMP's
+        # predictor basis are garbage; the observer keeps only weak references
+        sys = KleinGordonSystem(n=32)
+        cfg = StepperConfig(method=method, basis_process="hamiltonian-lanczos",
+                            basis_dim=8, step_size=0.01)
+        refs, alive_at_build = [], []
+
+        def watch(basis):
+            refs.extend(weakref.ref(a) for a in (basis.rows, basis.left, basis.images))
+
+        def build_basis(*args):
+            alive_at_build.append(sum(ref() is not None for ref in refs))
+            outcome = real_build(*args)
+            watch(outcome.basis)
+            return outcome
+
+        def observer(step, t, res):
+            if res.basis is not None:
+                watch(res.basis)
+                watch(res.outcome.basis)
+
+        real_build = integrators.build_basis
+        monkeypatch.setattr(integrators, "build_basis", build_basis)
+        integrate(sys, cfg, sys.initial_state, n_steps=5, observer=observer)
+        assert alive_at_build == [0] * builds
 
     @pytest.mark.parametrize("method,process", [
         ("EE", "arnoldi"), ("EEMP", "hamiltonian-lanczos"), ("IEMP", "symplectic-arnoldi")])

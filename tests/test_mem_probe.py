@@ -6,7 +6,12 @@ integration.  Bounds, in copies of the recorded states: the parent's
 peak RSS at most 1.3 above the same run recording only its last step,
 the oracle child's peak at most 1.2 above the parent's RSS at the fork.
 A run that kept the recorded states until a pickled reference arrived
-read about 3.0 and 1.8 at dimension 8,192."""
+read about 3.0 and 1.8 at dimension 8,192.  The run recording only its
+last step peaks at most 3 one-step basis blocks (3 x basis_dim x
+dimension x 8 bytes) above its RSS right after ``import symkry``: about
+1.9 and 2.4 blocks at dimensions 8,192 and 32,768, where a run that held
+the last step's basis while building the next and imported numpy.random
+read about 5.3 and 4.0."""
 
 import json
 import os
@@ -44,3 +49,5 @@ def test_run_holds_about_one_copy_of_its_recorded_states(n, tmp_path):
     assert facts["copy_mb"] == pytest.approx(401 * 2 * n * 8 / 2 ** 20)
     assert facts["parent_copies"] <= 1.3, out.stdout
     assert facts["child_copies"] <= 1.2, out.stdout
+    assert facts["block_mb"] == pytest.approx(3 * 12 * 2 * n * 8 / 2 ** 20)
+    assert facts["run_blocks"] <= 3.0, out.stdout

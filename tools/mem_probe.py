@@ -12,20 +12,26 @@ Runs every section the way ``symkry preset`` does (``config_from_mapping``
 then ``run(quiet=True)``, with no CSV written) twice, each time in a fresh
 interpreter that imports symkry from this checkout's ``src/``: once as
 asked, and once recording only each section's last step (``record-every``
-equal to ``steps``).  Then it prints two figures:
+equal to ``steps``).  Then it prints three figures:
 
     parent  the asked run's peak RSS (``RUSAGE_SELF``) above that of the
             run recording only its last step;
     child   the oracle child's peak RSS (``RUSAGE_CHILDREN``) above the
             parent's RSS at the fork (read from ``/proc/self/statm`` just
-            before ``os.fork``; with several forks, the largest).
+            before ``os.fork``; with several forks, the largest);
+    run     the peak RSS of the run recording only its last step above
+            its RSS right after ``import symkry``: what the integration,
+            the oracle's mapping and the problem hold at most.
 
-each in MB and in copies of the recorded states, one copy being
-records x dimension x 8 bytes of the section that records the most.  The
-last line repeats them as one JSON object.  A run whose reference is
-computed inline (no fork) reports no child figure.  The probe gates
-nothing by itself; ``tests/test_mem_probe.py`` bounds its figures.  Linux
-only; uses only the standard library, numpy and symkry.
+the first two in MB and in copies of the recorded states, one copy being
+records x dimension x 8 bytes of the section that records the most, and
+the third in MB and in one-step basis blocks, one block being 3 x
+basis_dim x dimension x 8 bytes (rows, left inverse and images) of the
+section with the widest basis.  The last line repeats them as one JSON
+object.  A run whose reference is computed inline (no fork) reports no
+child figure.  The probe gates nothing by itself;
+``tests/test_mem_probe.py`` bounds its figures.  Linux only; uses only
+the standard library, numpy and symkry.
 """
 
 import dataclasses
@@ -67,6 +73,7 @@ def measure(name, every):
     sys.path.insert(0, str(ROOT / "src"))
     from symkry.errors import IntegrationAborted
     from symkry.harness import config_from_mapping, parse_config_text, run
+    imported = rss_bytes()
 
     at_fork, fork = [], os.fork
 
@@ -75,7 +82,7 @@ def measure(name, every):
         return fork()
 
     os.fork = recording_fork
-    copy = 0
+    copy = block = 0
     for _, mapping in parse_config_text(preset_text(name)):
         config = config_from_mapping(mapping)
         if every != "own":
@@ -83,12 +90,13 @@ def measure(name, every):
                 config, record_every=config.n_steps if every == "last" else int(every))
         records = config.n_steps // config.record_every + 1
         copy = max(copy, 8 * records * config.system.dim)
+        block = max(block, 3 * 8 * config.basis_dim * config.system.dim)
         try:
             run(config, quiet=True)
         except IntegrationAborted:  # the partial run still measures the oracle
             pass
     print(json.dumps({
-        "copy": copy,
+        "copy": copy, "block": block, "imported": imported,
         "parent_peak": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
         "child_peak": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024,
         "at_fork": max(at_fork, default=None)}))
@@ -131,6 +139,13 @@ def report(name, asked, last_only):
         print(f"child {facts['child_mb']:.2f} MB = {facts['child_copies']:.2f} copies above the "
               f"parent's RSS at the fork (peak {asked['child_peak'] / MB:.1f} MB, "
               f"fork at {asked['at_fork'] / MB:.1f} MB)")
+    block = last_only["block"]
+    facts["block_mb"] = block / MB
+    facts["run_mb"] = (last_only["parent_peak"] - last_only["imported"]) / MB
+    facts["run_blocks"] = facts["run_mb"] * MB / block
+    print(f"run {facts['run_mb']:.2f} MB = {facts['run_blocks']:.2f} one-step basis blocks of "
+          f"{facts['block_mb']:.2f} MB: the run recording only its last step above its RSS "
+          f"right after import symkry ({last_only['imported'] / MB:.1f} MB)")
     print(json.dumps(facts))
     return 0
 
