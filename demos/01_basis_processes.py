@@ -75,8 +75,8 @@ Reading the table:
 # A structured start can break the J-orthogonalizing processes outright:
 # at the wave initial state (zero momentum) A f(x) = J f(x) exactly, so the
 # isotropic orthogonalization annihilates every new direction.  The
-# steppers restart such breakdowns with a tiny seeded perturbation (from
-# np.random.default_rng(0) when the caller passes no generator).
+# steppers restart such breakdowns with a tiny seeded perturbation (one
+# stream per trajectory, seed 0 when the caller passes no generator).
 out = isotropic_arnoldi(action, wave.f(wave.initial_state), DIM // 2)
 print(f"isotropic process started at f(x0): terminated = {out.terminated!r} "
       f"after {out.basis.n_columns} columns")

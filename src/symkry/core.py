@@ -40,6 +40,11 @@ def _is_int(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value):
+    """True for a Python or numpy integer or float that is not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _norm(v):
     """2-norm of a contiguous 1-d float array: sqrt(v . v), the same bits as
     ``np.linalg.norm(v)`` (which takes the same dot product) with less

@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .core import _is_int, _norm
+from .core import _is_int, _is_real, _norm
 from .errors import (ConfigError, IntegrationAborted, NumericalError, ReferenceFailureError,
                      StepFailureError)
-from .integrators import StepperConfig, integrate
+from .integrators import StepperConfig, _RestartNoise, integrate
 from .matfun import _phi_second_order, _second_order_sign, pade_flow
 from .problems import build_problem
 
@@ -198,12 +198,12 @@ def _reference_rows(system, x0, t_grid, mode, factor, states):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run, declared (see module docstring); making it checks the whole
-    run and keeps its ``system`` and ``stepper``.  Every refusal is a ConfigError: a bad problem or
-    parameter (``build_problem``), field, output path or stepper setting, a
-    step or record count that is not an integer of at least 1, a horizon
-    that is not positive and finite, a seed that is not a nonnegative
-    integer, ``basis_dim`` above the system dimension, and a reference the
-    oracle cannot give (``_check_reference``)."""
+    run and keeps its ``system`` and ``stepper``.  Every refusal is a
+    ConfigError: a bad problem or parameter (``build_problem``), field,
+    output path or stepper setting, a step or record count that is not an
+    integer of at least 1, a horizon that is no finite positive number, a
+    seed that is not a nonnegative integer, ``basis_dim`` above the system
+    dimension, and a reference the oracle cannot give (``_check_reference``)."""
 
     problem: str = "linear-wave"
     problem_params: dict = field(default_factory=dict)
@@ -226,8 +226,8 @@ class ExperimentConfig:
             count = getattr(self, name)
             if not _is_int(count) or count < 1:
                 raise ConfigError(f"{name} must be an integer of at least 1, got {count!r}")
-        if not 0 < self.t_final < np.inf:
-            raise ConfigError(f"t_final must be positive and finite, got {self.t_final!r}")
+        if not _is_real(self.t_final) or not 0 < self.t_final < np.inf:
+            raise ConfigError(f"t_final must be a positive finite number, got {self.t_final!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         _check_reference(system, self.reference, self.ref_factor)
@@ -383,20 +383,6 @@ def _start_reference(config):
                    config.ref_factor * config.record_every)
 
 
-class _RestartNoise:
-    """``np.random.default_rng(seed)``, made at its first draw: the breakdown
-    restarts of a run share one stream, and a run with none never imports
-    ``numpy.random``."""
-
-    def __init__(self, seed):
-        self._seed, self._rng = seed, None
-
-    def standard_normal(self, size):
-        if self._rng is None:
-            self._rng = np.random.default_rng(self._seed)
-        return self._rng.standard_normal(size)
-
-
 def run(config, quiet=False):
     """Execute one configured experiment; returns its RunResult.
 
@@ -415,8 +401,7 @@ def run(config, quiet=False):
     by its step.  At its peak a run holds one step's bases (the last step's
     are freed before the next is built, see ``integrate``), the records
     without a row and the oracle's mapping.  Breakdown restarts draw from
-    ``np.random.default_rng(config.seed)``, made at the run's first restart
-    (``_RestartNoise``).
+    ``_RestartNoise(config.seed)`` (see ``integrate``).
     """
     wall_start = time.perf_counter()
     system, every = config.system, config.record_every
@@ -552,8 +537,8 @@ def config_from_mapping(mapping):
             params[key[len("problem."):]] = _coerce(str(value))
         elif key in CONFIG_KEYS:
             cast, _ = CONFIG_KEYS[key]
-            try:
-                cfg_kwargs["n_steps" if key == "steps" else key] = cast(value)
+            try:  # read as text: int("2.5") and float("True") fail, unlike int(2.5)
+                cfg_kwargs["n_steps" if key == "steps" else key] = cast(str(value))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key}: {value!r}") from exc
         else:

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BasisMatrix, _is_int, _norm
+from .core import BasisMatrix, _is_int, _is_real, _norm
 from .errors import ConfigError, IntegrationAborted, NumericalError, StepFailureError
 from .krylov import (
     BREAKDOWN,
@@ -83,8 +83,8 @@ class StepperConfig:
     and FP_MAX_ITER.  Invalid values raise ConfigError (a ValueError): an
     unknown method or process, a ``basis_dim`` that is not a positive
     integer (or is odd for a paired process), and a ``step_size`` that is
-    negative or not finite.  ``check_fits`` refuses a ``basis_dim`` above
-    a system's dimension; ``integrate`` calls it before the first step.
+    no finite number >= 0, a bool included.  ``check_fits`` refuses a
+    ``basis_dim`` above a system's dimension; ``integrate`` calls it first.
     """
 
     method: str = EE
@@ -93,16 +93,16 @@ class StepperConfig:
     step_size: float = 0.01
 
     def __post_init__(self):
-        self.method = self.method.upper()
-        if self.method not in METHODS:
+        if not isinstance(self.method, str) or self.method.upper() not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.basis_process not in BASIS_PROCESSES:
+        self.method = self.method.upper()
+        if not isinstance(self.basis_process, str) or self.basis_process not in BASIS_PROCESSES:
             raise ConfigError(f"unknown basis process {self.basis_process!r}")
         if not _is_int(self.basis_dim) or self.basis_dim < 1:
             raise ConfigError(f"basis_dim must be a positive integer, got {self.basis_dim!r}")
         if BASIS_PROCESSES[self.basis_process][1] == 2 and self.basis_dim % 2:
             raise ConfigError("basis_dim must be even for symplectic processes")
-        if not 0 <= self.step_size < np.inf:
+        if not _is_real(self.step_size) or not 0 <= self.step_size < np.inf:
             raise ConfigError(f"step_size must be finite and nonnegative, got {self.step_size!r}")
 
     def check_fits(self, system):
@@ -129,16 +129,26 @@ class StepResult:
     x_mid: Optional[np.ndarray] = None
 
 
+class _RestartNoise:
+    """``np.random.default_rng(seed)``, made at its first draw (see ``integrate``)."""
+
+    def __init__(self, seed):
+        self._seed, self._rng = seed, None
+
+    def standard_normal(self, size):
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
+        return self._rng.standard_normal(size)
+
+
 def build_basis(action, v, config, rng=None):
     """Run the configured basis process; perturb and restart on breakdown.
 
     The restart policy lives here (the processes only report): a breakdown
     (always short of the requested size) is retried up to BREAKDOWN_RETRIES
-    times with v perturbed by 1e-10 ||v|| noise from ``rng.standard_normal``
-    (a numpy Generator, or any object with that method), or, when ``rng``
-    is None, from a ``np.random.default_rng(0)`` made at this call's first
-    restart; only a restart touches ``rng``.  A breakdown that leaves fewer
-    than two columns with no retries left is a step failure.
+    times from v plus 1e-10 ||v|| noise from ``rng.standard_normal`` (a
+    Generator or any object with that method; None is a ``_RestartNoise(0)``
+    per call); one with under two columns after the last is a step failure.
     """
     builder, mult = BASIS_PROCESSES[config.basis_process]
     k = config.basis_dim // mult
@@ -146,7 +156,7 @@ def build_basis(action, v, config, rng=None):
     for _ in range(BREAKDOWN_RETRIES):
         if outcome.terminated != BREAKDOWN:
             break
-        rng = np.random.default_rng(0) if rng is None else rng
+        rng = _RestartNoise(0) if rng is None else rng
         pert = v + rng.standard_normal(v.shape[0]) * (1e-10 * _norm(v))
         outcome = builder(action, pert, k)
     if outcome.terminated == BREAKDOWN and outcome.basis.n_columns < 2:
@@ -289,13 +299,14 @@ def integrate(system, config, x0, n_steps=1, observer=None, rng=None):
     EEMP is bootstrapped with one exponential Euler step.  The observer is
     called as observer(step_index, t, result) with each step's StepResult,
     and once first with StepResult(x0, None, None, 0) for the initial
-    state.  ``rng`` draws the noise of the breakdown restarts, and only
-    they touch it (see build_basis).  The last step's StepResult is
-    dropped before the next step builds its basis, so a step holds one
-    step's bases at a time when the observer keeps none.  There
-    is no divergence guard: a caller that wants one raises
-    StepFailureError from its observer.  A ``basis_dim`` above the system
-    dimension is a ConfigError before the first step.  Steps and observer
+    state.  All breakdown restarts of the trajectory draw from one stream,
+    ``rng`` or else one lazy ``_RestartNoise(0)``, as ``harness.run`` does
+    at seed 0 (see build_basis).  The last step's StepResult is dropped
+    before the next step builds, so a step holds one step's bases when the
+    observer keeps none.  There is no divergence guard: a caller that wants
+    one raises StepFailureError from its observer.  An ``n_steps`` that is
+    no integer >= 1, a step size <= 0 and a ``basis_dim`` above the system
+    dimension are ConfigErrors before the first step.  Steps and observer
     run with numpy's overflow, invalid and divide signals raised (``expm`` and
     ``phi_apply`` handle theirs), so a failed step, a non-finite state, a
     FloatingPointError, or a StepFailureError or NumericalError from the
@@ -304,12 +315,13 @@ def integrate(system, config, x0, n_steps=1, observer=None, rng=None):
     completed; any other exception, a bug, propagates as itself.
     """
     if not _is_int(n_steps) or n_steps < 1:
-        raise ValueError(f"n_steps must be an integer of at least 1, got {n_steps!r}")
+        raise ConfigError(f"n_steps must be an integer of at least 1, got {n_steps!r}")
     h = config.step_size
     if h <= 0:
-        raise ValueError("the step size must be positive for integration")
+        raise ConfigError(f"the step size must be positive for integration, got {h!r}")
     config.check_fits(system)
     x0 = np.array(x0, dtype=float)
+    rng = _RestartNoise(0) if rng is None else rng
 
     summary = TrajectorySummary(x0, 0)
     res = StepResult(x0, None, None, 0)

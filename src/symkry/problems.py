@@ -32,6 +32,7 @@ import numpy as np
 from .core import (
     HamiltonianSystem,
     QuadraticHamiltonianSystem,
+    _is_real,
     apply_J,
     join_state,
     split_state,
@@ -263,7 +264,7 @@ def list_problems():
 def checked_params(params):
     """Problem parameters as the constructors take them: ``n`` a positive
     integer, ``L`` and ``B`` positive, ``boundary`` periodic or dirichlet and
-    every other value a finite number.  A bad value is a ConfigError."""
+    every other a finite number (no bool or string).  Else a ConfigError."""
     checked = {}
     for key, value in params.items():
         if key == "boundary":
@@ -272,10 +273,7 @@ def checked_params(params):
                                   f"or {DIRICHLET!r}, got {value!r}")
             checked[key] = value
             continue
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            number = np.nan
+        number = float(value) if _is_real(value) else np.nan
         if key == "n":
             ok, need = number > 0 and number.is_integer(), "a positive integer"
         elif key in ("L", "B"):

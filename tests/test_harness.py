@@ -19,6 +19,7 @@ from symkry import (
     QuadraticHamiltonianSystem,
     StepperConfig,
     apply_J_inverse,
+    build_problem,
     expm,
     integrate,
     reference_solution,
@@ -433,8 +434,9 @@ class TestExperimentConfig:
         "record_every": (lambda: ExperimentConfig(record_every=True), ConfigError),
         "seed": (lambda: ExperimentConfig(seed=False), ConfigError),
         "ref_factor": (lambda: ExperimentConfig(ref_factor=True), ConfigError),
+        "problem-n": (lambda: build_problem("klein-gordon", n=True), ConfigError),
         "integrate-n_steps": (lambda: integrate(KleinGordonSystem(n=8), StepperConfig(),
-                                                np.zeros(16), n_steps=True), ValueError),
+                                                np.zeros(16), n_steps=True), ConfigError),
     }
 
     @pytest.mark.parametrize("setting", list(BOOL_SETTINGS))
@@ -442,6 +444,39 @@ class TestExperimentConfig:
         make, error = self.BOOL_SETTINGS[setting]
         with pytest.raises(error, match=r"integer.*, got (True|False)$"):
             make()
+
+    # a bool or a non-number is never a horizon, a step size or a numeric
+    # problem parameter, nor None a method; each refusal is a ConfigError
+    # whose message ends with the value refused
+    NON_NUMBER_SETTINGS = {
+        "t_final-bool": (lambda: ExperimentConfig(t_final=True), True),
+        "t_final-None": (lambda: ExperimentConfig(t_final=None), None),
+        "t_final-str": (lambda: ExperimentConfig(t_final="1"), "1"),
+        "stepper-step_size-bool": (lambda: StepperConfig(step_size=True), True),
+        "stepper-step_size-str": (lambda: StepperConfig(step_size="0.1"), "0.1"),
+        "stepper-method-None": (lambda: StepperConfig(method=None), None),
+        "problem-V0-bool": (lambda: build_problem("nls", V0=True), True),
+        "problem-V0-str": (lambda: build_problem("nls", V0="1.0"), "1.0"),
+        "problem_params-bool": (lambda: ExperimentConfig(problem_params={"L": True}), True),
+        "method-None": (lambda: ExperimentConfig(method=None), None),
+        "mapping-t_final-bool": (lambda: config_from_mapping({"t_final": True}), True),
+        "mapping-steps-float": (lambda: config_from_mapping({"steps": 2.5}), 2.5),
+        "integrate-step_size-0": (lambda: integrate(KleinGordonSystem(n=8),
+                                                    StepperConfig(step_size=0.0),
+                                                    np.zeros(16)), 0.0),
+    }
+
+    @pytest.mark.parametrize("setting", list(NON_NUMBER_SETTINGS))
+    def test_non_number_refused_as_config_error(self, setting):
+        make, value = self.NON_NUMBER_SETTINGS[setting]
+        with pytest.raises(ConfigError, match=re.escape(repr(value)) + "$"):
+            make()
+
+    def test_numeric_text_is_read_as_numbers(self):
+        config = config_from_mapping({"problem": "klein-gordon", "problem.n": "8",
+                                      "problem.A": "1e-1", "t_final": "0.5", "steps": "10"})
+        assert config.problem_params == {"n": 8, "A": 0.1}
+        assert (config.t_final, config.n_steps, config.system.dim) == (0.5, 10, 16)
 
     def test_config_keeps_what_it_built(self):
         cfg = ExperimentConfig(problem="klein-gordon", problem_params={"n": 8}, basis_dim=6,
@@ -630,16 +665,23 @@ class TestRun:
     ]
 
     def test_restart_noise_is_made_at_the_first_restart(self, monkeypatch, tmp_path):
-        # a run with no restart never imports numpy.random, in a fresh interpreter
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); from symkry import cli; "
-                "code = cli.main(['run', '--problem', 'klein-gordon', '--param', 'n=32', "
-                "'--basis', 'hamiltonian-lanczos', '--basis-dim', '8', '--t-final', '0.2', "
-                "'--steps', '20', '--output', sys.argv[2]]); "
-                "print(code, 'numpy.random' in sys.modules)")
+        # a run, and a bare integrate call, with no restart never imports
+        # numpy.random, each in a fresh interpreter
+        run_code = ("from symkry import cli; "
+                    "code = cli.main(['run', '--problem', 'klein-gordon', '--param', 'n=32', "
+                    "'--basis', 'hamiltonian-lanczos', '--basis-dim', '8', '--t-final', '0.2', "
+                    "'--steps', '20', '--output', sys.argv[2]])")
+        integrate_code = ("from symkry import KleinGordonSystem, StepperConfig, integrate; "
+                          "s = KleinGordonSystem(n=32); code = integrate(s, StepperConfig("
+                          "basis_process='hamiltonian-lanczos', basis_dim=8, step_size=0.01), "
+                          "s.initial_state, 20).steps_completed")
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        proc = subprocess.run([_sys.executable, "-c", code, src, str(tmp_path / "kg.csv")],
-                              capture_output=True, text=True, timeout=120)
-        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+        for code, done in ((run_code, "0"), (integrate_code, "20")):
+            code = (f"import sys; sys.path.insert(0, sys.argv[1]); {code}; "
+                    "print(code, 'numpy.random' in sys.modules)")
+            proc = subprocess.run([_sys.executable, "-c", code, src, str(tmp_path / "kg.csv")],
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.stdout.splitlines()[-1] == f"{done} False", proc.stderr
         # a restarting run writes what integrate given an eager default_rng(seed)
         # does: one stream from the seed across the run's restarts
         processes = dict(integrators.BASIS_PROCESSES)
@@ -659,6 +701,32 @@ class TestRun:
 
             monkeypatch.setattr(harness, "integrate", eager)
             assert run(config, quiet=True).series.to_csv_text() == lazy, text
+
+    def test_bare_integrate_draws_what_run_draws_at_seed_zero(self, monkeypatch):
+        # integrate given no rng draws every restart of the trajectory from
+        # one stream, the one run makes from seed 0: the same final state,
+        # and through run the same CSV
+        processes = dict(integrators.BASIS_PROCESSES)
+        for text, least_restarts in self.RESTARTING:
+            if least_restarts < 10:
+                continue
+            config = config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
+            config = dataclasses.replace(config, seed=0)
+            builds = []
+            builder, mult = processes[config.basis]
+            monkeypatch.setitem(integrators.BASIS_PROCESSES, config.basis,
+                                (lambda *args, b=builder: builds.append(1) or b(*args), mult))
+            seeded = run(config, quiet=True)
+            steps = config.n_steps * (2 if config.method == "IEMP" else 1)
+            assert len(builds) >= steps + least_restarts, text
+
+            bare = integrate(config.system, config.stepper, config.system.initial_state,
+                             config.n_steps)
+            assert bare.final_state.tobytes() == seeded.summary.final_state.tobytes(), text
+            monkeypatch.setattr(harness, "integrate",
+                                lambda *args, rng, **kwargs: integrate(*args, **kwargs))
+            assert run(config, quiet=True).series.to_csv_text() == seeded.series.to_csv_text()
+            monkeypatch.setattr(harness, "integrate", integrate)
 
 
 class TestReferenceMemo:

@@ -1,6 +1,8 @@
 """Every import in the program files is used (perfbench/ and the package's
 re-exporting __init__.py are left out), and the package's ``__all__`` is
-exactly what that __init__.py imports."""
+exactly what that __init__.py imports.  Two jobs have one home in src/:
+only the parsers of configuration text catch ValueError, and only
+``integrators._RestartNoise`` reaches ``numpy.random``."""
 
 import ast
 from pathlib import Path
@@ -65,3 +67,23 @@ def test_value_error_is_caught_only_where_text_is_parsed():
     sites = [f"{path.stem}.{function}" for path in FILES if path.is_relative_to(ROOT / "src")
              for function in value_error_handlers(ast.parse(path.read_text(encoding="utf-8")))]
     assert set(sites) <= allowed, sorted(set(sites) - allowed)
+
+
+def random_sites(tree, scope=""):
+    """The dotted scope (classes and functions) of each ``np.random`` in ``tree``."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id == "np"):
+            found.append(scope)
+        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        found += random_sites(node, f"{scope}.{node.name}" if named else scope)
+    return found
+
+
+def test_restart_noise_is_the_only_user_of_numpy_random():
+    # one maker of restart noise, made at the first draw, so a trajectory
+    # with no restart never imports numpy.random
+    sites = [f"{path.stem}{scope}" for path in FILES if path.is_relative_to(ROOT / "src")
+             for scope in random_sites(ast.parse(path.read_text(encoding="utf-8")))]
+    assert sites == ["integrators._RestartNoise.standard_normal"]

@@ -542,13 +542,13 @@ class TestIntegrate:
     def test_zero_steps_rejected(self, rng):
         sys = random_quadratic_system(rng, 4)
         cfg = StepperConfig()
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):  # a ValueError, as callers may catch
             integrate(sys, cfg, rng.standard_normal(sys.dim), n_steps=0)
 
     @pytest.mark.parametrize("n_steps", [2.5, 2.0, "2"])
     def test_non_integer_steps_rejected(self, n_steps, rng):
         sys = random_quadratic_system(rng, 4)
-        with pytest.raises(ValueError, match="n_steps must be an integer"):
+        with pytest.raises(ConfigError, match="n_steps must be an integer"):
             integrate(sys, StepperConfig(), rng.standard_normal(sys.dim), n_steps=n_steps)
 
     def test_numpy_integer_steps_accepted(self, rng):
@@ -698,7 +698,8 @@ class TestBuildBasis:
     @pytest.mark.parametrize("process", ["isotropic-arnoldi", "symplectic-arnoldi"])
     def test_breakdown_restarts_without_rng(self, process):
         # both processes break down at the wave start (zero momentum); a
-        # call without a generator still restarts, from default_rng(0)
+        # call without a generator still restarts, from a stream of its own
+        # seeded with 0
         sys = LinearWaveSystem(n=60)
         x = sys.initial_state
         action = CountingAction.from_system(sys, x)
