@@ -9,7 +9,8 @@ Submodules: ``core`` (symplectic linear algebra, system interface),
 ``krylov`` (basis processes), ``matfun`` (the exponential and the one
 phi kernel), ``integrators`` (EE / EEMP / IEMP
 steppers), ``problems`` (wave, NLS, Klein-Gordon benchmarks), ``harness``
-(experiment runner and CSV metrics).
+(experiment runner, reference oracles and CSV metrics), ``extrapolation``
+(the fine oracle's Gragg-Bulirsch-Stoer step).
 """
 
 from ._version import __version__

@@ -4,9 +4,10 @@ A run is described declaratively (problem, method, basis process, basis
 dimension, horizon, step count), integrated with the configured stepper,
 and measured against a reference trajectory (``reference_solution``):
 ``dense``, the exact flow x0 + t phi(tA) f(x0) of a linear system
-(refused above dimension DENSE_REFERENCE_LIMIT = 2000), or ``fine``,
-classical RK4 at the main step divided by a refinement factor (default
-100).
+(refused above dimension DENSE_REFERENCE_LIMIT = 2000), or ``fine``, at
+least as accurate as classical RK4 at the main step divided by a
+refinement factor (default 100): that RK4, or an extrapolation where it
+calls f less often.
 
 Each recorded row holds (step, t, relative energy error, solution error,
 achieved basis dimension, fixed-point iterations).  Output is plain CSV
@@ -28,10 +29,12 @@ import os
 import pickle
 import time
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import extrapolation
 from ._version import __version__
 from .core import _is_int, _is_real, _norm
 from .errors import (ConfigError, IntegrationAborted, NumericalError, ReferenceFailureError,
@@ -124,14 +127,17 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
     whole grid (``matfun._phi_second_order``, ``phi_apply``'s closed form
     for Hamiltonian Lanczos matrices); otherwise the states are propagated
     with one ``expm`` of [[dt A, dt c], [0, 0]] (``matfun.pade_flow``) per
-    grid interval length, to 12 significant digits.  mode "fine":
-    classical RK4 with ``factor`` micro steps per grid interval, each of
-    length interval/factor.  A state whose norm overflows (a non-finite
-    one included), and a closed form or an interval exponential that
-    overflows, are a ReferenceFailureError, with no numpy warning.  A time
-    grid that is not finite and strictly increasing is a ValueError, and
-    ``_check_reference`` refuses bad arguments, before any work, on a
-    one-point grid too."""
+    grid interval length, to 12 significant digits.  mode "fine", per grid
+    interval dt: classical RK4 with ``factor`` micro steps of dt/factor,
+    unless ``extrapolation.macro_steps`` finds that m Gragg-Bulirsch-Stoer
+    steps (``extrapolation.step``) call f less often and are stable and at
+    least as accurate.  A state whose norm overflows (a non-finite one
+    included), an extrapolation step whose last two columns differ by more
+    than ``extrapolation.TOLERANCE`` of its norm, and a closed form or an
+    interval exponential that overflows, are a ReferenceFailureError, with
+    no numpy warning.  A time grid that is not finite and strictly
+    increasing is a ValueError, and ``_check_reference`` refuses bad
+    arguments, before any work, on a one-point grid too."""
     x0 = np.asarray(x0, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
@@ -152,8 +158,10 @@ def _reference_rows(system, x0, t_grid, mode, factor, states):
     written, as it is written (in closed form, once all are)."""
     states[0] = x0
     yield
-    x, cache, delta = x0, {}, 0.0
+    x, cache, delta, rho, macro = x0, {}, 0.0, np.inf, 0
     with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "fine" and extrapolation.macro_steps(0.0, 1.0, factor):
+            rho = extrapolation.spectral_radius(system, x0)  # the cap alone lets it win
         if mode == "dense" and t_grid.size > 1:
             A = system.jacobian_dense(x0)
             c = system.f(np.zeros(system.dim))
@@ -173,6 +181,14 @@ def _reference_rows(system, x0, t_grid, mode, factor, states):
             dt = t_grid[i] - t_grid[i - 1]
             if delta:
                 x = states[i]
+            elif mode == "fine" and (macro := extrapolation.macro_steps(rho, dt, factor)):
+                for _ in range(macro):
+                    x, change = extrapolation.step(system.f, x, dt / macro)
+                    # a NaN fails too
+                    if not change @ change <= extrapolation.TOLERANCE ** 2 * (x @ x):
+                        raise ReferenceFailureError(
+                            f"fine reference failed by t={t_grid[i]:.6g}: its extrapolation "
+                            f"columns disagree at the macro step {dt / macro:.3g}")
             elif mode == "fine":
                 micro = dt / factor
                 for _ in range(factor):
@@ -188,7 +204,9 @@ def _reference_rows(system, x0, t_grid, mode, factor, states):
                 prop, shift = cache[key]
                 x = prop @ x + shift
             if not np.isfinite(x @ x):
-                why = f": RK4 is unstable at its micro step {micro:.3g}" if mode == "fine" else ""
+                why = "" if mode == "dense" else (
+                    f": the extrapolation overflowed at its macro step {dt / macro:.3g}" if macro
+                    else f": RK4 is unstable at its micro step {micro:.3g}")
                 raise ReferenceFailureError(
                     f"{mode} reference overflowed by t={t_grid[i]:.6g}{why}")
             states[i] = x
@@ -202,8 +220,10 @@ class ExperimentConfig:
     ConfigError: a bad problem or parameter (``build_problem``), field,
     output path or stepper setting, a step or record count that is not an
     integer of at least 1, a horizon that is no finite positive number, a
-    seed that is not a nonnegative integer, ``basis_dim`` above the system
-    dimension, and a reference the oracle cannot give (``_check_reference``)."""
+    seed that is not a nonnegative integer, ``problem_params`` that is not a
+    mapping with string keys, an ``output`` that is not a path, ``basis_dim``
+    above the system dimension, and a reference the oracle cannot give
+    (``_check_reference``)."""
 
     problem: str = "linear-wave"
     problem_params: dict = field(default_factory=dict)
@@ -221,7 +241,10 @@ class ExperimentConfig:
     stepper: StepperConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        system = build_problem(self.problem, **self.problem_params)
+        params = self.problem_params
+        if not (isinstance(params, Mapping) and all(isinstance(key, str) for key in params)):
+            raise ConfigError(f"problem_params must map parameter names to values, got {params!r}")
+        system = build_problem(self.problem, **params)
         for name in ("n_steps", "record_every"):
             count = getattr(self, name)
             if not _is_int(count) or count < 1:
@@ -231,6 +254,8 @@ class ExperimentConfig:
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
         _check_reference(system, self.reference, self.ref_factor)
+        if not isinstance(self.output, (str, os.PathLike)):
+            raise ConfigError(f"output must be a path, got {self.output!r}")
         if self.output and not os.path.isdir(os.path.dirname(self.output) or "."):
             raise ConfigError(f"the output directory of {self.output!r} does not exist")
         if os.path.isdir(self.output):

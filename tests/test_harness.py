@@ -472,6 +472,30 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=re.escape(repr(value)) + "$"):
             make()
 
+    # a wrong type for the parameters or the output path is a ConfigError,
+    # not the TypeError of ``**params`` or ``os.path.isdir``
+    WRONG_TYPES = {
+        "problem_params-None": dict(problem_params=None),
+        "problem_params-list": dict(problem_params=[("n", 8)]),
+        "problem_params-str": dict(problem_params="n=8"),
+        "problem_params-int-key": dict(problem_params={1: 8}),
+        "output-None": dict(output=None),
+        "output-int": dict(output=3),
+    }
+
+    @pytest.mark.parametrize("setting", list(WRONG_TYPES))
+    def test_wrong_type_refused_as_config_error(self, setting):
+        fields = self.WRONG_TYPES[setting]
+        (value,) = fields.values()
+        with pytest.raises(ConfigError, match=re.escape(repr(value)) + "$"):
+            ExperimentConfig(**fields)
+
+    def test_output_may_be_a_path_object(self, tmp_path):
+        out = tmp_path / "run.csv"
+        run(ExperimentConfig(problem_params={"n": 8}, n_steps=2, reference="dense", output=out),
+            quiet=True)
+        assert out.read_text(encoding="ascii").startswith("# symkry ")
+
     def test_numeric_text_is_read_as_numbers(self):
         config = config_from_mapping({"problem": "klein-gordon", "problem.n": "8",
                                       "problem.A": "1e-1", "t_final": "0.5", "steps": "10"})
