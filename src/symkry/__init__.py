@@ -41,6 +41,7 @@ from .harness import (
     reference_solution,
     relative_energy_error,
     run,
+    run_sections,
     solution_error,
 )
 from .integrators import (
@@ -79,7 +80,7 @@ __all__ = [
     "ConfigError", "DegeneratePairError",
     "IntegrationAborted", "NumericalError", "ReferenceFailureError", "StepFailureError",
     "ExperimentConfig", "MetricsSeries", "reference_solution",
-    "relative_energy_error", "run", "solution_error",
+    "relative_energy_error", "run", "run_sections", "solution_error",
     "StepperConfig", "StepResult", "TrajectorySummary",
     "integrate", "step_ee", "step_eemp", "step_iemp",
     "CountingAction", "KrylovOutcome", "arnoldi", "extend_basis",

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .errors import ConfigError, IntegrationAborted, ReferenceFailureError, StepFailureError
-from .harness import CONFIG_KEYS, config_from_mapping, parse_config_text, run
+from .harness import CONFIG_KEYS, config_from_mapping, parse_config_text, run_sections
 from .problems import list_problems
 
 
@@ -26,8 +26,7 @@ def _presets_root():
 
 
 def available_presets():
-    root = _presets_root()
-    return sorted(p.name[:-len(".conf")] for p in root.iterdir()
+    return sorted(p.name[:-len(".conf")] for p in _presets_root().iterdir()
                   if p.name.endswith(".conf"))
 
 
@@ -62,11 +61,8 @@ def _build_parser():
 
 
 def _flag_overrides(args):
-    overrides = {}
-    for key in CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    overrides = {key: value for key in CONFIG_KEYS
+                 if (value := getattr(args, key, None)) is not None}
     for item in args.param:
         if "=" not in item:
             raise ConfigError(f"--param expects NAME=VALUE, got {item!r}")
@@ -75,9 +71,10 @@ def _flag_overrides(args):
     return overrides
 
 
-def _checked_configs(sections):
-    """Configs of the (name, mapping) sections, all checked before the first
-    runs; two sections that would write the same CSV are a ConfigError."""
+def _run_checked(sections):
+    """Run the configs of the (name, mapping) sections (``run_sections``),
+    all checked before the first runs; two sections that would write the
+    same CSV are a ConfigError."""
     configs = [config_from_mapping(mapping) for _, mapping in sections]
     writers = {}
     for (name, _), config in zip(sections, configs):
@@ -86,7 +83,8 @@ def _checked_configs(sections):
             raise ConfigError(f"sections {writers[path]!r} and {name!r} both write {path!r}")
         if path:
             writers[path] = name
-    return configs
+    for _ in run_sections(configs):
+        pass
 
 
 def _cmd_run(args):
@@ -97,8 +95,7 @@ def _cmd_run(args):
             sections = parse_config_text(Path(args.config).read_text(encoding="ascii"))
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
-    for config in _checked_configs([(s, {**m, **overrides}) for s, m in sections]):
-        run(config)
+    _run_checked([(s, {**m, **overrides}) for s, m in sections])
     return 0
 
 
@@ -109,9 +106,8 @@ def _cmd_preset(args):
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {args.output_dir!r}: {exc}") from exc
-    for config in _checked_configs([(s, {"output": str(out_dir / f"{args.name}-{s}.csv"), **m})
-                                    for s, m in sections]):
-        run(config)
+    _run_checked([(s, {"output": str(out_dir / f"{args.name}-{s}.csv"), **m})
+                  for s, m in sections])
     return 0
 
 

@@ -21,7 +21,8 @@ each state into its row of a shared anonymous mapping as soon as it is
 computed (``_Beside``); the parent takes each record's solution error
 once its row is in and drops that state.  Where the platform has no
 ``os.fork`` or the mapping, the pipe or the fork fails, it is computed
-inline first.  Either way the CSV is the same.
+inline first.  Either way the CSV is the same.  A run keeps nothing once
+it returns; ``run_sections`` shares one reference among consecutive runs.
 """
 
 import mmap
@@ -48,10 +49,6 @@ DENSE_REFERENCE_LIMIT = 2000
 # a run aborts once the state norm exceeds this multiple of ||x0||
 DIVERGENCE_FACTOR = 1e6
 
-# run()'s one-entry memo {key: the last finished reference oracle}: consecutive
-# runs that share a problem and a grid (preset sections) compute it once
-_reference_memo = {}
-
 
 def _fmt(value):
     return format(float(value), ".17g")
@@ -59,8 +56,7 @@ def _fmt(value):
 
 def relative_energy_error(system, x_t, x0):
     """|H(x_t) - H(x0)| / max(|H(x0)|, 1e-300); a non-finite energy is a NumericalError."""
-    h_t = system.energy(x_t)
-    h_0 = system.energy(x0)
+    h_t, h_0 = system.energy(x_t), system.energy(x0)
     if not (np.isfinite(h_t) and np.isfinite(h_0)):
         raise NumericalError("non-finite energy encountered")
     return abs(h_t - h_0) / max(abs(h_0), 1e-300)
@@ -269,8 +265,7 @@ class ExperimentConfig:
     def echo(self):
         """Deterministic one-line summary for the CSV header."""
         parts = [f"problem={self.problem}"]
-        for key in sorted(self.problem_params):
-            parts.append(f"problem.{key}={self.problem_params[key]}")
+        parts += [f"problem.{key}={value}" for key, value in sorted(self.problem_params.items())]
         ref = self.reference if self.reference == "dense" else f"fine:{self.ref_factor}"
         parts += [
             f"method={self.method.upper()}",
@@ -298,8 +293,8 @@ class MetricsSeries:
 
     def to_csv_text(self):
         lines = [f"# symkry {__version__} {self.config_echo}", CSV_COLUMNS]
-        for step, t, ree, sol, dim, fp in self.rows:
-            lines.append(f"{step},{_fmt(t)},{_fmt(ree)},{_fmt(sol)},{dim},{fp}")
+        lines += [f"{step},{_fmt(t)},{_fmt(ree)},{_fmt(sol)},{dim},{fp}"
+                  for step, t, ree, sol, dim, fp in self.rows]
         return "\n".join(lines) + "\n"
 
     def write(self, path):
@@ -342,8 +337,9 @@ class _Beside:
     leading rows are in, without blocking.  ``result()`` reads the pipe to
     its end, reaps the child, and returns the states, read-only, or raises
     the oracle's exception, with its type and message, and again when
-    called again.  ``close()`` kills and reaps a child still there, which
-    otherwise leaves with ``os._exit``, running no exit handler."""
+    called again, so a finished oracle can serve the next run on its grid
+    (``run_sections``).  ``close()`` kills and reaps a child still there,
+    which otherwise leaves with ``os._exit``, running no exit handler."""
 
     def __init__(self, system, x0, t_grid, mode, factor):
         self._pid, self._error, self._sent, self.ready = None, None, bytearray(), 0
@@ -411,32 +407,46 @@ def _start_reference(config):
 def run(config, quiet=False):
     """Execute one configured experiment; returns its RunResult.
 
-    The oracle (``_Beside``) is the memo's when the previous run finished
-    one for the same problem, grid and reference; else ``_start_reference``
-    starts one and the memo is cleared.  The observer of ``integrate`` fails
-    a step whose state norm exceeds DIVERGENCE_FACTOR * ||x0|| or whose
+    The run starts its own oracle (``_start_reference``), and nothing of it
+    is left once the run returns.  The observer of ``integrate`` fails a
+    step whose state norm exceeds DIVERGENCE_FACTOR * ||x0|| or whose
     recorded energy is not finite; at a recorded step it takes the solution
     error of every record whose row is in and drops that state.  The
-    oracle's ``result()`` brings in the rest; the oracle goes to the memo
-    and the CSV is written.  On a numerical failure the partial CSV is still
-    flushed and the IntegrationAborted is re-raised with the partial
-    ``series`` attached.  An oracle exception takes precedence over one from
-    the integration, and a child is killed and reaped on every exit path.
-    Unless ``quiet``, it prints the status and the last recorded row, named
-    by its step.  At its peak a run holds one step's bases (the last step's
-    are freed before the next is built, see ``integrate``), the records
+    oracle's ``result()`` brings in the rest and the CSV is written.  On a
+    numerical failure the partial CSV is still flushed and the
+    IntegrationAborted is re-raised with the partial ``series`` attached.
+    An oracle exception takes precedence over one from the integration, and
+    a child is killed and reaped on every exit path.  Unless ``quiet``, it
+    prints the status and the last recorded row, named by its step.  At its
+    peak a run holds one step's bases (see ``integrate``), the records
     without a row and the oracle's mapping.  Breakdown restarts draw from
-    ``_RestartNoise(config.seed)`` (see ``integrate``).
+    ``_RestartNoise(config.seed)``.
     """
-    wall_start = time.perf_counter()
+    return next(run_sections([config], quiet))
+
+
+def run_sections(configs, quiet=False):
+    """Yield the RunResult of each of ``configs``, run in order as ``run``
+    does; the first exception ends them.  A config whose problem, problem
+    parameters, reference, factor, horizon, step count and record interval
+    equal its predecessor's takes the predecessor's finished oracle, so
+    preset sections that differ in method, basis or seed compute one
+    reference.  The CSVs are the same as ``run``'s."""
+    grid = oracle = None
+    for config in configs:
+        wall_start = time.perf_counter()
+        key = (config.problem, sorted(config.problem_params.items()), config.reference,
+               config.ref_factor, config.t_final, config.n_steps, config.record_every)
+        if key != grid:
+            oracle = None  # the last reference goes before the next is mapped and forked
+            grid, oracle = key, _start_reference(config)
+        yield _run(config, oracle, quiet, wall_start)
+
+
+def _run(config, oracle, quiet, wall_start):
+    """One run of ``run_sections`` with its oracle, a finished one or not."""
     system, every = config.system, config.record_every
     x0 = system.initial_state
-    key = (config.problem, tuple(sorted(config.problem_params.items())), config.reference,
-           config.ref_factor, config.t_final, config.n_steps, every)
-    oracle = _reference_memo.get(key)
-    if oracle is None:
-        _reference_memo.clear()
-        oracle = _start_reference(config)
     guard = DIVERGENCE_FACTOR * max(np.linalg.norm(x0), 1e-300)
     series = MetricsSeries(config.echo())
     waiting = deque()  # (step, t, ree, basis_dim, fp_iters, state) of records without a row
@@ -469,7 +479,6 @@ def run(config, quiet=False):
         match(len(oracle.result()))
     finally:
         oracle.close()
-    _reference_memo[key] = oracle
     if config.output:
         series.write(config.output)
 
@@ -530,32 +539,28 @@ def parse_config_text(text):
     Returns a list of (section_name, mapping); keys appearing before the
     first section act as shared defaults for every section.
     """
-    defaults = {}
-    sections = []
-    current_name, current = None, defaults
+    defaults, sections = {}, []
+    current = defaults
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            current_name = line[1:-1].strip()
             current = {}
-            sections.append((current_name, current))
+            sections.append((line[1:-1].strip(), current))
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         current[_normalize_key(key)] = value.strip()
     if not sections:
-        sections = [("run", defaults)]
-        defaults = {}
+        return [("run", defaults)]
     return [(name, {**defaults, **mapping}) for name, mapping in sections]
 
 
 def config_from_mapping(mapping):
     """An ExperimentConfig from flag-named keys, checked as it is made."""
-    cfg_kwargs = {}
-    params = {}
+    cfg_kwargs, params = {}, {}
     for key, value in mapping.items():
         key = _normalize_key(key)
         if key.startswith("problem."):
@@ -577,6 +582,4 @@ def config_from_mapping(mapping):
         except ValueError as exc:
             raise ConfigError(f"bad reference refinement factor {factor!r}") from exc
         reference = "fine"
-    cfg_kwargs["reference"] = reference
-    cfg_kwargs["problem_params"] = params
-    return ExperimentConfig(**cfg_kwargs)
+    return ExperimentConfig(**cfg_kwargs, reference=reference, problem_params=params)

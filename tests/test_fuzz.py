@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
-from symkry import ConfigError, IntegrationAborted, ReferenceFailureError, harness
+from symkry import ConfigError, IntegrationAborted, ReferenceFailureError
 from symkry.cli import main
 from symkry.harness import config_from_mapping, run
 
@@ -101,7 +101,6 @@ def _argv(mapping, output):
 
 def fuzz(seed, cases, tmp_path, monkeypatch, capsys):
     monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(harness, "_reference_memo", {})
     rng = np.random.default_rng(seed)
     tally = {}
     for i in range(cases):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import os
 import re
@@ -6,6 +7,7 @@ import subprocess
 import sys as _sys
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from symkry import (
     reference_solution,
     relative_energy_error,
     run,
+    run_sections,
     solution_error,
 )
 from symkry import cli, harness, integrators
@@ -610,8 +613,6 @@ class TestRun:
             return system
 
         monkeypatch.setattr(harness, "build_problem", patched)
-        # the patched run neither reads nor leaves reference states
-        monkeypatch.setattr(harness, "_reference_memo", {})
 
     def test_nonfinite_energy_aborts_with_partial_csv(self, tmp_path, monkeypatch):
         def patch(system):
@@ -753,9 +754,10 @@ class TestRun:
             monkeypatch.setattr(harness, "integrate", integrate)
 
 
-class TestReferenceMemo:
-    """run() keeps the last reference states and reuses them while the
-    problem, the grid and the reference stay the same."""
+class TestRunSections:
+    """run_sections() starts one reference for each run of consecutive
+    configs that share the problem, the grid and the reference, and the
+    configs after the first reuse its finished states."""
 
     def _config(self, **kw):
         base = dict(problem="linear-wave", problem_params={"n": 24},
@@ -768,8 +770,7 @@ class TestReferenceMemo:
     @pytest.fixture
     def calls(self, monkeypatch):
         """Count reference computations where the parent starts them (the
-        computation itself may run in a child), from an empty memo."""
-        monkeypatch.setattr(harness, "_reference_memo", {})
+        computation itself may run in a child)."""
         real, calls = harness._start_reference, []
 
         def counted(*args, **kwargs):
@@ -780,9 +781,15 @@ class TestReferenceMemo:
         return calls
 
     def test_shared_key_computes_once(self, calls):
-        run(self._config(), quiet=True)
-        run(self._config(method="EEMP", basis="arnoldi", seed=3), quiet=True)
+        list(run_sections([self._config(), self._config(method="EEMP", basis="arnoldi", seed=3)],
+                          quiet=True))
         assert len(calls) == 1
+
+    def test_one_reference_per_run_of_same_grid_configs(self, calls):
+        a, b = self._config(), self._config(n_steps=40)
+        results = list(run_sections([a, a, b, b, b, a], quiet=True))
+        assert len(results) == 6
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("change", [
         {"ref_factor": 3},
@@ -794,30 +801,50 @@ class TestReferenceMemo:
         {"problem": "klein-gordon"},
     ], ids=lambda change: next(iter(change)))
     def test_changed_key_field_recomputes(self, calls, change):
-        run(self._config(), quiet=True)
-        run(self._config(**change), quiet=True)
-        assert len(calls) == 2
-        assert len(harness._reference_memo) == 1
-        run(self._config(**change), quiet=True)
+        list(run_sections([self._config(), self._config(**change), self._config(**change)],
+                          quiet=True))
         assert len(calls) == 2
 
-    def test_cached_states_are_read_only(self, calls):
-        run(self._config(), quiet=True)
-        (oracle,) = harness._reference_memo.values()
-        states = oracle.result()
+    def test_shared_states_are_read_only(self, monkeypatch):
+        real, oracles = harness._run, []
+
+        def spied(config, oracle, *args):
+            oracles.append(oracle)
+            return real(config, oracle, *args)
+
+        monkeypatch.setattr(harness, "_run", spied)
+        list(run_sections([self._config(), self._config(method="EEMP")], quiet=True))
+        first, second = oracles
+        assert second is first
+        states = second.result()
         assert not states.flags.writeable
         with pytest.raises(ValueError):
             states[0, 0] = 1.0
 
-    def test_csvs_equal_runs_without_memo(self, calls):
+    def test_csvs_equal_unshared_runs(self, calls):
         sections = [self._config(), self._config(method="EEMP", basis="arnoldi")]
-        shared = [run(cfg, quiet=True).series.to_csv_text() for cfg in sections]
-        alone = []
-        for cfg in sections:
-            harness._reference_memo.clear()
-            alone.append(run(cfg, quiet=True).series.to_csv_text())
+        shared = [result.series.to_csv_text() for result in run_sections(sections, quiet=True)]
+        alone = [run(cfg, quiet=True).series.to_csv_text() for cfg in sections]
         assert shared == alone
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("forking", [True, False], ids=["forked", "inline"])
+    def test_run_keeps_no_reference_states(self, forking, monkeypatch):
+        if not forking:
+            monkeypatch.delattr(os, "fork", raising=False)
+        elif not hasattr(os, "fork"):
+            pytest.skip("the platform cannot fork")
+        real, states = harness._start_reference, []
+
+        def watched(config):
+            oracle = real(config)
+            states.append(weakref.ref(oracle.states))
+            return oracle
+
+        monkeypatch.setattr(harness, "_start_reference", watched)
+        run(self._config(), quiet=True)
+        gc.collect()
+        assert len(states) == 1 and states[0]() is None
 
 
 def assert_no_child():
@@ -826,12 +853,8 @@ def assert_no_child():
 
 
 class TestReferenceBeside:
-    """On a memo miss run() computes the reference in a forked child while
-    it integrates; inline where the platform has no fork or it fails."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_memo(self, monkeypatch):
-        monkeypatch.setattr(harness, "_reference_memo", {})
+    """run() computes the reference in a forked child while it integrates;
+    inline where the platform has no fork or it fails."""
 
     @pytest.fixture
     def forked(self):
@@ -872,7 +895,6 @@ class TestReferenceBeside:
             if inline:
                 monkeypatch.setattr(os, "fork", fork)
                 sleeping[0] = False
-            harness._reference_memo.clear()
             out = tmp_path / f"inline{inline}.csv"
             try:
                 run(self._kg(**config, output=str(out)), quiet=True)
@@ -902,12 +924,9 @@ class TestReferenceBeside:
     def test_normal_run_leaves_no_child(self, forked):
         run(self._kg(), quiet=True)
         assert_no_child()
-        (oracle,) = harness._reference_memo.values()
-        assert not oracle.result().flags.writeable
 
-    def test_memo_hit_leaves_no_child(self, forked):
-        run(self._kg(), quiet=True)
-        run(self._kg(method="EE", basis="arnoldi"), quiet=True)
+    def test_shared_section_leaves_no_child(self, forked):
+        list(run_sections([self._kg(), self._kg(method="EE", basis="arnoldi")], quiet=True))
         assert_no_child()
 
     def test_aborted_run_fills_the_partial_csv_and_leaves_no_child(self, forked, tmp_path):
@@ -936,7 +955,6 @@ class TestReferenceBeside:
         # raised where the parent collects the child's answer, not computed here
         assert "reference_solution" not in {entry.name for entry in err.traceback}
         assert not out.exists()
-        assert not harness._reference_memo
 
     class Interrupt(BaseException):
         """Not an Exception: run() stops the child without waiting for it."""
@@ -970,7 +988,6 @@ class TestReferenceBeside:
         with pytest.raises(error, match="f failed in the parent"):
             run(self._kg(), quiet=True)
         assert_no_child()
-        assert not harness._reference_memo
 
     def test_oracle_error_after_some_rows_takes_precedence(self, forked, tmp_path, monkeypatch):
         # the child fails at the 801st call of f, so rows 0-5 (160 calls of
@@ -990,7 +1007,6 @@ class TestReferenceBeside:
         assert polls[-1] == 6
         assert not out.exists()
         assert_no_child()
-        assert not harness._reference_memo
 
     def test_unpicklable_oracle_error_arrives_as_runtime_error(self, forked, monkeypatch):
         class LocalError(Exception):
@@ -1039,7 +1055,6 @@ class TestReferenceBeside:
         monkeypatch.setattr(harness, "reference_solution", counted)
         run(self._kg(output=str(tmp_path / "inline.csv")), quiet=True)
         assert calls == [parent]  # computed in this process
-        assert len(harness._reference_memo) == 1
         assert b"nan" not in (tmp_path / "inline.csv").read_bytes()
 
 
@@ -1277,10 +1292,10 @@ class TestCLI:
         assert "is a directory" in err and err.count("\n") == 1
 
     def test_bad_later_section_runs_no_section(self, tmp_path, capsys, monkeypatch):
-        def run_(config, quiet=False):
-            raise AssertionError("run was called")
+        def run_(configs, quiet=False):
+            raise AssertionError("run_sections was called")
 
-        monkeypatch.setattr(cli, "run", run_)
+        monkeypatch.setattr(cli, "run_sections", run_)
         conf = tmp_path / "two.conf"
         conf.write_text(
             "problem = linear-wave\nproblem.n = 8\nt-final = 0.1\nsteps = 2\n"
@@ -1294,10 +1309,10 @@ class TestCLI:
     @pytest.mark.parametrize("layout", ["top-level-output", "output-flag", "preset"])
     def test_two_sections_writing_one_csv_run_no_section(self, layout, tmp_path, capsys,
                                                          monkeypatch):
-        def run_(config, quiet=False):
-            raise AssertionError("run was called")
+        def run_(configs, quiet=False):
+            raise AssertionError("run_sections was called")
 
-        monkeypatch.setattr(cli, "run", run_)
+        monkeypatch.setattr(cli, "run_sections", run_)
         out = tmp_path / "same.csv"
         sections = ("problem = linear-wave\nproblem.n = 8\nt-final = 0.1\nsteps = 2\n"
                     "reference = dense\n[a]\nbasis-dim = 4\n[b]\nbasis-dim = 6\n")
@@ -1329,11 +1344,11 @@ class TestCLI:
         # checks that need the built problem also come before the first section runs
         calls = []
 
-        def run_(config, quiet=False):
-            calls.append(config)
-            return harness.run(config, quiet=quiet)
+        def run_(configs, quiet=False):
+            calls.append(configs)
+            return harness.run_sections(configs, quiet=quiet)
 
-        monkeypatch.setattr(cli, "run", run_)
+        monkeypatch.setattr(cli, "run_sections", run_)
         conf = tmp_path / "two.conf"
         conf.write_text(
             "problem = linear-wave\nproblem.n = 8\nt-final = 0.1\nsteps = 2\n"

@@ -87,3 +87,81 @@ def test_restart_noise_is_the_only_user_of_numpy_random():
     sites = [f"{path.stem}{scope}" for path in FILES if path.is_relative_to(ROOT / "src")
              for scope in random_sites(ast.parse(path.read_text(encoding="utf-8")))]
     assert sites == ["integrators._RestartNoise.standard_normal"]
+
+
+MUTATORS = {"clear", "update", "pop", "setdefault", "append"}
+
+
+def module_state_writes(tree):
+    """``global`` statements, and writes into a name bound at module level,
+    in the functions of ``tree``: an assignment or ``del`` on a subscript or
+    attribute of it, or a call of one of its MUTATORS, also through what it
+    returns, unless the function or one enclosing it binds the name itself."""
+    module = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            module.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                module.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    found = []
+
+    def visit(node, local, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                bound = {a.arg for a in ast.walk(child.args) if isinstance(a, ast.arg)}
+                bound |= {n.id for n in ast.walk(child)
+                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+                bound |= {n.name for n in ast.walk(child) if n is not child and isinstance(
+                    n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+                visit(child, local | bound, getattr(child, "name", "<lambda>"))
+                continue
+            if scope is not None:
+                if isinstance(child, ast.Global):
+                    found.append(f"{scope}: global {', '.join(child.names)}")
+                root = None
+                if (isinstance(child, (ast.Subscript, ast.Attribute))
+                        and isinstance(child.ctx, (ast.Store, ast.Del))):
+                    root = child.value
+                elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                        and child.func.attr in MUTATORS):
+                    root = child.func.value
+                while isinstance(root, (ast.Subscript, ast.Attribute, ast.Call)):
+                    root = root.func if isinstance(root, ast.Call) else root.value
+                if isinstance(root, ast.Name) and root.id in module and root.id not in local:
+                    found.append(f"{scope}:{child.lineno}: {ast.unparse(child)}")
+            visit(child, local, scope)
+
+    visit(tree, set(), None)
+    return found
+
+
+def test_no_function_in_src_writes_module_state():
+    # a run keeps nothing after it returns: no cache, registry or counter at
+    # module level that a function fills, empties or rebinds
+    sites = [f"{path.stem}.{site}" for path in FILES if path.is_relative_to(ROOT / "src")
+             for site in module_state_writes(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not sites, "\n".join(sites)
+
+
+def test_module_state_census_sees_every_kind_of_write():
+    tree = ast.parse(
+        "import os\n"
+        "CACHE = {}\n"
+        "def f(key):\n"
+        "    global COUNT\n"
+        "    CACHE[key] = 1\n"
+        "    del CACHE[key]\n"
+        "    CACHE.setdefault(key, []).append(1)\n"
+        "    os.environ['X'] = '1'\n"
+        "def g(CACHE):\n"
+        "    CACHE.clear()\n"  # the parameter, not the module's dict
+        "    def h():\n"
+        "        CACHE.pop(0)\n"  # the enclosing function's
+        "        return {}.update(CACHE)\n")
+    assert module_state_writes(tree) == [
+        "f: global COUNT", "f:5: CACHE[key]", "f:6: CACHE[key]",
+        "f:7: CACHE.setdefault(key, []).append(1)", "f:7: CACHE.setdefault(key, [])",
+        "f:8: os.environ['X']"]

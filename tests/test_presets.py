@@ -2,16 +2,25 @@
 
 Every preset must parse and validate (covered in test_harness); here the
 cheap ones run to completion in-suite and the full-size benchmark presets
-run under the ``slow`` marker (``pytest -m slow``).
+run under the ``slow`` marker (``pytest -m slow``), through
+``run_sections`` as ``symkry preset`` runs them, so sections on one grid
+compute one reference.
 """
 
 import pytest
 
 from symkry.cli import available_presets, load_preset, main
-from symkry.harness import config_from_mapping, run
+from symkry.harness import config_from_mapping, run_sections
 
 DESK_CHEAP = ["fig1-left-desk", "fig1-right-desk", "fig2-desk", "fig3-desk",
               "fig4-desk", "fig5-desk"]
+
+
+def run_preset(name, out_dir):
+    """Every section of the preset, each writing its CSV into ``out_dir``."""
+    configs = [config_from_mapping({**mapping, "output": str(out_dir / f"{name}-{section}.csv")})
+               for section, mapping in load_preset(name)]
+    assert len(list(run_sections(configs, quiet=True))) == len(configs)
 
 
 @pytest.mark.parametrize("name", DESK_CHEAP)
@@ -29,18 +38,11 @@ def test_reference_scale_wave_preset_runs(tmp_path):
 @pytest.mark.parametrize("name", sorted(
     n for n in available_presets() if not n.endswith("-desk")))
 def test_full_scale_preset_runs(name, tmp_path):
-    for section, mapping in load_preset(name):
-        mapping = dict(mapping)
-        mapping["output"] = str(tmp_path / f"{name}-{section}.csv")
-        config = config_from_mapping(mapping)
-        run(config, quiet=True)
+    run_preset(name, tmp_path)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(
     n for n in available_presets() if n.endswith("-desk")))
 def test_desk_preset_full_sweep(name, tmp_path):
-    for section, mapping in load_preset(name):
-        mapping = dict(mapping)
-        mapping["output"] = str(tmp_path / f"{name}-{section}.csv")
-        run(config_from_mapping(mapping), quiet=True)
+    run_preset(name, tmp_path)

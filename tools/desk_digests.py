@@ -1,9 +1,11 @@
 """Print a digest of every desk-preset and perfbench-workload CSV, to check
 that a refactor keeps the numbers byte-identical.
 
-Runs each section of every ``*-desk`` preset the way ``symkry preset``
-does (``config_from_mapping`` then ``run(quiet=True)``), writes the CSVs
-into a temporary directory and prints one line per section:
+Runs the sections of every ``*-desk`` preset the way ``symkry preset``
+does (``config_from_mapping`` then ``run_sections(quiet=True)``, so
+consecutive sections on one grid share one reference, and an aborted
+section ends its preset), writes the CSVs into a temporary directory and
+prints one line per section:
 
     <preset>-<section> <sha256 of the CSV> matvecs=<n> fp_iters=<n> max_ree=<e> final_sol=<e>
 
@@ -15,8 +17,10 @@ rounding on purpose the diff shows by how much; a byte-identical refactor
 still diffs empty.
 Then it runs the three perfbench workloads at seeds 0 and 7 the way the
 perfbench worker does (the preset text from ``perfbench/workloads.py`` of
-this checkout through ``parse_config_text``, ``config_from_mapping`` and
-``run(quiet=True)``) and prints one line per section (about 25 s):
+this checkout through ``parse_config_text``, then each section alone
+through ``config_from_mapping`` and ``run_sections``, which for one config
+is ``run(quiet=True)``: each section computes its own reference) and
+prints one line per section (about 25 s):
 
     perfbench-<workload>-seed<s>-<section> <sha256> matvecs=<n> fp_iters=<n> max_ree=<e> final_sol=<e>
 
@@ -56,7 +60,8 @@ a fixed vector (C-order bytes, whatever the layout):
     basis-<process> <sha256>
 
 Two more lines, after the desk presets, run EEMP with each paired process
-(``PAIRED_EEMP``, NLS n=125, about 1 s together), which no preset does, so
+(``PAIRED_EEMP``, NLS n=125, about 1 s together, run like a preset, as
+are the two texts after it), which no preset does, so
 the paired branch of the basis extension is covered too:
 
     eemp-paired-<process> <sha256> matvecs=<n> fp_iters=<n> max_ree=<e> final_sol=<e>
@@ -184,22 +189,30 @@ def main(argv):
                         QuadraticHamiltonianSystem)
     from symkry.cli import available_presets, load_preset, main as cli_main
     from symkry.errors import IntegrationAborted
-    from symkry.harness import config_from_mapping, parse_config_text, reference_solution, run
+    from symkry.harness import (config_from_mapping, parse_config_text, reference_solution,
+                                run_sections)
     from symkry.integrators import BASIS_PROCESSES
     from symkry.krylov import extend_basis
     from workloads import WORKLOADS, preset_text
 
-    def print_digest(label, mapping, path):
-        config = config_from_mapping({**mapping, "output": str(path)})
-        try:
-            result = run(config, quiet=True)
-            summary, rows, status = result.summary, result.series.rows, ""
-        except IntegrationAborted as exc:  # the partial CSV is still written
-            summary, rows, status = exc.summary, exc.series.rows, " aborted"
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{label} {digest} matvecs={summary.matvec_count} "
-              f"fp_iters={summary.fp_iterations} max_ree={max(r[2] for r in rows):.3e} "
-              f"final_sol={rows[-1][3]:.3e}{status}", flush=True)
+    def print_digests(prefix, sections, tmp):
+        """Run the (name, mapping) sections through ``run_sections`` and
+        print one line per section, labelled ``<prefix>-<name>``."""
+        paths = [Path(tmp) / f"{prefix}-{name}.csv" for name, _ in sections]
+        results = run_sections([config_from_mapping({**mapping, "output": str(path)})
+                                for (_, mapping), path in zip(sections, paths)], quiet=True)
+        for (name, _), path in zip(sections, paths):
+            try:
+                result = next(results)
+                summary, rows, status = result.summary, result.series.rows, ""
+            except IntegrationAborted as exc:  # the partial CSV is still written
+                summary, rows, status = exc.summary, exc.series.rows, " aborted"
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{prefix}-{name} {digest} matvecs={summary.matvec_count} "
+                  f"fp_iters={summary.fp_iterations} max_ree={max(r[2] for r in rows):.3e} "
+                  f"final_sol={rows[-1][3]:.3e}{status}", flush=True)
+            if status:  # it ends the sequence, as in ``symkry preset``
+                break
 
     print(f"symkry from {Path(sys.modules['symkry'].__file__).parent}", file=sys.stderr)
     os.environ["COLUMNS"] = "80"  # argparse wraps the help text to this width
@@ -236,21 +249,15 @@ def main(argv):
         print(f"basis-{process} {digest.hexdigest()}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in available_presets():
-            if not name.endswith("-desk"):
-                continue
-            for section, mapping in load_preset(name):
-                label = f"{name}-{section}"
-                print_digest(label, mapping, Path(tmp) / f"{label}.csv")
+            if name.endswith("-desk"):
+                print_digests(name, load_preset(name), tmp)
         for prefix, text in (("eemp-paired", PAIRED_EEMP), ("iemp-paired", PAIRED_IEMP),
                              ("aborted-eemp", ABORTED_EEMP)):
-            for section, mapping in parse_config_text(text):
-                label = f"{prefix}-{section}"
-                print_digest(label, mapping, Path(tmp) / f"{label}.csv")
+            print_digests(prefix, parse_config_text(text), tmp)
         for name in WORKLOADS:
             for seed in (0, 7):
-                for section, mapping in parse_config_text(preset_text(name, seed)):
-                    label = f"perfbench-{name}-seed{seed}-{section}"
-                    print_digest(label, mapping, Path(tmp) / f"{label}.csv")
+                for section in parse_config_text(preset_text(name, seed)):
+                    print_digests(f"perfbench-{name}-seed{seed}", [section], tmp)
     return 0
 
 

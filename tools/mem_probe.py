@@ -8,11 +8,13 @@ packaged preset (``src/symkry/presets/NAME.conf``) or the path of a
 preset-format file.  RECORD_EVERY, when given, replaces the
 ``record-every`` of every section.
 
-Runs every section the way ``symkry preset`` does (``config_from_mapping``
-then ``run(quiet=True)``, with no CSV written) twice, each time in a fresh
-interpreter that imports symkry from this checkout's ``src/``: once as
-asked, and once recording only each section's last step (``record-every``
-equal to ``steps``).  Then it prints three figures:
+Runs the sections the way ``symkry preset`` does (``config_from_mapping``
+then ``run_sections(quiet=True)``, with no CSV written: consecutive
+sections on one grid share one reference, and an aborted section ends
+the sections) twice, each time in a fresh interpreter that imports
+symkry from this checkout's ``src/``: once as asked, and once recording
+only each section's last step (``record-every`` equal to ``steps``).
+Then it prints three figures:
 
     parent  the asked run's peak RSS (``RUSAGE_SELF``) above that of the
             run recording only its last step;
@@ -72,7 +74,7 @@ def measure(name, every):
     step); print the peaks as one JSON object."""
     sys.path.insert(0, str(ROOT / "src"))
     from symkry.errors import IntegrationAborted
-    from symkry.harness import config_from_mapping, parse_config_text, run
+    from symkry.harness import config_from_mapping, parse_config_text, run_sections
     imported = rss_bytes()
 
     at_fork, fork = [], os.fork
@@ -82,19 +84,20 @@ def measure(name, every):
         return fork()
 
     os.fork = recording_fork
-    copy = block = 0
+    configs = []
     for _, mapping in parse_config_text(preset_text(name)):
         config = config_from_mapping(mapping)
         if every != "own":
             config = dataclasses.replace(
                 config, record_every=config.n_steps if every == "last" else int(every))
-        records = config.n_steps // config.record_every + 1
-        copy = max(copy, 8 * records * config.system.dim)
-        block = max(block, 3 * 8 * config.basis_dim * config.system.dim)
-        try:
-            run(config, quiet=True)
-        except IntegrationAborted:  # the partial run still measures the oracle
+        configs.append(config)
+    copy = max(8 * (c.n_steps // c.record_every + 1) * c.system.dim for c in configs)
+    block = max(3 * 8 * c.basis_dim * c.system.dim for c in configs)
+    try:
+        for _ in run_sections(configs, quiet=True):
             pass
+    except IntegrationAborted:  # the partial run still measures the oracle
+        pass
     print(json.dumps({
         "copy": copy, "block": block, "imported": imported,
         "parent_peak": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
