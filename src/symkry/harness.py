@@ -3,11 +3,11 @@
 A run is described declaratively (problem, method, basis process, basis
 dimension, horizon, step count), integrated with the configured stepper,
 and measured against a reference trajectory (``reference_solution``):
-``dense``, the exact flow x0 + t phi(tA) f(x0) of a linear system
-(refused above dimension DENSE_REFERENCE_LIMIT = 2000), or ``fine``, at
-least as accurate as classical RK4 at the main step divided by a
-refinement factor (default 100): that RK4, or an extrapolation where it
-calls f less often.
+``dense``, the exact flow x0 + t phi(tA) f(x0) of a linear system from
+one ``matfun.phi_apply`` call (refused above dimension
+DENSE_REFERENCE_LIMIT = 2000), or ``fine``, at least as accurate as
+classical RK4 at the main step divided by a refinement factor (default
+100): that RK4, or an extrapolation where it calls f less often.
 
 Each recorded row holds (step, t, relative energy error, solution error,
 achieved basis dimension, fixed-point iterations).  Output is plain CSV
@@ -41,7 +41,7 @@ from .core import _is_int, _is_real, _norm
 from .errors import (ConfigError, IntegrationAborted, NumericalError, ReferenceFailureError,
                      StepFailureError)
 from .integrators import StepperConfig, _RestartNoise, integrate
-from .matfun import _phi_second_order, _second_order_sign, pade_flow
+from .matfun import phi_apply
 from .problems import build_problem
 
 CSV_COLUMNS = "step,t,rel_energy_error,sol_error,basis_dim,fp_iters"
@@ -114,26 +114,20 @@ def _check_reference(system, mode, factor):
 
 def reference_solution(system, x0, t_grid, mode="fine", factor=100):
     """Reference states at the given times, one row per time, written in
-    grid order through ``_reference_rows``.  mode "dense": densify the
-    affine system x' = A x + c (A the dense Jacobian at x0, c = f(0)),
-    exact for linear systems.  When A in (p, q) order is exactly [[0, K],
-    [delta I, 0]] with K symmetric (``matfun._second_order_sign``; q' = p,
-    p' = K q + b, a constant in q' included), each state is x0 + t phi(tA)
-    (A x0 + c), t its time from the first, from one ``eigh`` of K for the
-    whole grid (``matfun._phi_second_order``, ``phi_apply``'s closed form
-    for Hamiltonian Lanczos matrices); otherwise the states are propagated
-    with one ``expm`` of [[dt A, dt c], [0, 0]] (``matfun.pade_flow``) per
-    grid interval length, to 12 significant digits.  mode "fine", per grid
-    interval dt: classical RK4 with ``factor`` micro steps of dt/factor,
-    unless ``extrapolation.macro_steps`` finds that m Gragg-Bulirsch-Stoer
-    steps (``extrapolation.step``) call f less often and are stable and at
-    least as accurate.  A state whose norm overflows (a non-finite one
-    included), an extrapolation step whose last two columns differ by more
-    than ``extrapolation.TOLERANCE`` of its norm, and a closed form or an
-    interval exponential that overflows, are a ReferenceFailureError, with
-    no numpy warning.  A time grid that is not finite and strictly
-    increasing is a ValueError, and ``_check_reference`` refuses bad
-    arguments, before any work, on a one-point grid too."""
+    grid order through ``_reference_rows``.  mode "dense", exact for a
+    linear system x' = A x + c (A the dense Jacobian at x0, c = f(0)):
+    each state is x0 + t phi(tA) (A x0 + c), t its time from the first,
+    from one ``matfun.phi_apply`` call over the grid in (p, q) order.
+    mode "fine", per grid interval dt: classical RK4 with ``factor`` micro
+    steps of dt/factor, unless ``extrapolation.macro_steps`` finds that m
+    Gragg-Bulirsch-Stoer steps (``extrapolation.step``) call f less often
+    and are stable and at least as accurate.  A state whose norm is not
+    finite, an extrapolation step whose last two columns differ by more
+    than ``extrapolation.TOLERANCE`` of its norm, and a NumericalError of
+    ``phi_apply`` are a ReferenceFailureError, with no numpy warning.  A
+    time grid that is not finite and strictly increasing is a ValueError,
+    and ``_check_reference`` refuses bad arguments, before any work, on a
+    one-point grid too."""
     x0 = np.asarray(x0, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
@@ -151,33 +145,27 @@ def reference_solution(system, x0, t_grid, mode="fine", factor=100):
 def _reference_rows(system, x0, t_grid, mode, factor, states):
     """Write the state at each time of ``t_grid`` into its row of ``states``
     (checked arguments, see ``reference_solution``) and yield once per row
-    written, as it is written (in closed form, once all are)."""
+    written, as it is written (the dense oracle's, once all are)."""
     states[0] = x0
     yield
-    x, cache, delta, rho, macro = x0, {}, 0.0, np.inf, 0
+    x, rho, macro = x0, np.inf, 0
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "fine" and extrapolation.macro_steps(0.0, 1.0, factor):
             rho = extrapolation.spectral_radius(system, x0)  # the cap alone lets it win
-        if mode == "dense" and t_grid.size > 1:
-            A = system.jacobian_dense(x0)
-            c = system.f(np.zeros(system.dim))
-            n = system.dim // 2
+        if mode == "dense" and t_grid.size > 1:  # x0 + t phi(tA) (A x0 + c), one column per time
+            A, n = system.jacobian_dense(x0), system.dim // 2
             # in (p, q) order, q' = p, p' = K q + b reads [[0, K], [I, 0]]
-            M = np.roll(A, n, axis=(0, 1))
-            delta = _second_order_sign(M)
-            if delta:  # x0 + t phi(tA) (A x0 + c), one column per time
-                times = (t_grid[1:] - t_grid[0])[:, None]
-                fx = np.roll(A @ x0 + c, n)
-                try:
-                    Y = _phi_second_order(M, fx, times, delta)
-                except NumericalError as exc:  # overflow or a non-finite A; a bug propagates
-                    raise ReferenceFailureError(f"dense reference overflowed: {exc}") from exc
-                np.add(x0, np.roll(Y.T, n, axis=1), out=states[1:])
+            fx = np.roll(A @ x0 + system.f(np.zeros(system.dim)), n)
+            try:
+                Y = phi_apply(np.roll(A, n, axis=(0, 1)), fx, (t_grid[1:] - t_grid[0])[:, None])
+            except NumericalError as exc:  # overflow or a non-finite A; a bug propagates
+                raise ReferenceFailureError(f"dense reference overflowed: {exc}") from exc
+            np.add(x0, np.roll(Y.T, n, axis=1), out=states[1:])
         for i in range(1, t_grid.size):
             dt = t_grid[i] - t_grid[i - 1]
-            if delta:
+            if mode == "dense":
                 x = states[i]
-            elif mode == "fine" and (macro := extrapolation.macro_steps(rho, dt, factor)):
+            elif macro := extrapolation.macro_steps(rho, dt, factor):
                 for _ in range(macro):
                     x, change = extrapolation.step(system.f, x, dt / macro)
                     # a NaN fails too
@@ -185,20 +173,10 @@ def _reference_rows(system, x0, t_grid, mode, factor, states):
                         raise ReferenceFailureError(
                             f"fine reference failed by t={t_grid[i]:.6g}: its extrapolation "
                             f"columns disagree at the macro step {dt / macro:.3g}")
-            elif mode == "fine":
+            else:
                 micro = dt / factor
                 for _ in range(factor):
                     x = _rk4_step(system.f, x, micro)
-            else:
-                key = f"{dt:.11e}"  # 12 significant digits, whatever dt's size
-                try:
-                    if key not in cache:
-                        cache[key] = pade_flow(A, c, dt)
-                except NumericalError as exc:  # the interval's flow overflowed; a bug propagates
-                    raise ReferenceFailureError(
-                        f"dense reference overflowed by t={t_grid[i]:.6g}: {exc}") from exc
-                prop, shift = cache[key]
-                x = prop @ x + shift
             if not np.isfinite(x @ x):
                 why = "" if mode == "dense" else (
                     f": the extrapolation overflowed at its macro step {dt / macro:.3g}" if macro

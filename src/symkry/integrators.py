@@ -166,6 +166,14 @@ def build_basis(action, v, config, rng=None):
     return outcome
 
 
+def _start_norm(v):
+    """||v||; one that overflows, as finite entries can give, fails the step."""
+    with np.errstate(over="ignore"):
+        if (norm := _norm(v)) != np.inf:
+            return norm
+    raise StepFailureError("the 2-norm of the basis start vector overflows")
+
+
 def _check_finite(x):
     if not np.isfinite(x).all():
         raise StepFailureError("step produced non-finite state")
@@ -185,7 +193,7 @@ def step_ee(system, config, x, rng=None):
     """Exponential Euler step x+ = x + h U phi(hF) U^+ f(x)."""
     x = np.asarray(x, dtype=float)
     fx = system.f(x)
-    if _norm(fx) == 0.0:
+    if _start_norm(fx) == 0.0:
         return StepResult(x.copy(), None, None, 0)
     action = CountingAction.from_system(system, x)
     outcome = build_basis(action, fx, config, rng)
@@ -206,8 +214,8 @@ def step_eemp(system, config, x, x_prev, rng=None):
     x_prev = np.asarray(x_prev, dtype=float)
     fx = system.f(x)
     d = x_prev - x
-    start = fx if _norm(fx) > 0.0 else d
-    if _norm(start) == 0.0:
+    start = fx if _start_norm(fx) > 0.0 else d
+    if _start_norm(start) == 0.0:
         return StepResult(x.copy(), None, None, 0)
 
     action = CountingAction.from_system(system, x)
@@ -267,7 +275,7 @@ def step_iemp(system, config, x, rng=None):
     del predictor  # its basis is freed before the full one is built
 
     v = system.f(x_tilde)
-    if _norm(v) == 0.0 and _norm(system.f(x)) == 0.0:
+    if _start_norm(v) == 0.0 and _norm(system.f(x)) == 0.0:
         return StepResult(x.copy(), None, None, matvecs, x_mid=x.copy())
 
     action = CountingAction.from_system(system, x_tilde)

@@ -7,10 +7,10 @@ formed only by ``phi_apply``, so singular M is fine: phi(M) is
 [[0, T], [delta I, 0]] (T symmetric, delta = +-1), which Hamiltonian
 Lanczos returns and a second-order system's Jacobian is in (p, q) order,
 takes a closed form from one ``eigh`` of delta T and ``mode_factors``
-(``_phi_second_order``, which the dense oracle calls with a column of
-times); every other matrix takes ``expm`` of an augmented matrix
-(``pade_flow``), one [13/13] Pade approximant with scaling and squaring
-(Higham 2005).  A non-finite or overflowing value is a NumericalError.
+(``_phi_second_order``); every other matrix takes ``expm`` of an
+augmented matrix (``pade_flow``), one [13/13] Pade approximant with
+scaling and squaring (Higham 2005).  A non-finite or overflowing value
+is a NumericalError.
 """
 
 import numpy as np
@@ -107,10 +107,9 @@ def _phi_second_order(M, B, t, delta):
     delta T = V diag(lam) V^T: per mode, with S and G of ``mode_factors``,
     t phi(tM) = [[t S, lam g], [g, t S]], g = delta t^2 G, applied to each
     column of B in the modes, so neither phi(tM) nor e^(tM) is formed.  t
-    is a number or a column of times, one per column of B (a vector B is
-    one column and meets every time), so that one ``eigh`` serves a whole
-    grid (the dense oracle's).  Returns one column per column or time;
-    t = 0 gives zero exactly; B and t are checked if Y is not finite."""
+    is a number or a column of times, one per column of B (a vector B
+    meets every time).  Returns one column per column or time; t = 0
+    gives zero exactly; B and t are checked if Y is not finite."""
     k = M.shape[0] // 2
     T = M[:k, k:]
     if not np.isfinite(T).all():
@@ -134,14 +133,13 @@ def _phi_second_order(M, B, t, delta):
 
 def pade_flow(M, B, t):
     """(e^(tM), t phi(tM) B), the flow of x' = M x + b, from one ``expm`` of
-    [[tM, tB], [0, 0]], for ``phi_apply`` and the dense oracle; the second
-    result has B's shape.  The adjoined columns are scaled by the power of
-    two 2^-e (e >= 0) that brings their 1-norm to at most one, so a large b
-    does not drive the scaling-and-squaring; ``np.ldexp`` undoes it
-    exactly.  A non-finite M, B or t and a result that overflows are each
-    a NumericalError, with no numpy warning: ``expm`` checks the augmented
-    matrix, formed with numpy's overflow and invalid signals off, and the
-    undoing traps overflow."""
+    [[tM, tB], [0, 0]]; the second result has B's shape.  The adjoined
+    columns are scaled by the power of two 2^-e (e >= 0) that brings their
+    1-norm to at most one, so a large b does not drive the scaling and
+    squaring; ``np.ldexp`` undoes it exactly.  A non-finite M, B or t and
+    a result that overflows are each a NumericalError, with no numpy
+    warning: ``expm`` checks the augmented matrix, formed with numpy's
+    overflow and invalid signals off, and the undoing traps overflow."""
     M = _square(M)
     B = np.asarray(B, dtype=float)
     m = M.shape[0]
@@ -166,13 +164,28 @@ def pade_flow(M, B, t):
 def phi_apply(M, B, t):
     """t phi(tM) B for a vector or a block B, in B's shape: the closed form
     of ``_phi_second_order`` for M exactly [[0, T], [delta I, 0]], T
-    symmetric and delta = +-1 (Hamiltonian Lanczos's F when its signs
-    agree; the dense oracle calls that form itself), else ``pade_flow``.
-    A non-finite M, B or t and a result that overflows are each a
-    NumericalError, with no numpy warning."""
+    symmetric and delta = +-1, else ``pade_flow``.  A vector B also takes
+    a column of times in any order (the dense oracle's grid), for one
+    column per time: off the closed form, y' = M y + B is propagated from
+    y(0) = 0 through the times in increasing order, one ``pade_flow`` per
+    interval length to 12 significant digits, and a column that overflows
+    is left inf or NaN.  Otherwise a non-finite M, B or t and a result
+    that overflows are each a NumericalError, with no numpy warning."""
     M = _square(M)
     B = np.asarray(B, dtype=float)
     delta = _second_order_sign(M)
     if delta:
-        return _phi_second_order(M, B, t, delta).reshape(B.shape)
-    return pade_flow(M, B, t)[1]
+        Y = _phi_second_order(M, B, t, delta)
+        return Y if isinstance(t, np.ndarray) else Y.reshape(B.shape)
+    if not isinstance(t, np.ndarray):  # a number: every step's call
+        return pade_flow(M, B, t)[1]
+    order = np.argsort(t.ravel())
+    Y, y, flows = np.empty((B.size, t.size)), np.zeros(B.size), {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, dt in zip(order, np.diff(t.ravel()[order], prepend=0.0)):
+            key = f"{dt:.11e}"  # 12 significant digits, whatever dt's size
+            if key not in flows:
+                flows[key] = pade_flow(M, B, dt)
+            E, shift = flows[key]
+            Y[:, i] = y = E @ y + shift
+    return Y

@@ -3,6 +3,7 @@ import pytest
 
 from symkry import (
     BasisMatrix,
+    QuadraticHamiltonianSystem,
     apply_J,
     apply_J_inverse,
     canonical_J,
@@ -156,6 +157,15 @@ class TestSymplecticLeftInverse:
         with pytest.raises(ValueError, match="left has shape"):
             BasisMatrix(U, SYMPLECTIC, left=U)
 
+    @pytest.mark.parametrize("columns, kind, message", [
+        (np.ones(8), SYMPLECTIC, "columns must be a 2-d array"),
+        (np.ones((8, 2, 1)), SYMPLECTIC, "columns must be a 2-d array"),
+        (np.eye(8)[:, :2], "unitary", "unknown basis kind 'unitary'"),
+    ], ids=["vector", "three-d", "unknown-kind"])
+    def test_malformed_basis_is_refused(self, columns, kind, message):
+        with pytest.raises(ValueError, match=message):
+            BasisMatrix(columns, kind)
+
 
 class TestExports:
     def test_all_names_resolve_without_duplicates(self):
@@ -227,6 +237,18 @@ class TestHamiltonianSystemInterface:
         assert jvp_matches_finite_difference(sys, x, v)
         A = sys.jacobian_dense(x)
         assert check_hamiltonian_matrix(A, 1e-8)
+
+    def test_callable_S_needs_dim(self):
+        with pytest.raises(ValueError, match="dim is required when S is a callable"):
+            QuadraticHamiltonianSystem(lambda v: v)
+        assert QuadraticHamiltonianSystem(lambda v: v, dim=4).dim == 4
+
+    @pytest.mark.parametrize("S, d, dim", [
+        (np.eye(4), np.ones(3), None), (lambda v: v, np.ones((2, 2)), 4)],
+        ids=["dense-S", "callable-S"])
+    def test_constant_of_the_wrong_length_is_refused(self, S, d, dim):
+        with pytest.raises(ValueError, match="constant term has wrong length"):
+            QuadraticHamiltonianSystem(S, d, dim=dim)
 
     def test_dense_jacobian_and_f0_reproduce_field(self, rng):
         sys = random_quadratic_system(rng, 4)

@@ -30,7 +30,7 @@ from symkry import (
     run_sections,
     solution_error,
 )
-from symkry import cli, harness, integrators
+from symkry import cli, harness, integrators, matfun
 from symkry.cli import _build_parser, available_presets, load_preset, main
 from symkry.errors import DegeneratePairError, NumericalError, ReferenceFailureError
 from symkry.harness import (
@@ -188,17 +188,20 @@ class TestReferenceSolution:
         assert np.linalg.norm(states[1] - res.x_plus) <= 1e-10 * np.linalg.norm(res.x_plus)
 
     def test_dense_is_the_affine_propagation_off_second_order(self, rng):
-        # a drawn linear system that is not second order: the propagation
-        # written out from Jacobian-action columns and the affine constant,
-        # bit for bit, over intervals that are exact in binary and repeat,
-        # with a constant large enough that every interval scales its column
+        # a drawn linear system that is not second order: x0 + y, with
+        # y' = A y + f(x0) propagated from y = 0 in (p, q) order, written
+        # out from Jacobian-action columns and the affine constant, bit for
+        # bit, over intervals that are exact in binary and repeat, with a
+        # field large enough that every interval scales its column
         sys = random_quadratic_system(rng, 6)
         x0 = rng.standard_normal(sys.dim)
         t_grid = np.array([0.0, 0.125, 0.25, 0.75, 1.25, 1.375])
         A = np.column_stack([sys.linearize(x0)(e) for e in np.eye(sys.dim)])
-        c = apply_J_inverse(sys.d)
-        assert np.abs(0.125 * c).sum() > 1.0
-        want = affine_propagation(A, c, x0, t_grid)
+        n = sys.dim // 2
+        fx = np.roll(A @ x0 + apply_J_inverse(sys.d), n)
+        assert np.abs(0.125 * fx).sum() > 1.0
+        y = affine_propagation(np.roll(A, n, axis=(0, 1)), fx, np.zeros(sys.dim), t_grid)
+        want = x0 + np.roll(y, n, axis=1)
         states = reference_solution(sys, x0, t_grid, mode="dense")
         assert np.array_equal(states, want)
 
@@ -242,7 +245,7 @@ class TestReferenceSolution:
         x0 = np.random.default_rng(5).standard_normal(sys.dim)
         t_grid = np.array([0.0, 0.125, 0.25, 0.5])
         want = affine_propagation(sys.jacobian_dense(x0), sys.f(np.zeros(sys.dim)), x0, t_grid)
-        monkeypatch.setattr(harness, "pade_flow", None)
+        monkeypatch.setattr(matfun, "pade_flow", None)
         states = reference_solution(sys, x0, t_grid, mode="dense")
         assert np.array_equal(states[0], x0)
         for got, ref in zip(states, want):
@@ -281,14 +284,14 @@ class TestReferenceSolution:
 
     @pytest.mark.parametrize("t_grid, message", [
         # the one interval's exponential overflows, and pade_flow refuses it
-        ([0.0, 10.0], "dense reference overflowed by t=10: matrix exponential overflowed"),
+        ([0.0, 10.0], "dense reference overflowed: matrix exponential overflowed"),
         # each interval's exponential is finite, but the states grow until
         # their norm overflows
         (np.arange(400) * 0.05, "dense reference overflowed by t="),
     ], ids=["interval-exponential", "state-norm"])
     def test_dense_affine_overflow_fails_typed_without_warning(self, t_grid, message):
-        # not second order, so the oracle propagates one affine exponential
-        # per interval
+        # not second order, so phi_apply propagates one Pade exponential
+        # per interval length
         sys = QuadraticHamiltonianSystem(1e3 * np.array([[1.0, 0.5], [0.5, -3.0]]), [1.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -296,8 +299,8 @@ class TestReferenceSolution:
                 reference_solution(sys, [1.0, 0.0], t_grid, mode="dense")
 
     def test_dense_affine_shape_bug_is_not_a_reference_failure(self, rng):
-        # an f of the wrong length is a bug: on the per-interval Pade path
-        # numpy's broadcast ValueError reaches the caller as itself
+        # an f of the wrong length is a bug: numpy's broadcast ValueError,
+        # off the closed form, reaches the caller as itself
         sys = random_quadratic_system(rng, 4)
         sys.f = lambda x: np.ones(3)
         with pytest.raises(ValueError, match="broadcast") as info:
@@ -322,8 +325,8 @@ class TestReferenceSolution:
         h = 10.0 / 500
         t_grid = np.array([s * h for s in range(0, 501, 10)])
         assert np.unique(np.diff(t_grid)).size > 1
-        calls, real = [], harness.pade_flow
-        monkeypatch.setattr(harness, "pade_flow", lambda *a: calls.append(a[2]) or real(*a))
+        calls, real = [], matfun.pade_flow
+        monkeypatch.setattr(matfun, "pade_flow", lambda *a: calls.append(a[2]) or real(*a))
         reference_solution(sys, rng.standard_normal(4), t_grid, mode="dense")
         assert len(calls) == 1
 
@@ -333,6 +336,8 @@ class TestReferenceSolution:
         ([np.nan], "finite"),
         ([0.0, 1.0, 1.0], "strictly increasing"),
         ([0.0, -1.0], "strictly increasing"),
+        ([], "a nonempty 1-d array"),
+        ([[0.0, 1.0]], "a nonempty 1-d array"),
     ])
     @pytest.mark.parametrize("mode", ["fine", "dense"])
     def test_bad_time_grid_is_a_value_error_not_a_reference_failure(self, t_grid, message, mode):
@@ -341,7 +346,7 @@ class TestReferenceSolution:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"t_grid must be {message}") as info:
                 reference_solution(sys, [1.0, 0.0], t_grid, mode=mode)
-        assert not isinstance(info.value, ReferenceFailureError)
+        assert type(info.value) is ValueError
 
     def test_fine_overflow_is_a_value_error_without_warning(self):
         # RK4 at a micro step of 0.1 is unstable on Klein-Gordon n=100
@@ -1178,6 +1183,11 @@ class TestCLI:
                      "--reference", "dense", "--output", str(out)])
         assert code == 0
         assert "problem.L=3" in out.read_text().splitlines()[0]
+
+    def test_param_without_equals_exit_code(self, capsys):
+        assert main(["run", "--problem", "linear-wave", "--param", "n",
+                     "--t-final", "1", "--steps", "5"]) == 2
+        assert "--param expects NAME=VALUE, got 'n'" in capsys.readouterr().err
 
     def test_unknown_parameter_exit_code(self, capsys):
         assert main(["run", "--problem", "linear-wave", "--param", "bogus=1",

@@ -1,8 +1,9 @@
 """Every import in the program files is used (perfbench/ and the package's
 re-exporting __init__.py are left out), and the package's ``__all__`` is
-exactly what that __init__.py imports.  Two jobs have one home in src/:
-only the parsers of configuration text catch ValueError, and only
-``integrators._RestartNoise`` reaches ``numpy.random``."""
+exactly what that __init__.py imports.  Three jobs have one home in src/:
+only the parsers of configuration text catch ValueError, only
+``integrators._RestartNoise`` reaches ``numpy.random``, and outside
+``matfun`` only ``phi_apply`` forms t phi(tM) B."""
 
 import ast
 from pathlib import Path
@@ -67,6 +68,44 @@ def test_value_error_is_caught_only_where_text_is_parsed():
     sites = [f"{path.stem}.{function}" for path in FILES if path.is_relative_to(ROOT / "src")
              for function in value_error_handlers(ast.parse(path.read_text(encoding="utf-8")))]
     assert set(sites) <= allowed, sorted(set(sites) - allowed)
+
+
+MATFUN_INTERNALS = {"_second_order_sign", "_phi_second_order", "pade_flow"}
+
+
+def matfun_internal_sites(tree):
+    """Each import, name or attribute in ``tree`` that is one of
+    MATFUN_INTERNALS, as (line, name); a docstring is no such node."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node.lineno, a.name) for a in node.names if a.name in MATFUN_INTERNALS]
+        elif isinstance(node, ast.Name) and node.id in MATFUN_INTERNALS:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in MATFUN_INTERNALS:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_phi_apply_is_the_one_exponential_kernel_outside_matfun():
+    # the steps and the dense oracle take t phi(tM) B only from phi_apply,
+    # so its choice of closed form or Pade flow is made in one place
+    sites = [f"{path.relative_to(ROOT / 'src' / 'symkry')}:{line}: {name}" for path in FILES
+             if path.is_relative_to(ROOT / "src") and path.name != "matfun.py"
+             for line, name in matfun_internal_sites(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not sites, "\n".join(sites)
+
+
+def test_matfun_internal_census_skips_docstrings():
+    tree = ast.parse(
+        '"""pade_flow and _phi_second_order, named in a docstring."""\n'
+        "from .matfun import pade_flow, phi_apply\n"
+        "import symkry.matfun as m\n"
+        "def f(M):\n"
+        '    """_second_order_sign, named in a docstring."""\n'
+        "    return m._second_order_sign(M) or pade_flow(M, M, 1.0)\n")
+    assert matfun_internal_sites(tree) == [
+        (2, "pade_flow"), (6, "_second_order_sign"), (6, "pade_flow")]
 
 
 def random_sites(tree, scope=""):

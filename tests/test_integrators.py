@@ -350,6 +350,56 @@ class TestShortFormsMatchExponentialForms:
         assert count == 3 * 20 + 50
 
 
+def take_step(system, cfg, x):
+    if cfg.method == "EEMP":
+        return step_eemp(system, cfg, x, x)
+    return (step_iemp if cfg.method == "IEMP" else step_ee)(system, cfg, x)
+
+
+class TestDirectStepFailures:
+    """A step called outside ``integrate``, under numpy's default signals."""
+
+    @staticmethod
+    def overflowing_field():
+        # q = 0 and p = 1e155: every entry of f(x) = (p, L q) is finite,
+        # but its 2-norm overflows
+        sys = LinearWaveSystem(n=100)
+        x = np.zeros(sys.dim)
+        x[sys.dim // 2:] = 1e155
+        return sys, x
+
+    @pytest.mark.parametrize("process", list(integrators.BASIS_PROCESSES))
+    @pytest.mark.parametrize("method", ["EE", "EEMP", "IEMP"])
+    def test_field_whose_norm_overflows_fails_typed_without_warning(self, method, process):
+        # a builder would divide the start vector by an infinite norm and
+        # span nothing, so the step would keep x or build on a zero basis
+        sys, x = self.overflowing_field()
+        cfg = StepperConfig(method=method, basis_process=process, basis_dim=8, step_size=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailureError, match="2-norm of the basis start vector"):
+                take_step(sys, cfg, x)
+
+    def test_field_whose_norm_overflows_aborts_integrate_at_step_one(self):
+        sys, x = self.overflowing_field()
+        cfg = StepperConfig(method="EE", basis_process="arnoldi", basis_dim=8, step_size=0.01)
+        with pytest.raises(IntegrationAborted, match="step 1: the 2-norm") as err:
+            integrate(sys, cfg, x, n_steps=3)
+        assert err.value.summary.steps_completed == 0
+
+    @pytest.mark.parametrize("method", ["EE", "IEMP"])
+    def test_non_finite_state_from_finite_reduced_data_fails_typed(self, method):
+        # H = p^2/2 with S applied entrywise: f(x) = (p, 0) never reads q,
+        # so an infinite q leaves the field, the basis and the kernel
+        # finite, and only the new state is not
+        sys = QuadraticHamiltonianSystem(lambda v: np.array([0.0, v[1]]), dim=2)
+        cfg = StepperConfig(method=method, basis_process="arnoldi", basis_dim=2, step_size=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailureError, match="step produced non-finite state"):
+                take_step(sys, cfg, np.array([np.inf, 1.0]))
+
+
 class TestIntegrate:
     def test_single_step_matches_step_ee(self, rng):
         sys = random_quadratic_system(rng, 5)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from symkry import expm, phi_apply
+from symkry import expm, matfun, phi_apply
 from symkry.core import canonical_J
 from symkry.errors import NumericalError, StepFailureError
 from symkry.integrators import _kernel
@@ -411,6 +411,58 @@ class TestSecondOrderClosedForm:
         x = sys.initial_state
         F = hamiltonian_lanczos(CountingAction.from_system(sys, x), sys.f(x), 6).basis.reduced
         assert _second_order_sign(F) in (1.0, -1.0)
+
+
+class TestGridOfTimes:
+    """A vector B with a column of times: one column per time, each the
+    call at that time, in any order of the times.  The times are within
+    two steps of 0.025, the wave step at which such a basis serves."""
+
+    TIMES = np.array([[0.02], [0.0], [0.05], [0.005], [0.035], [0.02]])
+
+    def reduced(self, process):
+        from symkry import CountingAction, LinearWaveSystem
+        from symkry.integrators import BASIS_PROCESSES
+
+        sys = LinearWaveSystem(n=100)
+        x = sys.initial_state
+        builder, mult = BASIS_PROCESSES[process]
+        basis = builder(CountingAction.from_system(sys, x), sys.f(x), 12 // mult).basis
+        return basis.reduced, basis.left_apply(sys.f(x))
+
+    def test_closed_form_columns_are_the_scalar_calls_bit_for_bit(self):
+        F, b = self.reduced("hamiltonian-lanczos")
+        assert _second_order_sign(F) != 0.0
+        Y = phi_apply(F, b, self.TIMES)
+        assert Y.shape == (b.size, self.TIMES.size)
+        for column, (t,) in zip(Y.T, self.TIMES):
+            assert np.array_equal(column, phi_apply(F, b, float(t)))
+
+    def test_pade_columns_are_the_scalar_calls(self, monkeypatch):
+        # not sorted, not uniform, 0 and a repeat included: 0 is exactly
+        # zero, and the intervals, 0, 0.005 and three of 0.015 to 12
+        # significant digits, take three flows
+        F, b = self.reduced("arnoldi")
+        assert _second_order_sign(F) == 0.0
+        calls, real = [], matfun.pade_flow
+        monkeypatch.setattr(matfun, "pade_flow", lambda *a: calls.append(a[2]) or real(*a))
+        Y = phi_apply(F, b, self.TIMES)
+        assert len(calls) == 3
+        assert Y.shape == (b.size, self.TIMES.size)
+        for column, (t,) in zip(Y.T, self.TIMES):
+            want = phi_apply(F, b, float(t))
+            assert np.linalg.norm(column - want) <= 1e-13 * np.linalg.norm(want)
+        assert not Y[:, 1].any()
+
+    def test_pade_overflow_is_left_to_the_caller_without_warning(self):
+        # each interval's flow is finite, and the propagated columns
+        # overflow: inf or NaN, for the caller's check
+        M = np.array([[700.0, 0.0], [0.0, -1.0]])
+        times = np.arange(1.0, 4.0)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Y = phi_apply(M, np.ones(2), times)
+        assert np.isfinite(Y[:, 0]).all() and not np.isfinite(Y[0, 1:]).any()
 
 
 class TestPhiIdentityProperties:

@@ -38,9 +38,10 @@ so the exit-code mapping of an oracle failure is covered too:
     cli-reference-failure exit=<exit code> <sha256 of its stderr>
 
 Two more lines, after them, digest the states of
-``reference_solution(mode="dense")`` on each of its two paths.  The first
-takes the per-interval affine exponential, which no preset takes (their
-linear systems are second order and go through the closed form), on a
+``reference_solution(mode="dense")`` on each of the two paths of its one
+``phi_apply`` call.  The first takes the Pade propagation, one
+exponential per interval length, which no preset takes (their linear
+systems are second order and go through the closed form), on a
 fixed-seed ``QuadraticHamiltonianSystem`` of dimension 40.  The second
 takes the closed form on ``LinearWaveSystem(n=400)`` over wave-dense's
 record grid (every 10th of 2000 steps of 0.025).  The wave CSVs show
